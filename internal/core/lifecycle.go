@@ -36,9 +36,7 @@ func (p *Problem) RemoveTarget(tuples []data.Tuple) (*TargetDelta, error) {
 	if err := p.CheckFresh(); err != nil {
 		return nil, err
 	}
-	if p.tracker == nil {
-		p.tracker, p.analyses = cover.BuildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, 0)
-	}
+	p.ensureTracker()
 	seen := make(map[int32]bool, len(tuples))
 	var removed []data.Tuple
 	var ids []int32
@@ -106,9 +104,7 @@ func (p *Problem) ApplySourceDelta(d SourceDelta) (*TargetDelta, error) {
 	if err := p.CheckFresh(); err != nil {
 		return nil, err
 	}
-	if p.tracker == nil {
-		p.tracker, p.analyses = cover.BuildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, 0)
-	}
+	p.ensureTracker()
 	changed := make(map[string]bool)
 	for _, t := range d.Add {
 		if p.I.Add(t) {
@@ -162,9 +158,7 @@ func (p *Problem) AddCandidates(cands tgd.Mapping) (int, error) {
 	if len(cands) == 0 {
 		return 0, nil
 	}
-	if p.tracker == nil {
-		p.tracker, p.analyses = cover.BuildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, 0)
-	}
+	p.ensureTracker()
 	newAn := p.tracker.AddCandidates(p.I, cands, 0)
 	p.Candidates = append(append(tgd.Mapping{}, p.Candidates...), cands...)
 	p.analyses = append(p.analyses, newAn...)
@@ -206,9 +200,7 @@ func (p *Problem) RemoveCandidates(indices []int) error {
 	if n == 0 {
 		return nil
 	}
-	if p.tracker == nil {
-		p.tracker, p.analyses = cover.BuildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, 0)
-	}
+	p.ensureTracker()
 	p.tracker.RemoveCandidates(keep)
 	kept := make(tgd.Mapping, 0, len(keep)-n)
 	w := 0
@@ -241,7 +233,7 @@ func (p *Problem) ForkDetached() *Problem {
 	defer p.mu.Unlock()
 	return &Problem{
 		I:            p.I.Clone(),
-		J:            p.J.Clone(),
+		J:            p.cloneTarget(),
 		Candidates:   p.Candidates,
 		Weights:      p.Weights,
 		CoverOptions: p.CoverOptions,

@@ -68,6 +68,9 @@ func (b Breakdown) String() string {
 // evidence incrementally (see docs/LIFECYCLE.md). Direct mutation is
 // detected via the instances' version counters: Solve returns an
 // error and Objective panics on a stale problem.
+//
+// A sub-problem view built by Subproblem has a nil J until its first
+// lifecycle mutation builds it; see Subproblem.
 type Problem struct {
 	I          *data.Instance
 	J          *data.Instance
@@ -228,9 +231,7 @@ func (p *Problem) AppendTarget(tuples []data.Tuple) (*TargetDelta, error) {
 	if err := p.CheckFresh(); err != nil {
 		return nil, err
 	}
-	if p.tracker == nil {
-		p.tracker, p.analyses = cover.BuildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, 0)
-	}
+	p.ensureTracker()
 	var added []data.Tuple
 	for _, t := range tuples {
 		if p.J.Add(t) {
@@ -283,7 +284,7 @@ func (p *Problem) Fork() *Problem {
 	defer p.mu.Unlock()
 	return &Problem{
 		I:            p.I,
-		J:            p.J.Clone(),
+		J:            p.cloneTarget(),
 		Candidates:   p.Candidates,
 		Weights:      p.Weights,
 		CoverOptions: p.CoverOptions,
@@ -299,10 +300,33 @@ func (p *Problem) CheckFresh() error {
 	if !p.prepared {
 		return nil
 	}
-	if p.I.Version() != p.iVer || p.J.Version() != p.jVer {
+	if p.I.Version() != p.iVer || (p.J != nil && p.J.Version() != p.jVer) {
 		return fmt.Errorf("core: problem instances were mutated after Prepare — the evidence is stale; grow J with AppendTarget, or build a new Problem")
 	}
 	return nil
+}
+
+// ensureTracker readies a prepared problem for a lifecycle mutation:
+// it builds a sub-problem view's target instance (see Subproblem) and
+// the retained streaming state when they are missing. Callers hold mu.
+func (p *Problem) ensureTracker() {
+	if p.J == nil {
+		p.J = targetOf(p.jidx)
+		p.jVer = p.J.Version()
+	}
+	if p.tracker == nil {
+		p.tracker, p.analyses = cover.BuildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, 0)
+	}
+}
+
+// cloneTarget returns a private copy of the target for a fork; a
+// sub-problem view's copy is built from its tuples, leaving the view
+// itself untouched. Callers hold mu.
+func (p *Problem) cloneTarget() *data.Instance {
+	if p.J == nil {
+		return targetOf(p.jidx)
+	}
+	return p.J.Clone()
 }
 
 // mustFresh is CheckFresh for paths without an error return.

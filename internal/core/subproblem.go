@@ -10,11 +10,20 @@ import (
 
 // Subproblem extracts a prepared sub-instance of the problem spanning
 // the given candidate and target-tuple indices: candidate k of the
-// subproblem is parent candidate candIdx[k], and the target holds
-// exactly the tuples tupleIdx (parent JIndex ids). The prepared
-// evidence is *sliced*, not recomputed — no chase or homomorphism
-// search runs — so building a subproblem costs O(|tuples| + evidence
-// touched).
+// subproblem is parent candidate candIdx[k], and target tuple k is
+// parent JIndex tuple tupleIdx[k]. tupleIdx must be strictly
+// ascending. The prepared evidence is *sliced*, not recomputed — no
+// chase or homomorphism search runs.
+//
+// The subproblem is a view over the parent's prepared target: its
+// JIndex holds the parent's tuple values for tupleIdx and nothing
+// else — no key strings, posting lists or target instance — so
+// building one costs O(|tupleIdx| + evidence touched). Its J field
+// stays nil until the first lifecycle mutation (AppendTarget,
+// RemoveTarget, ApplySourceDelta, AddCandidates, RemoveCandidates)
+// builds the target instance; Fork and ForkDetached build one for the
+// fork, and JIndex().IndexOf or JIndex().Index build the key map and
+// posting lists on first use. Solvers need none of these.
 //
 // The intended caller is connected-component sharding
 // (internal/shard): when the index sets are closed under the evidence
@@ -24,47 +33,41 @@ import (
 // and panic, because silently dropping evidence would corrupt every
 // solver downstream.
 //
-// The subproblem shares the parent's source instance and tgd pointers
-// and is born prepared: Prepare on it is a no-op, and solvers can run
-// on it immediately and concurrently. It is detached from the parent —
-// AppendTarget on either does not affect the other.
+// The subproblem shares the parent's source instance, tgd pointers and
+// (immutable) tuple values, and is born prepared: Prepare on it is a
+// no-op, and solvers can run on it immediately and concurrently. It is
+// detached from the parent — a target mutation on either does not
+// affect the other.
 func (p *Problem) Subproblem(candIdx, tupleIdx []int) *Problem {
 	p.Prepare()
 	p.mustFresh()
 
-	// Sub-target: adding tuples in ascending parent-index order keeps
-	// the relation grouping of the parent instance, so the fresh
-	// JIndex enumerates them in insertion order and the old→new tuple
-	// map is monotone (Pairs stay sorted after remapping; the sort
-	// below is a no-op safety net).
-	subJ := data.NewInstance()
-	oldToNew := make(map[int32]int32, len(tupleIdx))
-	for _, j := range tupleIdx {
-		subJ.Add(p.jidx.Tuples[j])
-	}
-	subIdx := cover.IndexJ(subJ)
-	for _, j := range tupleIdx {
-		nj := subIdx.IndexOf(p.jidx.Tuples[j])
-		if nj < 0 {
-			panic("core: Subproblem tuple lost during sub-instance construction")
+	tuples := make([]data.Tuple, len(tupleIdx))
+	for k, j := range tupleIdx {
+		if k > 0 && j <= tupleIdx[k-1] {
+			panic("core: Subproblem tuple indices not strictly ascending")
 		}
-		oldToNew[int32(j)] = int32(nj)
+		tuples[k] = p.jidx.Tuples[j]
 	}
 
+	// Remap every pair's parent tuple id to its position in tupleIdx.
+	// Parent pairs ascend by J, so the remapped pairs do too and each
+	// binary search starts where the previous one ended.
 	cands := make(tgd.Mapping, len(candIdx))
 	analyses := make([]cover.Analysis, len(candIdx))
 	for k, ci := range candIdx {
 		cands[k] = p.Candidates[ci]
 		a := p.analyses[ci]
 		pairs := make([]cover.CoverPair, len(a.Pairs))
+		lo := 0
 		for i, pr := range a.Pairs {
-			nj, ok := oldToNew[pr.J]
-			if !ok {
+			j := int(pr.J)
+			lo += sort.SearchInts(tupleIdx[lo:], j)
+			if lo == len(tupleIdx) || tupleIdx[lo] != j {
 				panic("core: Subproblem index sets not evidence-closed: candidate covers a tuple outside the shard")
 			}
-			pairs[i] = cover.CoverPair{J: nj, Cov: pr.Cov}
+			pairs[i] = cover.CoverPair{J: int32(lo), Cov: pr.Cov}
 		}
-		sort.Slice(pairs, func(x, y int) bool { return pairs[x].J < pairs[y].J })
 		a.TGDIndex = k
 		a.Pairs = pairs
 		analyses[k] = a
@@ -72,17 +75,27 @@ func (p *Problem) Subproblem(candIdx, tupleIdx []int) *Problem {
 
 	sub := &Problem{
 		I:            p.I,
-		J:            subJ,
 		Candidates:   cands,
 		Weights:      p.Weights,
 		CoverOptions: p.CoverOptions,
 	}
 	sub.prepareOnce.Do(func() {
-		sub.jidx = subIdx
+		sub.jidx = cover.ViewJ(tuples)
 		sub.analyses = analyses
-		sub.incidence = cover.BuildIncidence(subIdx.Len(), analyses)
-		sub.iVer, sub.jVer = sub.I.Version(), sub.J.Version()
+		sub.incidence = cover.BuildIncidence(len(tuples), analyses)
+		sub.iVer = sub.I.Version()
 		sub.prepared = true
 	})
 	return sub
+}
+
+// targetOf builds a target instance holding the live tuples of jidx.
+func targetOf(jidx *cover.JIndex) *data.Instance {
+	J := data.NewInstance()
+	for j, t := range jidx.Tuples {
+		if jidx.Live(j) {
+			J.Add(t)
+		}
+	}
+	return J
 }

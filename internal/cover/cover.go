@@ -61,21 +61,49 @@ func DefaultOptions() Options {
 // JIndex assigns stable indices to the tuples of the data example J
 // and carries the posting-list index the analysis probes. A tuple's
 // JIndex position equals its data.Index id.
+//
+// IndexJ builds the posting lists and the key map eagerly. A view
+// (ViewJ) defers both to the first call that needs them — Index,
+// IndexOf, Append or Remove — so a sub-problem that is only solved
+// (solvers read Len, Live and NumLive) never builds them. The deferred
+// build is safe under concurrent readers: Len, Live and NumLive read
+// only Tuples and the tombstones, which Remove alone writes.
 type JIndex struct {
 	Tuples []data.Tuple
-	byKey  map[string]int
-	idx    *data.Index
+
+	// dead mirrors the tombstones of idx (nil until the first Remove),
+	// so liveness checks never wait on the deferred build.
+	dead    []bool
+	numDead int
+
+	build sync.Once
+	idx   *data.Index
+	byKey map[string]int
 }
 
 // IndexJ builds a JIndex over the instance.
 func IndexJ(J *data.Instance) *JIndex {
-	ix := &JIndex{idx: data.NewIndex(J)}
-	ix.Tuples = ix.idx.Tuples()
-	ix.byKey = make(map[string]int, len(ix.Tuples))
-	for i, t := range ix.Tuples {
-		ix.byKey[t.Key()] = i
-	}
+	ix := ViewJ(J.All())
+	ix.ensure()
 	return ix
+}
+
+// ViewJ returns a JIndex over the given tuples, id = slice position,
+// without indexing them yet (see JIndex). It takes ownership of the
+// slice; the tuples must be distinct.
+func ViewJ(tuples []data.Tuple) *JIndex { return &JIndex{Tuples: tuples} }
+
+// ensure builds the posting-list index and key map if they are
+// missing, and returns the index.
+func (ix *JIndex) ensure() *data.Index {
+	ix.build.Do(func() {
+		ix.byKey = make(map[string]int, len(ix.Tuples))
+		for i, t := range ix.Tuples {
+			ix.byKey[t.Key()] = i
+		}
+		ix.idx = data.IndexTuples(ix.Tuples)
+	})
+	return ix.idx
 }
 
 // Append indexes new target tuples, assigning them the next ids (the
@@ -83,11 +111,15 @@ func IndexJ(J *data.Instance) *JIndex {
 // The caller must not append tuples already indexed; core.Problem
 // dedups against its J instance first.
 func (ix *JIndex) Append(tuples []data.Tuple) {
+	idx := ix.ensure()
 	base := len(ix.Tuples)
-	ix.idx.Append(tuples)
-	ix.Tuples = ix.idx.Tuples()
+	idx.Append(tuples)
+	ix.Tuples = idx.Tuples()
 	for i := base; i < len(ix.Tuples); i++ {
 		ix.byKey[ix.Tuples[i].Key()] = i
+	}
+	if ix.dead != nil {
+		ix.dead = append(ix.dead, make([]bool, len(ix.Tuples)-base)...)
 	}
 }
 
@@ -98,14 +130,20 @@ func (ix *JIndex) Append(tuples []data.Tuple) {
 // unchanged. The ids must be live; core.Problem resolves and dedups
 // them first.
 func (ix *JIndex) Remove(ids []int32) {
-	ix.idx.Remove(ids)
+	ix.ensure().Remove(ids)
+	if ix.dead == nil && len(ids) > 0 {
+		ix.dead = make([]bool, len(ix.Tuples))
+	}
 	for _, id := range ids {
+		ix.dead[id] = true
 		delete(ix.byKey, ix.Tuples[id].Key())
 	}
+	ix.numDead += len(ids)
 }
 
 // IndexOf returns the index of the tuple, or -1.
 func (ix *JIndex) IndexOf(t data.Tuple) int {
+	ix.ensure()
 	if i, ok := ix.byKey[t.Key()]; ok {
 		return i
 	}
@@ -117,16 +155,18 @@ func (ix *JIndex) IndexOf(t data.Tuple) int {
 func (ix *JIndex) Len() int { return len(ix.Tuples) }
 
 // Live reports whether slot j holds a live (non-removed) tuple.
-func (ix *JIndex) Live(j int) bool { return ix.idx.Live(int32(j)) }
+func (ix *JIndex) Live(j int) bool {
+	return j >= 0 && j < len(ix.Tuples) && (ix.dead == nil || !ix.dead[j])
+}
 
 // NumLive returns the number of live target tuples.
-func (ix *JIndex) NumLive() int { return ix.idx.NumLive() }
+func (ix *JIndex) NumLive() int { return len(ix.Tuples) - ix.numDead }
 
 // NumDead returns the number of tombstoned slots.
-func (ix *JIndex) NumDead() int { return ix.idx.NumDead() }
+func (ix *JIndex) NumDead() int { return ix.numDead }
 
 // Index returns the posting-list index over J.
-func (ix *JIndex) Index() *data.Index { return ix.idx }
+func (ix *JIndex) Index() *data.Index { return ix.ensure() }
 
 // CoverPair is one sparse covers entry: covers(θ, Tuples[J]) = Cov.
 type CoverPair struct {

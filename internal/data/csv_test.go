@@ -213,3 +213,29 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed instance:\n%v\nvs\n%v", rt, in)
 	}
 }
+
+// Quoted commas survive a CSV round trip as distinct facts.
+func TestCSVRoundTripQuotedCommas(t *testing.T) {
+	src := "\"x,y\",z\nx,\"y,z\"\n"
+	tuples, err := ReadCSV(strings.NewReader(src), "R", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInstance()
+	if n := in.AddAll(tuples); n != 2 {
+		t.Fatalf("added %d of 2 distinct tuples", n)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, in, "R", nil); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadCSV(&buf, "R", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := NewInstance()
+	out.AddAll(back)
+	if !out.Equal(in) || out.Len() != 2 {
+		t.Fatalf("round trip gave %v, want %v", out, in)
+	}
+}

@@ -95,72 +95,75 @@ func (t Tuple) Nulls() []string {
 	return out
 }
 
+// Characters escaped (with a backslash) by the rendered forms below,
+// so data can never forge their delimiters: relation names end at the
+// first unescaped '(', and constants at the next unescaped ',' or ')'.
+// Names without these characters render verbatim.
+var (
+	relSpecial     = byteSet(`(\`)
+	keySpecial     = byteSet(",)\\\x00")
+	patternSpecial = byteSet(`,)\*`)
+)
+
+func byteSet(chars string) *[256]bool {
+	var set [256]bool
+	for i := 0; i < len(chars); i++ {
+		set[chars[i]] = true
+	}
+	return &set
+}
+
+// appendEscaped appends s to buf, backslash-escaping every byte of s
+// in special.
+func appendEscaped(buf []byte, s string, special *[256]bool) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if special[s[i]] {
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, '\\')
+			start = i
+		}
+	}
+	return append(buf, s[start:]...)
+}
+
 // Key returns a canonical string identity for the tuple. Two tuples
-// are the same fact iff their keys are equal (null labels included).
+// are the same fact iff their keys are equal (null labels included):
+// names are escaped, nulls carry a '\x00' prefix, and a tuple of arity
+// zero renders without parentheses (so R() and R("") differ).
 func (t Tuple) Key() string {
-	var b strings.Builder
-	b.WriteString(t.Rel)
-	b.WriteByte('(')
+	var arr [64]byte
+	buf := appendEscaped(arr[:0], t.Rel, relSpecial)
+	if len(t.Args) == 0 {
+		return string(buf)
+	}
+	buf = append(buf, '(')
 	for i, a := range t.Args {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
 		if a.IsNull() {
-			b.WriteByte('\x00') // separate null namespace from constants
+			buf = append(buf, 0) // separate null namespace from constants
 		}
-		b.WriteString(a.Name())
+		buf = appendEscaped(buf, a.Name(), keySpecial)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return string(append(buf, ')'))
 }
 
 // Pattern returns the null-insensitive canonical form: constants
-// verbatim, every null replaced by '*'. Used by tuple-level metrics.
-func (t Tuple) Pattern() string {
-	var b strings.Builder
-	b.WriteString(t.Rel)
-	b.WriteByte('(')
-	for i, a := range t.Args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if a.IsNull() {
-			b.WriteByte('*')
-		} else {
-			b.WriteString(a.Name())
-		}
-	}
-	b.WriteByte(')')
-	return b.String()
-}
+// verbatim (delimiters escaped), every null replaced by '*'. Used by
+// tuple-level metrics.
+func (t Tuple) Pattern() string { return string(appendPattern(nil, t)) }
 
 // CanonPattern returns a canonical form that identifies tuples up to
-// a renaming of their labelled nulls: constants verbatim, nulls
-// numbered by first occurrence (so t(a,N1,N1) → "t(a,*0,*0)" differs
-// from t(a,N2,N3) → "t(a,*0,*1)"). Two tuples are homomorphically
-// equivalent (as single tuples) iff their CanonPatterns are equal.
+// a renaming of their labelled nulls: constants verbatim (delimiters
+// escaped), nulls numbered by first occurrence (so t(a,N1,N1) →
+// "t(a,*0,*0)" differs from t(a,N2,N3) → "t(a,*0,*1)"). Two tuples are
+// homomorphically equivalent (as single tuples) iff their
+// CanonPatterns are equal.
 func (t Tuple) CanonPattern() string {
-	var b strings.Builder
-	b.WriteString(t.Rel)
-	b.WriteByte('(')
-	idx := make(map[string]int)
-	for i, a := range t.Args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if a.IsNull() {
-			n, ok := idx[a.Name()]
-			if !ok {
-				n = len(idx)
-				idx[a.Name()] = n
-			}
-			fmt.Fprintf(&b, "*%d", n)
-		} else {
-			b.WriteString(a.Name())
-		}
-	}
-	b.WriteByte(')')
-	return b.String()
+	var lbls []string
+	return string(appendCanonPattern(nil, t, &lbls))
 }
 
 // String renders the tuple for humans.
@@ -247,7 +250,7 @@ func (in *Instance) Remove(t Tuple) bool {
 	delete(in.keys, k)
 	ts := in.rels[t.Rel]
 	for i := range ts {
-		if ts[i].Key() == k {
+		if ts[i].Equal(t) {
 			in.rels[t.Rel] = append(ts[:i:i], ts[i+1:]...)
 			break
 		}

@@ -246,3 +246,56 @@ func TestGroundProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Tuple keys are injective: delimiters inside names are escaped, so
+// tuples that differ only in how characters split across arguments
+// (or across the relation name) stay distinct facts.
+func TestTupleKeyInjective(t *testing.T) {
+	groups := [][]Tuple{
+		{NewTuple("R", "x,y", "z"), NewTuple("R", "x", "y,z")},
+		{NewTuple("R", "a)", "b"), NewTuple("R", "a", ")b")},
+		{NewTuple("R", `a\`, "b"), NewTuple("R", `a\,b`), NewTuple("R", `a`, `\b`)},
+		{{Rel: "R", Args: []Value{NullValue("a")}}, NewTuple("R", "\x00a")},
+		{NewTuple("R(x", "y"), NewTuple("R", "x(y")},
+		{{Rel: "R"}, NewTuple("R", "")},
+	}
+	for _, g := range groups {
+		seen := map[string]Tuple{}
+		for _, tu := range g {
+			if prev, ok := seen[tu.Key()]; ok {
+				t.Errorf("%v and %v share key %q", prev, tu, tu.Key())
+			}
+			seen[tu.Key()] = tu
+		}
+	}
+	// Keys of names without delimiters are unchanged.
+	if got := (Tuple{Rel: "task", Args: []Value{Const("ML"), NullValue("N1")}}).Key(); got != "task(ML,\x00N1)" {
+		t.Errorf("plain key = %q", got)
+	}
+	if NewTuple("R", "x,y", "z").Pattern() == NewTuple("R", "x", "y,z").Pattern() {
+		t.Error("patterns of comma-split tuples collide")
+	}
+	if NewTuple("R", "*").Pattern() == (Tuple{Rel: "R", Args: []Value{NullValue("a")}}).Pattern() {
+		t.Error("constant '*' and a null share a pattern")
+	}
+}
+
+// Instance membership follows exact tuple identity for values holding
+// commas: both comma-split tuples are kept, and removing one leaves
+// the other.
+func TestInstanceCommaValues(t *testing.T) {
+	a, b := NewTuple("R", "x,y", "z"), NewTuple("R", "x", "y,z")
+	in := NewInstance()
+	if !in.Add(a) || !in.Add(b) || in.Len() != 2 {
+		t.Fatalf("instance holds %d tuples after adding two distinct facts", in.Len())
+	}
+	if !in.Remove(a) {
+		t.Fatal("Remove(a) missed")
+	}
+	if in.Has(a) || !in.Has(b) || in.Len() != 1 {
+		t.Fatal("Remove(a) removed the wrong fact")
+	}
+	if ts := in.Tuples("R"); len(ts) != 1 || !ts[0].Equal(b) {
+		t.Fatalf("relation R holds %v, want only %v", ts, b)
+	}
+}

@@ -42,9 +42,14 @@ type postKey struct {
 }
 
 // NewIndex builds the posting-list index of an instance.
-func NewIndex(in *Instance) *Index {
+func NewIndex(in *Instance) *Index { return IndexTuples(in.All()) }
+
+// IndexTuples builds the posting-list index of a tuple list: a
+// tuple's id is its position in the list. The index takes ownership
+// of the slice (Tuples returns it) — the caller must not modify it.
+func IndexTuples(tuples []Tuple) *Index {
 	ix := &Index{
-		tuples: in.All(),
+		tuples: tuples,
 		rels:   make(map[string][]int32),
 		post:   make(map[postKey][]int32),
 	}
@@ -236,10 +241,10 @@ func (s *Searcher) candidatesFor(t Tuple) []int32 {
 	return c
 }
 
-// appendPattern appends the null-insensitive pattern of t (the
-// equivalent of Tuple.Pattern) to buf.
+// appendPattern appends the null-insensitive pattern of t (see
+// Tuple.Pattern) to buf.
 func appendPattern(buf []byte, t Tuple) []byte {
-	buf = append(buf, t.Rel...)
+	buf = appendEscaped(buf, t.Rel, relSpecial)
 	buf = append(buf, '(')
 	for i, a := range t.Args {
 		if i > 0 {
@@ -248,7 +253,7 @@ func appendPattern(buf []byte, t Tuple) []byte {
 		if a.IsNull() {
 			buf = append(buf, '*')
 		} else {
-			buf = append(buf, a.Name()...)
+			buf = appendEscaped(buf, a.Name(), patternSpecial)
 		}
 	}
 	return append(buf, ')')
@@ -413,11 +418,11 @@ func BlockCanonKey(block []Tuple) string {
 	return string(buf)
 }
 
-// appendCanonPattern appends the canonical pattern of t (the
-// equivalent of Tuple.CanonPattern: nulls numbered by first
-// occurrence) to buf, using lbls as numbering scratch.
+// appendCanonPattern appends the canonical pattern of t (see
+// Tuple.CanonPattern: nulls numbered by first occurrence) to buf,
+// using lbls as numbering scratch.
 func appendCanonPattern(buf []byte, t Tuple, lbls *[]string) []byte {
-	buf = append(buf, t.Rel...)
+	buf = appendEscaped(buf, t.Rel, relSpecial)
 	buf = append(buf, '(')
 	for i, a := range t.Args {
 		if i > 0 {
@@ -438,7 +443,7 @@ func appendCanonPattern(buf []byte, t Tuple, lbls *[]string) []byte {
 			buf = append(buf, '*')
 			buf = appendInt(buf, n)
 		} else {
-			buf = append(buf, a.Name()...)
+			buf = appendEscaped(buf, a.Name(), patternSpecial)
 		}
 	}
 	return append(buf, ')')

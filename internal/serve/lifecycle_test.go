@@ -277,3 +277,43 @@ func TestRoutesMatchHandler(t *testing.T) {
 		}
 	}
 }
+
+// Target tuples whose values differ only in where a comma falls are
+// distinct facts over the wire: an uploaded scenario keeps both, and
+// removing one leaves the other removable.
+func TestRemoveCommaValues(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	sc := *testScenario(t)
+	sc.J = sc.J.Clone()
+	a, b := data.NewTuple("comma_rel", "x,y", "z"), data.NewTuple("comma_rel", "x", "y,z")
+	sc.J.Add(a)
+	sc.J.Add(b)
+	body, err := ibench.MarshalScenario(&sc)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var created createResponse
+	if code := call(t, "POST", ts.URL+"/sessions", createRequest{Scenario: body}, &created); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	if created.JTuples != sc.J.Len() {
+		t.Fatalf("session holds %d target tuples, want %d", created.JTuples, sc.J.Len())
+	}
+	url := ts.URL + "/sessions/" + created.ID + "/remove"
+	var removed removeResponse
+	if code := call(t, "POST", url, removeRequest{Tuples: []wireTuple{wireOf(a)}}, &removed); code != http.StatusOK {
+		t.Fatalf("remove a: status %d", code)
+	}
+	if removed.Removed != 1 || removed.JTuples != sc.J.Len()-1 {
+		t.Fatalf("remove a response %+v", removed)
+	}
+	if code := call(t, "POST", url, removeRequest{Tuples: []wireTuple{wireOf(a)}}, nil); code != http.StatusConflict {
+		t.Fatalf("second remove of a: status %d, want 409", code)
+	}
+	if code := call(t, "POST", url, removeRequest{Tuples: []wireTuple{wireOf(b)}}, &removed); code != http.StatusOK {
+		t.Fatalf("remove b: status %d (removing a took b with it)", code)
+	}
+	if removed.JTuples != sc.J.Len()-2 {
+		t.Fatalf("remove b response %+v", removed)
+	}
+}

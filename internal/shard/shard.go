@@ -30,9 +30,6 @@
 package shard
 
 import (
-	"runtime"
-	"sync"
-
 	"schemamap/internal/core"
 )
 
@@ -41,6 +38,8 @@ import (
 type Shard struct {
 	// Problem is the prepared subproblem spanning exactly this
 	// component's candidates and tuples; solvers run on it directly.
+	// It is a view over the parent's prepared target (its J stays nil
+	// until a lifecycle mutation; see core.Problem.Subproblem).
 	Problem *core.Problem
 	// Candidates holds the parent candidate indices, ascending:
 	// subproblem candidate k is parent candidate Candidates[k].
@@ -61,15 +60,16 @@ type Shard struct {
 //
 // The result is deterministic: shards are ordered by their smallest
 // candidate index (the uncovered-tuple shard last), with candidate and
-// tuple indices ascending inside each shard, independent of the
-// parallelism used to build the subproblems.
+// tuple indices ascending inside each shard.
 func Split(p *core.Problem) []Shard { return SplitN(p, 0) }
 
-// SplitN is Split with an explicit bound on the subproblem-building
-// worker pool: 1 forces serial construction, 0 means GOMAXPROCS. The
-// decomposition itself is always serial (it is a near-linear
-// union–find sweep); only the per-shard subproblem extraction fans
-// out. The result is identical at every bound.
+// SplitN is Split with a bound on the worker goroutines it may use
+// (1 serial, ≤ 0 GOMAXPROCS); the result is identical at every bound.
+// The split currently uses none at any bound: the decomposition is a
+// near-linear union–find sweep, and each shard's subproblem is a view
+// over the parent's prepared target (see core.Problem.Subproblem) that
+// costs O(shard evidence) with no hashing — a worker pool over the
+// extraction measured slower than the serial loop.
 func SplitN(p *core.Problem, workers int) []Shard {
 	p.Prepare()
 	nc := p.NumCandidates()
@@ -88,16 +88,15 @@ func SplitN(p *core.Problem, workers int) []Shard {
 	// Assign dense component ids in order of smallest member
 	// candidate: scanning candidates ascending and numbering unseen
 	// roots as they appear yields exactly that order.
-	compOf := make(map[int]int, 64)
+	compOf := make([]int32, nc+nj) // root node → component id + 1 (0: none yet)
 	var comps []Shard
 	for i := 0; i < nc; i++ {
-		root := uf.find(i)
-		c, ok := compOf[root]
-		if !ok {
-			c = len(comps)
-			compOf[root] = c
+		r := uf.find(i)
+		if compOf[r] == 0 {
 			comps = append(comps, Shard{})
+			compOf[r] = int32(len(comps))
 		}
+		c := compOf[r] - 1
 		comps[c].Candidates = append(comps[c].Candidates, i)
 	}
 	var uncovered []int
@@ -106,8 +105,7 @@ func SplitN(p *core.Problem, workers int) []Shard {
 		if !jidx.Live(j) {
 			continue // tombstoned slot: belongs to no shard
 		}
-		root := uf.find(nc + j)
-		if c, ok := compOf[root]; ok {
+		if c := compOf[uf.find(nc+j)] - 1; c >= 0 {
 			comps[c].Tuples = append(comps[c].Tuples, j)
 		} else {
 			uncovered = append(uncovered, j)
@@ -117,38 +115,9 @@ func SplitN(p *core.Problem, workers int) []Shard {
 		comps = append(comps, Shard{Tuples: uncovered})
 	}
 
-	// Extract the subproblems, fanning out across shards.
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-	build := func(c int) {
+	for c := range comps {
 		comps[c].Problem = p.Subproblem(comps[c].Candidates, comps[c].Tuples)
 	}
-	if workers <= 1 {
-		for c := range comps {
-			build(c)
-		}
-		return comps
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range next {
-				build(c)
-			}
-		}()
-	}
-	for c := range comps {
-		next <- c
-	}
-	close(next)
-	wg.Wait()
 	return comps
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -35,7 +36,11 @@ const DefaultTinyCap = 12
 // forwarded; WithWarmStart selections are sliced per shard by parent
 // candidate index; WithProgress events are forwarded from all shards,
 // serialised by a mutex. Context cancellation stops all shards
-// promptly and Solve returns ctx.Err().
+// promptly and Solve returns ctx.Err(). A shard that fails — with an
+// error, or with a panic, which is recovered — cancels the remaining
+// shards, and Solve returns "shard <c> (<n> candidates): <error>"
+// (for a panic, "panic: <value>"); a panic also drops the retained
+// split, so the next warm solve re-splits.
 //
 // The zero value is not useful — Inner must name a registered solver.
 // The registry's "sharded-greedy" and "sharded-collective" entries are
@@ -164,16 +169,30 @@ feed:
 
 	// A shard error (or the caller's cancellation) aborts the whole
 	// solve: a partial merge would silently report a wrong objective.
-	for c := range results {
-		if err := results[c].err; err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("shard %d (%d candidates): %w", c, len(shards[c].Candidates), err)
-		}
-	}
+	// The failing shard's error is reported, not the cancellations it
+	// caused in its siblings.
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	var cancelled error
+	for c := range results {
+		if err := results[c].err; err != nil {
+			if errors.As(err, new(shardPanic)) {
+				// The shard's retained state may be half-updated: a
+				// cached split must not be reused by the next solve.
+				p.StoreSplitCache(nil)
+			}
+			err = fmt.Errorf("shard %d (%d candidates): %w", c, len(shards[c].Candidates), err)
+			if !errors.Is(err, context.Canceled) {
+				return nil, err
+			}
+			if cancelled == nil {
+				cancelled = err
+			}
+		}
+	}
+	if cancelled != nil {
+		return nil, cancelled
 	}
 
 	// Merge: scatter each shard's selection back to parent indices.
@@ -211,9 +230,22 @@ feed:
 	}, nil
 }
 
+// shardPanic is the error a recovered panic in a shard's solve
+// becomes.
+type shardPanic struct{ v any }
+
+func (e shardPanic) Error() string { return fmt.Sprintf("panic: %v", e.v) }
+
 // solveShard runs one shard. Candidate-free shards (uncovered tuples)
-// have exactly one selection — the empty one — so no solver runs.
-func (s Solver) solveShard(ctx context.Context, sh Shard, inner core.Solver, tinyCap, innerPar int, deadline time.Time, cfg *core.SolveConfig, progress func(core.Event)) (*core.Selection, error) {
+// have exactly one selection — the empty one — so no solver runs. A
+// panic in the shard's solve is returned as a shardPanic error, so one
+// failing shard aborts the sharded solve instead of the process.
+func (s Solver) solveShard(ctx context.Context, sh Shard, inner core.Solver, tinyCap, innerPar int, deadline time.Time, cfg *core.SolveConfig, progress func(core.Event)) (sel *core.Selection, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			sel, err = nil, shardPanic{r}
+		}
+	}()
 	if len(sh.Candidates) == 0 {
 		return &core.Selection{Chosen: []bool{}}, nil
 	}

@@ -16,6 +16,10 @@
 //   - Coverage: every solver in the core registry (including the
 //     sharded-* variants) must be mentioned in README.md, and every
 //     benchrun flag must appear in README's benchrun flag table.
+//   - Artifacts: every root BENCH_<name>.json and QUALITY_<name>.json,
+//     and every solver key of the quality baseline, must name a
+//     registered solver, so a deleted solver cannot leave orphaned
+//     records behind.
 //   - Serve endpoints: the endpoint table in docs/FORMATS.md (rows
 //     whose first cell is a backticked `METHOD /path`) must list
 //     exactly the routes internal/serve registers (serve.Routes), so
@@ -35,6 +39,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -75,6 +80,7 @@ func main() {
 	}
 	checkReadmeExamples(readme, binaries, report)
 	checkSolverCoverage(readme, report)
+	checkArtifactSolvers(*root, report)
 	checkBenchrunFlagTable(readme, binaries, report)
 	checkServeEndpoints(*root, report)
 	checkAnalyzerDocs(*root, report)
@@ -304,6 +310,42 @@ func checkSolverCoverage(readme string, report func(string, ...any)) {
 	for _, name := range core.Names() {
 		if !strings.Contains(readme, "`"+name+"`") && !strings.Contains(readme, name) {
 			report("README.md: registered solver %q is not mentioned", name)
+		}
+	}
+}
+
+// checkArtifactSolvers verifies that every recorded BENCH/QUALITY
+// artifact and every quality-baseline solver names a registered
+// solver.
+func checkArtifactSolvers(root string, report func(string, ...any)) {
+	registered := make(map[string]bool)
+	for _, name := range core.Names() {
+		registered[name] = true
+	}
+	for _, prefix := range []string{"BENCH_", "QUALITY_"} {
+		files, err := filepath.Glob(filepath.Join(root, prefix+"*.json"))
+		if err != nil {
+			report("glob %s*.json: %v", prefix, err)
+			continue
+		}
+		for _, f := range files {
+			name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), prefix), ".json")
+			if !registered[name] {
+				report("%s: names unregistered solver %q", filepath.Base(f), name)
+			}
+		}
+	}
+	const baseline = "internal/quality/baseline/QUALITY_baseline.json"
+	var b struct {
+		Cells map[string]json.RawMessage `json:"cells"`
+	}
+	if err := json.Unmarshal([]byte(readFile(filepath.Join(root, baseline), report)), &b); err != nil {
+		report("%s: %v", baseline, err)
+		return
+	}
+	for name := range b.Cells {
+		if !registered[name] {
+			report("%s: baseline for unregistered solver %q", baseline, name)
 		}
 	}
 }

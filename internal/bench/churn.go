@@ -70,7 +70,7 @@ func (r ChurnResult) String() string {
 type ChurnOptions struct {
 	// Scales to churn (nil = S and M).
 	Scales []Spec
-	// Solvers to run (nil = greedy, collective and collective-mm).
+	// Solvers to run (nil = greedy and collective).
 	Solvers []string
 	// Steps is the number of mutation steps (0 = 6).
 	Steps int
@@ -92,7 +92,7 @@ func RunChurn(ctx context.Context, opt ChurnOptions) ([]ChurnResult, error) {
 	}
 	solvers := opt.Solvers
 	if len(solvers) == 0 {
-		solvers = []string{"greedy", "collective", "collective-mm"}
+		solvers = []string{"greedy", "collective"}
 	}
 	steps := opt.Steps
 	if steps <= 0 {

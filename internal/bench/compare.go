@@ -13,7 +13,7 @@ import (
 )
 
 // ADMMComparison is the serial-vs-parallel ADMM measurement on one
-// scenario's ground MRF (the full paper-style PSL grounding, linking
+// scenario's ground MRF (the collective solver's grounding, linking
 // constraints included).
 type ADMMComparison struct {
 	Scale              string  `json:"scale"`
@@ -43,9 +43,10 @@ func (c *ADMMComparison) ObjectivesMatch(tol float64) bool {
 // a single core and the best possible outcome is parity.
 func (c *ADMMComparison) ExpectSpeedup() bool { return c.NumCPU >= 2 }
 
-// CompareADMM grounds the spec's scenario into the selection MRF and
-// solves it with serial and parallel ADMM, timing both (best of two
-// each, interleaved, to shed warm-up noise).
+// CompareADMM grounds the spec's scenario into the selection MRF, as
+// the collective solver does, and solves it with serial and parallel
+// ADMM, timing both (best of two each, interleaved, to shed warm-up
+// noise).
 func CompareADMM(ctx context.Context, spec Spec, parallelism int) (*ADMMComparison, error) {
 	if parallelism <= 1 {
 		parallelism = 4
@@ -54,12 +55,7 @@ func CompareADMM(ctx context.Context, spec Spec, parallelism int) (*ADMMComparis
 	if err != nil {
 		return nil, err
 	}
-	p := core.NewProblem(sc.I, sc.J, sc.Candidates)
-	p.Prepare()
-	mrf, err := core.GroundSelectionMRF(p)
-	if err != nil {
-		return nil, err
-	}
+	mrf := core.NewProblem(sc.I, sc.J, sc.Candidates).SelectionMRF()
 
 	opts := psl.DefaultADMMOptions()
 	opts.MaxIterations = 3000

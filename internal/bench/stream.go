@@ -72,8 +72,8 @@ func (r StreamResult) String() string {
 type StreamOptions struct {
 	// Scales to stream (nil = S and M).
 	Scales []Spec
-	// Solvers to run (nil = greedy, collective and collective-mm, the
-	// three with warm paths).
+	// Solvers to run (nil = greedy and collective, the two with warm
+	// paths).
 	Solvers []string
 	// Batches is the number of append batches (0 = 8).
 	Batches int
@@ -95,7 +95,7 @@ func RunStreaming(ctx context.Context, opt StreamOptions) ([]StreamResult, error
 	}
 	solvers := opt.Solvers
 	if len(solvers) == 0 {
-		solvers = []string{"greedy", "collective", "collective-mm"}
+		solvers = []string{"greedy", "collective"}
 	}
 	batches := opt.Batches
 	if batches <= 0 {

@@ -17,15 +17,15 @@ func TestRunStreamingS(t *testing.T) {
 	}
 	rows, err := RunStreaming(context.Background(), StreamOptions{
 		Scales:      []Spec{spec},
-		Solvers:     []string{"greedy", "collective", "collective-mm"},
 		Batches:     3,
 		Parallelism: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
+	// nil Solvers runs the defaults, greedy and collective.
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
 	}
 	for _, r := range rows {
 		if r.Skipped != "" {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"time"
@@ -39,11 +38,6 @@ type CollectiveSolver struct {
 	// RoundThreshold, when positive, rounds at the fixed threshold
 	// instead of sweeping all relaxation values (used by ablations).
 	RoundThreshold float64
-	// UseRuleGrounding builds the ground MRF by grounding the
-	// paper-style PSL program (BuildPSLProgram) instead of
-	// constructing it directly. Both paths yield the same MRF; this
-	// one exercises the full rule-DSL pipeline.
-	UseRuleGrounding bool
 }
 
 // Name implements Solver.
@@ -77,28 +71,12 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 	start := time.Now() //lint:wallclock timing-only: feeds Selection.Elapsed, never the selection
 	n := p.NumCandidates()
 
-	// The direct-build path retains the ground MRF (and the last ADMM
-	// dual state) on the Problem: cold solves reuse the grounding
-	// as-is, and AppendTarget re-grounds only delta-dirty factors, so
-	// a streaming re-solve skips the whole grounding phase.
-	var mrf *psl.MRF
-	var g *grounding
-	var inVar []int
-	if s.UseRuleGrounding {
-		var err error
-		mrf, err = GroundSelectionMRF(p)
-		if err != nil {
-			return nil, err
-		}
-		inVar = make([]int, n)
-		for i := 0; i < n; i++ {
-			inVar[i] = mrf.AtomVar("In", fmt.Sprintf("m%d", i))
-		}
-	} else {
-		g = p.directGrounding()
-		mrf = g.mrf
-		inVar = g.inVar
-	}
+	// The ground MRF (and the last ADMM dual state) is retained on the
+	// Problem: cold solves reuse the grounding as-is, and AppendTarget
+	// re-grounds only delta-dirty factors, so a streaming re-solve
+	// skips the whole grounding phase.
+	g := p.directGrounding()
+	mrf := g.mrf
 
 	// Only the iteration cap gets a solver-specific default;
 	// SolveMAPContext fills in zero Rho/Epsilon itself, so user-set
@@ -137,33 +115,21 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 		}
 	}
 	if w := r.cfg.Warm; w != nil && len(opts.Initial) == 0 {
-		if g != nil {
-			opts.Initial = g.warmInitialFrom(p, w)
-			// Dual warm restart: resume from the retained state of the
-			// previous solve (delta-dirty slots were tombstoned or
-			// rescaled by AppendTarget). Deliberately NOT combined with
-			// residual balancing or over-relaxation: a warm restart
-			// leaves the dual residual near zero, which residual
-			// balancing misreads as a rho imbalance — it escalates rho
-			// and multiplies the iteration count several-fold on this
-			// problem class (and rho > 1 is measurably slower here even
-			// cold). Cold solves never take this path, so recorded
-			// baselines stay bit-identical.
-			if st := g.takeState(); st != nil {
-				opts.Warm = st
-			}
-			if opts.EpsilonRel == 0 {
-				opts.EpsilonRel = warmEpsilonRel
-			}
-		} else {
-			opts.Initial = warmInitial(p, mrf, inVar, w)
+		opts.Initial = g.warmInitial(p, w)
+		// Dual warm restart: resume from the retained state of the
+		// previous solve (delta-dirty slots were tombstoned or
+		// rescaled by AppendTarget). Cold solves never take this path,
+		// so recorded baselines stay bit-identical.
+		if st := g.takeState(); st != nil {
+			opts.Warm = st
+		}
+		if opts.EpsilonRel == 0 {
+			opts.EpsilonRel = warmEpsilonRel
 		}
 	}
-	if g != nil {
-		// Always capture on the retained path so even a cold solve
-		// leaves duals behind for the first warm re-solve.
-		opts.CaptureState = true
-	}
+	// Always capture so even a cold solve leaves duals behind for the
+	// first warm re-solve.
+	opts.CaptureState = true
 	// The soft budget becomes an inference deadline; the caller's ctx
 	// stays the hard stop.
 	admmCtx := ctx
@@ -188,12 +154,10 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 		// Infeasibility at loose tolerance is survivable: rounding
 		// only needs the relative order of the In values.
 	}
-	if g != nil && sol != nil {
-		g.putState(sol.State)
-	}
+	g.putState(sol.State)
 	relax := make([]float64, n)
 	for i := 0; i < n; i++ {
-		relax[i] = sol.X[inVar[i]]
+		relax[i] = sol.X[g.inVar[i]]
 	}
 
 	r.emit("round", sol.Iterations)
@@ -217,59 +181,6 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 		Truncated:  truncated,
 		Relaxation: relax,
 	}, nil
-}
-
-// warmInitial builds the ADMM starting consensus from a prior
-// selection (the WithWarmStart path): In atoms start at the prior
-// relaxation (or the 0/1 selection when no relaxation was recorded),
-// and Explained atoms at their induced optimal value min(1, Σ
-// covers·In) under the current — possibly appended — evidence, so the
-// linking constraints start (near-)satisfied. Variables the prior
-// says nothing about keep the neutral 0.5.
-func warmInitial(p *Problem, mrf *psl.MRF, inVar []int, w *Selection) []float64 {
-	n := p.NumCandidates()
-	init := make([]float64, mrf.NumVars())
-	for i := range init {
-		init[i] = 0.5
-	}
-	relax := w.Relaxation
-	if len(relax) != n {
-		relax = make([]float64, n)
-		for i, on := range w.Chosen {
-			if i < n && on {
-				relax[i] = 1
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		init[inVar[i]] = relax[i]
-	}
-	inc := p.Incidence()
-	for j := 0; j < inc.NumTuples(); j++ {
-		cands, covs := inc.Row(j)
-		if len(cands) == 0 {
-			continue // no Explained atom was ground for j
-		}
-		sum := 0.0
-		for k, i := range cands {
-			sum += covs[k] * relax[i]
-		}
-		if sum > 1 {
-			sum = 1
-		}
-		init[mrf.AtomVar("Explained", fmt.Sprintf("t%d", j))] = sum
-	}
-	return init
-}
-
-// buildDirectMRF constructs the ground HL-MRF without going through
-// the rule grounder; see the grounding type for the encoding and slot
-// layout. It always builds cold and never touches the Problem's
-// retained grounding, which makes it the reference the incremental
-// re-grounding differential tests compare against.
-func (s CollectiveSolver) buildDirectMRF(p *Problem) *psl.MRF {
-	p.Prepare()
-	return buildGrounding(p).mrf
 }
 
 // round converts the continuous relaxation to a boolean selection. By

@@ -22,41 +22,15 @@ func scenarioProblem(t *testing.T, n int, seed int64, piCorresp float64) *Proble
 	return NewProblem(sc.I, sc.J, sc.Candidates)
 }
 
-// The rule-grounding path and the directly built MRF must agree: same
-// objective value at the same relaxation, and the same selection.
-func TestRuleGroundingMatchesDirect(t *testing.T) {
-	for _, seed := range []int64{3, 4, 5} {
-		p := scenarioProblem(t, 7, seed, 50)
-		direct, err := CollectiveSolver{}.Solve(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaRules, err := CollectiveSolver{UseRuleGrounding: true}.Solve(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !approx(direct.Objective.Total(), viaRules.Objective.Total()) {
-			t.Errorf("seed %d: direct F=%v, rule-grounded F=%v",
-				seed, direct.Objective.Total(), viaRules.Objective.Total())
-		}
-		for i := range direct.Chosen {
-			if direct.Chosen[i] != viaRules.Chosen[i] {
-				t.Errorf("seed %d: selections differ at candidate %d", seed, i)
-				break
-			}
-		}
-	}
-}
-
 // The two construction paths must produce MRFs with identical optima
 // (they encode the same convex program).
 func TestGroundSelectionMRFEquivalence(t *testing.T) {
 	p := scenarioProblem(t, 4, 9, 25)
-	viaRules, err := GroundSelectionMRF(p)
+	viaRules, err := groundSelectionMRF(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := CollectiveSolver{}.buildDirectMRF(p)
+	direct := p.SelectionMRF()
 	s1, err := psl.SolveMAP(viaRules, psl.DefaultADMMOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +46,7 @@ func TestGroundSelectionMRFEquivalence(t *testing.T) {
 
 func TestBuildPSLProgramShape(t *testing.T) {
 	p := appendixProblem()
-	prog, db, err := BuildPSLProgram(p)
+	prog, db, err := buildPSLProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}

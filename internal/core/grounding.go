@@ -32,7 +32,7 @@ import (
 // coverage vanishing, or a prior weight crossing to ≤ 0 — invalidate
 // the whole grounding (applyDelta returns false and the next solve
 // rebuilds cold), keeping the incremental MRF exactly equal to a cold
-// buildDirectMRF in every case.
+// buildGrounding in every case.
 type grounding struct {
 	mrf       *psl.MRF
 	inVar     []int
@@ -66,8 +66,16 @@ func (p *Problem) directGrounding() *grounding {
 	return p.ground
 }
 
-// buildGrounding is the cold direct build (exactly
-// CollectiveSolver.buildDirectMRF's MRF) with slot recording.
+// SelectionMRF prepares the problem and returns a freshly built ground
+// HL-MRF of the collective solver's encoding. It is built cold and
+// never touches the retained grounding, so the caller owns it.
+func (p *Problem) SelectionMRF() *psl.MRF {
+	p.Prepare()
+	return buildGrounding(p).mrf
+}
+
+// buildGrounding is the cold direct build of the ground HL-MRF, with
+// slot recording.
 func buildGrounding(p *Problem) *grounding {
 	n := p.NumCandidates()
 	g := &grounding{
@@ -156,7 +164,7 @@ func (g *grounding) applyDelta(p *Problem, d *TargetDelta) bool {
 	// Removed tuples: an uncovered one never had factors — nothing to
 	// do. A covered one would need its variable and factors dropped,
 	// which slot surgery cannot express; rebuild cold (the cold build
-	// omits the dead slot entirely, trivially matching buildDirectMRF).
+	// omits the dead slot entirely, trivially matching buildGrounding).
 	for _, j := range d.RemovedTuples {
 		if g.expVar[j] >= 0 {
 			return false
@@ -283,10 +291,16 @@ func warmRelax(p *Problem, w *Selection) []float64 {
 	return relax
 }
 
-// warmInitialFrom is warmInitial over the retained grounding: same
-// values, but via the cached variable indices (no atom-name lookups,
-// and provably no variable creation on the shared MRF).
-func (g *grounding) warmInitialFrom(p *Problem, w *Selection) []float64 {
+// warmInitial builds the ADMM starting consensus from a prior
+// selection (the WithWarmStart path): In atoms start at the prior
+// relaxation (or the 0/1 selection when no relaxation was recorded),
+// and Explained atoms at their induced optimal value min(1, Σ
+// covers·In) under the current — possibly appended — evidence, so the
+// linking constraints start (near-)satisfied. Variables the prior
+// says nothing about keep the neutral 0.5. It reads the cached
+// variable indices only, so it never creates a variable on the shared
+// MRF.
+func (g *grounding) warmInitial(p *Problem, w *Selection) []float64 {
 	init := make([]float64, g.mrf.NumVars())
 	for i := range init {
 		init[i] = 0.5

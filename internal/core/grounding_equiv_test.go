@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"math"
-	"math/rand"
 	"testing"
 
 	"schemamap/internal/ibench"
-	"schemamap/internal/psl"
 )
 
 // scenarioProblems builds seeded noisy ibench scenarios — the workload
@@ -28,76 +25,6 @@ func scenarioProblems(t *testing.T) []*Problem {
 		out = append(out, NewProblem(sc.I, sc.J, sc.Candidates))
 	}
 	return out
-}
-
-// TestScenarioGroundingMatchesReference grounds the paper-style PSL
-// program of seeded scenarios with both the interned grounder and the
-// string-based reference, and checks the resulting MRFs agree on
-// objective and feasibility everywhere (sampled), plus on the actual
-// MAP solution.
-func TestScenarioGroundingMatchesReference(t *testing.T) {
-	for i, p := range scenarioProblems(t) {
-		prog, db, err := BuildPSLProgram(p)
-		if err != nil {
-			t.Fatalf("problem %d: BuildPSLProgram: %v", i, err)
-		}
-		got, err := psl.Ground(prog, db)
-		if err != nil {
-			t.Fatalf("problem %d: Ground: %v", i, err)
-		}
-		want, err := psl.GroundReference(prog, db)
-		if err != nil {
-			t.Fatalf("problem %d: GroundReference: %v", i, err)
-		}
-		if got.NumVars() != want.NumVars() {
-			t.Fatalf("problem %d: %d vars vs reference %d", i, got.NumVars(), want.NumVars())
-		}
-		if len(got.Potentials) != len(want.Potentials) || len(got.Constraints) != len(want.Constraints) {
-			t.Fatalf("problem %d: %d/%d potentials/constraints vs reference %d/%d", i,
-				len(got.Potentials), len(got.Constraints), len(want.Potentials), len(want.Constraints))
-		}
-		// Identical names must index the same semantics: evaluate both
-		// MRFs at shared random assignments keyed by variable name.
-		rng := rand.New(rand.NewSource(int64(i) + 100))
-		for trial := 0; trial < 25; trial++ {
-			xg := make([]float64, got.NumVars())
-			for c := range xg {
-				xg[c] = rng.Float64()
-			}
-			xw := make([]float64, want.NumVars())
-			copyByNames(want, got, xw, xg)
-			og, ow := got.Objective(xg), want.Objective(xw)
-			if math.Abs(og-ow) > 1e-9*(1+math.Abs(ow)) {
-				t.Fatalf("problem %d trial %d: objective %v vs reference %v", i, trial, og, ow)
-			}
-			for _, tol := range []float64{1e-6, 1e-2} {
-				if fg, fw := got.Feasible(xg, tol), want.Feasible(xw, tol); fg != fw {
-					t.Fatalf("problem %d trial %d: feasibility(%g) %v vs reference %v", i, trial, tol, fg, fw)
-				}
-			}
-		}
-		// MAP objectives agree (same convex problem).
-		opts := psl.DefaultADMMOptions()
-		sg, errG := psl.SolveMAP(got, opts)
-		sw, errW := psl.SolveMAP(want, opts)
-		if (errG == nil) != (errW == nil) {
-			t.Fatalf("problem %d: solve errors differ: %v vs %v", i, errG, errW)
-		}
-		if math.Abs(sg.Objective-sw.Objective) > 1e-6*(1+math.Abs(sw.Objective)) {
-			t.Fatalf("problem %d: MAP objective %v vs reference %v", i, sg.Objective, sw.Objective)
-		}
-	}
-}
-
-// copyByNames copies xg's values into xw, matching variables by name
-// (the grounders enumerate bindings in the same order, but the test
-// must not depend on that).
-func copyByNames(want, got *psl.MRF, xw, xg []float64) {
-	for gi, name := range got.VarNames() {
-		if wi := want.VarNamed(name); wi >= 0 {
-			xw[wi] = xg[gi]
-		}
-	}
 }
 
 // TestCollectiveParallelMatchesSerial runs the full collective solver

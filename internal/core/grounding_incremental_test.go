@@ -69,7 +69,7 @@ func canonicalMRF(t *testing.T, p *Problem, m *psl.MRF) []string {
 
 // The retained grounding after every AppendTarget batch must be
 // factor-for-factor identical (exact float bits) to a cold
-// buildDirectMRF over the same grown target — the differential test
+// buildGrounding over the same grown target — the differential test
 // behind the incremental re-grounding path.
 func TestIncrementalGroundingMatchesCold(t *testing.T) {
 	for ci, cfg := range streamConfigs() {
@@ -86,7 +86,7 @@ func TestIncrementalGroundingMatchesCold(t *testing.T) {
 		// every batch exercises applyDelta rather than a fresh build.
 		got := canonicalMRF(t, p, p.directGrounding().mrf)
 		cold := coldProblemOf(p)
-		want := canonicalMRF(t, cold, CollectiveSolver{}.buildDirectMRF(cold))
+		want := canonicalMRF(t, cold, cold.SelectionMRF())
 		diffCanonical(t, fmt.Sprintf("config %d initial", ci), got, want)
 
 		for bi, batch := range batches {
@@ -96,7 +96,7 @@ func TestIncrementalGroundingMatchesCold(t *testing.T) {
 			g := p.directGrounding()
 			got := canonicalMRF(t, p, g.mrf)
 			cold := coldProblemOf(p)
-			want := canonicalMRF(t, cold, CollectiveSolver{}.buildDirectMRF(cold))
+			want := canonicalMRF(t, cold, cold.SelectionMRF())
 			diffCanonical(t, fmt.Sprintf("config %d batch %d", ci, bi), got, want)
 		}
 	}
@@ -105,11 +105,11 @@ func TestIncrementalGroundingMatchesCold(t *testing.T) {
 func diffCanonical(t *testing.T, label string, got, want []string) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d factors incrementally vs %d cold", label, len(got), len(want))
+		t.Fatalf("%s: %d factors, want %d", label, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("%s: factor mismatch at canonical index %d:\n incremental %s\n cold        %s",
+			t.Fatalf("%s: factor mismatch at canonical index %d:\n got  %s\n want %s",
 				label, i, got[i], want[i])
 		}
 	}
@@ -170,7 +170,7 @@ func TestWarmResolveAfterNoopDelta(t *testing.T) {
 // must still match a cold solve of the grown problem — the tombstoned
 // slots re-derive their duals, the rest restart warm.
 func TestWarmResolveAfterRealDeltaMatchesCold(t *testing.T) {
-	for _, name := range []string{"collective", "collective-mm"} {
+	for _, name := range []string{"collective"} {
 		t.Run(name, func(t *testing.T) {
 			cfg := streamConfigs()[0]
 			sc, err := ibench.Generate(cfg)
@@ -210,48 +210,6 @@ func TestWarmResolveAfterRealDeltaMatchesCold(t *testing.T) {
 	}
 }
 
-// collective-mm must be deterministic under a fixed seed and land
-// within tolerance of collective's objective on the same problems.
-func TestCollectiveMMMatchesCollective(t *testing.T) {
-	for ci, cfg := range streamConfigs() {
-		sc, err := ibench.Generate(cfg)
-		if err != nil {
-			t.Fatalf("config %d: %v", ci, err)
-		}
-		p := NewProblem(sc.I, sc.J, sc.Candidates)
-		ctx := context.Background()
-		admm, err := CollectiveSolver{}.Solve(ctx, p, WithSeed(3))
-		if err != nil {
-			t.Fatalf("config %d collective: %v", ci, err)
-		}
-		mm1, err := CollectiveMMSolver{}.Solve(ctx, p, WithSeed(3))
-		if err != nil {
-			t.Fatalf("config %d collective-mm: %v", ci, err)
-		}
-		mm2, err := CollectiveMMSolver{}.Solve(ctx, p, WithSeed(3))
-		if err != nil {
-			t.Fatalf("config %d collective-mm rerun: %v", ci, err)
-		}
-		if mm1.Objective.Total() != mm2.Objective.Total() {
-			t.Errorf("config %d: collective-mm not deterministic: %.12f vs %.12f",
-				ci, mm1.Objective.Total(), mm2.Objective.Total())
-		}
-		for i := range mm1.Chosen {
-			if mm1.Chosen[i] != mm2.Chosen[i] {
-				t.Fatalf("config %d: collective-mm selection differs at candidate %d across reruns", ci, i)
-			}
-		}
-		tol := 1e-6 * (1 + math.Abs(admm.Objective.Total()))
-		if diff := math.Abs(mm1.Objective.Total() - admm.Objective.Total()); diff > tol {
-			t.Errorf("config %d: collective-mm objective %.9f vs collective %.9f (diff %g)",
-				ci, mm1.Objective.Total(), admm.Objective.Total(), diff)
-		}
-		if mm1.Solver != "collective-mm" {
-			t.Errorf("config %d: Selection.Solver = %q", ci, mm1.Solver)
-		}
-	}
-}
-
 // Concurrent solves share the Problem's retained grounding read-only
 // and race only on the captured dual state; interleaving solve waves
 // with appends exercises the tombstoning path. Run under -race by the
@@ -276,15 +234,11 @@ func TestRetainedGroundingConcurrentSolves(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var solver Solver = CollectiveSolver{}
-				if w%2 == 1 {
-					solver = CollectiveMMSolver{}
-				}
-				opts := []SolveOption{WithSeed(int64(w + 1))}
+				opts := []SolveOption{WithSeed(int64(w + 1)), WithParallelism(1 + w%2)}
 				if warm != nil && w%3 == 0 {
 					opts = append(opts, WithWarmStart(warm))
 				}
-				results[w], errs[w] = solver.Solve(ctx, p, opts...)
+				results[w], errs[w] = CollectiveSolver{}.Solve(ctx, p, opts...)
 			}(w)
 		}
 		wg.Wait()

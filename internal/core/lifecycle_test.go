@@ -5,7 +5,7 @@ package core
 // the incremental evidence must be value-identical to a cold Prepare
 // of the mutated problem, and the retained collective grounding must
 // stay factor-for-factor identical (exact float bits) to a cold
-// buildDirectMRF. Plus the staleness contract: Evaluators panic when
+// buildGrounding. Plus the staleness contract: Evaluators panic when
 // used across an unapplied mutation, and RemoveTarget errors on
 // unknown tuples.
 
@@ -98,7 +98,7 @@ func (s *churnState) step(t *testing.T) string {
 
 // Random interleavings of append/remove/candidate-add/candidate-retire
 // batches must keep the evidence bit-identical to a cold Prepare and
-// the retained MRF identical to a cold buildDirectMRF, after every
+// the retained MRF identical to a cold buildGrounding, after every
 // single batch.
 func TestLifecycleChurnMatchesColdPrepare(t *testing.T) {
 	for ci, cfg := range streamConfigs() {
@@ -135,7 +135,7 @@ func TestLifecycleChurnMatchesColdPrepare(t *testing.T) {
 			cold := coldProblemOf(s.p)
 			assertEvidenceMatchesCold(t, label, s.p, cold)
 			got := canonicalMRF(t, s.p, s.p.directGrounding().mrf)
-			want := canonicalMRF(t, cold, CollectiveSolver{}.buildDirectMRF(cold))
+			want := canonicalMRF(t, cold, cold.SelectionMRF())
 			diffCanonical(t, label, got, want)
 			// Objective parity at random selections (permutation- and
 			// tombstone-invariant, no remapping needed).
@@ -196,7 +196,7 @@ func TestApplySourceDeltaMatchesColdPrepare(t *testing.T) {
 			cold := coldProblemOf(p)
 			assertEvidenceMatchesCold(t, label, p, cold)
 			got := canonicalMRF(t, p, p.directGrounding().mrf)
-			want := canonicalMRF(t, cold, CollectiveSolver{}.buildDirectMRF(cold))
+			want := canonicalMRF(t, cold, cold.SelectionMRF())
 			diffCanonical(t, label, got, want)
 		}
 	}

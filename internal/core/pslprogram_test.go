@@ -2,16 +2,19 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
+	"testing"
 
 	"schemamap/internal/psl"
 )
 
-// This file contains the paper-style PSL formulation of mapping
-// selection: a PSL *program* (rules over predicates) that the engine
-// grounds against a fact database, rather than the directly
-// constructed ground MRF of collective.go. Both paths produce the same
-// hinge-loss MRF (tested), but the program view documents the model
-// the way the paper presents it:
+// This file holds the paper-style PSL formulation of mapping
+// selection: a PSL *program* (rules over predicates) that the rule
+// grounder grounds against a fact database. It is the test oracle for
+// the collective solver's direct grounding (grounding.go), which must
+// produce exactly the same hinge-loss MRF. The program documents the
+// model the way the paper presents it:
 //
 //	predicates:
 //	  JTuple/1     closed  — the tuples of the data example J
@@ -26,9 +29,9 @@ import (
 //	  arithmetic:  Explained(t) ≤ Σ_θ covers(θ,t)·In(θ)
 //	         (PSL summation rule; added as hard linear constraints)
 
-// BuildPSLProgram constructs the program and database for the
+// buildPSLProgram constructs the program and database for the
 // problem. Candidate θᵢ is named "m{i}" and J tuple j "t{j}".
-func BuildPSLProgram(p *Problem) (*psl.Program, *psl.Database, error) {
+func buildPSLProgram(p *Problem) (*psl.Program, *psl.Database, error) {
 	p.Prepare()
 	prog := psl.NewProgram()
 	if err := prog.AddPredicate("JTuple", 1, psl.Closed); err != nil {
@@ -90,10 +93,10 @@ func BuildPSLProgram(p *Problem) (*psl.Program, *psl.Database, error) {
 	return prog, db, nil
 }
 
-// GroundSelectionMRF grounds the program and adds the arithmetic
+// groundSelectionMRF grounds the program and adds the arithmetic
 // linking constraints, returning the MRF ready for MAP inference.
-func GroundSelectionMRF(p *Problem) (*psl.MRF, error) {
-	prog, db, err := BuildPSLProgram(p)
+func groundSelectionMRF(p *Problem) (*psl.MRF, error) {
+	prog, db, err := buildPSLProgram(p)
 	if err != nil {
 		return nil, err
 	}
@@ -120,4 +123,45 @@ func GroundSelectionMRF(p *Problem) (*psl.MRF, error) {
 		}
 	}
 	return mrf, nil
+}
+
+// assertRuleGroundingMatchesDirect checks that grounding the paper's
+// PSL program yields exactly the MRF the collective solver grounds
+// directly: the same variable names, and the same potentials (weight,
+// terms by variable name, constant) and constraints as multisets,
+// compared with exact float bits.
+func assertRuleGroundingMatchesDirect(t *testing.T, label string, p *Problem) {
+	t.Helper()
+	viaRules, err := groundSelectionMRF(p)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	direct := p.SelectionMRF()
+	gotNames, wantNames := viaRules.VarNames(), direct.VarNames()
+	sort.Strings(gotNames)
+	sort.Strings(wantNames)
+	if !reflect.DeepEqual(gotNames, wantNames) {
+		t.Fatalf("%s: rule grounding has variables %v, direct %v", label, gotNames, wantNames)
+	}
+	if len(direct.Potentials) == 0 || len(direct.Constraints) == 0 {
+		t.Fatalf("%s: degenerate grounding (%d potentials, %d constraints)",
+			label, len(direct.Potentials), len(direct.Constraints))
+	}
+	diffCanonical(t, label, canonicalMRF(t, p, viaRules), canonicalMRF(t, p, direct))
+}
+
+// TestRuleGroundingMatchesDirect runs the exact oracle comparison on
+// scenarios with half the correspondences noisy.
+func TestRuleGroundingMatchesDirect(t *testing.T) {
+	for _, seed := range []int64{3, 4, 5} {
+		assertRuleGroundingMatchesDirect(t, fmt.Sprintf("seed %d", seed), scenarioProblem(t, 7, seed, 50))
+	}
+}
+
+// TestScenarioGroundingMatchesReference runs the exact oracle
+// comparison on the noisy benchmark-style scenarios.
+func TestScenarioGroundingMatchesReference(t *testing.T) {
+	for i, p := range scenarioProblems(t) {
+		assertRuleGroundingMatchesDirect(t, fmt.Sprintf("problem %d", i), p)
+	}
 }

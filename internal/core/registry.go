@@ -76,7 +76,6 @@ func Names() []string {
 
 func init() {
 	Register("collective", func() Solver { return CollectiveSolver{} })
-	Register("collective-mm", func() Solver { return CollectiveMMSolver{} })
 	Register("greedy", func() Solver { return GreedySolver{} })
 	Register("independent", func() Solver { return IndependentSolver{} })
 	Register("exhaustive", func() Solver { return ExhaustiveSolver{} })

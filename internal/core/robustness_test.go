@@ -18,7 +18,6 @@ func degenerateSolvers() []Solver {
 		GreedySolver{},
 		IndependentSolver{},
 		CollectiveSolver{},
-		CollectiveSolver{UseRuleGrounding: true},
 	}
 }
 
@@ -145,7 +144,6 @@ func TestDuplicateCandidates(t *testing.T) {
 		ExhaustiveSolver{},
 		GreedySolver{},
 		CollectiveSolver{},
-		CollectiveSolver{UseRuleGrounding: true},
 	}
 	for _, s := range solvers {
 		sel, err := s.Solve(context.Background(), p)

@@ -260,7 +260,9 @@ func AnalyzeOne(index int, d *tgd.TGD, I, J *data.Instance, opts Options) Analys
 // `workers` goroutines (≤ 0 means GOMAXPROCS, capped at n), each
 // owning a fresh analyzeWorker over jidx; a single worker runs
 // inline. Every analysis fan-out in this package — cold, tracked, and
-// the delta rescans — goes through here.
+// the delta rescans — goes through here. A panic in fn on a pool
+// worker is re-raised on the calling goroutine once every worker has
+// stopped, instead of killing the process from the worker.
 func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -275,12 +277,28 @@ func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) 
 		}
 		return
 	}
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		panicMu  sync.Mutex
+		panicked any
+	)
 	next := make(chan int)
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicMu.Lock()
+					if panicked == nil {
+						panicked = r
+					}
+					panicMu.Unlock()
+					for range next {
+						// Drain, so the feed below never blocks.
+					}
+				}
+			}()
 			w := newAnalyzeWorker(jidx)
 			for i := range next {
 				fn(w, i)
@@ -292,6 +310,9 @@ func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) 
 	}
 	close(next)
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // analyzeWorker bundles one worker's searcher and dense accumulation

@@ -10,8 +10,7 @@ import (
 // homomorphism search over a rebuilt J instance, map-accumulated
 // covers — as a reference implementation. It is deliberately naive
 // and unoptimised; the differential tests pin AnalyzeN's indexed
-// sparse path against it bit for bit (same pattern as the grounder's
-// GroundReference).
+// sparse path against it bit for bit.
 
 // AnalyzeReference computes every candidate's Analysis with the
 // reference pipeline, serially. Results must equal AnalyzeN's exactly

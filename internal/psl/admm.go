@@ -57,24 +57,6 @@ type ADMMOptions struct {
 	// rho into Solution.State so a later solve can warm-restart via
 	// Warm. Cancelled solves do not capture.
 	CaptureState bool
-	// Alpha is the over-relaxation parameter (Boyd et al. §3.4.3):
-	// the consensus and dual steps use ŷ = α·y + (1−α)·z_old in place
-	// of the local copies y. 0 means 1 (off, the bit-exact classic
-	// iteration); values in (1, 2) — typically 1.5–1.8 — speed up
-	// convergence on loosely coupled programs. Outside (0, 2) is an
-	// error.
-	Alpha float64
-	// AdaptiveRho enables residual balancing (Boyd et al. §3.4.1):
-	// when the primal residual exceeds RhoMu× the dual residual, rho
-	// is multiplied by RhoTau (and the scaled duals rescaled to keep
-	// the underlying multipliers fixed), and symmetrically divided in
-	// the opposite case. The fixed-rho path is bit-identical with this
-	// off, so benchmark trajectories only change where it is opted in.
-	AdaptiveRho bool
-	// RhoMu is the residual-imbalance trigger ratio (default 10).
-	RhoMu float64
-	// RhoTau is the rho scaling factor (default 2).
-	RhoTau float64
 	// Progress, when non-nil, is called every progressEvery
 	// iterations with the current iteration count.
 	Progress func(iter int)
@@ -88,8 +70,7 @@ type ADMMOptions struct {
 
 // ADMMState is the warm-restartable part of an ADMM solve: the final
 // consensus vector, the scaled duals of every factor keyed by its slot
-// in MRF.Potentials / MRF.Constraints, and the (possibly adapted) rho
-// they are scaled by. Captured via ADMMOptions.CaptureState, restored
+// in MRF.Potentials / MRF.Constraints, and the rho they are scaled by. Captured via ADMMOptions.CaptureState, restored
 // via ADMMOptions.Warm. The two dual blocks are kept separate because
 // an incrementally grown MRF appends to both slices independently; a
 // single factor-order block would misalign after growth.
@@ -105,7 +86,7 @@ type ADMMState struct {
 	// conventions as PotU.
 	ConsU [][]float64
 	// Rho is the step size the duals are scaled by. A restore adopts
-	// it (when > 0) so resumed solves keep the adapted step.
+	// it (when > 0), so the duals are never mis-scaled.
 	Rho float64
 }
 
@@ -195,8 +176,8 @@ func SolveMAP(m *MRF, opts ADMMOptions) (*Solution, error) {
 //
 // The three steps of each iteration — factor-local updates, the
 // consensus average, and the dual update — are each embarrassingly
-// parallel (the MM-family structure: all surrogate/local problems are
-// independent given the consensus), so with opts.Parallelism > 1 they
+// parallel (all local problems are independent given the
+// consensus), so with opts.Parallelism > 1 they
 // run on a persistent worker pool. The consensus step is sharded by
 // variable over a precomputed factor-incidence CSR, so no two workers
 // ever write the same consensus entry.
@@ -209,13 +190,6 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 	}
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = 1e-5
-	}
-	alpha := opts.Alpha
-	if alpha == 0 {
-		alpha = 1
-	}
-	if alpha <= 0 || alpha >= 2 {
-		return nil, fmt.Errorf("psl: ADMMOptions.Alpha %v outside the stable over-relaxation range (0, 2)", opts.Alpha)
 	}
 	n := m.NumVars()
 	if opts.Initial != nil && len(opts.Initial) != n {
@@ -350,14 +324,6 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 	pool := newChunkPool(opts.Parallelism)
 	defer pool.close()
 
-	rhoMu := opts.RhoMu
-	if rhoMu <= 1 {
-		rhoMu = 10
-	}
-	rhoTau := opts.RhoTau
-	if rhoTau <= 1 {
-		rhoTau = 2
-	}
 	var iter int
 	for iter = 0; iter < opts.MaxIterations; iter++ {
 		select {
@@ -388,10 +354,7 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 		})
 		// Consensus step with box projection, sharded by variable; the
 		// dual residual Σ_{(f,k)} (z_v − zOld_v)² = Σ_v count_v·Δ_v²
-		// accumulates into per-chunk partials. With alpha ≠ 1 the local
-		// copies are over-relaxed (ŷ = α·y + (1−α)·z_old) before
-		// averaging; the alpha == 1 branch keeps the classic expression
-		// bit-exact.
+		// accumulates into per-chunk partials.
 		zNew := zNext
 		pool.run(numVarChunks, func(chunk int) {
 			lo := chunk * varChunk
@@ -406,16 +369,9 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 					continue
 				}
 				s := 0.0
-				if alpha == 1 {
-					for i := incOff[v]; i < incOff[v+1]; i++ {
-						t := incTerm[i]
-						s += fs.y[t] + fs.u[t]
-					}
-				} else {
-					for i := incOff[v]; i < incOff[v+1]; i++ {
-						t := incTerm[i]
-						s += alpha*fs.y[t] + (1-alpha)*zCur[v] + fs.u[t]
-					}
+				for i := incOff[v]; i < incOff[v+1]; i++ {
+					t := incTerm[i]
+					s += fs.y[t] + fs.u[t]
 				}
 				zi := s / count[v]
 				if zi < 0 {
@@ -439,10 +395,7 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 		})
 		z, zNext = zNext, z
 		// Dual updates and the primal residual, chunked over factors.
-		// zNext now holds the previous iterate, which the over-relaxed
-		// residual ŷ − z needs.
 		zCons := z
-		zOld := zNext
 		pool.run(numFactChunks, func(chunk int) {
 			lo := chunk * factorChunk
 			hi := lo + factorChunk
@@ -451,19 +404,10 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 			}
 			tlo, thi := fs.off[lo], fs.off[hi]
 			pp := 0.0
-			if alpha == 1 {
-				for ti := tlo; ti < thi; ti++ {
-					r := fs.y[ti] - zCons[fs.vars[ti]]
-					fs.u[ti] += r
-					pp += r * r
-				}
-			} else {
-				for ti := tlo; ti < thi; ti++ {
-					v := fs.vars[ti]
-					r := alpha*fs.y[ti] + (1-alpha)*zOld[v] - zCons[v]
-					fs.u[ti] += r
-					pp += r * r
-				}
+			for ti := tlo; ti < thi; ti++ {
+				r := fs.y[ti] - zCons[fs.vars[ti]]
+				fs.u[ti] += r
+				pp += r * r
 			}
 			primalPart[chunk] = pp
 			if rel {
@@ -502,36 +446,6 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 		if math.Sqrt(primal) < epsPri && math.Sqrt(dual)*rho < epsDual {
 			iter++
 			break
-		}
-		// Residual balancing: scale rho toward whichever residual lags,
-		// rescaling the scaled duals u = λ/rho so the underlying
-		// multipliers are unchanged. Bounded so a pathological program
-		// cannot run rho off to 0 or infinity.
-		if opts.AdaptiveRho {
-			pr := math.Sqrt(primal)
-			du := math.Sqrt(dual) * rho
-			const rhoMin, rhoMax = 1e-6, 1e6
-			uScale := 0.0
-			if pr > rhoMu*du && rho*rhoTau <= rhoMax {
-				rho *= rhoTau
-				uScale = 1 / rhoTau
-			} else if du > rhoMu*pr && rho/rhoTau >= rhoMin {
-				rho /= rhoTau
-				uScale = rhoTau
-			}
-			if uScale != 0 {
-				s := uScale
-				pool.run(numFactChunks, func(chunk int) {
-					lo := chunk * factorChunk
-					hi := lo + factorChunk
-					if hi > numFactors {
-						hi = numFactors
-					}
-					for ti := fs.off[lo]; ti < fs.off[hi]; ti++ {
-						fs.u[ti] *= s
-					}
-				})
-			}
 		}
 	}
 	sol := &Solution{
@@ -673,11 +587,21 @@ func (fs *factorSet) localStep(fi int, z []float64, rho float64) {
 // indices via a shared atomic counter. The pool is created once per
 // solve, so the per-phase cost is one channel send per worker plus a
 // WaitGroup barrier — cheap enough for thousands of ADMM iterations.
+//
+// A panic in a chunk does not kill the process from a worker
+// goroutine: the worker records the first one, the other workers
+// finish the phase, and run re-raises it on the calling goroutine,
+// where the caller's recover (or deferred close) sees it.
 type chunkPool struct {
 	workers int
 	next    atomic.Int64
 	wg      sync.WaitGroup
 	jobs    []chan chunkJob
+
+	panicMu sync.Mutex // guards panicked
+	// panicked holds the first recovered chunk panic of the current
+	// run (nil when none).
+	panicked any
 }
 
 type chunkJob struct {
@@ -696,13 +620,7 @@ func newChunkPool(workers int) *chunkPool {
 		p.jobs[w] = ch
 		go func() {
 			for j := range ch {
-				for {
-					c := int(p.next.Add(1)) - 1
-					if c >= j.n {
-						break
-					}
-					j.fn(c)
-				}
+				p.work(j)
 				p.wg.Done()
 			}
 		}()
@@ -710,8 +628,30 @@ func newChunkPool(workers int) *chunkPool {
 	return p
 }
 
+// work runs chunks of j until none are left, recording a panic
+// instead of letting it escape the worker goroutine.
+func (p *chunkPool) work(j chunkJob) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.panicMu.Lock()
+			if p.panicked == nil {
+				p.panicked = r
+			}
+			p.panicMu.Unlock()
+		}
+	}()
+	for {
+		c := int(p.next.Add(1)) - 1
+		if c >= j.n {
+			return
+		}
+		j.fn(c)
+	}
+}
+
 // run executes fn(0..n-1) across the pool and returns when every
-// chunk is done.
+// chunk is done. If a chunk panicked, run panics with the same value
+// once every worker has finished the phase.
 func (p *chunkPool) run(n int, fn func(chunk int)) {
 	if p == nil {
 		for c := 0; c < n; c++ {
@@ -725,6 +665,13 @@ func (p *chunkPool) run(n int, fn func(chunk int)) {
 		ch <- chunkJob{n: n, fn: fn}
 	}
 	p.wg.Wait()
+	p.panicMu.Lock()
+	r := p.panicked
+	p.panicked = nil
+	p.panicMu.Unlock()
+	if r != nil {
+		panic(r)
+	}
 }
 
 // close shuts the workers down; safe on a nil (inline) pool.

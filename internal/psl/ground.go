@@ -3,49 +3,34 @@ package psl
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 )
 
 // Database holds the observed atoms (for closed predicates, with soft
 // truth values in [0,1]; unlisted closed atoms are false) and the
 // registered target atoms of open predicates (the decision variables).
-// Internally every constant is interned into a dense symbol id
-// (intern.go), so grounding joins and dedups over compact integer rows
-// instead of strings.
 type Database struct {
-	syms          *symtab
-	obs           map[string]float64 // packed atom key -> value
-	obsByPred     map[string][][]sym
-	targets       map[string]bool // packed atom key
-	targetsByPred map[string][][]sym
+	obs           map[string]float64 // atom key -> value
+	obsByPred     map[string][][]string
+	targets       map[string]bool // atom key
+	targetsByPred map[string][][]string
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
 	return &Database{
-		syms:          newSymtab(),
 		obs:           make(map[string]float64),
-		obsByPred:     make(map[string][][]sym),
+		obsByPred:     make(map[string][][]string),
 		targets:       make(map[string]bool),
-		targetsByPred: make(map[string][][]sym),
+		targetsByPred: make(map[string][][]string),
 	}
 }
 
-// atomKey is the human-readable ground-atom name used for MRF
-// variables (Solution.Value, weight learning look atoms up by it).
+// atomKey is the ground-atom name used for database keys and MRF
+// variables (Solution.Value looks atoms up by it).
 func atomKey(pred string, args []string) string {
 	return pred + "(" + strings.Join(args, "\x00") + ")"
-}
-
-// internAtom interns the atom's symbols and returns its packed key
-// together with the interned argument row.
-func (db *Database) internAtom(pred string, args []string) (string, []sym) {
-	row := make([]sym, len(args))
-	for i, a := range args {
-		row[i] = db.syms.intern(a)
-	}
-	buf := make([]byte, 0, 4*(len(args)+1))
-	return string(appendKey(buf, db.syms.intern(pred), row)), row
 }
 
 // Observe records a soft observation for a closed predicate's atom.
@@ -56,55 +41,27 @@ func (db *Database) Observe(pred string, args []string, value float64) {
 	if value > 1 {
 		value = 1
 	}
-	k, row := db.internAtom(pred, args)
+	k := atomKey(pred, args)
 	if _, dup := db.obs[k]; !dup {
-		db.obsByPred[pred] = append(db.obsByPred[pred], row)
+		db.obsByPred[pred] = append(db.obsByPred[pred], append([]string(nil), args...))
 	}
 	db.obs[k] = value
 }
 
 // AddTarget registers an open-predicate atom as a decision variable.
 func (db *Database) AddTarget(pred string, args ...string) {
-	k, row := db.internAtom(pred, args)
+	k := atomKey(pred, args)
 	if db.targets[k] {
 		return
 	}
 	db.targets[k] = true
-	db.targetsByPred[pred] = append(db.targetsByPred[pred], row)
+	db.targetsByPred[pred] = append(db.targetsByPred[pred], append([]string(nil), args...))
 }
 
 // ObservedValue returns the observation (0 for unlisted atoms of
 // closed predicates).
 func (db *Database) ObservedValue(pred string, args []string) float64 {
-	p, ok := db.syms.id(pred)
-	if !ok {
-		return 0
-	}
-	buf := make([]byte, 0, 4*(len(args)+1))
-	buf = appendSym(buf, p)
-	for _, a := range args {
-		id, ok := db.syms.id(a)
-		if !ok {
-			return 0
-		}
-		buf = appendSym(buf, id)
-	}
-	return db.obs[string(buf)]
-}
-
-// observedValueKey is ObservedValue for an already-packed atom key.
-func (db *Database) observedValueKey(key []byte) float64 {
-	return db.obs[string(key)]
-}
-
-// rowStrings reconstructs an interned row's constants (reference
-// grounder and tests).
-func (db *Database) rowStrings(row []sym) []string {
-	out := make([]string, len(row))
-	for i, s := range row {
-		out[i] = db.syms.str(s)
-	}
-	return out
+	return db.obs[atomKey(pred, args)]
 }
 
 // LinTerm is one coefficient·variable term of a linear expression over
@@ -121,10 +78,6 @@ type Potential struct {
 	Squared bool
 	Terms   []LinTerm
 	Const   float64
-	// RuleIndex records which program rule grounded this potential
-	// (-1 for potentials built directly). Weight learning groups
-	// potentials by rule through it.
-	RuleIndex int
 }
 
 // Distance evaluates the potential's unweighted distance to
@@ -283,206 +236,157 @@ func (m *MRF) Feasible(x []float64, tol float64) bool {
 // to satisfaction of b₁∧…∧bₖ → h₁∨…∨hₘ is
 // max(0, Σᵢ I(bᵢ) − (k−1) − Σⱼ I(hⱼ)).
 //
-// The grounder works entirely over interned symbol ids: bindings are
-// fixed-width []sym slices keyed by their raw bytes for dedup, and
-// ground atoms are deduped by packed integer keys, building the
-// human-readable variable name only once per new MRF variable.
-// GroundReference is the retired string-based implementation, kept for
-// differential testing; both produce the same MRF.
+// Bindings are plain variable→constant maps joined literal by literal;
+// the grounder favours a direct reading over speed, since the
+// collective solver grounds its MRF directly (internal/core) and the
+// rule program serves as its test oracle.
 func Ground(prog *Program, db *Database) (*MRF, error) {
-	g := &grounder{
-		prog: prog,
-		db:   db,
-		mrf:  NewMRF(),
-		vars: make(map[string]int),
-	}
-	for ri, rule := range prog.rules {
-		if err := g.groundRule(rule, ri); err != nil {
+	mrf := NewMRF()
+	for _, rule := range prog.rules {
+		if err := groundRule(prog, db, mrf, rule); err != nil {
 			return nil, err
 		}
 	}
-	return g.mrf, nil
-}
-
-// grounder carries the per-Ground state: the output MRF and the
-// packed-key → variable-index cache that bypasses string atom names on
-// repeat occurrences.
-type grounder struct {
-	prog   *Program
-	db     *Database
-	mrf    *MRF
-	vars   map[string]int // packed open-atom key -> MRF var index
-	keyBuf []byte
-	argBuf []sym
-}
-
-// cLit is a rule literal compiled against the rule's variable slots
-// and the database's symbol table.
-type cLit struct {
-	pred    string
-	predSym sym
-	open    bool
-	negated bool
-	head    bool
-	terms   []cTerm
-}
-
-// cTerm is a compiled rule term: an interned constant or a slot index
-// into the rule's binding vector.
-type cTerm struct {
-	isConst bool
-	sym     sym
-	slot    int
+	return mrf, nil
 }
 
 // groundRule enumerates bindings and emits potentials/constraints.
-func (g *grounder) groundRule(rule Rule, ruleIndex int) error {
-	// Compile literals: variables become slot indices in first-
-	// occurrence order (body before head), constants are interned.
-	slotOf := make(map[string]int)
-	compile := func(l Literal, head bool) cLit {
-		pr, _ := g.prog.Predicate(l.Pred)
-		cl := cLit{
-			pred:    l.Pred,
-			predSym: g.db.syms.intern(l.Pred),
-			open:    pr.Open == Open,
-			negated: l.Negated,
-			head:    head,
-			terms:   make([]cTerm, len(l.Terms)),
-		}
-		for i, t := range l.Terms {
-			if t.IsConst {
-				cl.terms[i] = cTerm{isConst: true, sym: g.db.syms.intern(t.Name)}
-				continue
-			}
-			s, ok := slotOf[t.Name]
-			if !ok {
-				s = len(slotOf)
-				slotOf[t.Name] = s
-			}
-			cl.terms[i] = cTerm{slot: s}
-		}
-		return cl
-	}
-	all := make([]cLit, 0, len(rule.Body)+len(rule.Head))
-	for _, l := range rule.Body {
-		all = append(all, compile(l, false))
-	}
-	for _, l := range rule.Head {
-		all = append(all, compile(l, true))
-	}
-
+func groundRule(prog *Program, db *Database, mrf *MRF, rule Rule) error {
 	// Literal processing order: positive closed body literals first
 	// (join over observations), then open literals (join over
-	// targets). Remaining literals (negated closed body, closed heads)
-	// bind nothing; their variables are bound by the anchors (enforced
-	// by Program.AddRule) and they are evaluated at emit time.
-	var anchors []int
+	// targets), then the rest (fully bound by now).
+	all := make([]Literal, 0, len(rule.Body)+len(rule.Head))
+	inHead := make([]bool, 0, cap(all))
+	for _, l := range rule.Body {
+		all = append(all, l)
+		inHead = append(inHead, false)
+	}
+	for _, l := range rule.Head {
+		all = append(all, l)
+		inHead = append(inHead, true)
+	}
+	type litRef struct {
+		lit  Literal
+		head bool
+	}
+	var anchors []litRef // literals used to bind variables
 	for i, l := range all {
-		if (!l.negated && !l.open && !l.head) || l.open {
-			anchors = append(anchors, i)
+		pr, _ := prog.Predicate(l.Pred)
+		if !l.Negated && pr.Open == Closed && !inHead[i] {
+			anchors = append(anchors, litRef{l, inHead[i]})
+		} else if pr.Open == Open {
+			anchors = append(anchors, litRef{l, inHead[i]})
 		}
 	}
 
-	nSlots := len(slotOf)
-	root := make([]sym, nSlots)
-	for i := range root {
-		root[i] = unboundSym
-	}
-	bindings := [][]sym{root}
-	for _, ai := range anchors {
-		a := all[ai]
-		var rows [][]sym
-		if a.open {
-			rows = g.db.targetsByPred[a.pred]
-		} else {
-			rows = g.db.obsByPred[a.pred]
+	bindings := []map[string]string{{}}
+	for _, a := range anchors {
+		pr, _ := prog.Predicate(a.lit.Pred)
+		rows := db.obsByPred[a.lit.Pred]
+		if pr.Open == Open {
+			rows = db.targetsByPred[a.lit.Pred]
 		}
-		var next [][]sym
+		var next []map[string]string
 		for _, b := range bindings {
-			if litBound(a, b) {
-				// Fully bound already: nothing to join. Presence is NOT
-				// required for closed positive body literals (a soft
-				// value of 0 prunes the ground rule later); keep the
-				// binding.
+			if _, ok := substitute(a.lit, b); ok {
+				// Fully bound already: nothing to join; presence is not
+				// required for closed positive body literals (soft value
+				// may be 0, pruned later). Keep binding.
 				next = append(next, b)
 				continue
 			}
 			for _, row := range rows {
-				if nb, ok := unifySyms(a, row, b); ok {
+				if nb, ok := unify(a.lit, row, b); ok {
 					next = append(next, nb)
 				}
 			}
 		}
-		bindings = dedupSymBindings(next)
+		bindings = dedupBindings(next)
 		if len(bindings) == 0 {
 			return nil
 		}
 	}
 
 	for _, b := range bindings {
-		if err := g.emitGround(rule, ruleIndex, all, b); err != nil {
+		if err := emitGround(prog, db, mrf, rule, b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// litBound reports whether every term of the literal is a constant or
-// bound under b.
-func litBound(l cLit, b []sym) bool {
-	for _, t := range l.terms {
-		if !t.isConst && b[t.slot] == unboundSym {
-			return false
+// substitute applies binding b to the literal; ok is false when
+// some variable is unbound.
+func substitute(l Literal, b map[string]string) ([]string, bool) {
+	out := make([]string, len(l.Terms))
+	for i, t := range l.Terms {
+		if t.IsConst {
+			out[i] = t.Name
+			continue
 		}
+		v, ok := b[t.Name]
+		if !ok {
+			return nil, false
+		}
+		out[i] = v
 	}
-	return true
+	return out, true
 }
 
-// unifySyms matches the literal's terms against a row, extending b.
-// The extension is copy-on-write: b itself is never mutated.
-func unifySyms(l cLit, row []sym, b []sym) ([]sym, bool) {
-	if len(l.terms) != len(row) {
+// unify matches the literal's terms against a row, extending b.
+func unify(l Literal, row []string, b map[string]string) (map[string]string, bool) {
+	if len(l.Terms) != len(row) {
 		return nil, false
 	}
 	nb := b
 	copied := false
-	for i, t := range l.terms {
-		if t.isConst {
-			if t.sym != row[i] {
+	for i, t := range l.Terms {
+		if t.IsConst {
+			if t.Name != row[i] {
 				return nil, false
 			}
 			continue
 		}
-		if v := nb[t.slot]; v != unboundSym {
+		if v, ok := nb[t.Name]; ok {
 			if v != row[i] {
 				return nil, false
 			}
 			continue
 		}
 		if !copied {
-			nb = append([]sym(nil), nb...)
+			nb = make(map[string]string, len(b)+2)
+			for k, v := range b {
+				nb[k] = v
+			}
 			copied = true
 		}
-		nb[t.slot] = row[i]
+		nb[t.Name] = row[i]
+	}
+	if !copied {
+		nb = make(map[string]string, len(b))
+		for k, v := range b {
+			nb[k] = v
+		}
 	}
 	return nb, true
 }
 
-// dedupSymBindings keeps the first occurrence of each binding; the
-// canonical key is the binding's raw bytes (slots are positional, so
-// no sorting is needed).
-func dedupSymBindings(bs [][]sym) [][]sym {
+func dedupBindings(bs []map[string]string) []map[string]string {
 	seen := make(map[string]bool, len(bs))
 	out := bs[:0]
-	var buf []byte
 	for _, b := range bs {
-		buf = buf[:0]
-		for _, s := range b {
-			buf = appendSym(buf, s)
+		keys := make([]string, 0, len(b))
+		for k := range b {
+			keys = append(keys, k)
 		}
-		if !seen[string(buf)] {
-			seen[string(buf)] = true
+		sort.Strings(keys)
+		var sb strings.Builder
+		for _, k := range keys {
+			fmt.Fprintf(&sb, "%q=%q;", k, b[k])
+		}
+		sig := sb.String()
+		if !seen[sig] {
+			seen[sig] = true
 			out = append(out, b)
 		}
 	}
@@ -491,7 +395,7 @@ func dedupSymBindings(bs [][]sym) [][]sym {
 
 // emitGround instantiates the rule under binding b and adds the
 // resulting potential or constraint.
-func (g *grounder) emitGround(rule Rule, ruleIndex int, lits []cLit, b []sym) error {
+func emitGround(prog *Program, db *Database, mrf *MRF, rule Rule, b map[string]string) error {
 	var terms []LinTerm
 	c := 0.0
 	if len(rule.Body) == 0 {
@@ -501,61 +405,47 @@ func (g *grounder) emitGround(rule Rule, ruleIndex int, lits []cLit, b []sym) er
 	} else {
 		c = -float64(len(rule.Body) - 1)
 	}
-	for _, l := range lits {
+	add := func(l Literal, sign float64) error {
+		args, ok := substitute(l, b)
+		if !ok {
+			return fmt.Errorf("psl: rule %s: unbound variable at emit time", rule)
+		}
+		pr, _ := prog.Predicate(l.Pred)
 		// I(literal) = v or 1−v. The literal enters the distance with
 		// the given sign (body +, head −).
-		sign := 1.0
-		if l.head {
-			sign = -1
-		}
-		args := g.argBuf[:0]
-		for _, t := range l.terms {
-			if t.isConst {
-				args = append(args, t.sym)
-				continue
-			}
-			v := b[t.slot]
-			if v == unboundSym {
-				return fmt.Errorf("psl: rule %s: unbound variable at emit time", rule)
-			}
-			args = append(args, v)
-		}
-		g.argBuf = args // keep any growth for the next literal
-		if !l.open {
-			g.keyBuf = appendKey(g.keyBuf[:0], l.predSym, args)
-			v := g.db.observedValueKey(g.keyBuf)
-			if l.negated {
+		if pr.Open == Closed {
+			v := db.ObservedValue(l.Pred, args)
+			if l.Negated {
 				v = 1 - v
 			}
 			c += sign * v
-			continue
+			return nil
 		}
-		vi := g.atomVar(l, args)
-		if l.negated {
+		vi := mrf.AtomVar(l.Pred, args...)
+		if l.Negated {
 			c += sign * 1
 			terms = append(terms, LinTerm{Var: vi, Coef: -sign})
 		} else {
 			terms = append(terms, LinTerm{Var: vi, Coef: sign})
 		}
+		return nil
+	}
+	for _, l := range rule.Body {
+		if err := add(l, +1); err != nil {
+			return err
+		}
+	}
+	for _, l := range rule.Head {
+		if err := add(l, -1); err != nil {
+			return err
+		}
 	}
 	terms = mergeTerms(terms)
 	if rule.Hard {
-		return g.mrf.AddConstraint(Constraint{Terms: terms, Const: c, Cmp: LE})
+		return mrf.AddConstraint(Constraint{Terms: terms, Const: c, Cmp: LE})
 	}
-	g.mrf.AddPotential(Potential{Weight: rule.Weight, Squared: rule.Squared, Terms: terms, Const: c, RuleIndex: ruleIndex})
+	mrf.AddPotential(Potential{Weight: rule.Weight, Squared: rule.Squared, Terms: terms, Const: c})
 	return nil
-}
-
-// atomVar returns the MRF variable of a ground open atom, creating it
-// (and its display name) only on first sight.
-func (g *grounder) atomVar(l cLit, args []sym) int {
-	g.keyBuf = appendKey(g.keyBuf[:0], l.predSym, args)
-	if vi, ok := g.vars[string(g.keyBuf)]; ok {
-		return vi
-	}
-	vi := g.mrf.AtomVar(l.pred, g.db.rowStrings(args)...)
-	g.vars[string(g.keyBuf)] = vi
-	return vi
 }
 
 // mergeTerms sums duplicate variable coefficients and drops zeros.

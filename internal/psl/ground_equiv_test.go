@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -94,13 +97,30 @@ func equivPrograms() []struct {
 		}
 		add("negation", p, db)
 	}
+
+	{ // Open atoms that are bound by an earlier literal but never
+		// registered as targets still ground (as fresh variables).
+		p := NewProgram()
+		p.MustAddPredicate("Link", 2, Closed)
+		p.MustAddPredicate("Up", 1, Open)
+		p.MustAddRule("1.0: Link(X, Y) & Up(X) -> Up(Y)")
+		p.MustAddRule("0.3: !Up(X)")
+		db := NewDatabase()
+		for i := 0; i < 6; i++ {
+			db.Observe("Link", []string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", (i+1)%6)}, 0.8)
+			if i%3 != 2 {
+				db.AddTarget("Up", fmt.Sprintf("n%d", i))
+			}
+		}
+		add("partial-targets", p, db)
+	}
 	return out
 }
 
-// TestGroundMatchesReference is the differential test for the interned
-// grounder: against GroundReference it must produce the same variable
-// set, the same objective at random assignments, and the same
-// feasibility verdicts.
+// TestGroundMatchesReference checks Ground against groundByEnumeration,
+// a brute-force restatement of the grounding semantics: the same
+// variable names, and the same potentials and constraints as
+// multisets.
 func TestGroundMatchesReference(t *testing.T) {
 	for _, tc := range equivPrograms() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,71 +128,16 @@ func TestGroundMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Ground: %v", err)
 			}
-			want, err := GroundReference(tc.prog, tc.db)
-			if err != nil {
-				t.Fatalf("GroundReference: %v", err)
+			if len(got.Potentials) == 0 {
+				t.Fatal("degenerate case: no potentials")
 			}
-			assertMRFsEquivalent(t, got, want)
+			assertMatchesEnumeration(t, got, tc.prog, tc.db)
 		})
 	}
 }
 
-// assertMRFsEquivalent checks semantic equality of two MRFs that may
-// in principle order variables differently: same variable names, and
-// identical objective/feasibility at shared random assignments.
-func assertMRFsEquivalent(t *testing.T, got, want *MRF) {
-	t.Helper()
-	if got.NumVars() != want.NumVars() {
-		t.Fatalf("NumVars: got %d, want %d", got.NumVars(), want.NumVars())
-	}
-	if len(got.Potentials) != len(want.Potentials) {
-		t.Fatalf("Potentials: got %d, want %d", len(got.Potentials), len(want.Potentials))
-	}
-	if len(got.Constraints) != len(want.Constraints) {
-		t.Fatalf("Constraints: got %d, want %d", len(got.Constraints), len(want.Constraints))
-	}
-	// Map want's variable order onto got's via names.
-	perm := make([]int, want.NumVars())
-	for i, name := range want.varNames {
-		j := got.VarNamed(name)
-		if j < 0 {
-			t.Fatalf("variable %q missing from interned grounding", name)
-		}
-		perm[i] = j
-	}
-	rng := rand.New(rand.NewSource(1))
-	xw := make([]float64, want.NumVars())
-	xg := make([]float64, got.NumVars())
-	for trial := 0; trial < 40; trial++ {
-		for i := range xw {
-			xw[i] = rng.Float64()
-			xg[perm[i]] = xw[i]
-		}
-		ow, og := want.Objective(xw), got.Objective(xg)
-		if math.Abs(ow-og) > 1e-9*(1+math.Abs(ow)) {
-			t.Fatalf("trial %d: objective %v != reference %v", trial, og, ow)
-		}
-		for _, tol := range []float64{1e-6, 1e-3, 0.1} {
-			if fw, fg := want.Feasible(xw, tol), got.Feasible(xg, tol); fw != fg {
-				t.Fatalf("trial %d: feasibility at tol %g: %v != reference %v", trial, tol, fg, fw)
-			}
-		}
-	}
-	// MAP solutions must agree too (same convex problem).
-	opts := DefaultADMMOptions()
-	opts.MaxIterations = 2000
-	sg, errG := SolveMAP(got, opts)
-	sw, errW := SolveMAP(want, opts)
-	if (errG == nil) != (errW == nil) {
-		t.Fatalf("solve errors differ: %v vs %v", errG, errW)
-	}
-	if sg != nil && sw != nil && math.Abs(sg.Objective-sw.Objective) > 1e-6*(1+math.Abs(sw.Objective)) {
-		t.Fatalf("MAP objective %v != reference %v", sg.Objective, sw.Objective)
-	}
-}
-
 // TestGroundingDedup checks that duplicate observations and targets
-// collapse identically in both grounders (canonical-key dedup).
+// collapse (each distinct binding grounds once).
 func TestGroundingDedup(t *testing.T) {
 	p := NewProgram()
 	p.MustAddPredicate("R", 2, Closed)
@@ -191,9 +156,193 @@ func TestGroundingDedup(t *testing.T) {
 	if len(got.Potentials) != 1 {
 		t.Fatalf("duplicate rows must ground once, got %d potentials", len(got.Potentials))
 	}
-	want, err := GroundReference(p, db)
-	if err != nil {
-		t.Fatal(err)
+	assertMatchesEnumeration(t, got, p, db)
+}
+
+// groundByEnumeration grounds the program by trying every assignment
+// of each rule's variables over all constants of the database and the
+// rule. An assignment grounds the rule when every binding literal
+// (positive closed body literals, then open literals) that introduces
+// a variable not bound by an earlier one is a listed observation or
+// target — exactly the join Ground performs. It returns the canonical
+// factor strings and the names of the open atoms that occur.
+func groundByEnumeration(t *testing.T, prog *Program, db *Database) (factors, names []string) {
+	t.Helper()
+	domainSet := map[string]bool{}
+	for _, byPred := range []map[string][][]string{db.obsByPred, db.targetsByPred} {
+		for _, rows := range byPred {
+			for _, row := range rows {
+				for _, c := range row {
+					domainSet[c] = true
+				}
+			}
+		}
 	}
-	assertMRFsEquivalent(t, got, want)
+	nameSet := map[string]bool{}
+	for _, rule := range prog.Rules() {
+		lits := append(append([]Literal(nil), rule.Body...), rule.Head...)
+		var vars []string
+		seen := map[string]bool{}
+		for _, l := range lits {
+			for _, tm := range l.Terms {
+				if tm.IsConst {
+					domainSet[tm.Name] = true
+				} else if !seen[tm.Name] {
+					seen[tm.Name] = true
+					vars = append(vars, tm.Name)
+				}
+			}
+		}
+		domain := make([]string, 0, len(domainSet))
+		for c := range domainSet {
+			domain = append(domain, c)
+		}
+		sort.Strings(domain)
+		isOpen := func(l Literal) bool { pr, _ := prog.Predicate(l.Pred); return pr.Open == Open }
+		var anchors []Literal
+		for i, l := range lits {
+			if isOpen(l) || (i < len(rule.Body) && !l.Negated) {
+				anchors = append(anchors, l)
+			}
+		}
+		args := func(l Literal, b map[string]string) []string {
+			out := make([]string, len(l.Terms))
+			for i, tm := range l.Terms {
+				out[i] = tm.Name
+				if !tm.IsConst {
+					out[i] = b[tm.Name]
+				}
+			}
+			return out
+		}
+		b := map[string]string{}
+		var assign func(k int)
+		assign = func(k int) {
+			if k < len(vars) {
+				for _, c := range domain {
+					b[vars[k]] = c
+					assign(k + 1)
+				}
+				return
+			}
+			bound := map[string]bool{}
+			for _, a := range anchors {
+				binds := false
+				for _, tm := range a.Terms {
+					if !tm.IsConst && !bound[tm.Name] {
+						binds = true
+						bound[tm.Name] = true
+					}
+				}
+				key := atomKey(a.Pred, args(a, b))
+				if _, observed := db.obs[key]; binds && !observed && !db.targets[key] {
+					return
+				}
+			}
+			// Distance to satisfaction, summed in literal order.
+			c := 1.0
+			if len(rule.Body) > 0 {
+				c = -float64(len(rule.Body) - 1)
+			}
+			coef := map[string]float64{}
+			var order []string
+			for i, l := range lits {
+				sign := 1.0
+				if i >= len(rule.Body) {
+					sign = -1
+				}
+				if !isOpen(l) {
+					v := db.ObservedValue(l.Pred, args(l, b))
+					if l.Negated {
+						v = 1 - v
+					}
+					c += sign * v
+					continue
+				}
+				name := atomKey(l.Pred, args(l, b))
+				nameSet[name] = true
+				if _, ok := coef[name]; !ok {
+					order = append(order, name)
+				}
+				if l.Negated {
+					c += sign
+					coef[name] += -sign
+				} else {
+					coef[name] += sign
+				}
+			}
+			var terms []string
+			maxVal := c
+			for _, name := range order {
+				if math.Abs(coef[name]) <= 1e-12 {
+					continue
+				}
+				terms = append(terms, fmt.Sprintf("%v*%s", coef[name], name))
+				if coef[name] > 0 {
+					maxVal += coef[name]
+				}
+			}
+			sort.Strings(terms)
+			switch {
+			case rule.Hard && len(terms) == 0:
+				if c > 1e-9 {
+					t.Fatalf("rule %s: constant constraint violated", rule)
+				}
+			case rule.Hard:
+				factors = append(factors, fmt.Sprintf("cons %v c=%v | %s", LE, c, strings.Join(terms, " + ")))
+			case len(terms) > 0 && maxVal > 0:
+				factors = append(factors, fmt.Sprintf("pot w=%v sq=%v c=%v | %s", rule.Weight, rule.Squared, c, strings.Join(terms, " + ")))
+			}
+		}
+		assign(0)
+	}
+	for name := range nameSet {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	sort.Strings(factors)
+	return factors, names
+}
+
+// canonicalFactors renders the MRF's potentials and constraints in
+// groundByEnumeration's form, sorted.
+func canonicalFactors(m *MRF) []string {
+	terms := func(lts []LinTerm) string {
+		parts := make([]string, len(lts))
+		for i, lt := range lts {
+			parts[i] = fmt.Sprintf("%v*%s", lt.Coef, m.varNames[lt.Var])
+		}
+		sort.Strings(parts)
+		return strings.Join(parts, " + ")
+	}
+	var out []string
+	for _, p := range m.Potentials {
+		out = append(out, fmt.Sprintf("pot w=%v sq=%v c=%v | %s", p.Weight, p.Squared, p.Const, terms(p.Terms)))
+	}
+	for _, c := range m.Constraints {
+		out = append(out, fmt.Sprintf("cons %v c=%v | %s", c.Cmp, c.Const, terms(c.Terms)))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// assertMatchesEnumeration compares a grounded MRF with
+// groundByEnumeration over the same program and database.
+func assertMatchesEnumeration(t *testing.T, got *MRF, prog *Program, db *Database) {
+	t.Helper()
+	wantFactors, wantNames := groundByEnumeration(t, prog, db)
+	gotNames := got.VarNames()
+	sort.Strings(gotNames)
+	if !reflect.DeepEqual(gotNames, wantNames) {
+		t.Fatalf("variables %q, want %q", gotNames, wantNames)
+	}
+	gotFactors := canonicalFactors(got)
+	if len(gotFactors) != len(wantFactors) {
+		t.Fatalf("%d factors, want %d", len(gotFactors), len(wantFactors))
+	}
+	for i := range gotFactors {
+		if gotFactors[i] != wantFactors[i] {
+			t.Fatalf("factor %d: got %s, want %s", i, gotFactors[i], wantFactors[i])
+		}
+	}
 }

@@ -8,7 +8,9 @@
 //
 // The paper under reproduction performs mapping selection by MAP
 // inference in exactly such an HL-MRF; see internal/core's collective
-// solver for the encoding.
+// solver for the encoding. The collective solver builds its MRF
+// directly and solves it with SolveMAP; the rule DSL and Ground are
+// kept as the test oracle that direct grounding must match.
 package psl
 
 import (

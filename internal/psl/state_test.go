@@ -111,78 +111,3 @@ func TestADMMWarmStateInvalidatedSlots(t *testing.T) {
 		t.Errorf("invalidated-slot warm objective %v, cold %v", warm.Objective, cold.Objective)
 	}
 }
-
-// TestADMMAdaptiveRhoConvergence: residual balancing and
-// over-relaxation change the trajectory, not the optimum — both must
-// land on the fixed-rho objective (the problem is convex).
-func TestADMMAdaptiveRhoConvergence(t *testing.T) {
-	m := func() *MRF { return randomMRF(100, 400, 5) }
-	base := DefaultADMMOptions()
-	base.MaxIterations = 20000
-	fixed, err := SolveMAP(m(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		mod  func(*ADMMOptions)
-	}{
-		{"adaptive-rho", func(o *ADMMOptions) { o.AdaptiveRho = true }},
-		{"alpha-1.6", func(o *ADMMOptions) { o.Alpha = 1.6 }},
-		{"adaptive+alpha", func(o *ADMMOptions) { o.AdaptiveRho = true; o.Alpha = 1.6 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := base
-			tc.mod(&opts)
-			got, err := SolveMAP(m(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tol := 1e-4 * (1 + math.Abs(fixed.Objective))
-			if math.Abs(got.Objective-fixed.Objective) > tol {
-				t.Errorf("objective %v, fixed-rho %v (tol %g)", got.Objective, fixed.Objective, tol)
-			}
-		})
-	}
-}
-
-// TestADMMAdaptiveSerialParallelIdentity extends the bit-identity
-// guarantee to the new trajectory knobs: the adaptive-rho and
-// over-relaxed paths are chunk-deterministic too.
-func TestADMMAdaptiveSerialParallelIdentity(t *testing.T) {
-	opts := DefaultADMMOptions()
-	opts.MaxIterations = 600
-	opts.AdaptiveRho = true
-	opts.Alpha = 1.6
-	opts.Parallelism = 1
-	serial, serialErr := SolveMAP(randomMRF(150, 600, 42), opts)
-	for _, par := range []int{2, 5} {
-		o := opts
-		o.Parallelism = par
-		got, gotErr := SolveMAP(randomMRF(150, 600, 42), o)
-		if (serialErr == nil) != (gotErr == nil) {
-			t.Fatalf("parallelism %d: err %v, serial err %v", par, gotErr, serialErr)
-		}
-		if got.Iterations != serial.Iterations || got.Objective != serial.Objective {
-			t.Fatalf("parallelism %d: (obj=%v, iter=%d) vs serial (obj=%v, iter=%d)",
-				par, got.Objective, got.Iterations, serial.Objective, serial.Iterations)
-		}
-		for i := range got.X {
-			if got.X[i] != serial.X[i] {
-				t.Fatalf("parallelism %d: X[%d]=%v, serial %v", par, i, got.X[i], serial.X[i])
-			}
-		}
-	}
-}
-
-// TestADMMAlphaOutOfRange: over-relaxation outside (0,2) diverges, so
-// it is rejected up front.
-func TestADMMAlphaOutOfRange(t *testing.T) {
-	for _, alpha := range []float64{-0.5, 2, 2.5} {
-		opts := DefaultADMMOptions()
-		opts.Alpha = alpha
-		if _, err := SolveMAP(warmTestMRF(), opts); err == nil {
-			t.Errorf("Alpha=%v: want error, got nil", alpha)
-		}
-	}
-}

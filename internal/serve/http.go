@@ -291,16 +291,18 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	sess.mu.RLock()
-	resp := createResponse{
-		ID:            sess.id,
-		ScenarioKey:   sess.key,
-		SharedPrepare: sess.shared,
-		Candidates:    sess.p.NumCandidates(),
-		JTuples:       sess.p.NumLiveTuples(),
-		CreateMillis:  float64(time.Since(start).Nanoseconds()) / 1e6,
-	}
-	sess.mu.RUnlock()
+	resp := func() createResponse {
+		sess.mu.RLock()
+		defer sess.mu.RUnlock()
+		return createResponse{
+			ID:            sess.id,
+			ScenarioKey:   sess.key,
+			SharedPrepare: sess.shared,
+			Candidates:    sess.p.NumCandidates(),
+			JTuples:       sess.p.NumLiveTuples(),
+			CreateMillis:  float64(time.Since(start).Nanoseconds()) / 1e6,
+		}
+	}()
 	writeJSON(w, http.StatusCreated, resp)
 }
 
@@ -313,23 +315,25 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	lastUsed := sess.lastUsed
 	s.mu.Unlock()
-	sess.mu.RLock()
-	resp := statusResponse{
-		ID:             sess.id,
-		ScenarioKey:    sess.key,
-		SharedPrepare:  sess.shared,
-		Candidates:     sess.p.NumCandidates(),
-		JTuples:        sess.p.NumLiveTuples(),
-		Solves:         sess.solves.Load(),
-		Appends:        sess.appends.Load(),
-		AppendedTuples: sess.appended.Load(),
-		Removes:        sess.removes.Load(),
-		RemovedTuples:  sess.removed.Load(),
-		SourceDeltas:   sess.srcDeltas.Load(),
-		CreatedAt:      sess.created.UTC().Format(time.RFC3339Nano),
-		LastUsedAt:     lastUsed.UTC().Format(time.RFC3339Nano),
-	}
-	sess.mu.RUnlock()
+	resp := func() statusResponse {
+		sess.mu.RLock()
+		defer sess.mu.RUnlock()
+		return statusResponse{
+			ID:             sess.id,
+			ScenarioKey:    sess.key,
+			SharedPrepare:  sess.shared,
+			Candidates:     sess.p.NumCandidates(),
+			JTuples:        sess.p.NumLiveTuples(),
+			Solves:         sess.solves.Load(),
+			Appends:        sess.appends.Load(),
+			AppendedTuples: sess.appended.Load(),
+			Removes:        sess.removes.Load(),
+			RemovedTuples:  sess.removed.Load(),
+			SourceDeltas:   sess.srcDeltas.Load(),
+			CreatedAt:      sess.created.UTC().Format(time.RFC3339Nano),
+			LastUsedAt:     lastUsed.UTC().Format(time.RFC3339Nano),
+		}
+	}()
 	sess.lastMu.Lock()
 	if sess.solved {
 		f := sess.lastF
@@ -370,15 +374,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	sess.mu.Lock()
-	forked := false
-	if sess.shared {
-		s.fork(sess)
-		forked = true
-	}
-	delta, err := sess.p.AppendTarget(tuples)
-	jTuples := sess.p.NumLiveTuples()
-	sess.mu.Unlock()
+	delta, forked, jTuples, err := s.mutateTarget(sess, func(p *core.Problem) (*core.TargetDelta, error) {
+		return p.AppendTarget(tuples)
+	})
 	elapsed := time.Since(start)
 	if err != nil {
 		writeError(w, http.StatusConflict, err)
@@ -421,17 +419,9 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	sess.mu.Lock()
-	forked := false
-	if sess.shared {
-		// Copy-on-remove: the cache's shared problem must keep its full
-		// target for the other sessions.
-		s.fork(sess)
-		forked = true
-	}
-	delta, err := sess.p.RemoveTarget(tuples)
-	jTuples := sess.p.NumLiveTuples()
-	sess.mu.Unlock()
+	delta, forked, jTuples, err := s.mutateTarget(sess, func(p *core.Problem) (*core.TargetDelta, error) {
+		return p.RemoveTarget(tuples)
+	})
 	elapsed := time.Since(start)
 	if err != nil {
 		// Unknown tuple (or stale evidence): the problem is untouched.
@@ -481,36 +471,41 @@ func (s *Server) handleSourceDelta(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	sess.mu.Lock()
-	if !sess.detached {
-		// Source deltas mutate I; even a forked problem still aliases
-		// the shared source instance, so detach on first use.
-		s.forkDetached(sess)
-	}
-	// Count the effective changes against the pre-state (core applies
-	// adds before removes and skips duplicates and misses).
-	addKeys := make(map[string]bool)
-	for _, t := range add {
-		if !sess.p.I.Has(t) {
-			addKeys[t.Key()] = true
+	var (
+		delta                           *core.TargetDelta
+		addKeys                         = make(map[string]bool)
+		removedN, sourceTuples, jTuples int
+	)
+	func() {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		if !sess.detached {
+			// Source deltas mutate I; even a forked problem still aliases
+			// the shared source instance, so detach on first use.
+			s.forkDetached(sess)
 		}
-	}
-	removedN := 0
-	remSeen := make(map[string]bool)
-	for _, t := range rem {
-		k := t.Key()
-		if remSeen[k] {
-			continue
+		// Count the effective changes against the pre-state (core
+		// applies adds before removes and skips duplicates and misses).
+		for _, t := range add {
+			if !sess.p.I.Has(t) {
+				addKeys[t.Key()] = true
+			}
 		}
-		remSeen[k] = true
-		if sess.p.I.Has(t) || addKeys[k] {
-			removedN++
+		remSeen := make(map[string]bool)
+		for _, t := range rem {
+			k := t.Key()
+			if remSeen[k] {
+				continue
+			}
+			remSeen[k] = true
+			if sess.p.I.Has(t) || addKeys[k] {
+				removedN++
+			}
 		}
-	}
-	delta, err := sess.p.ApplySourceDelta(core.SourceDelta{Add: add, Remove: rem})
-	sourceTuples := sess.p.I.Len()
-	jTuples := sess.p.NumLiveTuples()
-	sess.mu.Unlock()
+		delta, err = sess.p.ApplySourceDelta(core.SourceDelta{Add: add, Remove: rem})
+		sourceTuples = sess.p.I.Len()
+		jTuples = sess.p.NumLiveTuples()
+	}()
 	elapsed := time.Since(start)
 	if err != nil {
 		writeError(w, http.StatusConflict, err)
@@ -596,15 +591,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	sess.mu.RLock()
-	sel, err := solver.Solve(ctx, sess.p, opts...)
-	tgds := []string{}
-	if err == nil {
-		for _, d := range sess.p.SelectedMapping(sel.Chosen) {
-			tgds = append(tgds, d.String())
-		}
-	}
-	sess.mu.RUnlock()
+	sel, tgds, err := solveSession(ctx, sess, solver, opts)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.m.solveErrors.Inc()
@@ -647,6 +634,45 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Warm:        warm,
 		SolveMillis: float64(elapsed.Nanoseconds()) / 1e6,
 	})
+}
+
+// mutateTarget applies a target mutation to the session's problem
+// under its write lock. A session still sharing the cache's problem
+// forks first (copy-on-write: the shared problem must keep its target
+// for the other sessions). It returns the mutation's result, whether
+// it forked, and the live target size afterwards.
+func (s *Server) mutateTarget(sess *session, mutate func(*core.Problem) (*core.TargetDelta, error)) (delta *core.TargetDelta, forked bool, jTuples int, err error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.shared {
+		s.fork(sess)
+		forked = true
+	}
+	delta, err = mutate(sess.p)
+	return delta, forked, sess.p.NumLiveTuples(), err
+}
+
+// solveSession runs the solver on the session's problem under its read
+// lock and renders the chosen tgds. A panic in the solve becomes an
+// error, and the lock is released either way, so one failing solve
+// leaves the session and the server usable.
+func solveSession(ctx context.Context, sess *session, solver core.Solver, opts []core.SolveOption) (sel *core.Selection, tgds []string, err error) {
+	sess.mu.RLock()
+	defer sess.mu.RUnlock()
+	defer func() {
+		if r := recover(); r != nil {
+			sel, tgds, err = nil, nil, fmt.Errorf("solver %s panicked: %v", solver.Name(), r)
+		}
+	}()
+	sel, err = solver.Solve(ctx, sess.p, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	tgds = []string{}
+	for _, d := range sess.p.SelectedMapping(sel.Chosen) {
+		tgds = append(tgds, d.String())
+	}
+	return sel, tgds, nil
 }
 
 // resolveParallelism caps a per-request parallelism by the server's.

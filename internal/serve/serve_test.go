@@ -57,6 +57,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// testClient bounds every test request, so a wedged handler fails the
+// test instead of hanging it.
+var testClient = &http.Client{Timeout: time.Minute}
+
 // call does one JSON request and decodes the response into out.
 func call(t *testing.T, method, url string, body any, out any) int {
 	t.Helper()
@@ -70,7 +74,7 @@ func call(t *testing.T, method, url string, body any, out any) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

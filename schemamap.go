@@ -214,12 +214,6 @@ func NewProblem(I, J *Instance, candidates Mapping) *Problem {
 // ADMM, rounding, and local repair.
 func Collective() Solver { return core.CollectiveSolver{} }
 
-// CollectiveMM returns the majorize-minimize variant of the collective
-// solver: the same ground HL-MRF, solved by quadratic-majorizer
-// coordinate descent (monotone from any warm point) instead of ADMM,
-// with the same rounding and repair.
-func CollectiveMM() Solver { return core.CollectiveMMSolver{} }
-
 // Greedy returns the forward-selection baseline.
 func Greedy() Solver { return core.GreedySolver{} }
 
@@ -230,8 +224,8 @@ func Independent() Solver { return core.IndependentSolver{} }
 func Exhaustive() Solver { return core.ExhaustiveSolver{} }
 
 // GetSolver resolves a solver by registry name ("collective",
-// "collective-mm", "greedy", "independent", "exhaustive", or anything
-// added via RegisterSolver); unknown names yield an error listing the
+// "greedy", "independent", "exhaustive", or anything added via
+// RegisterSolver); unknown names yield an error listing the
 // options.
 func GetSolver(name string) (Solver, error) { return core.Get(name) }
 

@@ -1,6 +1,8 @@
 package chase
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"schemamap/internal/data"
@@ -175,5 +177,127 @@ func TestMatchBodyNoNullMatchForConstant(t *testing.T) {
 	bindings := MatchBody(tgd.MustParse("r('a') -> s('a')").Body, I)
 	if len(bindings) != 0 {
 		t.Errorf("constant matched null: %v", bindings)
+	}
+}
+
+// A chase never mints a null label that already labels a null of the
+// source: r(⊥N1, a) with a private factory used to yield t(N1, N1) —
+// the fresh z conflated with the source null. Renaming the source null
+// must leave the chase unchanged up to null renaming.
+func TestChaseFreshNullsAvoidSourceNulls(t *testing.T) {
+	d := tgd.MustParse("r(x, y) -> t(x, z) & u(z, y)")
+	chaseWith := func(lbl string) *Result {
+		I := data.NewInstance()
+		I.Add(data.Tuple{Rel: "r", Args: []data.Value{data.NullValue(lbl), data.Const("a")}})
+		I.Add(data.NewTuple("r", "b", "c"))
+		return Chase(I, tgd.Mapping{d}, nil)
+	}
+	clash, other := chaseWith("N1"), chaseWith("Q")
+	first := clash.Blocks[0].Tuples[0]
+	if first.Args[0] == first.Args[1] {
+		t.Fatalf("fresh null collides with the source null: %v", first)
+	}
+	canon := func(ts []data.Tuple) string {
+		var kb data.BlockKeyBuf
+		return string(kb.Key(ts))
+	}
+	if got, want := canon(clash.Instance.All()), canon(other.Instance.All()); got != want {
+		t.Errorf("renaming the source null changed the chase:\n%s\n%s", got, want)
+	}
+	for bi := range clash.Blocks {
+		if got, want := canon(clash.Blocks[bi].Tuples), canon(other.Blocks[bi].Tuples); got != want {
+			t.Errorf("block %d: %s, want %s", bi, got, want)
+		}
+	}
+}
+
+// Block.Binding maps body variables to the firing's source values.
+func TestBlockBinding(t *testing.T) {
+	I := data.NewInstance()
+	I.Add(data.NewTuple("r", "1", "2"))
+	I.Add(data.NewTuple("s", "2", "3"))
+	d := tgd.MustParse("r(x, y) & s(y, w) -> t(x, w, e)")
+	res := ChaseOne(I, d, nil)
+	if len(res.Blocks) != 1 {
+		t.Fatalf("blocks = %d, want 1", len(res.Blocks))
+	}
+	got := res.Blocks[0].Binding(d)
+	want := map[string]data.Value{"x": data.Const("1"), "y": data.Const("2"), "w": data.Const("3")}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Binding = %v, want %v", got, want)
+	}
+}
+
+// bruteMatchBody is the test oracle for MatchBody: every tuple
+// combination in atom scan order (the first atom's tuple varying
+// slowest), kept where constants match and repeated variables agree.
+func bruteMatchBody(body []tgd.Atom, I *data.Instance) []map[string]data.Value {
+	var out []map[string]data.Value
+	var rec func(k int, b map[string]data.Value)
+	rec = func(k int, b map[string]data.Value) {
+		if k == len(body) {
+			out = append(out, b)
+			return
+		}
+	next:
+		for _, tu := range I.Tuples(body[k].Rel) {
+			if len(tu.Args) != len(body[k].Args) {
+				continue
+			}
+			nb := make(map[string]data.Value, len(b))
+			for v, val := range b {
+				nb[v] = val
+			}
+			for p, term := range body[k].Args {
+				v := tu.Args[p]
+				if term.IsConst {
+					if v != data.Const(term.Name) {
+						continue next
+					}
+				} else if bound, ok := nb[term.Name]; ok && bound != v {
+					continue next
+				} else {
+					nb[term.Name] = v
+				}
+			}
+			rec(k+1, nb)
+		}
+	}
+	rec(0, map[string]data.Value{})
+	return out
+}
+
+// MatchBody's compiled join must enumerate exactly the oracle's
+// bindings in the same order, over bodies with joins, repeated
+// variables, constants and arity mismatches, and sources with nulls.
+func TestMatchBodyMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	vals := []data.Value{data.Const("a"), data.Const("b"), data.Const("c"), data.NullValue("M"), data.Const("M")}
+	vars := []string{"x", "y", "z"}
+	for trial := 0; trial < 300; trial++ {
+		I := data.NewInstance()
+		for i := 0; i < 12; i++ {
+			args := make([]data.Value, 1+rng.Intn(3))
+			for p := range args {
+				args[p] = vals[rng.Intn(len(vals))]
+			}
+			I.Add(data.Tuple{Rel: []string{"r", "s"}[rng.Intn(2)], Args: args})
+		}
+		body := make([]tgd.Atom, 1+rng.Intn(3))
+		for k := range body {
+			args := make([]tgd.Term, 1+rng.Intn(3))
+			for p := range args {
+				if rng.Intn(4) == 0 {
+					args[p] = tgd.Const([]string{"a", "b", "M"}[rng.Intn(3)])
+				} else {
+					args[p] = tgd.Var(vars[rng.Intn(len(vars))])
+				}
+			}
+			body[k] = tgd.Atom{Rel: []string{"r", "s"}[rng.Intn(2)], Args: args}
+		}
+		got, want := MatchBody(body, I), bruteMatchBody(body, I)
+		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("trial %d: body %v over\n%v\ngot  %v\nwant %v", trial, body, I, got, want)
+		}
 	}
 }

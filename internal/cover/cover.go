@@ -34,8 +34,10 @@ package cover
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"schemamap/internal/chase"
 	"schemamap/internal/data"
@@ -62,12 +64,14 @@ func DefaultOptions() Options {
 // and carries the posting-list index the analysis probes. A tuple's
 // JIndex position equals its data.Index id.
 //
-// IndexJ builds the posting lists and the key map eagerly. A view
-// (ViewJ) defers both to the first call that needs them — Index,
-// IndexOf, Append or Remove — so a sub-problem that is only solved
-// (solvers read Len, Live and NumLive) never builds them. The deferred
-// build is safe under concurrent readers: Len, Live and NumLive read
-// only Tuples and the tombstones, which Remove alone writes.
+// IndexJ builds the posting lists eagerly; a view (ViewJ) defers them
+// to the first call that needs them — Index, Append or Remove — so a
+// sub-problem that is only solved (solvers read Len, Live and NumLive)
+// never builds them. The tuple-key map behind IndexOf is deferred the
+// same way, to the first IndexOf, Append or Remove: cold Prepare and
+// solves never resolve tuples by value. Both deferred builds are safe
+// under concurrent readers: Len, Live and NumLive read only Tuples and
+// the tombstones, which Remove alone writes.
 type JIndex struct {
 	Tuples []data.Tuple
 
@@ -76,15 +80,16 @@ type JIndex struct {
 	dead    []bool
 	numDead int
 
-	build sync.Once
-	idx   *data.Index
-	byKey map[string]int
+	build     sync.Once
+	idx       *data.Index
+	buildKeys sync.Once
+	byKey     map[string]int
 }
 
 // IndexJ builds a JIndex over the instance.
 func IndexJ(J *data.Instance) *JIndex {
 	ix := ViewJ(J.All())
-	ix.ensure()
+	ix.Index()
 	return ix
 }
 
@@ -93,17 +98,26 @@ func IndexJ(J *data.Instance) *JIndex {
 // slice; the tuples must be distinct.
 func ViewJ(tuples []data.Tuple) *JIndex { return &JIndex{Tuples: tuples} }
 
-// ensure builds the posting-list index and key map if they are
-// missing, and returns the index.
-func (ix *JIndex) ensure() *data.Index {
-	ix.build.Do(func() {
+// Index returns the posting-list index over J, building it on first
+// use.
+func (ix *JIndex) Index() *data.Index {
+	ix.build.Do(func() { ix.idx = data.IndexTuples(ix.Tuples) })
+	return ix.idx
+}
+
+// keys returns the tuple-key map, building it on first use. Append and
+// Remove call it before they change the tuples, so the build always
+// sees the live tuples only.
+func (ix *JIndex) keys() map[string]int {
+	ix.buildKeys.Do(func() {
 		ix.byKey = make(map[string]int, len(ix.Tuples))
 		for i, t := range ix.Tuples {
-			ix.byKey[t.Key()] = i
+			if ix.Live(i) {
+				ix.byKey[t.Key()] = i
+			}
 		}
-		ix.idx = data.IndexTuples(ix.Tuples)
 	})
-	return ix.idx
+	return ix.byKey
 }
 
 // Append indexes new target tuples, assigning them the next ids (the
@@ -111,12 +125,13 @@ func (ix *JIndex) ensure() *data.Index {
 // The caller must not append tuples already indexed; core.Problem
 // dedups against its J instance first.
 func (ix *JIndex) Append(tuples []data.Tuple) {
-	idx := ix.ensure()
+	idx := ix.Index()
+	byKey := ix.keys()
 	base := len(ix.Tuples)
 	idx.Append(tuples)
 	ix.Tuples = idx.Tuples()
 	for i := base; i < len(ix.Tuples); i++ {
-		ix.byKey[ix.Tuples[i].Key()] = i
+		byKey[ix.Tuples[i].Key()] = i
 	}
 	if ix.dead != nil {
 		ix.dead = append(ix.dead, make([]bool, len(ix.Tuples)-base)...)
@@ -130,21 +145,21 @@ func (ix *JIndex) Append(tuples []data.Tuple) {
 // unchanged. The ids must be live; core.Problem resolves and dedups
 // them first.
 func (ix *JIndex) Remove(ids []int32) {
-	ix.ensure().Remove(ids)
+	byKey := ix.keys()
+	ix.Index().Remove(ids)
 	if ix.dead == nil && len(ids) > 0 {
 		ix.dead = make([]bool, len(ix.Tuples))
 	}
 	for _, id := range ids {
 		ix.dead[id] = true
-		delete(ix.byKey, ix.Tuples[id].Key())
+		delete(byKey, ix.Tuples[id].Key())
 	}
 	ix.numDead += len(ids)
 }
 
 // IndexOf returns the index of the tuple, or -1.
 func (ix *JIndex) IndexOf(t data.Tuple) int {
-	ix.ensure()
-	if i, ok := ix.byKey[t.Key()]; ok {
+	if i, ok := ix.keys()[t.Key()]; ok {
 		return i
 	}
 	return -1
@@ -164,9 +179,6 @@ func (ix *JIndex) NumLive() int { return len(ix.Tuples) - ix.numDead }
 
 // NumDead returns the number of tombstoned slots.
 func (ix *JIndex) NumDead() int { return ix.numDead }
-
-// Index returns the posting-list index over J.
-func (ix *JIndex) Index() *data.Index { return ix.ensure() }
 
 // CoverPair is one sparse covers entry: covers(θ, Tuples[J]) = Cov.
 type CoverPair struct {
@@ -240,12 +252,9 @@ func Analyze(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Option
 // 1 forces serial analysis, 0 or negative means GOMAXPROCS.
 func AnalyzeN(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) []Analysis {
 	out := make([]Analysis, len(candidates))
-	// blockMemo shares per-block cover contributions across candidates
-	// (and workers): identical chase blocks — projections and copies
-	// are rife in generated candidate sets — are analysed once.
-	var blockMemo sync.Map
+	memo := newBlockMemo(nil)
 	runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
-		out[i] = w.analyzeOne(i, candidates[i], I, &blockMemo, opts, nil)
+		out[i] = w.analyzeOne(i, candidates[i], I, memo, opts, nil)
 	})
 	return out
 }
@@ -253,16 +262,102 @@ func AnalyzeN(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Optio
 // AnalyzeOne computes the Analysis of a single candidate.
 func AnalyzeOne(index int, d *tgd.TGD, I, J *data.Instance, opts Options) Analysis {
 	jidx := IndexJ(J)
-	return newAnalyzeWorker(jidx).analyzeOne(index, d, I, new(sync.Map), opts, nil)
+	return newAnalyzeWorker(jidx).analyzeOne(index, d, I, newBlockMemo(nil), opts, nil)
+}
+
+// blockMemo shares per-block cover contributions across candidates
+// and workers, keyed by canonical block form: identical chase blocks —
+// projections and copies are rife in generated candidate sets — are
+// analysed once. Most blocks of a large scenario are distinct, so
+// nearly every block both looks up and stores; the memo is split into
+// independently locked shards so that workers rarely wait on each
+// other.
+type blockMemo struct {
+	shards [memoShards]memoShard
+}
+
+// memoShards is the number of blockMemo shards.
+const memoShards = 32
+
+type memoShard struct {
+	mu sync.Mutex
+	m  map[string]*trackedBlock // guarded by mu
+}
+
+// newBlockMemo returns a memo holding the given blocks (none when
+// blocks is nil).
+//
+//lint:guarded-by-caller the memo is not shared until it is returned
+func newBlockMemo(blocks map[string]*trackedBlock) *blockMemo {
+	bm := new(blockMemo)
+	for i := range bm.shards {
+		bm.shards[i].m = make(map[string]*trackedBlock)
+	}
+	//lint:commutative per-key copy into the key's shard; each key is stored once
+	for k, tb := range blocks {
+		bm.shards[shardOf(k)].m[k] = tb
+	}
+	return bm
+}
+
+// shardOf hashes a key to its shard (FNV-1a).
+func shardOf[K string | []byte](key K) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % memoShards)
+}
+
+// get looks a block up by its canonical key; it does not allocate.
+func (bm *blockMemo) get(key []byte) *trackedBlock {
+	sh := &bm.shards[shardOf(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.m[string(key)]
+}
+
+// put stores tb unless another worker stored the same block first,
+// and returns the stored block.
+func (bm *blockMemo) put(tb *trackedBlock) *trackedBlock {
+	sh := &bm.shards[shardOf(tb.key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if prev, ok := sh.m[tb.key]; ok {
+		return prev
+	}
+	sh.m[tb.key] = tb
+	return tb
+}
+
+// blocks returns every memoised block in one map.
+//
+//lint:guarded-by-caller callers run it after runWorkers returned, when no worker holds the memo
+func (bm *blockMemo) blocks() map[string]*trackedBlock {
+	n := 0
+	for i := range bm.shards {
+		n += len(bm.shards[i].m)
+	}
+	out := make(map[string]*trackedBlock, n)
+	for i := range bm.shards {
+		//lint:commutative per-key copy; shards hold disjoint keys
+		for k, tb := range bm.shards[i].m {
+			out[k] = tb
+		}
+	}
+	return out
 }
 
 // runWorkers executes fn(w, i) for every i in [0, n) on a pool of
-// `workers` goroutines (≤ 0 means GOMAXPROCS, capped at n), each
-// owning a fresh analyzeWorker over jidx; a single worker runs
-// inline. Every analysis fan-out in this package — cold, tracked, and
-// the delta rescans — goes through here. A panic in fn on a pool
-// worker is re-raised on the calling goroutine once every worker has
-// stopped, instead of killing the process from the worker.
+// `workers` workers (≤ 0 means GOMAXPROCS, capped at n), each owning a
+// fresh analyzeWorker over jidx; the calling goroutine is one of them,
+// so a single worker runs inline. Workers claim items from a shared
+// counter — a delta rescan hands out hundreds of microsecond-sized
+// items, too small for a channel hand-off each. Every analysis fan-out
+// in this package — cold, tracked, and the delta rescans — goes
+// through here. A panic in fn stops the other workers claiming items
+// and is re-raised on the calling goroutine once every worker has
+// stopped, instead of killing the process from a pool goroutine.
 func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -279,36 +374,32 @@ func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) 
 	}
 	var (
 		wg       sync.WaitGroup
+		next     atomic.Int64
 		panicMu  sync.Mutex
 		panicked any
 	)
-	next := make(chan int)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					panicMu.Unlock()
-					for range next {
-						// Drain, so the feed below never blocks.
-					}
+	work := func() {
+		defer wg.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				next.Store(int64(n)) // no further items
+				panicMu.Lock()
+				if panicked == nil {
+					panicked = r
 				}
-			}()
-			w := newAnalyzeWorker(jidx)
-			for i := range next {
-				fn(w, i)
+				panicMu.Unlock()
 			}
 		}()
+		w := newAnalyzeWorker(jidx)
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(w, i)
+		}
 	}
-	for i := 0; i < n; i++ {
-		next <- i
+	wg.Add(workers)
+	for wk := 1; wk < workers; wk++ {
+		go work()
 	}
-	close(next)
+	work()
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
@@ -324,36 +415,48 @@ type analyzeWorker struct {
 	accTouch []int32
 	blk      []float64
 	blkTouch []int32
+	keyBuf   data.BlockKeyBuf
+	// seen holds the keys of the chase tuples of the candidate being
+	// analysed; tupleKey is its probe buffer.
+	seen     map[string]struct{}
+	tupleKey []byte
+
+	// block and opts parametrise emit, the worker's one match
+	// callback, for the enumeration in progress.
+	block []data.Tuple
+	opts  Options
+	emit  func(*data.IndexedMatch) bool
 }
 
 func newAnalyzeWorker(jidx *JIndex) *analyzeWorker {
-	return &analyzeWorker{
+	w := &analyzeWorker{
 		searcher: data.NewSearcher(jidx.Index()),
 		acc:      make([]float64, jidx.Len()),
 		blk:      make([]float64, jidx.Len()),
+		seen:     make(map[string]struct{}),
 	}
+	w.emit = w.addMatch
+	return w
 }
 
 // analyzeOne computes one candidate's Analysis. A non-nil sink
-// additionally records the candidate's block keys and error tuples —
+// additionally records the candidate's blocks and error tuples —
 // the retained streaming state of BuildTracker (delta.go); the
 // analysis itself is identical either way.
-func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, blockMemo *sync.Map, opts Options, sink *trackSink) Analysis {
-	res := chase.ChaseOne(I, d, nil)
-	an := Analysis{
-		TGDIndex: index,
-		Size:     d.Size(),
-		KTuples:  res.Instance.Len(),
-		Firings:  len(res.Blocks),
-	}
-	var keys []string
-	if sink != nil {
-		keys = make([]string, 0, len(res.Blocks))
-	}
-	for bi := range res.Blocks {
-		key, tb := w.blockContrib(res.Blocks[bi].Tuples, blockMemo, opts)
+func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, memo *blockMemo, opts Options, sink *trackSink) Analysis {
+	an := Analysis{TGDIndex: index, Size: d.Size()}
+	var blocks []*trackedBlock
+	clear(w.seen)
+	chase.Each(I, tgd.Mapping{d}, nil, func(b chase.Block) {
+		an.Firings++
+		block := b.Tuples
 		if sink != nil {
-			keys = append(keys, key)
+			// The tracker keeps the block's tuples.
+			block = data.CloneTuples(block)
+		}
+		tb := w.blockContrib(block, sink != nil, memo, opts)
+		if sink != nil {
+			blocks = append(blocks, tb)
 		}
 		for _, pr := range tb.pairs {
 			if pr.Cov > w.acc[pr.J] {
@@ -363,24 +466,31 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, bloc
 				w.acc[pr.J] = pr.Cov
 			}
 		}
-	}
-	an.Pairs = w.drain(&w.acc, &w.accTouch)
-	for _, t := range res.Instance.All() {
-		if !w.searcher.TupleEmbeds(t) {
-			an.Errors++
-			if sink != nil {
-				sink.errs[index] = append(sink.errs[index], t)
+		// K_θ is a set: each distinct chase tuple counts once.
+		for _, t := range block {
+			w.tupleKey = t.AppendKey(w.tupleKey[:0])
+			if _, dup := w.seen[string(w.tupleKey)]; dup {
+				continue
 			}
-		} else if sink != nil {
-			// Embedded chase tuples are retained too: target removals can
-			// take their image away, turning them back into errors, and
-			// the per-candidate multiplicity cannot be reconstructed from
-			// the canonically-deduped blocks.
-			sink.oks[index] = append(sink.oks[index], t)
+			w.seen[string(w.tupleKey)] = struct{}{}
+			an.KTuples++
+			if !w.searcher.TupleEmbeds(t) {
+				an.Errors++
+				if sink != nil {
+					sink.errs[index] = append(sink.errs[index], t)
+				}
+			} else if sink != nil {
+				// Embedded chase tuples are retained too: target removals
+				// can take their image away, turning them back into
+				// errors, and the per-candidate multiplicity cannot be
+				// reconstructed from the canonically-deduped blocks.
+				sink.oks[index] = append(sink.oks[index], t)
+			}
 		}
-	}
+	})
+	an.Pairs = w.drain(&w.acc, &w.accTouch)
 	if sink != nil {
-		sink.keys[index] = keys
+		sink.blocks[index] = blocks
 	}
 	return an
 }
@@ -389,48 +499,57 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, bloc
 // degree each J tuple receives from any partial homomorphism of the
 // block — memoised by the block's canonical form: equal blocks up to
 // null renaming contribute identically, whichever candidate fired
-// them. The memoised trackedBlock retains a representative block
-// alongside the pairs, which is what the streaming Tracker keeps.
-func (w *analyzeWorker) blockContrib(block []data.Tuple, blockMemo *sync.Map, opts Options) (string, *trackedBlock) {
-	key := data.BlockCanonKey(block)
-	if v, ok := blockMemo.Load(key); ok {
-		return key, v.(*trackedBlock)
+// them. With retain set the memoised trackedBlock also keeps block as
+// its representative, which is what the streaming Tracker re-enumerates;
+// the caller then gives block away.
+func (w *analyzeWorker) blockContrib(block []data.Tuple, retain bool, memo *blockMemo, opts Options) *trackedBlock {
+	key := w.keyBuf.Key(block)
+	if tb := memo.get(key); tb != nil {
+		return tb
 	}
-	pairs := w.enumerateBlockPairs(block, opts)
-	actual, _ := blockMemo.LoadOrStore(key, &trackedBlock{tuples: block, pairs: pairs})
-	return key, actual.(*trackedBlock)
+	tb := &trackedBlock{key: string(key), pairs: w.enumerateBlockPairs(block, opts)}
+	if retain {
+		tb.tuples = block
+	}
+	return memo.put(tb)
 }
 
 // enumerateBlockPairs runs the partial-homomorphism enumeration of one
 // block against the searcher's index and returns the block's cover
 // contribution (max degree per J tuple, sparse and sorted).
 func (w *analyzeWorker) enumerateBlockPairs(block []data.Tuple, opts Options) []CoverPair {
-	w.searcher.EnumeratePartialHoms(block, opts.HomLimit, func(m *data.IndexedMatch) bool {
-		for i, mapped := range m.Mapped {
-			if !mapped {
-				continue
-			}
-			deg := coverageDegree(block, i, m.Mapped, opts)
-			if deg <= 0 {
-				continue
-			}
-			if j := m.Image[i]; deg > w.blk[j] {
-				if w.blk[j] == 0 {
-					w.blkTouch = append(w.blkTouch, j)
-				}
-				w.blk[j] = deg
-			}
-		}
-		return true
-	})
+	w.block, w.opts = block, opts
+	w.searcher.EnumeratePartialHoms(block, opts.HomLimit, w.emit)
+	w.block = nil
 	return w.drain(&w.blk, &w.blkTouch)
+}
+
+// addMatch folds one partial homomorphism of w.block into the block
+// accumulator.
+func (w *analyzeWorker) addMatch(m *data.IndexedMatch) bool {
+	for i, mapped := range m.Mapped {
+		if !mapped {
+			continue
+		}
+		deg := coverageDegree(w.block, i, m.Mapped, w.opts)
+		if deg <= 0 {
+			continue
+		}
+		if j := m.Image[i]; deg > w.blk[j] {
+			if w.blk[j] == 0 {
+				w.blkTouch = append(w.blkTouch, j)
+			}
+			w.blk[j] = deg
+		}
+	}
+	return true
 }
 
 // drain converts a dense accumulator plus touched list into sorted
 // sparse pairs and resets the accumulator.
 func (w *analyzeWorker) drain(acc *[]float64, touch *[]int32) []CoverPair {
 	t := *touch
-	sort.Slice(t, func(a, b int) bool { return t[a] < t[b] })
+	slices.Sort(t)
 	pairs := make([]CoverPair, len(t))
 	for k, j := range t {
 		pairs[k] = CoverPair{J: j, Cov: (*acc)[j]}

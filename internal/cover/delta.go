@@ -34,8 +34,9 @@ package cover
 // it does for two cold analyses of differently-ordered instances.)
 
 import (
+	"slices"
 	"sort"
-	"sync"
+	"strings"
 
 	"schemamap/internal/data"
 	"schemamap/internal/tgd"
@@ -44,19 +45,24 @@ import (
 // trackedBlock is one distinct chase block (up to null renaming) with
 // its current cover contribution against the tracked target.
 type trackedBlock struct {
-	// tuples is a representative block (coverage is invariant under the
-	// null renaming that canonical keys quotient out).
+	// key is the block's canonical key (data.BlockKeyBuf).
+	key string
+	// tuples is a representative block, kept by trackers only
+	// (coverage is invariant under the null renaming that canonical
+	// keys quotient out).
 	tuples []data.Tuple
 	// pairs is the block's current contribution: max coverage degree
 	// per J tuple over its partial homomorphisms, sparse and sorted.
 	pairs []CoverPair
-	// pats/reps cache the block's distinct tuple patterns with one
-	// representative tuple each (dirtiness is pattern-determined).
-	// Retained block tuples never change, so the cache is built on the
-	// first Append and reused by every later one — rebuilding these
-	// strings per append dominated the dirty-detection cost.
-	pats []string
-	reps []data.Tuple
+	// changed marks, during one rescan, a block whose contribution
+	// the re-enumeration changed.
+	changed bool
+	// pats caches the ids of the block's distinct tuple patterns (see
+	// Tracker.patIDs). Retained block tuples never change, so the cache
+	// is built once per block and reused by every append and removal —
+	// rebuilding pattern strings per append dominated the
+	// dirty-detection cost.
+	pats []int32
 }
 
 // Tracker is the retained streaming state of one analysed candidate
@@ -69,20 +75,33 @@ type Tracker struct {
 	opts Options
 	// blocks holds every distinct chase block by canonical key.
 	blocks map[string]*trackedBlock
-	// candKeys lists each candidate's block keys, in block order.
-	candKeys [][]string
+	// candBlocks lists each candidate's blocks, in block order.
+	candBlocks [][]*trackedBlock
 	// errTuples lists each candidate's chase tuples currently lacking
-	// a homomorphic image in J (its creates errors); errPats caches
-	// their canonical patterns (computed lazily on the first Append and
-	// kept aligned as error tuples clear).
+	// a homomorphic image in J (its creates errors).
 	errTuples [][]data.Tuple
-	errPats   [][]string
 	// okTuples lists each candidate's chase tuples that currently DO
 	// embed into J — the complement of errTuples. Removals consult it:
-	// a tuple whose image vanishes migrates back to errTuples. okPats
-	// caches canonical patterns lazily, like errPats.
+	// a tuple whose image vanishes migrates back to errTuples.
 	okTuples [][]data.Tuple
-	okPats   [][]string
+	// patIDs interns the null-insensitive patterns of retained block
+	// tuples, patReps holds one representative tuple per id, and
+	// patsByRel indexes the ids by relation and first constant.
+	// Dirtiness against a delta is pattern-determined, so dirtyBlocks
+	// probes the index with each changed tuple and looks the verdict up
+	// per block by id.
+	patIDs    map[string]int32
+	patReps   []data.Tuple
+	patsByRel map[string]*relPatterns
+	patBuf    []byte
+}
+
+// relPatterns indexes one relation's pattern ids: wild holds the
+// patterns without constants, and first[p][v] those whose first
+// constant is v at position p.
+type relPatterns struct {
+	wild  []int32
+	first []map[data.Value][]int32
 }
 
 // TrackerDelta reports what one Append changed, so downstream
@@ -113,20 +132,19 @@ type TrackerDelta struct {
 }
 
 // trackSink collects the streaming state analyzeOne records when
-// asked to: per-candidate block keys plus error and embedded chase
-// tuples.
+// asked to: per-candidate blocks plus error and embedded chase tuples.
 type trackSink struct {
-	keys [][]string
-	errs [][]data.Tuple
-	oks  [][]data.Tuple
+	blocks [][]*trackedBlock
+	errs   [][]data.Tuple
+	oks    [][]data.Tuple
 }
 
 // newTrackSink sizes a sink for n candidates.
 func newTrackSink(n int) *trackSink {
 	return &trackSink{
-		keys: make([][]string, n),
-		errs: make([][]data.Tuple, n),
-		oks:  make([][]data.Tuple, n),
+		blocks: make([][]*trackedBlock, n),
+		errs:   make([][]data.Tuple, n),
+		oks:    make([][]data.Tuple, n),
 	}
 }
 
@@ -138,22 +156,21 @@ func newTrackSink(n int) *trackSink {
 func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) (*Tracker, []Analysis) {
 	analyses := make([]Analysis, len(candidates))
 	sink := newTrackSink(len(candidates))
-	var memo sync.Map // canonical key → *trackedBlock
+	memo := newBlockMemo(nil)
 	runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
-		analyses[i] = w.analyzeOne(i, candidates[i], I, &memo, opts, sink)
+		analyses[i] = w.analyzeOne(i, candidates[i], I, memo, opts, sink)
 	})
 	t := &Tracker{
-		jidx:      jidx,
-		opts:      opts,
-		blocks:    make(map[string]*trackedBlock),
-		candKeys:  sink.keys,
-		errTuples: sink.errs,
-		okTuples:  sink.oks,
+		jidx:       jidx,
+		opts:       opts,
+		blocks:     memo.blocks(),
+		candBlocks: sink.blocks,
+		errTuples:  sink.errs,
+		okTuples:   sink.oks,
+		patIDs:     make(map[string]int32),
+		patsByRel:  make(map[string]*relPatterns),
 	}
-	memo.Range(func(k, v any) bool {
-		t.blocks[k.(string)] = v.(*trackedBlock)
-		return true
-	})
+	t.internBlocks()
 	return t, analyses
 }
 
@@ -171,71 +188,13 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 	}
 	t.jidx.Append(delta)
 
-	// 1. Dirty detection: a block must be re-enumerated iff one of its
-	// tuples can map onto an appended tuple (constant positions agree).
-	// Memoised per null-insensitive pattern — the candidate sets the
-	// index would return are pattern-determined — with the delta
-	// grouped by relation so each probe scans only same-relation
-	// appends (MatchConstPositions fails across relations anyway).
+	// 1–3. Re-enumerate the blocks with a tuple that can map onto an
+	// appended tuple and re-merge the candidates owning a changed one.
 	deltaByRel := make(map[string][]data.Tuple)
 	for _, dt := range delta {
 		deltaByRel[dt.Rel] = append(deltaByRel[dt.Rel], dt)
 	}
-	patDirty := make(map[string]bool)
-	tupleDirty := func(pat string, bt data.Tuple) bool {
-		if v, ok := patDirty[pat]; ok {
-			return v
-		}
-		dirty := false
-		for _, dt := range deltaByRel[bt.Rel] {
-			if data.MatchConstPositions(bt, dt) {
-				dirty = true
-				break
-			}
-		}
-		patDirty[pat] = dirty
-		return dirty
-	}
-	var dirtyKeys []string
-	//lint:commutative collects dirty keys (dirtiness is per-block; memo is pattern-keyed) and sorts them below
-	for key, tb := range t.blocks {
-		if tb.reps == nil {
-			tb.pats, tb.reps = distinctPatterns(tb.tuples)
-		}
-		for k, pat := range tb.pats {
-			if tupleDirty(pat, tb.reps[k]) {
-				dirtyKeys = append(dirtyKeys, key)
-				break
-			}
-		}
-	}
-	sort.Strings(dirtyKeys) // stable work order (results are order-independent)
-
-	// 2. Re-enumerate dirty blocks against the extended index. Each
-	// worker owns a fresh searcher (the pre-append memos are stale).
-	changedKeys := make(map[string]bool, len(dirtyKeys))
-	if len(dirtyKeys) > 0 {
-		changed := make([]bool, len(dirtyKeys))
-		runWorkers(t.jidx, len(dirtyKeys), workers, func(w *analyzeWorker, k int) {
-			tb := t.blocks[dirtyKeys[k]]
-			pairs := w.enumerateBlockPairs(tb.tuples, t.opts)
-			if !pairsEqual(pairs, tb.pairs) {
-				tb.pairs = pairs
-				changed[k] = true
-			}
-		})
-		for k, c := range changed {
-			if c {
-				changedKeys[dirtyKeys[k]] = true
-			}
-		}
-	}
-
-	// 3. Rebuild the Pairs of candidates owning a changed block by
-	// max-merging their blocks' cached contributions (memory pass, no
-	// search), and record which pre-existing tuples changed coverage.
-	touched := make(map[int32]bool)
-	t.remergeAffected(changedKeys, analyses, int32(oldLen), touched, out)
+	touched := t.rescan(deltaByRel, analyses, int32(oldLen), workers, out)
 	out.ChangedTuples = make([]int32, 0, len(touched))
 	for j := range touched {
 		out.ChangedTuples = append(out.ChangedTuples, j)
@@ -243,55 +202,21 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 	sort.Slice(out.ChangedTuples, func(a, b int) bool { return out.ChangedTuples[a] < out.ChangedTuples[b] })
 
 	// 4. Errors: a chase tuple still erroring stops iff it maps onto an
-	// appended tuple; probe the delta (same-relation entries only),
-	// memoised per canonical pattern (the verdict is null-renaming
-	// invariant). The patterns are cached across appends — an error
-	// tuple keeps its pattern for as long as it stays an error.
-	embDelta := make(map[string]bool)
-	mapsToDelta := func(pat string, ct data.Tuple) bool {
-		if v, ok := embDelta[pat]; ok {
-			return v
-		}
-		ok := false
-		for _, dt := range deltaByRel[ct.Rel] {
-			if data.TupleMapsTo(ct, dt) {
-				ok = true
-				break
-			}
-		}
-		embDelta[pat] = ok
-		return ok
-	}
-	if t.errPats == nil {
-		t.errPats = make([][]string, len(t.errTuples))
-	}
+	// appended tuple, which an index of the delta alone answers.
+	onDelta := data.IndexTuples(slices.Clone(delta))
 	for i, errs := range t.errTuples {
-		pats := t.errPats[i]
-		if pats == nil && len(errs) > 0 {
-			pats = make([]string, len(errs))
-			for k, ct := range errs {
-				pats[k] = ct.CanonPattern()
-			}
-			t.errPats[i] = pats
-		}
 		kept := errs[:0]
-		keptPats := pats[:0]
-		for k, ct := range errs {
-			if !mapsToDelta(pats[k], ct) {
+		for _, ct := range errs {
+			if !onDelta.Embeds(ct) {
 				kept = append(kept, ct)
-				keptPats = append(keptPats, pats[k])
 				continue
 			}
 			// The tuple gained an image: it stops being an error and
 			// joins the embedded set (removals may send it back).
 			t.okTuples[i] = append(t.okTuples[i], ct)
-			if t.okPats != nil && t.okPats[i] != nil {
-				t.okPats[i] = append(t.okPats[i], pats[k])
-			}
 		}
 		if len(kept) != len(errs) {
 			t.errTuples[i] = kept
-			t.errPats[i] = keptPats
 			analyses[i].Errors = float64(len(kept))
 			out.ErrorsChanged = append(out.ErrorsChanged, int32(i))
 		}
@@ -299,22 +224,151 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 	return out
 }
 
-// distinctPatterns returns the distinct null-insensitive patterns of
-// a block's tuples with one representative tuple per pattern.
-func distinctPatterns(tuples []data.Tuple) (pats []string, reps []data.Tuple) {
-	pats = make([]string, 0, len(tuples))
-	reps = make([]data.Tuple, 0, len(tuples))
-	seen := make(map[string]struct{}, len(tuples))
-	for _, bt := range tuples {
-		pat := bt.Pattern()
-		if _, ok := seen[pat]; ok {
+// rescan is steps 1–3 of a target append or removal. It re-enumerates,
+// on the current index, the blocks with a tuple whose constant
+// positions match one of the changed tuples (grouped by relation) —
+// every other block keeps an identical candidate set, hence an
+// identical enumeration. It then rebuilds the Pairs of every candidate
+// owning a block whose contribution changed by max-merging its blocks'
+// cached contributions (a memory pass, no search), records those
+// candidates in out.PairsChanged and returns the J ids below limit
+// whose coverage changed.
+func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analysis, limit int32, workers int, out *TrackerDelta) map[int32]bool {
+	touched := make(map[int32]bool)
+	dirty := t.dirtyBlocks(changedByRel)
+	if len(dirty) == 0 {
+		return touched
+	}
+	changed := make([]bool, len(dirty))
+	runWorkers(t.jidx, len(dirty), workers, func(w *analyzeWorker, k int) {
+		tb := dirty[k]
+		pairs := w.enumerateBlockPairs(tb.tuples, t.opts)
+		if !pairsEqual(pairs, tb.pairs) {
+			tb.pairs = pairs
+			changed[k] = true
+		}
+	})
+	if !slices.Contains(changed, true) {
+		return touched
+	}
+	for k, c := range changed {
+		dirty[k].changed = c
+	}
+	w := newAnalyzeWorker(t.jidx)
+	for i, blocks := range t.candBlocks {
+		if !slices.ContainsFunc(blocks, func(tb *trackedBlock) bool { return tb.changed }) {
 			continue
 		}
-		seen[pat] = struct{}{}
-		pats = append(pats, pat)
-		reps = append(reps, bt)
+		for _, tb := range blocks {
+			for _, pr := range tb.pairs {
+				if pr.Cov > w.acc[pr.J] {
+					if w.acc[pr.J] == 0 {
+						w.accTouch = append(w.accTouch, pr.J)
+					}
+					w.acc[pr.J] = pr.Cov
+				}
+			}
+		}
+		newPairs := w.drain(&w.acc, &w.accTouch)
+		diffPairs(analyses[i].Pairs, newPairs, limit, touched)
+		analyses[i].Pairs = newPairs
+		out.PairsChanged = append(out.PairsChanged, int32(i))
 	}
-	return pats, reps
+	for _, tb := range dirty {
+		tb.changed = false
+	}
+	return touched
+}
+
+// dirtyBlocks returns the blocks with a tuple whose constant positions
+// match one of the changed tuples (grouped by relation), sorted by key
+// for a stable work order (results are order-independent).
+func (t *Tracker) dirtyBlocks(changedByRel map[string][]data.Tuple) []*trackedBlock {
+	t.internBlocks()
+	dirtyPat := make([]bool, len(t.patReps))
+	//lint:commutative only sets flags; each changed tuple marks its patterns independently
+	for rel, changed := range changedByRel {
+		rp := t.patsByRel[rel]
+		if rp == nil {
+			continue
+		}
+		for _, ct := range changed {
+			for _, id := range rp.wild {
+				if len(t.patReps[id].Args) == len(ct.Args) {
+					dirtyPat[id] = true
+				}
+			}
+			for p, a := range ct.Args {
+				if p >= len(rp.first) {
+					break
+				}
+				for _, id := range rp.first[p][a] {
+					if !dirtyPat[id] && data.MatchConstPositions(t.patReps[id], ct) {
+						dirtyPat[id] = true
+					}
+				}
+			}
+		}
+	}
+	var dirty []*trackedBlock
+	//lint:commutative collects dirty blocks and sorts them below
+	for _, tb := range t.blocks {
+		if slices.ContainsFunc(tb.pats, func(id int32) bool { return dirtyPat[id] }) {
+			dirty = append(dirty, tb)
+		}
+	}
+	slices.SortFunc(dirty, func(a, b *trackedBlock) int { return strings.Compare(a.key, b.key) })
+	return dirty
+}
+
+// internBlocks fills the pattern ids of the blocks that lack them:
+// every block on BuildTracker, and later the blocks source deltas and
+// candidate additions bring in.
+func (t *Tracker) internBlocks() {
+	//lint:commutative per-block cache fill; pattern ids only key verdicts, so their numbering order does not matter
+	for _, tb := range t.blocks {
+		if tb.pats == nil {
+			tb.pats = t.internPatterns(tb.tuples)
+		}
+	}
+}
+
+// internPatterns returns the ids of the distinct null-insensitive
+// patterns of a block's tuples, interning and indexing new ones.
+func (t *Tracker) internPatterns(tuples []data.Tuple) []int32 {
+	ids := make([]int32, 0, len(tuples))
+	for _, bt := range tuples {
+		t.patBuf = bt.AppendPattern(t.patBuf[:0])
+		id, ok := t.patIDs[string(t.patBuf)]
+		if !ok {
+			id = int32(len(t.patReps))
+			t.patIDs[string(t.patBuf)] = id
+			t.patReps = append(t.patReps, bt)
+			t.indexPattern(id, bt)
+		}
+		if !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// indexPattern adds pattern id, represented by bt, to patsByRel.
+func (t *Tracker) indexPattern(id int32, bt data.Tuple) {
+	rp := t.patsByRel[bt.Rel]
+	if rp == nil {
+		rp = &relPatterns{}
+		t.patsByRel[bt.Rel] = rp
+	}
+	p := slices.IndexFunc(bt.Args, func(a data.Value) bool { return !a.IsNull() })
+	if p < 0 {
+		rp.wild = append(rp.wild, id)
+		return
+	}
+	for len(rp.first) <= p {
+		rp.first = append(rp.first, make(map[data.Value][]int32))
+	}
+	rp.first[p][bt.Args[p]] = append(rp.first[p][bt.Args[p]], id)
 }
 
 // pairsEqual reports exact equality of two sparse cover rows.

@@ -167,6 +167,32 @@ func TestPairsFromMap(t *testing.T) {
 	}
 }
 
+// TestAnalyzeNAllocs pins the allocation cost of a cold analysis of
+// the sharded-throughput scenario shape (70 primitives, 100 rows,
+// ≈11k target tuples). The chase binds slices rather than per-tuple
+// maps, block-memo hits do not allocate and the searcher reuses its
+// scratch, so the analysis allocates ≈162k objects; the map-binding
+// chase with boxed memo keys allocated ≈403k.
+func TestAnalyzeNAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analyses an 11k-tuple scenario")
+	}
+	cfg := ibench.DefaultConfig(70, 70)
+	cfg.Rows = 100
+	sc, err := ibench.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jidx := IndexJ(sc.J)
+	allocs := testing.AllocsPerRun(2, func() {
+		AnalyzeN(sc.I, jidx, sc.Candidates, DefaultOptions(), 1)
+	})
+	t.Logf("AnalyzeN allocates %.0f objects over %d target tuples and %d candidates", allocs, jidx.Len(), len(sc.Candidates))
+	if allocs > 320_000 {
+		t.Fatalf("AnalyzeN allocated %.0f objects, want at most 320000", allocs)
+	}
+}
+
 func BenchmarkAnalyzeNIndexed(b *testing.B) {
 	sc, err := ibench.Generate(scenarioConfigs()[1])
 	if err != nil {

@@ -102,7 +102,7 @@ func Explain(I, J *data.Instance, candidates tgd.Mapping, selected []bool, opts 
 							TGDIndex:   ci,
 							Degree:     deg,
 							ChaseTuple: b.Tuples[i],
-							Binding:    b.Binding,
+							Binding:    b.Binding(candidates[ci]),
 							NullImage:  m.NullImage,
 						}
 					}

@@ -25,8 +25,8 @@ package cover
 // value-identical to a cold analysis of the current live target.
 
 import (
+	"slices"
 	"sort"
-	"sync"
 
 	"schemamap/internal/data"
 	"schemamap/internal/tgd"
@@ -48,72 +48,20 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis,
 	out.RemovedTuples = append([]int32(nil), ids...)
 	sort.Slice(out.RemovedTuples, func(a, b int) bool { return out.RemovedTuples[a] < out.RemovedTuples[b] })
 
-	// 1. Dirty detection, mirroring Append step 1 with the removed
-	// tuples in place of the appended ones.
+	// 1–3. Append's rescan, with the removed tuples in place of the
+	// appended ones (the candidate probe filters dead ids, so the
+	// re-enumeration is the one a cold analysis of the shrunken target
+	// would run). Removed ids are excluded from ChangedTuples —
+	// RemovedTuples already reports them.
 	removedByRel := make(map[string][]data.Tuple)
 	for _, rt := range removed {
 		removedByRel[rt.Rel] = append(removedByRel[rt.Rel], rt)
 	}
-	patDirty := make(map[string]bool)
-	tupleDirty := func(pat string, bt data.Tuple) bool {
-		if v, ok := patDirty[pat]; ok {
-			return v
-		}
-		dirty := false
-		for _, rt := range removedByRel[bt.Rel] {
-			if data.MatchConstPositions(bt, rt) {
-				dirty = true
-				break
-			}
-		}
-		patDirty[pat] = dirty
-		return dirty
-	}
-	var dirtyKeys []string
-	//lint:commutative collects dirty keys (dirtiness is per-block; memo is pattern-keyed) and sorts them below
-	for key, tb := range t.blocks {
-		if tb.reps == nil {
-			tb.pats, tb.reps = distinctPatterns(tb.tuples)
-		}
-		for k, pat := range tb.pats {
-			if tupleDirty(pat, tb.reps[k]) {
-				dirtyKeys = append(dirtyKeys, key)
-				break
-			}
-		}
-	}
-	sort.Strings(dirtyKeys)
-
-	// 2. Re-enumerate dirty blocks against the tombstoned index (the
-	// candidate probe filters dead ids, so this is the enumeration a
-	// cold analysis of the shrunken target would run).
-	changedKeys := make(map[string]bool, len(dirtyKeys))
-	if len(dirtyKeys) > 0 {
-		changed := make([]bool, len(dirtyKeys))
-		runWorkers(t.jidx, len(dirtyKeys), workers, func(w *analyzeWorker, k int) {
-			tb := t.blocks[dirtyKeys[k]]
-			pairs := w.enumerateBlockPairs(tb.tuples, t.opts)
-			if !pairsEqual(pairs, tb.pairs) {
-				tb.pairs = pairs
-				changed[k] = true
-			}
-		})
-		for k, c := range changed {
-			if c {
-				changedKeys[dirtyKeys[k]] = true
-			}
-		}
-	}
-
-	// 3. Rebuild the Pairs of candidates owning a changed block
-	// (Append step 3 verbatim). Removed ids are excluded from
-	// ChangedTuples — RemovedTuples already reports them.
+	touched := t.rescan(removedByRel, analyses, int32(n), workers, out)
 	removedSet := make(map[int32]bool, len(ids))
 	for _, id := range ids {
 		removedSet[id] = true
 	}
-	touched := make(map[int32]bool)
-	t.remergeAffected(changedKeys, analyses, int32(n), touched, out)
 	out.ChangedTuples = make([]int32, 0, len(touched))
 	//lint:commutative filtered collect-then-sort: ChangedTuples is sorted immediately below
 	for j := range touched {
@@ -125,98 +73,28 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis,
 
 	// 4. Errors grow: an embedded chase tuple loses its image iff it
 	// could map onto a removed tuple and the tombstoned index no longer
-	// embeds it. Verdicts are canonical-pattern determined, so both the
-	// removal probe and the re-embedding check are memoised per
-	// pattern; the fresh searcher sees the tombstones.
-	mapsRemoved := make(map[string]bool)
-	mapsToRemoved := func(pat string, ct data.Tuple) bool {
-		if v, ok := mapsRemoved[pat]; ok {
-			return v
-		}
-		ok := false
-		for _, rt := range removedByRel[ct.Rel] {
-			if data.TupleMapsTo(ct, rt) {
-				ok = true
-				break
-			}
-		}
-		mapsRemoved[pat] = ok
-		return ok
-	}
+	// embeds it. An index of the removed tuples alone answers the
+	// first; a searcher over the tombstoned index, memoised per
+	// canonical pattern, the second.
+	onRemoved := data.IndexTuples(slices.Clone(removed))
 	searcher := data.NewSearcher(t.jidx.Index())
-	if t.okPats == nil {
-		t.okPats = make([][]string, len(t.okTuples))
-	}
 	for i, oks := range t.okTuples {
-		pats := t.okPats[i]
-		if pats == nil && len(oks) > 0 {
-			pats = make([]string, len(oks))
-			for k, ct := range oks {
-				pats[k] = ct.CanonPattern()
-			}
-			t.okPats[i] = pats
-		}
 		kept := oks[:0]
-		keptPats := pats[:0]
-		lost := false
-		for k, ct := range oks {
-			if mapsToRemoved(pats[k], ct) && !searcher.TupleEmbeds(ct) {
+		for _, ct := range oks {
+			if onRemoved.Embeds(ct) && !searcher.TupleEmbeds(ct) {
 				// Image gone: migrate back to the error set.
 				t.errTuples[i] = append(t.errTuples[i], ct)
-				if t.errPats != nil && t.errPats[i] != nil {
-					t.errPats[i] = append(t.errPats[i], pats[k])
-				}
-				lost = true
 				continue
 			}
 			kept = append(kept, ct)
-			keptPats = append(keptPats, pats[k])
 		}
-		if lost {
+		if len(kept) != len(oks) {
 			t.okTuples[i] = kept
-			t.okPats[i] = keptPats
 			analyses[i].Errors = float64(len(t.errTuples[i]))
 			out.ErrorsChanged = append(out.ErrorsChanged, int32(i))
 		}
 	}
 	return out
-}
-
-// remergeAffected rebuilds the Pairs of every candidate owning a block
-// in changedKeys by max-merging its blocks' cached contributions,
-// recording coverage diffs below limit into touched and the candidate
-// ids into out.PairsChanged (Append step 3, shared with Remove).
-func (t *Tracker) remergeAffected(changedKeys map[string]bool, analyses []Analysis, limit int32, touched map[int32]bool, out *TrackerDelta) {
-	if len(changedKeys) == 0 {
-		return
-	}
-	w := newAnalyzeWorker(t.jidx)
-	for i, keys := range t.candKeys {
-		affected := false
-		for _, key := range keys {
-			if changedKeys[key] {
-				affected = true
-				break
-			}
-		}
-		if !affected {
-			continue
-		}
-		for _, key := range keys {
-			for _, pr := range t.blocks[key].pairs {
-				if pr.Cov > w.acc[pr.J] {
-					if w.acc[pr.J] == 0 {
-						w.accTouch = append(w.accTouch, pr.J)
-					}
-					w.acc[pr.J] = pr.Cov
-				}
-			}
-		}
-		newPairs := w.drain(&w.acc, &w.accTouch)
-		diffPairs(analyses[i].Pairs, newPairs, limit, touched)
-		analyses[i].Pairs = newPairs
-		out.PairsChanged = append(out.PairsChanged, int32(i))
-	}
 }
 
 // ApplySourceDelta re-analyses the candidates whose tgd body reads one
@@ -241,16 +119,14 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 	if len(affected) == 0 {
 		return out
 	}
-	var memo sync.Map
-	//lint:commutative per-key copy into a sync.Map; each key is stored once
-	for k, v := range t.blocks {
-		memo.Store(k, v)
-	}
+	// Seeding the memo with every retained block means shared
+	// unchanged blocks are never re-enumerated.
+	memo := newBlockMemo(t.blocks)
 	sink := newTrackSink(len(candidates))
 	newAn := make([]Analysis, len(affected))
 	runWorkers(t.jidx, len(affected), workers, func(w *analyzeWorker, k int) {
 		i := affected[k]
-		newAn[k] = w.analyzeOne(i, candidates[i], I, &memo, t.opts, sink)
+		newAn[k] = w.analyzeOne(i, candidates[i], I, memo, t.opts, sink)
 	})
 	touched := make(map[int32]bool)
 	for k, i := range affected {
@@ -263,22 +139,16 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 			out.ErrorsChanged = append(out.ErrorsChanged, int32(i))
 		}
 		analyses[i] = na
-		t.candKeys[i] = sink.keys[i]
+		t.candBlocks[i] = sink.blocks[i]
 		t.errTuples[i] = sink.errs[i]
 		t.okTuples[i] = sink.oks[i]
-		if t.errPats != nil {
-			t.errPats[i] = nil
-		}
-		if t.okPats != nil {
-			t.okPats[i] = nil
-		}
 	}
 	out.ChangedTuples = make([]int32, 0, len(touched))
 	for j := range touched {
 		out.ChangedTuples = append(out.ChangedTuples, j)
 	}
 	sort.Slice(out.ChangedTuples, func(a, b int) bool { return out.ChangedTuples[a] < out.ChangedTuples[b] })
-	t.adoptBlocks(&memo)
+	t.blocks = memo.blocks()
 	t.sweepBlocks()
 	return out
 }
@@ -287,29 +157,19 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 // target, extending the retained state; the returned analyses continue
 // the existing candidate indices (TGDIndex = previous count + k).
 func (t *Tracker) AddCandidates(I *data.Instance, added tgd.Mapping, workers int) []Analysis {
-	base := len(t.candKeys)
+	base := len(t.candBlocks)
 	sink := newTrackSink(base + len(added))
-	var memo sync.Map
-	//lint:commutative per-key copy into a sync.Map; each key is stored once
-	for k, v := range t.blocks {
-		memo.Store(k, v)
-	}
+	memo := newBlockMemo(t.blocks)
 	newAn := make([]Analysis, len(added))
 	runWorkers(t.jidx, len(added), workers, func(w *analyzeWorker, k int) {
-		newAn[k] = w.analyzeOne(base+k, added[k], I, &memo, t.opts, sink)
+		newAn[k] = w.analyzeOne(base+k, added[k], I, memo, t.opts, sink)
 	})
 	for k := range added {
-		t.candKeys = append(t.candKeys, sink.keys[base+k])
+		t.candBlocks = append(t.candBlocks, sink.blocks[base+k])
 		t.errTuples = append(t.errTuples, sink.errs[base+k])
 		t.okTuples = append(t.okTuples, sink.oks[base+k])
-		if t.errPats != nil {
-			t.errPats = append(t.errPats, nil)
-		}
-		if t.okPats != nil {
-			t.okPats = append(t.okPats, nil)
-		}
 	}
-	t.adoptBlocks(&memo)
+	t.blocks = memo.blocks()
 	return newAn
 }
 
@@ -323,49 +183,28 @@ func (t *Tracker) RemoveCandidates(keep []bool) {
 		if !k {
 			continue
 		}
-		t.candKeys[w] = t.candKeys[i]
+		t.candBlocks[w] = t.candBlocks[i]
 		t.errTuples[w] = t.errTuples[i]
 		t.okTuples[w] = t.okTuples[i]
-		if t.errPats != nil {
-			t.errPats[w] = t.errPats[i]
-		}
-		if t.okPats != nil {
-			t.okPats[w] = t.okPats[i]
-		}
 		w++
 	}
-	t.candKeys = t.candKeys[:w]
+	t.candBlocks = t.candBlocks[:w]
 	t.errTuples = t.errTuples[:w]
 	t.okTuples = t.okTuples[:w]
-	if t.errPats != nil {
-		t.errPats = t.errPats[:w]
-	}
-	if t.okPats != nil {
-		t.okPats = t.okPats[:w]
-	}
 	t.sweepBlocks()
-}
-
-// adoptBlocks folds a block memo (retained blocks plus any newly
-// enumerated ones) back into the tracker's block map.
-func (t *Tracker) adoptBlocks(memo *sync.Map) {
-	memo.Range(func(k, v any) bool {
-		t.blocks[k.(string)] = v.(*trackedBlock)
-		return true
-	})
 }
 
 // sweepBlocks drops blocks no candidate references anymore.
 func (t *Tracker) sweepBlocks() {
-	used := make(map[string]bool, len(t.blocks))
-	for _, keys := range t.candKeys {
-		for _, k := range keys {
-			used[k] = true
+	used := make(map[*trackedBlock]bool, len(t.blocks))
+	for _, blocks := range t.candBlocks {
+		for _, tb := range blocks {
+			used[tb] = true
 		}
 	}
 	//lint:commutative per-key conditional delete; each key is decided independently
-	for k := range t.blocks {
-		if !used[k] {
+	for k, tb := range t.blocks {
+		if !used[tb] {
 			delete(t.blocks, k)
 		}
 	}

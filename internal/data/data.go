@@ -7,6 +7,7 @@ package data
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -38,20 +39,56 @@ func (v Value) String() string {
 	return v.name
 }
 
-// NullFactory mints fresh labelled nulls N1, N2, ...
+// NullFactory mints fresh labelled nulls N1, N2, ..., skipping the
+// labels Reserve took.
 type NullFactory struct {
-	n int
+	n      int
+	minted int
+	taken  map[string]bool
+	// reserved and reservedAt record the last Reserve, so reserving
+	// the same unchanged instance again is free.
+	reserved   *Instance
+	reservedAt uint64
 }
 
 // Fresh returns a new labelled null, distinct from all previous ones
-// minted by this factory.
+// minted by this factory and from every reserved label.
 func (f *NullFactory) Fresh() Value {
-	f.n++
-	return NullValue(fmt.Sprintf("N%d", f.n))
+	var buf [24]byte
+	for {
+		f.n++
+		lbl := strconv.AppendInt(append(buf[:0], 'N'), int64(f.n), 10)
+		if !f.taken[string(lbl)] {
+			f.minted++
+			return NullValue(string(lbl))
+		}
+	}
+}
+
+// Reserve makes Fresh skip every null label occurring in in, so the
+// nulls a chase of in mints never collide with the labelled nulls it
+// already holds. On a null-free instance it costs nothing.
+func (f *NullFactory) Reserve(in *Instance) {
+	if in.nullTuples == 0 || (f.reserved == in && f.reservedAt == in.version) {
+		return
+	}
+	f.reserved, f.reservedAt = in, in.version
+	if f.taken == nil {
+		f.taken = make(map[string]bool)
+	}
+	for _, r := range in.order {
+		for _, t := range in.rels[r] {
+			for _, a := range t.Args {
+				if a.IsNull() {
+					f.taken[a.Name()] = true
+				}
+			}
+		}
+	}
 }
 
 // Count returns how many nulls have been minted.
-func (f *NullFactory) Count() int { return f.n }
+func (f *NullFactory) Count() int { return f.minted }
 
 // Tuple is a fact: a relation name plus an argument list.
 type Tuple struct {
@@ -66,6 +103,23 @@ func NewTuple(rel string, consts ...string) Tuple {
 		args[i] = Const(c)
 	}
 	return Tuple{Rel: rel, Args: args}
+}
+
+// CloneTuples returns a copy of ts whose tuples share no argument
+// slice with ts; the copies' arguments share one allocation.
+func CloneTuples(ts []Tuple) []Tuple {
+	n := 0
+	for _, t := range ts {
+		n += len(t.Args)
+	}
+	backing := make([]Value, 0, n)
+	out := make([]Tuple, len(ts))
+	for k, t := range ts {
+		start := len(backing)
+		backing = append(backing, t.Args...)
+		out[k] = Tuple{Rel: t.Rel, Args: backing[start:len(backing):len(backing)]}
+	}
+	return out
 }
 
 // Arity returns the number of arguments.
@@ -133,9 +187,15 @@ func appendEscaped(buf []byte, s string, special *[256]bool) []byte {
 // zero renders without parentheses (so R() and R("") differ).
 func (t Tuple) Key() string {
 	var arr [64]byte
-	buf := appendEscaped(arr[:0], t.Rel, relSpecial)
+	return string(t.AppendKey(arr[:0]))
+}
+
+// AppendKey appends the tuple's Key to buf, so a set of tuples can be
+// probed by string(t.AppendKey(buf)) without allocating.
+func (t Tuple) AppendKey(buf []byte) []byte {
+	buf = appendEscaped(buf, t.Rel, relSpecial)
 	if len(t.Args) == 0 {
-		return string(buf)
+		return buf
 	}
 	buf = append(buf, '(')
 	for i, a := range t.Args {
@@ -147,13 +207,17 @@ func (t Tuple) Key() string {
 		}
 		buf = appendEscaped(buf, a.Name(), keySpecial)
 	}
-	return string(append(buf, ')'))
+	return append(buf, ')')
 }
 
 // Pattern returns the null-insensitive canonical form: constants
 // verbatim (delimiters escaped), every null replaced by '*'. Used by
 // tuple-level metrics.
 func (t Tuple) Pattern() string { return string(appendPattern(nil, t)) }
+
+// AppendPattern appends the tuple's Pattern to buf, so patterns can be
+// looked up by string(t.AppendPattern(buf)) without allocating.
+func (t Tuple) AppendPattern(buf []byte) []byte { return appendPattern(buf, t) }
 
 // CanonPattern returns a canonical form that identifies tuples up to
 // a renaming of their labelled nulls: constants verbatim (delimiters
@@ -195,6 +259,8 @@ type Instance struct {
 	keys  map[string]bool
 	order []string // relation insertion order
 	size  int
+	// nullTuples counts the tuples holding a labelled null.
+	nullTuples int
 	// version counts successful mutations (Add/Remove/Union hits), so
 	// consumers holding derived state (indices, cover evidence) can
 	// detect that the instance changed underneath them.
@@ -226,6 +292,9 @@ func (in *Instance) Add(t Tuple) bool {
 	}
 	in.rels[t.Rel] = append(in.rels[t.Rel], t)
 	in.size++
+	if t.HasNull() {
+		in.nullTuples++
+	}
 	in.version++
 	return true
 }
@@ -256,6 +325,9 @@ func (in *Instance) Remove(t Tuple) bool {
 		}
 	}
 	in.size--
+	if t.HasNull() {
+		in.nullTuples--
+	}
 	in.version++
 	return true
 }

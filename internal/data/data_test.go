@@ -1,6 +1,7 @@
 package data
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,26 @@ func TestNullFactory(t *testing.T) {
 	}
 	if f.Count() != 2 {
 		t.Errorf("Count = %d", f.Count())
+	}
+}
+
+// Reserve makes Fresh skip the null labels of an instance; Count
+// counts minted nulls only.
+func TestNullFactoryReserve(t *testing.T) {
+	in := NewInstance()
+	in.Add(Tuple{Rel: "r", Args: []Value{NullValue("N1"), Const("a")}})
+	in.Add(Tuple{Rel: "r", Args: []Value{Const("N2"), NullValue("N3")}})
+	var f NullFactory
+	f.Reserve(in)
+	var got []string
+	for i := 0; i < 3; i++ {
+		got = append(got, f.Fresh().Name())
+	}
+	if want := []string{"N2", "N4", "N5"}; !slices.Equal(got, want) {
+		t.Errorf("fresh labels = %v, want %v (N1 and N3 reserved; the constant N2 is not)", got, want)
+	}
+	if f.Count() != 3 {
+		t.Errorf("Count = %d, want 3", f.Count())
 	}
 }
 

@@ -4,17 +4,19 @@ package data
 // The scan-based reference in hom.go probes candidate images by
 // walking every target tuple of a relation; at scenario scale that
 // rescan of J per block tuple dominates Problem.Prepare. The Index
-// replaces it with posting lists (relation → constant position →
-// value → tuple ids), and the Searcher adds per-tuple candidate-set
-// memoisation plus reusable search scratch, so one enumeration does
-// index lookups only and allocates nothing per call.
+// replaces it with two-level posting lists (relation → argument
+// position → value → tuple ids), and the Searcher adds per-tuple
+// candidate-set memoisation, bound-null probes and reusable search
+// scratch, so one enumeration does index lookups only and allocates
+// nothing per call.
 //
 // The enumeration order is identical to the reference path: block
 // tuples are processed constant-rich first (same stable sort), and
 // candidate images are tried in target insertion order (posting lists
 // are built in global id order, which is Instance.All() order). The
-// differential tests in index_test.go and internal/cover pin the two
-// paths against each other, hom limits included.
+// differential tests and the fuzz target in index_test.go, and the
+// analysis differentials in internal/cover, pin the two paths against
+// each other, hom limits included.
 
 // Index is a probe structure over one instance. Tuple ids are
 // positions in the Instance.All() order at build time; the index does
@@ -23,8 +25,7 @@ package data
 // streaming ingestion path of cover.Tracker.
 type Index struct {
 	tuples []Tuple
-	rels   map[string][]int32
-	post   map[postKey][]int32
+	rels   map[string]*relPostings
 	// Tombstones: Remove marks ids dead instead of compacting, so
 	// every live id stays stable and posting lists need no surgery.
 	// dead stays nil until the first Remove, keeping the append-only
@@ -33,12 +34,40 @@ type Index struct {
 	numDead int
 }
 
-// postKey addresses one posting list: the tuples of a relation holding
-// a specific value at a specific argument position.
-type postKey struct {
-	rel string
-	pos int
-	val Value
+// relPostings is the second index level of one relation: its tuple
+// ids, and per argument position the ids holding each value there.
+// Every list is in ascending id order.
+type relPostings struct {
+	ids []int32
+	pos []map[Value][]int32
+	// arity is the arity every tuple of the relation has, or -1 when
+	// they differ.
+	arity int
+}
+
+// add appends tuple id to the relation's lists.
+func (rp *relPostings) add(id int32, t Tuple) {
+	if len(rp.ids) == 0 {
+		rp.arity = len(t.Args)
+	} else if rp.arity != len(t.Args) {
+		rp.arity = -1
+	}
+	rp.ids = append(rp.ids, id)
+	for len(rp.pos) < len(t.Args) {
+		rp.pos = append(rp.pos, make(map[Value][]int32))
+	}
+	for p, a := range t.Args {
+		rp.pos[p][a] = append(rp.pos[p][a], id)
+	}
+}
+
+// posting returns the ids of the relation's tuples holding v at
+// position p.
+func (rp *relPostings) posting(p int, v Value) []int32 {
+	if p >= len(rp.pos) {
+		return nil
+	}
+	return rp.pos[p][v]
 }
 
 // NewIndex builds the posting-list index of an instance.
@@ -48,18 +77,8 @@ func NewIndex(in *Instance) *Index { return IndexTuples(in.All()) }
 // tuple's id is its position in the list. The index takes ownership
 // of the slice (Tuples returns it) — the caller must not modify it.
 func IndexTuples(tuples []Tuple) *Index {
-	ix := &Index{
-		tuples: tuples,
-		rels:   make(map[string][]int32),
-		post:   make(map[postKey][]int32),
-	}
-	for id, t := range ix.tuples {
-		ix.rels[t.Rel] = append(ix.rels[t.Rel], int32(id))
-		for p, a := range t.Args {
-			k := postKey{rel: t.Rel, pos: p, val: a}
-			ix.post[k] = append(ix.post[k], int32(id))
-		}
-	}
+	ix := &Index{tuples: tuples, rels: make(map[string]*relPostings)}
+	ix.indexFrom(0)
 	return ix
 }
 
@@ -70,17 +89,31 @@ func IndexTuples(tuples []Tuple) *Index {
 // path relies on to skip blocks untouched by a delta. The caller is
 // responsible for not appending duplicates of indexed tuples.
 func (ix *Index) Append(tuples []Tuple) {
-	for _, t := range tuples {
-		id := int32(len(ix.tuples))
-		ix.tuples = append(ix.tuples, t)
-		if ix.dead != nil {
-			ix.dead = append(ix.dead, false)
+	base := len(ix.tuples)
+	ix.tuples = append(ix.tuples, tuples...)
+	if ix.dead != nil {
+		ix.dead = append(ix.dead, make([]bool, len(tuples))...)
+	}
+	ix.indexFrom(base)
+}
+
+// indexFrom adds the tuples with ids base.. to the posting lists.
+func (ix *Index) indexFrom(base int) {
+	var rel string
+	var rp *relPostings
+	for id := base; id < len(ix.tuples); id++ {
+		t := ix.tuples[id]
+		// Tuples arrive grouped by relation, so the first level is
+		// looked up once per run of equal relations.
+		if rp == nil || t.Rel != rel {
+			rel = t.Rel
+			rp = ix.rels[rel]
+			if rp == nil {
+				rp = &relPostings{}
+				ix.rels[rel] = rp
+			}
 		}
-		ix.rels[t.Rel] = append(ix.rels[t.Rel], id)
-		for p, a := range t.Args {
-			k := postKey{rel: t.Rel, pos: p, val: a}
-			ix.post[k] = append(ix.post[k], id)
-		}
+		rp.add(int32(id), t)
 	}
 }
 
@@ -136,40 +169,76 @@ func (ix *Index) Tuple(id int32) Tuple { return ix.tuples[id] }
 // homomorphism (agreeing on every constant position of t), in
 // ascending id order. Within-tuple repeated-null consistency is NOT
 // checked here; callers enforce it during search. The returned slice
-// is freshly allocated; Searcher memoises it per tuple pattern.
-func (ix *Index) Candidates(t Tuple) []int32 {
-	// Probe the most selective posting list among t's constant
-	// positions, then verify the remaining constants per candidate.
-	probe := ix.rels[t.Rel]
-	havePost := false
-	for p, a := range t.Args {
-		if a.IsNull() {
-			continue
-		}
-		l := ix.post[postKey{rel: t.Rel, pos: p, val: a}]
-		if !havePost || len(l) < len(probe) {
-			probe, havePost = l, true
-		}
-		if len(probe) == 0 {
-			return nil
-		}
+// may share the index's storage and must not be modified; Searcher
+// memoises it per tuple pattern.
+func (ix *Index) Candidates(t Tuple) []int32 { return ix.candidates(ix.rels[t.Rel], t) }
+
+// candidates is Candidates over t's relation postings (nil when the
+// relation holds no tuples).
+func (ix *Index) candidates(rp *relPostings, t Tuple) []int32 {
+	probe := rp.probe(t)
+	if ix.dead == nil && rp != nil && rp.arity == len(t.Args) && constants(t) <= 1 {
+		// Every tuple of the probe list has t's arity and agrees with
+		// its constant, if any: the list is the candidate set.
+		return probe
 	}
 	out := make([]int32, 0, len(probe))
-	if ix.dead == nil {
-		for _, id := range probe {
-			if MatchConstPositions(t, ix.tuples[id]) {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
 	for _, id := range probe {
-		if !ix.dead[id] && MatchConstPositions(t, ix.tuples[id]) {
+		if ix.live(id) && MatchConstPositions(t, ix.tuples[id]) {
 			out = append(out, id)
 		}
 	}
 	return out
 }
+
+// Embeds reports whether the single tuple t has a homomorphic image
+// among the live indexed tuples. Unlike Searcher.TupleEmbeds it
+// memoises nothing and allocates nothing: it suits one-off probes of a
+// small index, such as a delta.
+func (ix *Index) Embeds(t Tuple) bool {
+	for _, id := range ix.rels[t.Rel].probe(t) {
+		if ix.live(id) && TupleMapsTo(t, ix.tuples[id]) {
+			return true
+		}
+	}
+	return false
+}
+
+// probe returns the most selective posting list among t's constant
+// positions (the relation's ids when t has none); every candidate
+// image of t is in it. A nil receiver has no tuples.
+func (rp *relPostings) probe(t Tuple) []int32 {
+	if rp == nil {
+		return nil
+	}
+	probe := rp.ids
+	for p, a := range t.Args {
+		if a.IsNull() {
+			continue
+		}
+		if l := rp.posting(p, a); len(l) < len(probe) {
+			probe = l
+		}
+		if len(probe) == 0 {
+			return nil
+		}
+	}
+	return probe
+}
+
+// constants counts t's constant arguments.
+func constants(t Tuple) int {
+	n := 0
+	for _, a := range t.Args {
+		if !a.IsNull() {
+			n++
+		}
+	}
+	return n
+}
+
+// live is Live for an id known to be in range.
+func (ix *Index) live(id int32) bool { return ix.dead == nil || !ix.dead[id] }
 
 // IndexedMatch is the allocation-free analogue of BlockMatch emitted
 // by Searcher.EnumeratePartialHoms: Image[i] is the id of the target
@@ -181,6 +250,18 @@ type IndexedMatch struct {
 	Image  []int32
 }
 
+// probeCutoff is the candidate-set size above which the search looks
+// for a shorter posting list through the tuple's bound nulls: below
+// it, trying every candidate is cheaper than the value lookups.
+const probeCutoff = 16
+
+// candSet is a memoised candidate set with its relation's postings,
+// which the bound-null probe reads.
+type candSet struct {
+	ids []int32
+	rp  *relPostings
+}
+
 // Searcher runs indexed homomorphism searches against one Index. It
 // memoises candidate sets per tuple pattern and single-tuple
 // embedding verdicts per canonical pattern, and reuses all search
@@ -188,20 +269,27 @@ type IndexedMatch struct {
 // worker (the Index itself is shared and read-only).
 type Searcher struct {
 	ix       *Index
-	candMemo map[string][]int32
+	candMemo map[string]candSet
 	embMemo  map[string]bool
 
-	// Search scratch, grown on demand.
+	// Search scratch, grown on demand. Per-tuple slices are indexed by
+	// processing position k (block tuple order[k]).
 	order  []int
 	consts []int
-	cands  [][]int32
+	cands  []candSet
 	mapped []bool
 	image  []int32
-	// Null bindings as parallel slices: blocks bind only a handful of
-	// nulls at a time, so a linear scan beats map hashing and the
-	// binding list doubles as the backtracking stack.
-	nullLbls []string
-	nullVals []Value
+	// The block's nulls are numbered into slots once per search:
+	// argSlot[argOff[k]+p] is the slot of argument p of the k-th
+	// processed tuple, or -1 for a constant. slotVal holds the image of
+	// each bound slot and stack the bound slots in binding order, which
+	// doubles as the backtracking trail.
+	argSlot  []int32
+	argOff   []int
+	slotLbls []string
+	slotVal  []Value
+	isBound  []bool
+	stack    []int32
 	match    IndexedMatch
 	keyBuf   []byte
 	canonBuf []byte
@@ -218,7 +306,7 @@ type Searcher struct {
 func NewSearcher(ix *Index) *Searcher {
 	return &Searcher{
 		ix:       ix,
-		candMemo: make(map[string][]int32),
+		candMemo: make(map[string]candSet),
 		embMemo:  make(map[string]bool),
 	}
 }
@@ -231,12 +319,13 @@ func (s *Searcher) Index() *Index { return s.ix }
 // positions and values), so chase tuples repeating across firings and
 // candidates hit the cache. The key is built into a reused buffer;
 // lookups by string(buf) do not allocate, only misses intern the key.
-func (s *Searcher) candidatesFor(t Tuple) []int32 {
+func (s *Searcher) candidatesFor(t Tuple) candSet {
 	s.keyBuf = appendPattern(s.keyBuf[:0], t)
 	if c, ok := s.candMemo[string(s.keyBuf)]; ok {
 		return c
 	}
-	c := s.ix.Candidates(t)
+	rp := s.ix.rels[t.Rel]
+	c := candSet{ids: s.ix.candidates(rp, t), rp: rp}
 	s.candMemo[string(s.keyBuf)] = c
 	return c
 }
@@ -274,13 +363,7 @@ func (s *Searcher) EnumeratePartialHoms(block []Tuple, limit int, emit func(*Ind
 	consts := s.consts[:n]
 	for i, t := range block {
 		order[i] = i
-		c := 0
-		for _, a := range t.Args {
-			if !a.IsNull() {
-				c++
-			}
-		}
-		consts[i] = c
+		consts[i] = constants(t)
 	}
 	// Constant-rich tuples first (same stable insertion sort as the
 	// reference path) so nulls bind early and all-null tuples see a
@@ -290,10 +373,23 @@ func (s *Searcher) EnumeratePartialHoms(block []Tuple, limit int, emit func(*Ind
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
+	s.argSlot = s.argSlot[:0]
+	s.slotLbls = s.slotLbls[:0]
 	for k := 0; k < n; k++ {
-		s.cands[k] = s.candidatesFor(block[order[k]])
+		t := block[order[k]]
+		s.cands[k] = s.candidatesFor(t)
 		s.mapped[k] = false
+		s.argOff[k] = len(s.argSlot)
+		for _, a := range t.Args {
+			s.argSlot = append(s.argSlot, s.slotOf(a))
+		}
 	}
+	s.argOff[n] = len(s.argSlot)
+	for len(s.slotVal) < len(s.slotLbls) {
+		s.slotVal = append(s.slotVal, Value{})
+		s.isBound = append(s.isBound, false)
+	}
+	s.stack = s.stack[:0]
 	s.block = block
 	s.limit = limit
 	s.emitted = 0
@@ -306,20 +402,37 @@ func (s *Searcher) EnumeratePartialHoms(block []Tuple, limit int, emit func(*Ind
 	s.emit = nil
 }
 
+// slotOf returns the null slot of a, numbering a new label on first
+// sight, or -1 for a constant.
+func (s *Searcher) slotOf(a Value) int32 {
+	if !a.IsNull() {
+		return -1
+	}
+	for k, l := range s.slotLbls {
+		if l == a.Name() {
+			return int32(k)
+		}
+	}
+	s.slotLbls = append(s.slotLbls, a.Name())
+	return int32(len(s.slotLbls) - 1)
+}
+
 // grow sizes the scratch for a block of n tuples.
 func (s *Searcher) grow(n int) {
 	if cap(s.order) < n {
 		s.order = make([]int, n)
 		s.consts = make([]int, n)
-		s.cands = make([][]int32, n)
+		s.cands = make([]candSet, n)
 		s.mapped = make([]bool, n)
 		s.image = make([]int32, n)
+		s.argOff = make([]int, n+1)
 	}
 	s.order = s.order[:n]
 	s.consts = s.consts[:n]
 	s.cands = s.cands[:n]
 	s.mapped = s.mapped[:n]
 	s.image = s.image[:n]
+	s.argOff = s.argOff[:n+1]
 }
 
 func (s *Searcher) rec(k int) {
@@ -335,17 +448,39 @@ func (s *Searcher) rec(k int) {
 	}
 	i := s.order[k]
 	t := s.block[i]
+	slots := s.argSlot[s.argOff[k]:s.argOff[k+1]]
+	// A bound null narrows the candidates to the posting list of its
+	// image at that position. The filtered list is exactly the
+	// subsequence of the candidate set that tryBind could accept, in
+	// the same ascending-id order, so the emissions do not change.
+	probe, filter := s.cands[k].ids, false
+	if len(probe) > probeCutoff {
+		for p, sl := range slots {
+			if sl < 0 || !s.isBound[sl] {
+				continue
+			}
+			if l := s.cands[k].rp.posting(p, s.slotVal[sl]); len(l) < len(probe) {
+				probe, filter = l, true
+			}
+		}
+	}
 	// Option 1: map tuple i to each consistent candidate.
-	for _, cid := range s.cands[k] {
-		mark := len(s.nullLbls)
-		if s.tryBind(t, s.ix.tuples[cid]) {
+	for _, cid := range probe {
+		cand := s.ix.tuples[cid]
+		if filter && (!s.ix.live(cid) || !MatchConstPositions(t, cand)) {
+			continue
+		}
+		mark := len(s.stack)
+		if s.tryBind(slots, cand) {
 			s.mapped[i] = true
 			s.image[i] = cid
 			s.rec(k + 1)
 			s.mapped[i] = false
 		}
-		s.nullLbls = s.nullLbls[:mark]
-		s.nullVals = s.nullVals[:mark]
+		for _, sl := range s.stack[mark:] {
+			s.isBound[sl] = false
+		}
+		s.stack = s.stack[:mark]
 		if s.stopped || s.emitted >= s.limit {
 			return
 		}
@@ -354,31 +489,24 @@ func (s *Searcher) rec(k int) {
 	s.rec(k + 1)
 }
 
-// tryBind extends the current null assignment so that t maps onto
-// cand, appending new bindings to the stack. Constants were already
-// verified by the candidate probe. On failure the caller rolls back
-// to its mark (partial binds included).
-func (s *Searcher) tryBind(t, cand Tuple) bool {
-	for p, a := range t.Args {
-		if !a.IsNull() {
+// tryBind extends the current null assignment so that the tuple with
+// the given argument slots maps onto cand, pushing new bindings on the
+// stack. Constants were already verified by the candidate probe. On
+// failure the caller rolls back to its mark (partial binds included).
+func (s *Searcher) tryBind(slots []int32, cand Tuple) bool {
+	for p, sl := range slots {
+		if sl < 0 {
 			continue
 		}
-		lbl := a.Name()
-		bound := false
-		for k := len(s.nullLbls) - 1; k >= 0; k-- {
-			if s.nullLbls[k] == lbl {
-				if s.nullVals[k] != cand.Args[p] {
-					return false
-				}
-				bound = true
-				break
+		if s.isBound[sl] {
+			if s.slotVal[sl] != cand.Args[p] {
+				return false
 			}
-		}
-		if bound {
 			continue
 		}
-		s.nullLbls = append(s.nullLbls, lbl)
-		s.nullVals = append(s.nullVals, cand.Args[p])
+		s.isBound[sl] = true
+		s.slotVal[sl] = cand.Args[p]
+		s.stack = append(s.stack, sl)
 	}
 	return true
 }
@@ -393,7 +521,7 @@ func (s *Searcher) TupleEmbeds(t Tuple) bool {
 		return v
 	}
 	res := false
-	for _, cid := range s.candidatesFor(t) {
+	for _, cid := range s.candidatesFor(t).ids {
 		if repeatedNullsConsistent(t, s.ix.tuples[cid]) {
 			res = true
 			break
@@ -403,19 +531,26 @@ func (s *Searcher) TupleEmbeds(t Tuple) bool {
 	return res
 }
 
-// BlockCanonKey renders a block of tuples canonically up to null
-// renaming: nulls are numbered by first occurrence across the whole
-// block, constants verbatim. Two blocks with equal keys are
-// isomorphic, so per-block computations (homomorphism evidence) can
-// be memoised on it.
-func BlockCanonKey(block []Tuple) string {
-	var buf []byte
-	var lbls []string
+// BlockKeyBuf renders canonical block keys into reused scratch, so a
+// memo lookup by string(kb.Key(block)) does not allocate.
+type BlockKeyBuf struct {
+	buf  []byte
+	lbls []string
+}
+
+// Key renders a block of tuples canonically up to null renaming:
+// nulls are numbered by first occurrence across the whole block,
+// constants verbatim. Two blocks with equal keys are isomorphic, so
+// per-block computations (homomorphism evidence) can be memoised on
+// it. The bytes are valid until the next call.
+func (kb *BlockKeyBuf) Key(block []Tuple) []byte {
+	kb.buf = kb.buf[:0]
+	kb.lbls = kb.lbls[:0]
 	for _, t := range block {
-		buf = appendCanonPattern(buf, t, &lbls)
-		buf = append(buf, ';')
+		kb.buf = appendCanonPattern(kb.buf, t, &kb.lbls)
+		kb.buf = append(kb.buf, ';')
 	}
-	return string(buf)
+	return kb.buf
 }
 
 // appendCanonPattern appends the canonical pattern of t (see

@@ -3,7 +3,6 @@ package data
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -51,6 +50,25 @@ func randomBlock(rng *rand.Rand) []Tuple {
 	return block
 }
 
+// randomNullBlock builds a block of two to four tuples that are mostly
+// shared nulls — link-table shapes, whose later tuples are narrowed by
+// nulls bound earlier rather than by constants.
+func randomNullBlock(rng *rand.Rand) []Tuple {
+	block := make([]Tuple, 2+rng.Intn(3))
+	for i := range block {
+		args := make([]Value, 1+rng.Intn(3))
+		for p := range args {
+			if rng.Intn(4) == 0 {
+				args[p] = Const(string(rune('a' + rng.Intn(5))))
+			} else {
+				args[p] = NullValue(fmt.Sprintf("N%d", rng.Intn(3)))
+			}
+		}
+		block[i] = Tuple{Rel: []string{"r", "s", "u"}[rng.Intn(3)], Args: args}
+	}
+	return block
+}
+
 // collect runs the reference enumeration and returns the emitted
 // (Mapped, Image-key) sequences.
 type flatMatch struct {
@@ -94,26 +112,35 @@ func collectIndexed(block []Tuple, s *Searcher, limit int) []flatMatch {
 
 // The indexed searcher must emit exactly the reference sequence —
 // same matches, same order — including under tight hom limits, so
-// capped analyses stay bit-identical across the two paths.
+// capped analyses stay bit-identical across the two paths. Every
+// other trial tombstones a random subset of the target, which the
+// reference sees as the live tuples only; the larger targets put more
+// than probeCutoff tuples in a relation, so bound-null probes run.
 func TestIndexedSearchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 200; trial++ {
-		target := randomInstance(rng, 4+rng.Intn(30), trial%3 == 0)
-		block := randomBlock(rng)
-		s := NewSearcher(NewIndex(target))
-		for _, limit := range []int{0, 1, 7} {
-			want := collectReference(block, target, limit)
-			got := collectIndexed(block, s, limit)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d limit %d:\nblock %v\ntarget:\n%v\ngot  %v\nwant %v",
-					trial, limit, block, target, got, want)
+	for trial := 0; trial < 300; trial++ {
+		size, block := 4+rng.Intn(30), randomBlock(rng)
+		if trial%3 == 2 {
+			size, block = 150+rng.Intn(100), randomNullBlock(rng)
+		}
+		target := randomInstance(rng, size, trial%3 == 0).All()
+		var dead []int32
+		if trial%2 == 1 {
+			for id := range target {
+				if rng.Intn(4) == 0 {
+					dead = append(dead, int32(id))
+				}
 			}
+		}
+		for _, limit := range []int{0, 1, 7} {
+			checkSearchCase(t, searchCase{target: target, dead: dead, block: block, limit: limit})
 		}
 	}
 }
 
-// Searcher.TupleEmbeds must agree with the reference TupleEmbeds,
-// memoisation included (repeat queries exercise the cache).
+// Searcher.TupleEmbeds and Index.Embeds must agree with the reference
+// TupleEmbeds, memoisation included (repeat queries exercise the
+// cache).
 func TestIndexedTupleEmbedsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 100; trial++ {
@@ -128,6 +155,9 @@ func TestIndexedTupleEmbedsMatchesReference(t *testing.T) {
 			}
 			if got := s.TupleEmbeds(tu); got != want { // memo hit
 				t.Fatalf("trial %d: memoised TupleEmbeds(%v) flipped to %v", trial, tu, got)
+			}
+			if got := s.Index().Embeds(tu); got != want {
+				t.Fatalf("trial %d: Index.Embeds(%v) = %v, reference %v", trial, tu, got, want)
 			}
 		}
 	}

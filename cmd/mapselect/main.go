@@ -162,6 +162,8 @@ func main() {
 	note := ""
 	if sel.Truncated {
 		note = ", budget expired — best so far"
+	} else if sel.Unconverged {
+		note = ", relaxation did not converge"
 	}
 	fmt.Printf("\nsolver      : %s (%v, %d iterations%s)\n", sel.Solver, sel.Runtime, sel.Iterations, note)
 	fmt.Printf("objective   : %s\n", sel.Objective)

@@ -170,6 +170,12 @@ func gatePhase(reports []*Report, scale string, gated map[string]float64, gatePe
 					continue
 				}
 				measured = true
+				if res.Unconverged {
+					// An iteration-capped solve time is not comparable.
+					failures = append(failures, fmt.Sprintf(
+						"%s@%s %s: gated solver did not converge", name, scale, phase))
+					continue
+				}
 				got := metric(res) / r.CalibrationMillis
 				limit := want * (1 + gatePercent/100)
 				if got > limit {

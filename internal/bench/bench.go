@@ -92,6 +92,10 @@ type Result struct {
 	// GoldObjective is F at the generating mapping, for context.
 	GoldObjective float64 `json:"goldObjective"`
 	Truncated     bool    `json:"truncated"`
+	// Unconverged flags a relaxation that stopped short of its
+	// convergence tolerance (see core.Selection.Unconverged); omitted
+	// when false.
+	Unconverged bool `json:"unconverged,omitempty"`
 	// Allocations during the solve (prepare excluded).
 	Allocs     uint64 `json:"allocs"`
 	AllocBytes uint64 `json:"allocBytes"`
@@ -185,10 +189,11 @@ func Run(ctx context.Context, opt Options) ([]*Report, error) {
 			reports[name].Results = append(reports[name].Results, *res)
 			if opt.Progress != nil {
 				line := fmt.Sprintf(
-					"%s/%-12s prepare=%8.1fms solve=%9.1fms iter=%6d F=%.4g allocs=%d%s",
+					"%s/%-12s prepare=%8.1fms solve=%9.1fms iter=%6d F=%.4g allocs=%d%s%s",
 					spec.Name, name, res.PrepareMillis, res.SolveMillis,
 					res.Iterations, res.Objective, res.Allocs,
-					map[bool]string{true: " (truncated)"}[res.Truncated])
+					map[bool]string{true: " (truncated)"}[res.Truncated],
+					map[bool]string{true: " (unconverged)"}[res.Unconverged])
 				if res.Skipped != "" {
 					line = fmt.Sprintf("%s/%-12s skipped: %s", spec.Name, name, res.Skipped)
 				}
@@ -254,6 +259,7 @@ func runOne(ctx context.Context, spec Spec, sc *ibench.Scenario, name string, op
 		Objective:     sel.Objective.Total(),
 		GoldObjective: p.Objective(sc.GoldSelection()).Total(),
 		Truncated:     sel.Truncated,
+		Unconverged:   sel.Unconverged,
 		Allocs:        after.Mallocs - before.Mallocs,
 		AllocBytes:    after.TotalAlloc - before.TotalAlloc,
 	}, nil

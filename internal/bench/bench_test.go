@@ -141,6 +141,12 @@ func TestBaselineGate(t *testing.T) {
 	if err := CheckBaseline(base, skipped, 20); err == nil {
 		t.Error("skipped gated solver must fail the gate")
 	}
+	// An iteration-capped solve can look fast; it is not comparable.
+	capped := fakeReports(1)
+	capped[0].Results[0].Unconverged = true
+	if err := CheckBaseline(base, capped, 20); err == nil {
+		t.Error("unconverged gated solver must fail the gate")
+	}
 	off := fakeReports(100)
 	off[0].Results[0].Scale = "M"
 	if err := CheckBaseline(base, off, 20); err == nil {

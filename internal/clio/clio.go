@@ -240,12 +240,19 @@ func buildTGD(src, tgt *schema.Schema, sa, ta Association, bySlot map[string]sch
 			tv.union(slotKey(fk.FromRel, fk.FromCols[i]), slotKey(fk.ToRel, fk.ToCols[i]))
 		}
 	}
-	// A whole merged slot class is corresponded if any member slot is.
+	// A whole merged slot class is corresponded if any member slot
+	// is; with several, the first slot in sorted order supplies it, so
+	// equal inputs build equal candidates.
+	slots := make([]string, 0, len(bySlot))
+	for k := range bySlot {
+		slots = append(slots, k)
+	}
+	sort.Strings(slots)
 	classCorr := make(map[string]schema.Correspondence)
-	for k, c := range bySlot {
+	for _, k := range slots {
 		root := tv.find(k)
 		if _, dup := classCorr[root]; !dup {
-			classCorr[root] = c
+			classCorr[root] = bySlot[k]
 		}
 	}
 	head := make([]tgd.Atom, 0, len(ta.Rels))
@@ -272,6 +279,7 @@ func buildTGD(src, tgt *schema.Schema, sa, ta Association, bySlot map[string]sch
 	// Connectivity check: every non-corresponded atom must share an
 	// existential variable, transitively, with a corresponded atom.
 	reach := make(map[string]bool)
+	//lint:commutative set insertion: reach is the same set in any order
 	for r, g := range atomGrounded {
 		if g {
 			reach[r] = true
@@ -280,6 +288,7 @@ func buildTGD(src, tgt *schema.Schema, sa, ta Association, bySlot map[string]sch
 	for changed := true; changed; {
 		changed = false
 		varOwned := make(map[string]bool)
+		//lint:commutative set union: varOwned is the same set in any order
 		for r := range reach {
 			for _, v := range atomVars[r] {
 				varOwned[v] = true

@@ -173,13 +173,14 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 	}
 
 	return &Selection{
-		Chosen:     sel,
-		Objective:  p.Objective(sel),
-		Solver:     s.Name(),
-		Runtime:    time.Since(start),
-		Iterations: sol.Iterations,
-		Truncated:  truncated,
-		Relaxation: relax,
+		Chosen:      sel,
+		Objective:   p.Objective(sel),
+		Solver:      s.Name(),
+		Runtime:     time.Since(start),
+		Iterations:  sol.Iterations,
+		Truncated:   truncated,
+		Unconverged: !sol.Converged,
+		Relaxation:  relax,
 	}, nil
 }
 

@@ -191,3 +191,33 @@ func TestExhaustivePrunesUselessCandidates(t *testing.T) {
 		t.Errorf("B&B explored %d nodes, pruning inactive?", sel.Iterations)
 	}
 }
+
+// A collective solve says whether its relaxation converged: capped at
+// one ADMM iteration it does not, by default it does, and greedy, with
+// no relaxation, never claims otherwise.
+func TestCollectiveReportsConvergence(t *testing.T) {
+	p := scenarioProblem(t, 7, 7, 20)
+	ctx := context.Background()
+	capped, err := CollectiveSolver{ADMM: psl.ADMMOptions{MaxIterations: 1}}.Solve(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !capped.Unconverged || capped.Truncated || capped.Iterations != 1 {
+		t.Fatalf("MaxIterations 1: unconverged=%v truncated=%v iterations=%d; want true, false, 1",
+			capped.Unconverged, capped.Truncated, capped.Iterations)
+	}
+	def, err := CollectiveSolver{}.Solve(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Unconverged {
+		t.Fatalf("default solve reports unconverged after %d iterations", def.Iterations)
+	}
+	greedy, err := GreedySolver{}.Solve(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if greedy.Unconverged {
+		t.Fatal("greedy reports an unconverged relaxation it does not have")
+	}
+}

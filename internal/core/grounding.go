@@ -293,11 +293,10 @@ func warmRelax(p *Problem, w *Selection) []float64 {
 
 // warmInitial builds the ADMM starting consensus from a prior
 // selection (the WithWarmStart path): In atoms start at the prior
-// relaxation (or the 0/1 selection when no relaxation was recorded),
-// and Explained atoms at their induced optimal value min(1, Σ
-// covers·In) under the current — possibly appended — evidence, so the
-// linking constraints start (near-)satisfied. Variables the prior
-// says nothing about keep the neutral 0.5. It reads the cached
+// relaxation (or the 0/1 selection when no relaxation was recorded).
+// Every other variable keeps the neutral 0.5; that includes the
+// Explained atoms, which psl's presolve eliminates whenever w₁ > 0
+// and sets to min(1, Σ covers·In) after the solve. It reads the cached
 // variable indices only, so it never creates a variable on the shared
 // MRF.
 func (g *grounding) warmInitial(p *Problem, w *Selection) []float64 {
@@ -308,21 +307,6 @@ func (g *grounding) warmInitial(p *Problem, w *Selection) []float64 {
 	relax := warmRelax(p, w)
 	for i, v := range g.inVar {
 		init[v] = relax[i]
-	}
-	inc := p.Incidence()
-	for j := 0; j < inc.NumTuples(); j++ {
-		if j >= len(g.expVar) || g.expVar[j] < 0 {
-			continue
-		}
-		cands, covs := inc.Row(j)
-		sum := 0.0
-		for k, i := range cands {
-			sum += covs[k] * relax[i]
-		}
-		if sum > 1 {
-			sum = 1
-		}
-		init[g.expVar[j]] = sum
 	}
 	return init
 }

@@ -424,6 +424,14 @@ type Selection struct {
 	// Truncated reports that a WithBudget soft budget ran out before
 	// the solver finished; the selection is its best so far.
 	Truncated bool
+	// Unconverged reports that the solver's continuous relaxation
+	// stopped before meeting its convergence tolerance: the ADMM
+	// iteration cap was reached, or a soft budget cut inference short
+	// (then Truncated is set too). The selection is still rounded and
+	// repaired, but from an approximate relaxation; raising
+	// psl.ADMMOptions.MaxIterations is the remedy. Solvers without an
+	// iterative relaxation never set it.
+	Unconverged bool
 	// Relaxation, for the collective solver, holds the continuous
 	// ADMM values of the selection variables before rounding.
 	Relaxation []float64

@@ -8,6 +8,7 @@ package ibench
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 
 	"schemamap/internal/data"
@@ -122,10 +123,18 @@ func encodeInstance(in *data.Instance) map[string][][]string {
 	return out
 }
 
+// decodeInstance adds relations in sorted name order, so a decoded
+// instance's relation and tuple order — and the J ids built on it —
+// are the same on every decode.
 func decodeInstance(m map[string][][]string) (*data.Instance, error) {
 	in := data.NewInstance()
-	for rel, rows := range m {
-		for _, row := range rows {
+	rels := make([]string, 0, len(m))
+	for rel := range m {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels)
+	for _, rel := range rels {
+		for _, row := range m[rel] {
 			args := make([]data.Value, len(row))
 			for i, s := range row {
 				v, err := DecodeValue(s)

@@ -166,6 +166,8 @@ var resultPackages = map[string]bool{
 	"shard":   true,
 	"quality": true,
 	"chase":   true,
+	"clio":    true,
+	"ibench":  true,
 }
 
 func resultAffecting(pkg *Package) bool {

@@ -70,10 +70,13 @@ type ADMMOptions struct {
 
 // ADMMState is the warm-restartable part of an ADMM solve: the final
 // consensus vector, the scaled duals of every factor keyed by its slot
-// in MRF.Potentials / MRF.Constraints, and the rho they are scaled by. Captured via ADMMOptions.CaptureState, restored
-// via ADMMOptions.Warm. The two dual blocks are kept separate because
-// an incrementally grown MRF appends to both slices independently; a
-// single factor-order block would misalign after growth.
+// in MRF.Potentials / MRF.Constraints, and the rho they are scaled by.
+// Captured via ADMMOptions.CaptureState, restored via ADMMOptions.Warm.
+// The two dual blocks are kept separate because an incrementally grown
+// MRF appends to both slices independently; a single factor-order
+// block would misalign after growth. When the presolve eliminates a
+// variable, its hinge's PotU slot is nil and the merged factor's dual
+// lives in its linking constraint's ConsU slot.
 type ADMMState struct {
 	// Z is the consensus vector; restored per-index, so variables
 	// appended after the capture simply start from Initial/default.
@@ -139,15 +142,18 @@ const (
 )
 
 // factorSet is the ground program in struct-of-arrays form: one ADMM
-// block per potential (first numPot) or hard constraint, with terms
-// flattened into contiguous CSR arrays. The hot loops touch y/u/coefs
-// /vars sequentially per factor instead of chasing per-factor slice
-// headers, which roughly halves the per-iteration wall time on
-// cache-bound problems; the arithmetic order per factor and per
-// variable is unchanged, so iterates are bit-identical to the old
-// pointer layout.
+// block per factor, with terms flattened into contiguous CSR arrays.
+// The hot loops touch y/u/coefs/vars sequentially per factor instead
+// of chasing per-factor slice headers, which roughly halves the
+// per-iteration wall time on cache-bound problems.
+//
+// Factors are the MRF's potentials, then its constraints, in slot
+// order, except that the presolve (see presolve) drops each eliminated
+// variable's hinge and compiles its linking constraint into one merged
+// hinge. potFactor/consFactor map MRF slots to factor indices, so
+// captured duals stay keyed by MRF slot. With nothing eliminated the
+// layout, and every iterate, is that of the plain slot-order compile.
 type factorSet struct {
-	numPot int
 	off    []int32 // factor fi owns terms off[fi]..off[fi+1]
 	vars   []int32 // flat term variable indices
 	coefs  []float64
@@ -156,6 +162,16 @@ type factorSet struct {
 	weight []float64 // per factor (potentials; 0 for constraints)
 	norm2  []float64 // per factor, Σ coef²
 	kind   []uint8   // per factor
+
+	potFactor  []int32   // MRF potential slot → factor, -1 when eliminated
+	consFactor []int32   // MRF constraint slot → factor
+	elim       []elimVar // eliminated variables, recovered after the solve
+}
+
+// elimVar is a variable the presolve removed from the ADMM problem,
+// with the constraint slot its value is recovered from.
+type elimVar struct {
+	v, cons int32
 }
 
 func (fs *factorSet) len() int { return len(fs.kind) }
@@ -236,44 +252,23 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 			rho = w.Rho
 		}
 	}
-	numPot := len(m.Potentials)
 	fs := buildFactorSet(m)
 	numFactors := fs.len()
 	if w := opts.Warm; w != nil {
-		for pi, u := range w.PotU {
-			if pi >= numPot || u == nil {
-				continue
-			}
-			if lo, hi := fs.off[pi], fs.off[pi+1]; len(u) == int(hi-lo) {
-				copy(fs.u[lo:hi], u)
-			}
-		}
-		for ci, u := range w.ConsU {
-			fi := numPot + ci
-			if fi >= numFactors || u == nil {
-				continue
-			}
-			if lo, hi := fs.off[fi], fs.off[fi+1]; len(u) == int(hi-lo) {
-				copy(fs.u[lo:hi], u)
-			}
-		}
+		fs.restoreDuals(w.PotU, fs.potFactor)
+		fs.restoreDuals(w.ConsU, fs.consFactor)
 	}
 	captureState := func(rho float64) *ADMMState {
-		st := &ADMMState{
+		// One backing array holds every dual; each slot is a
+		// capacity-capped window into it, so rescaling a slot in place
+		// works and appending to one never spills into the next.
+		buf := append([]float64(nil), fs.u...)
+		return &ADMMState{
 			Z:     append([]float64(nil), z...),
-			PotU:  make([][]float64, numPot),
-			ConsU: make([][]float64, numFactors-numPot),
+			PotU:  fs.dualSlots(buf, fs.potFactor),
+			ConsU: fs.dualSlots(buf, fs.consFactor),
 			Rho:   rho,
 		}
-		for fi := 0; fi < numFactors; fi++ {
-			u := append([]float64(nil), fs.u[fs.off[fi]:fs.off[fi+1]]...)
-			if fi < numPot {
-				st.PotU[fi] = u
-			} else {
-				st.ConsU[fi-numPot] = u
-			}
-		}
-		return st
 	}
 	if numFactors == 0 {
 		sol := &Solution{X: z, Objective: 0, Converged: true, mrf: m}
@@ -325,9 +320,11 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 	defer pool.close()
 
 	var iter int
+	converged := false
 	for iter = 0; iter < opts.MaxIterations; iter++ {
 		select {
 		case <-ctx.Done():
+			fs.recoverEliminated(m, z)
 			return &Solution{
 				X:          z,
 				Objective:  m.Objective(z),
@@ -362,7 +359,10 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 			if hi > n {
 				hi = n
 			}
-			dp := 0.0
+			// The ‖z‖ partial rides along in the same pass: it costs
+			// little next to the gather, and only the relative
+			// criterion reads it.
+			dp, zn := 0.0, 0.0
 			for v := lo; v < hi; v++ {
 				if count[v] == 0 {
 					zNew[v] = zCur[v]
@@ -383,13 +383,10 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 				zNew[v] = zi
 				d := zi - zCur[v]
 				dp += count[v] * d * d
+				zn += count[v] * zi * zi
 			}
 			dualPart[chunk] = dp
 			if rel {
-				zn := 0.0
-				for v := lo; v < hi; v++ {
-					zn += count[v] * zNew[v] * zNew[v]
-				}
 				zNormPart[chunk] = zn
 			}
 		})
@@ -403,19 +400,19 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 				hi = numFactors
 			}
 			tlo, thi := fs.off[lo], fs.off[hi]
-			pp := 0.0
+			// ‖y‖ and ‖u‖ partials ride along, like ‖z‖ above.
+			pp, yn, un := 0.0, 0.0, 0.0
 			for ti := tlo; ti < thi; ti++ {
-				r := fs.y[ti] - zCons[fs.vars[ti]]
-				fs.u[ti] += r
+				y := fs.y[ti]
+				r := y - zCons[fs.vars[ti]]
+				u := fs.u[ti] + r
+				fs.u[ti] = u
 				pp += r * r
+				yn += y * y
+				un += u * u
 			}
 			primalPart[chunk] = pp
 			if rel {
-				yn, un := 0.0, 0.0
-				for ti := tlo; ti < thi; ti++ {
-					yn += fs.y[ti] * fs.y[ti]
-					un += fs.u[ti] * fs.u[ti]
-				}
 				yNormPart[chunk] = yn
 				uNormPart[chunk] = un
 			}
@@ -445,14 +442,16 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 		}
 		if math.Sqrt(primal) < epsPri && math.Sqrt(dual)*rho < epsDual {
 			iter++
+			converged = true
 			break
 		}
 	}
+	fs.recoverEliminated(m, z)
 	sol := &Solution{
 		X:          z,
 		Objective:  m.Objective(z),
 		Iterations: iter,
-		Converged:  iter < opts.MaxIterations,
+		Converged:  converged,
 		mrf:        m,
 	}
 	if opts.CaptureState {
@@ -466,46 +465,199 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 	return sol, nil
 }
 
+// buildFactorSet compiles the MRF into ADMM factors, eliminating the
+// variables presolve finds.
 func buildFactorSet(m *MRF) *factorSet {
-	nf := len(m.Potentials) + len(m.Constraints)
+	merged, elim := presolve(m)
+	nf := len(m.Potentials) + len(m.Constraints) - len(elim)
 	fs := &factorSet{
-		numPot: len(m.Potentials),
-		off:    make([]int32, 1, nf+1),
-		konst:  make([]float64, 0, nf),
-		weight: make([]float64, 0, nf),
-		norm2:  make([]float64, 0, nf),
-		kind:   make([]uint8, 0, nf),
+		off:        make([]int32, 1, nf+1),
+		konst:      make([]float64, 0, nf),
+		weight:     make([]float64, 0, nf),
+		norm2:      make([]float64, 0, nf),
+		kind:       make([]uint8, 0, nf),
+		potFactor:  make([]int32, len(m.Potentials)),
+		consFactor: make([]int32, len(m.Constraints)),
+		elim:       elim,
 	}
-	push := func(terms []LinTerm, konst float64, kind uint8, weight float64) {
-		n2 := 0.0
-		for _, t := range terms {
-			fs.vars = append(fs.vars, int32(t.Var))
-			fs.coefs = append(fs.coefs, t.Coef)
-			n2 += t.Coef * t.Coef
-		}
+	n2 := 0.0
+	term := func(v int, coef float64) {
+		fs.vars = append(fs.vars, int32(v))
+		fs.coefs = append(fs.coefs, coef)
+		n2 += coef * coef
+	}
+	closeFactor := func(konst float64, kind uint8, weight float64) {
 		fs.off = append(fs.off, int32(len(fs.vars)))
 		fs.konst = append(fs.konst, konst)
 		fs.weight = append(fs.weight, weight)
 		fs.norm2 = append(fs.norm2, n2)
 		fs.kind = append(fs.kind, kind)
+		n2 = 0
 	}
-	for _, p := range m.Potentials {
+	for _, e := range elim {
+		fs.potFactor[merged[e.cons]] = -1
+	}
+	for pi, p := range m.Potentials {
+		if fs.potFactor[pi] < 0 {
+			continue
+		}
+		fs.potFactor[pi] = int32(fs.len())
+		for _, t := range p.Terms {
+			term(t.Var, t.Coef)
+		}
 		kind := uint8(kindHinge)
 		if p.Squared {
 			kind = kindSquared
 		}
-		push(p.Terms, p.Const, kind, p.Weight)
+		closeFactor(p.Const, kind, p.Weight)
 	}
-	for _, c := range m.Constraints {
+	next := 0 // next entry of elim, which is in constraint order
+	for ci, c := range m.Constraints {
+		fs.consFactor[ci] = int32(fs.len())
+		if next < len(elim) && int(elim[next].cons) == ci {
+			// w·max(0, c_P + a·e) with b·e + Σ d·x + c_C ≤ 0 becomes
+			// w·max(0, c_P + r·c_C + Σ r·d·x), r = −a/b.
+			e := int(elim[next].v)
+			next++
+			p := m.Potentials[merged[ci]]
+			r := -p.Terms[0].Coef / coefOf(c.Terms, e)
+			for _, t := range c.Terms {
+				if t.Var != e {
+					term(t.Var, r*t.Coef)
+				}
+			}
+			closeFactor(p.Const+r*c.Const, kindHinge, p.Weight)
+			continue
+		}
+		for _, t := range c.Terms {
+			term(t.Var, t.Coef)
+		}
 		kind := uint8(kindConsEQ)
 		if c.Cmp == LE {
 			kind = kindConsLE
 		}
-		push(c.Terms, c.Const, kind, 0)
+		closeFactor(c.Const, kind, 0)
 	}
 	fs.y = make([]float64, len(fs.vars))
 	fs.u = make([]float64, len(fs.vars))
 	return fs
+}
+
+// presolve finds the variables ADMM can do without. A variable e is
+// eliminated when it occurs exactly twice:
+//
+//   - as the only term of a linear hinge w·max(0, c_P + a·e) with
+//     w > 0, a < 0 and c_P + a ≤ 0, and
+//   - in an LE constraint b·e + Σ d·x + c_C ≤ 0 with b > 0, every
+//     d ≤ 0 and c_C ≤ 0.
+//
+// The hinge is non-increasing in e, and the constraint caps e at
+// S = (−c_C − Σ d·x)/b ≥ 0, so e's optimum is min(1, S) and the pair
+// is exactly the one hinge w·max(0, c_P − (a/b)·c_C − (a/b)·Σ d·x):
+// both vanish once S ≥ 1 (because c_P + a ≤ 0) and agree below it.
+// This is the capped-sum LP of Bach et al. (JMLR 2017): the PSL pair
+// w₁·max(0, 1 − Explained(t)), Explained(t) ≤ Σ covers·In(θ) compiles
+// to w₁·max(0, 1 − Σ covers·In(θ)) bit for bit.
+//
+// merged[ci] is the potential slot merged into constraint ci (nil
+// when nothing is eliminated); elim lists the eliminated variables in
+// constraint order.
+func presolve(m *MRF) (merged []int32, elim []elimVar) {
+	n := m.NumVars()
+	occ := make([]int32, n)
+	hinge := make([]int32, n) // 1 + slot of a hinge e can be eliminated from
+	for pi, p := range m.Potentials {
+		for _, t := range p.Terms {
+			occ[t.Var]++
+		}
+		if !p.Squared && p.Weight > 0 && len(p.Terms) == 1 &&
+			p.Terms[0].Coef < 0 && p.Const+p.Terms[0].Coef <= 0 {
+			hinge[p.Terms[0].Var] = int32(pi) + 1
+		}
+	}
+	for _, c := range m.Constraints {
+		for _, t := range c.Terms {
+			occ[t.Var]++
+		}
+	}
+	for ci, c := range m.Constraints {
+		if c.Cmp != LE || c.Const > 0 {
+			continue
+		}
+		e, positives := -1, 0
+		for _, t := range c.Terms {
+			if t.Coef > 0 {
+				e = t.Var
+				positives++
+			}
+		}
+		if positives != 1 || occ[e] != 2 || hinge[e] == 0 {
+			continue
+		}
+		if merged == nil {
+			merged = make([]int32, len(m.Constraints))
+			for i := range merged {
+				merged[i] = -1
+			}
+		}
+		merged[ci] = hinge[e] - 1
+		elim = append(elim, elimVar{v: int32(e), cons: int32(ci)})
+	}
+	return merged, elim
+}
+
+// coefOf returns v's coefficient in terms (0 when absent).
+func coefOf(terms []LinTerm, v int) float64 {
+	for _, t := range terms {
+		if t.Var == v {
+			return t.Coef
+		}
+	}
+	return 0
+}
+
+// recoverEliminated sets each eliminated variable to its optimum
+// min(1, max(0, S)), S = (−c_C − Σ d·x)/b, the largest value its
+// linking constraint allows at z.
+func (fs *factorSet) recoverEliminated(m *MRF, z []float64) {
+	for _, e := range fs.elim {
+		c := m.Constraints[e.cons]
+		s := -c.Const
+		for _, t := range c.Terms {
+			if t.Var != int(e.v) {
+				s -= t.Coef * z[t.Var]
+			}
+		}
+		z[e.v] = math.Min(1, math.Max(0, s/coefOf(c.Terms, int(e.v))))
+	}
+}
+
+// restoreDuals copies captured duals into the factors their MRF slots
+// compile to. Slots that are nil, eliminated, out of range or whose
+// length no longer matches the factor keep the zero dual.
+func (fs *factorSet) restoreDuals(slots [][]float64, factorOf []int32) {
+	for slot, u := range slots {
+		if slot >= len(factorOf) || u == nil || factorOf[slot] < 0 {
+			continue
+		}
+		fi := factorOf[slot]
+		if lo, hi := fs.off[fi], fs.off[fi+1]; len(u) == int(hi-lo) {
+			copy(fs.u[lo:hi], u)
+		}
+	}
+}
+
+// dualSlots cuts per-slot dual windows out of buf, a copy of fs.u; an
+// eliminated slot stays nil.
+func (fs *factorSet) dualSlots(buf []float64, factorOf []int32) [][]float64 {
+	out := make([][]float64, len(factorOf))
+	for slot, fi := range factorOf {
+		if fi >= 0 {
+			lo, hi := fs.off[fi], fs.off[fi+1]
+			out[slot] = buf[lo:hi:hi]
+		}
+	}
+	return out
 }
 
 // localStep minimises factor fi's local objective
@@ -513,25 +665,21 @@ func buildFactorSet(m *MRF) *factorSet {
 func (fs *factorSet) localStep(fi int, z []float64, rho float64) {
 	lo, hi := fs.off[fi], fs.off[fi+1]
 	// v = z − u is the unconstrained minimiser of the proximal term;
-	// it is computed into the local copy's storage.
+	// it is computed into the local copy's storage, and val = aᵀv + c
+	// in the same pass (every branch needs it, and v does not change
+	// before val's last use).
 	v := fs.y[lo:hi]
 	coefs := fs.coefs[lo:hi]
 	u := fs.u[lo:hi]
 	vars := fs.vars[lo:hi]
+	val := fs.konst[fi]
 	for k, vi := range vars {
 		v[k] = z[vi] - u[k]
-	}
-	lin := func() float64 {
-		s := fs.konst[fi]
-		for k, c := range coefs {
-			s += c * v[k]
-		}
-		return s
+		val += coefs[k] * v[k]
 	}
 	switch fs.kind[fi] {
 	case kindConsLE, kindConsEQ:
 		// Projection onto {aᵀy + c ≤ 0} (or = 0).
-		val := lin()
 		if fs.kind[fi] == kindConsLE && val <= 0 {
 			return
 		}
@@ -545,7 +693,6 @@ func (fs *factorSet) localStep(fi int, z []float64, rho float64) {
 		return
 	case kindSquared:
 		// min w·max(0, aᵀy+c)² + ρ/2‖y−v‖².
-		val := lin()
 		if val <= 0 {
 			return
 		}
@@ -556,7 +703,7 @@ func (fs *factorSet) localStep(fi int, z []float64, rho float64) {
 		return
 	}
 	// Linear hinge: min w·max(0, aᵀy+c) + ρ/2‖y−v‖².
-	if lin() <= 0 {
+	if val <= 0 {
 		return // hinge inactive at the proximal point
 	}
 	// Try the smooth region aᵀy+c > 0: y = v − (w/ρ)a.
@@ -575,7 +722,7 @@ func (fs *factorSet) localStep(fi int, z []float64, rho float64) {
 	if fs.norm2[fi] == 0 {
 		return
 	}
-	t := lin() / fs.norm2[fi]
+	t := val / fs.norm2[fi]
 	for k := range v {
 		v[k] -= t * coefs[k]
 	}

@@ -47,6 +47,20 @@ func BenchmarkADMM1000(b *testing.B) {
 	}
 }
 
+// BenchmarkADMMSelection solves an M-sized selection-shaped MRF (76
+// candidates, 1,000 tuples), whose Explained variables the presolve
+// eliminates; the chain MRFs above have nothing to eliminate.
+func BenchmarkADMMSelection(b *testing.B) {
+	m := selectionMRF(76, 1000, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveMAP(m, DefaultADMMOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkGrounding(b *testing.B) {
 	p := NewProgram()
 	p.MustAddPredicate("Covers", 2, Closed)

@@ -143,6 +143,7 @@ type solveResponse struct {
 	Objective   wireObjective `json:"objective"`
 	Iterations  int           `json:"iterations"`
 	Truncated   bool          `json:"truncated"`
+	Unconverged bool          `json:"unconverged"`
 	Warm        bool          `json:"warm"`
 	SolveMillis float64       `json:"solveMillis"`
 }
@@ -631,6 +632,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		},
 		Iterations:  sel.Iterations,
 		Truncated:   sel.Truncated,
+		Unconverged: sel.Unconverged,
 		Warm:        warm,
 		SolveMillis: float64(elapsed.Nanoseconds()) / 1e6,
 	})

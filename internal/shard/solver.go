@@ -198,7 +198,7 @@ feed:
 	// Merge: scatter each shard's selection back to parent indices.
 	chosen := make([]bool, p.NumCandidates())
 	iterations := 0
-	truncated := false
+	truncated, unconverged := false, false
 	var relax []float64
 	for c, sh := range shards {
 		res := results[c]
@@ -207,6 +207,7 @@ feed:
 		}
 		iterations += res.sel.Iterations
 		truncated = truncated || res.sel.Truncated
+		unconverged = unconverged || res.sel.Unconverged
 		if len(res.sel.Relaxation) == len(sh.Candidates) && len(sh.Candidates) > 0 {
 			if relax == nil {
 				relax = make([]float64, p.NumCandidates())
@@ -221,12 +222,13 @@ feed:
 		Chosen: chosen,
 		// Evaluated on the parent problem: bit-identical to the
 		// unsharded evaluation of the merged selection by construction.
-		Objective:  p.Objective(chosen),
-		Solver:     s.Name(),
-		Runtime:    time.Since(start),
-		Iterations: iterations,
-		Truncated:  truncated,
-		Relaxation: relax,
+		Objective:   p.Objective(chosen),
+		Solver:      s.Name(),
+		Runtime:     time.Since(start),
+		Iterations:  iterations,
+		Truncated:   truncated,
+		Unconverged: unconverged,
+		Relaxation:  relax,
 	}, nil
 }
 

@@ -1,6 +1,6 @@
 // Command mapvet is the project's static-analysis driver: it runs the
-// internal/lint suite (detrange, guardlock, seqbump, nondet, regwire)
-// over the module and exits non-zero on any finding. CI gates on it.
+// internal/lint suite (detrange, guardlock, seqbump, nondet, regwire,
+// deadexport) over the module and exits non-zero on any finding. CI gates on it.
 //
 // Two modes:
 //
@@ -15,7 +15,7 @@
 // speaks the go command's unitchecker .cfg protocol: the go command
 // typechecks incrementally, hands mapvet one package at a time with
 // export data, and caches the result. Whole-program checks (regwire
-// reachability/README) are skipped in this mode — the standalone
+// reachability/README, deadexport) are skipped in this mode — the standalone
 // invocation is the authoritative gate.
 //
 // Flags (standalone mode): -root names the module root (default:

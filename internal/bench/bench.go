@@ -278,7 +278,7 @@ func Calibrate() time.Duration {
 	best := time.Duration(0)
 	for trial := 0; trial < 3; trial++ {
 		start := time.Now()
-		if sol, err := psl.SolveMAP(m, opts); sol == nil {
+		if sol, err := psl.SolveMAP(context.Background(), m, opts); sol == nil {
 			panic(fmt.Sprintf("bench: calibration solve failed: %v", err))
 		}
 		if d := time.Since(start); best == 0 || d < best {

@@ -3,6 +3,8 @@ package bench
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -285,4 +287,17 @@ func TestReportJSONShape(t *testing.T) {
 			t.Errorf("report JSON missing %s: %s", field, data)
 		}
 	}
+}
+
+// LoadReport reads one BENCH_<solver>.json file.
+func LoadReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("bench: report %s: %w", path, err)
+	}
+	return &r, nil
 }

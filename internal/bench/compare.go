@@ -70,7 +70,7 @@ func CompareADMM(ctx context.Context, spec Spec, parallelism int) (*ADMMComparis
 				return 0, nil, err
 			}
 			start := time.Now()
-			s, err := psl.SolveMAPContext(ctx, mrf, o)
+			s, err := psl.SolveMAP(ctx, mrf, o)
 			d := time.Since(start)
 			if s == nil {
 				return 0, nil, err

@@ -32,16 +32,3 @@ func WriteReports(dir string, reports []*Report) ([]string, error) {
 	}
 	return paths, nil
 }
-
-// LoadReport reads one BENCH_<solver>.json file.
-func LoadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: report %s: %w", path, err)
-	}
-	return &r, nil
-}

@@ -11,7 +11,6 @@
 package chase
 
 import (
-	"fmt"
 	"slices"
 
 	"schemamap/internal/data"
@@ -51,17 +50,6 @@ type Result struct {
 	Instance *data.Instance
 	// Blocks lists every firing, grouped by tgd in mapping order.
 	Blocks []Block
-}
-
-// BlocksOf returns the blocks produced by the tgd at the given index.
-func (r *Result) BlocksOf(tgdIndex int) []Block {
-	var out []Block
-	for _, b := range r.Blocks {
-		if b.TGDIndex == tgdIndex {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // Chase runs the naive chase of I with the mapping m. Fresh nulls are
@@ -291,25 +279,4 @@ func MatchBody(body []tgd.Atom, I *data.Instance) []map[string]data.Value {
 		out = append(out, m)
 	})
 	return out
-}
-
-// Validate sanity-checks a chase result: every block tuple must be
-// present in the instance, and every null in the instance must have
-// been minted by exactly one block.
-func (r *Result) Validate() error {
-	owner := make(map[string]int)
-	for bi, b := range r.Blocks {
-		for _, t := range b.Tuples {
-			if !r.Instance.Has(t) {
-				return fmt.Errorf("chase: block %d tuple %s missing from instance", bi, t)
-			}
-			for _, lbl := range t.Nulls() {
-				if prev, ok := owner[lbl]; ok && prev != bi {
-					return fmt.Errorf("chase: null %s shared across blocks %d and %d", lbl, prev, bi)
-				}
-				owner[lbl] = bi
-			}
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -120,11 +121,12 @@ func TestChaseMultipleTGDsSharedFactory(t *testing.T) {
 	if res.Instance.Len() != 6 {
 		t.Errorf("len = %d, want 6", res.Instance.Len())
 	}
-	if got := res.BlocksOf(0); len(got) != 2 {
-		t.Errorf("BlocksOf(0) = %d", len(got))
+	perTGD := map[int]int{}
+	for _, b := range res.Blocks {
+		perTGD[b.TGDIndex]++
 	}
-	if got := res.BlocksOf(1); len(got) != 2 {
-		t.Errorf("BlocksOf(1) = %d", len(got))
+	if perTGD[0] != 2 || perTGD[1] != 2 {
+		t.Errorf("blocks per tgd = %v, want 2 each", perTGD)
 	}
 	if err := res.Validate(); err != nil {
 		t.Error(err)
@@ -300,4 +302,25 @@ func TestMatchBodyMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: body %v over\n%v\ngot  %v\nwant %v", trial, body, I, got, want)
 		}
 	}
+}
+
+// Validate sanity-checks a chase result: every block tuple must be
+// present in the instance, and every null in the instance must have
+// been minted by exactly one block.
+func (r *Result) Validate() error {
+	owner := make(map[string]int)
+	for bi, b := range r.Blocks {
+		for _, t := range b.Tuples {
+			if !r.Instance.Has(t) {
+				return fmt.Errorf("chase: block %d tuple %s missing from instance", bi, t)
+			}
+			for _, lbl := range t.Nulls() {
+				if prev, ok := owner[lbl]; ok && prev != bi {
+					return fmt.Errorf("chase: null %s shared across blocks %d and %d", lbl, prev, bi)
+				}
+				owner[lbl] = bi
+			}
+		}
+	}
+	return nil
 }

@@ -79,7 +79,7 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 	mrf := g.mrf
 
 	// Only the iteration cap gets a solver-specific default;
-	// SolveMAPContext fills in zero Rho/Epsilon itself, so user-set
+	// SolveMAP fills in zero Rho/Epsilon itself, so user-set
 	// fields survive.
 	opts := s.ADMM
 	if opts.MaxIterations == 0 {
@@ -139,7 +139,7 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 		defer cancel()
 	}
 	truncated := false
-	sol, err := psl.SolveMAPContext(admmCtx, mrf, opts)
+	sol, err := psl.SolveMAP(admmCtx, mrf, opts)
 	if err != nil {
 		switch {
 		case ctx.Err() != nil:

@@ -22,49 +22,6 @@ func scenarioProblem(t *testing.T, n int, seed int64, piCorresp float64) *Proble
 	return NewProblem(sc.I, sc.J, sc.Candidates)
 }
 
-// The two construction paths must produce MRFs with identical optima
-// (they encode the same convex program).
-func TestGroundSelectionMRFEquivalence(t *testing.T) {
-	p := scenarioProblem(t, 4, 9, 25)
-	viaRules, err := groundSelectionMRF(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := p.SelectionMRF()
-	s1, err := psl.SolveMAP(viaRules, psl.DefaultADMMOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := psl.SolveMAP(direct, psl.DefaultADMMOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := s1.Objective - s2.Objective; d > 1e-3 || d < -1e-3 {
-		t.Errorf("MRF optima differ: rules %v vs direct %v", s1.Objective, s2.Objective)
-	}
-}
-
-func TestBuildPSLProgramShape(t *testing.T) {
-	p := appendixProblem()
-	prog, db, err := buildPSLProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One explain rule plus one prior per candidate (both have cost).
-	if got := len(prog.Rules()); got != 3 {
-		t.Errorf("rules = %d, want 3", got)
-	}
-	mrf, err := psl.Ground(prog, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Covered J tuples: task(ML,...) and org(111,SAP) → 2 explain
-	// hinges; plus 2 priors.
-	if got := len(mrf.Potentials); got != 4 {
-		t.Errorf("potentials = %d, want 4", got)
-	}
-}
-
 func TestCollectiveRoundThreshold(t *testing.T) {
 	p := appendixProblem()
 	for i := 0; i < 6; i++ {

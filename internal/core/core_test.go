@@ -287,9 +287,9 @@ func TestExhaustiveGuard(t *testing.T) {
 
 func TestObjectiveOfSetAndSelectedMapping(t *testing.T) {
 	p := appendixProblem()
-	b := p.ObjectiveOfSet([]int{1})
+	b := p.Objective([]bool{false, true})
 	if !approx(b.Total(), 8) {
-		t.Errorf("ObjectiveOfSet({θ3}) = %v, want 8", b.Total())
+		t.Errorf("Objective({θ3}) = %v, want 8", b.Total())
 	}
 	m := p.SelectedMapping([]bool{false, true})
 	if len(m) != 1 || len(m[0].Head) != 2 {

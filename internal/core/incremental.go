@@ -173,6 +173,8 @@ func (e *Evaluator) Flip(i int) float64 {
 // they panic otherwise. Deltas must be applied in the order the
 // mutations happened (the Seq stamps enforce it); after a large batch,
 // prefer Resync to squash accumulated floating-point drift.
+//
+//lint:testonly the evaluator half of the delta contract in docs/LIFECYCLE.md; no solver keeps an evaluator across a mutation yet, so only the lifecycle property tests drive it
 func (e *Evaluator) ExtendTarget(d *TargetDelta) {
 	switch d.Seq {
 	case e.seq:
@@ -227,6 +229,8 @@ func (e *Evaluator) ExtendTarget(d *TargetDelta) {
 // periodically in long-running sessions. Candidate churn changes |C|
 // and cannot be resynced; build a new Evaluator (Resync panics on a
 // candidate-count mismatch).
+//
+//lint:testonly the staleness escape hatch in docs/LIFECYCLE.md; only the lifecycle property tests call it
 func (e *Evaluator) Resync() {
 	p := e.p
 	if len(e.cost) != p.NumCandidates() {

@@ -240,12 +240,6 @@ func (p *Problem) ForkDetached() *Problem {
 	}
 }
 
-// MutationSeq returns the problem's mutation sequence number: it
-// advances once per evidence-changing lifecycle mutation (append,
-// remove, source delta, candidate churn). Deltas are stamped with it
-// and Evaluators panic when used across an unapplied gap.
-func (p *Problem) MutationSeq() uint64 { return p.mutSeq.Load() }
-
 // NumLiveTuples returns the number of live target tuples (slots minus
 // tombstones) — the target size wire responses report.
 func (p *Problem) NumLiveTuples() int {

@@ -389,15 +389,6 @@ func (p *Problem) Objective(sel []bool) Breakdown {
 	return b
 }
 
-// ObjectiveOfSet is Objective for an index list.
-func (p *Problem) ObjectiveOfSet(indices []int) Breakdown {
-	sel := make([]bool, p.NumCandidates())
-	for _, i := range indices {
-		sel[i] = true
-	}
-	return p.Objective(sel)
-}
-
 // SelectedMapping returns the tgds picked by sel.
 func (p *Problem) SelectedMapping(sel []bool) tgd.Mapping {
 	var m tgd.Mapping

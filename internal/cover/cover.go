@@ -177,9 +177,6 @@ func (ix *JIndex) Live(j int) bool {
 // NumLive returns the number of live target tuples.
 func (ix *JIndex) NumLive() int { return len(ix.Tuples) - ix.numDead }
 
-// NumDead returns the number of tombstoned slots.
-func (ix *JIndex) NumDead() int { return ix.numDead }
-
 // CoverPair is one sparse covers entry: covers(θ, Tuples[J]) = Cov.
 type CoverPair struct {
 	J   int32
@@ -204,19 +201,6 @@ type Analysis struct {
 	Firings int
 }
 
-// CoversOf returns covers(θ, t) for J tuple index j.
-func (a *Analysis) CoversOf(j int) float64 {
-	k := sort.Search(len(a.Pairs), func(i int) bool { return int(a.Pairs[i].J) >= j })
-	if k < len(a.Pairs) && int(a.Pairs[k].J) == j {
-		return a.Pairs[k].Cov
-	}
-	return 0
-}
-
-// NumCovered returns the number of J tuples covered to a positive
-// degree.
-func (a *Analysis) NumCovered() int { return len(a.Pairs) }
-
 // TotalCoverage returns Σ_t covers(θ, t), a rough utility measure.
 func (a *Analysis) TotalCoverage() float64 {
 	s := 0.0
@@ -240,16 +224,11 @@ func PairsFromMap(m map[int]float64) []CoverPair {
 	return pairs
 }
 
-// Analyze computes the Analysis of every candidate against the data
+// AnalyzeN computes the Analysis of every candidate against the data
 // example (I, J). jidx must index J. Candidates are analysed in
-// parallel (they are independent); the result order matches the
-// candidate order, so output is deterministic.
-func Analyze(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options) []Analysis {
-	return AnalyzeN(I, jidx, candidates, opts, 0)
-}
-
-// AnalyzeN is Analyze with an explicit bound on the worker pool:
-// 1 forces serial analysis, 0 or negative means GOMAXPROCS.
+// parallel (they are independent) by at most workers goroutines: 1
+// forces serial analysis, 0 or negative means GOMAXPROCS. The result
+// order matches the candidate order, so output is deterministic.
 func AnalyzeN(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) []Analysis {
 	out := make([]Analysis, len(candidates))
 	memo := newBlockMemo(nil)
@@ -257,12 +236,6 @@ func AnalyzeN(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Optio
 		out[i] = w.analyzeOne(i, candidates[i], I, memo, opts, nil)
 	})
 	return out
-}
-
-// AnalyzeOne computes the Analysis of a single candidate.
-func AnalyzeOne(index int, d *tgd.TGD, I, J *data.Instance, opts Options) Analysis {
-	jidx := IndexJ(J)
-	return newAnalyzeWorker(jidx).analyzeOne(index, d, I, newBlockMemo(nil), opts, nil)
 }
 
 // blockMemo shares per-block cover contributions across candidates
@@ -607,6 +580,8 @@ func nullCorroborated(block []data.Tuple, ti int, mapped []bool, lbl string) boo
 // the constant |certain|·w₁ regardless of the selection, so solvers
 // may exclude them from the variable part of the objective
 // (cf. Section III-C of the paper).
+//
+//lint:testonly shard tests check split results against it
 func CertainUnexplained(jidx *JIndex, analyses []Analysis) []int {
 	coveredBySome := make([]bool, jidx.Len())
 	for i := range analyses {

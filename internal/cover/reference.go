@@ -15,6 +15,8 @@ import (
 // AnalyzeReference computes every candidate's Analysis with the
 // reference pipeline, serially. Results must equal AnalyzeN's exactly
 // (Pairs, Errors, KTuples, Firings), hom limits included.
+//
+//lint:testonly cover and core differential tests compare the indexed analysis against it
 func AnalyzeReference(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options) []Analysis {
 	J := instanceOf(jidx)
 	out := make([]Analysis, len(candidates))

@@ -88,6 +88,8 @@ func (f *NullFactory) Reserve(in *Instance) {
 }
 
 // Count returns how many nulls have been minted.
+//
+//lint:testonly chase and data tests count minted nulls with it
 func (f *NullFactory) Count() int { return f.minted }
 
 // Tuple is a fact: a relation name plus an argument list.
@@ -210,13 +212,10 @@ func (t Tuple) AppendKey(buf []byte) []byte {
 	return append(buf, ')')
 }
 
-// Pattern returns the null-insensitive canonical form: constants
-// verbatim (delimiters escaped), every null replaced by '*'. Used by
-// tuple-level metrics.
-func (t Tuple) Pattern() string { return string(appendPattern(nil, t)) }
-
-// AppendPattern appends the tuple's Pattern to buf, so patterns can be
-// looked up by string(t.AppendPattern(buf)) without allocating.
+// AppendPattern appends the tuple's null-insensitive canonical form to
+// buf: constants verbatim (delimiters escaped), every null replaced by
+// '*'. Used by tuple-level metrics; patterns can be looked up by
+// string(t.AppendPattern(buf)) without allocating.
 func (t Tuple) AppendPattern(buf []byte) []byte { return appendPattern(buf, t) }
 
 // CanonPattern returns a canonical form that identifies tuples up to

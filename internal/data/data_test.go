@@ -61,7 +61,7 @@ func TestTupleKeysAndPatterns(t *testing.T) {
 	if t1.Key() == t2.Key() {
 		t.Error("distinct nulls same key")
 	}
-	if t1.Pattern() != t2.Pattern() {
+	if string(t1.AppendPattern(nil)) != string(t2.AppendPattern(nil)) {
 		t.Error("patterns should erase null identity")
 	}
 	if t1.CanonPattern() != t2.CanonPattern() {
@@ -73,7 +73,7 @@ func TestTupleKeysAndPatterns(t *testing.T) {
 	if t3.CanonPattern() == t4.CanonPattern() {
 		t.Error("canon pattern must distinguish shared from distinct nulls")
 	}
-	if t3.Pattern() != t4.Pattern() {
+	if string(t3.AppendPattern(nil)) != string(t4.AppendPattern(nil)) {
 		t.Error("plain pattern ignores null identity")
 	}
 	// Null/const confusion in keys.
@@ -293,10 +293,10 @@ func TestTupleKeyInjective(t *testing.T) {
 	if got := (Tuple{Rel: "task", Args: []Value{Const("ML"), NullValue("N1")}}).Key(); got != "task(ML,\x00N1)" {
 		t.Errorf("plain key = %q", got)
 	}
-	if NewTuple("R", "x,y", "z").Pattern() == NewTuple("R", "x", "y,z").Pattern() {
+	if string(NewTuple("R", "x,y", "z").AppendPattern(nil)) == string(NewTuple("R", "x", "y,z").AppendPattern(nil)) {
 		t.Error("patterns of comma-split tuples collide")
 	}
-	if NewTuple("R", "*").Pattern() == (Tuple{Rel: "R", Args: []Value{NullValue("a")}}).Pattern() {
+	if string(NewTuple("R", "*").AppendPattern(nil)) == string(Tuple{Rel: "R", Args: []Value{NullValue("a")}}.AppendPattern(nil)) {
 		t.Error("constant '*' and a null share a pattern")
 	}
 }

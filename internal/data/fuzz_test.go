@@ -1,6 +1,7 @@
 package data
 
 import (
+	"bytes"
 	"reflect"
 	"strconv"
 	"testing"
@@ -123,5 +124,35 @@ func checkSearchCase(t *testing.T, sc searchCase) {
 func FuzzSearcherMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		checkSearchCase(t, decodeSearchCase(in))
+	})
+}
+
+// Live reports whether id is indexed and not tombstoned.
+func (ix *Index) Live(id int32) bool {
+	if id < 0 || int(id) >= len(ix.tuples) {
+		return false
+	}
+	return ix.dead == nil || !ix.dead[id]
+}
+
+// FuzzReadCSV feeds arbitrary bytes to ReadCSV, the loader behind the
+// exchange CLI's -in relations. It must never panic, and every tuple
+// it returns must carry the relation name and the width of the first
+// one. The seed corpus lives under testdata/fuzz/FuzzReadCSV.
+func FuzzReadCSV(f *testing.F) {
+	f.Add([]byte("a,b\n1,\"x,y\"\n,\n"), true)
+	f.Fuzz(func(t *testing.T, b []byte, header bool) {
+		tuples, err := ReadCSV(bytes.NewReader(b), "r", header)
+		if err != nil {
+			return
+		}
+		for i, tu := range tuples {
+			if tu.Rel != "r" {
+				t.Fatalf("tuple %d has relation %q", i, tu.Rel)
+			}
+			if len(tu.Args) != len(tuples[0].Args) {
+				t.Fatalf("tuple %d has %d fields, tuple 0 has %d", i, len(tu.Args), len(tuples[0].Args))
+			}
+		}
 	})
 }

@@ -30,8 +30,7 @@ type Index struct {
 	// every live id stays stable and posting lists need no surgery.
 	// dead stays nil until the first Remove, keeping the append-only
 	// fast path allocation- and branch-predictable.
-	dead    []bool
-	numDead int
+	dead []bool
 }
 
 // relPostings is the second index level of one relation: its tuple
@@ -71,6 +70,8 @@ func (rp *relPostings) posting(p int, v Value) []int32 {
 }
 
 // NewIndex builds the posting-list index of an instance.
+//
+//lint:testonly cover and data tests index whole instances with it
 func NewIndex(in *Instance) *Index { return IndexTuples(in.All()) }
 
 // IndexTuples builds the posting-list index of a tuple list: a
@@ -137,32 +138,16 @@ func (ix *Index) Remove(ids []int32) {
 			panic("data: Index.Remove: id already removed")
 		}
 		ix.dead[id] = true
-		ix.numDead++
 	}
 }
-
-// Live reports whether id is indexed and not tombstoned.
-func (ix *Index) Live(id int32) bool {
-	if id < 0 || int(id) >= len(ix.tuples) {
-		return false
-	}
-	return ix.dead == nil || !ix.dead[id]
-}
-
-// NumLive returns the number of live (non-tombstoned) tuples.
-func (ix *Index) NumLive() int { return len(ix.tuples) - ix.numDead }
-
-// NumDead returns the number of tombstoned tuples.
-func (ix *Index) NumDead() int { return ix.numDead }
-
-// Len returns the number of indexed tuples.
-func (ix *Index) Len() int { return len(ix.tuples) }
 
 // Tuples returns all indexed tuples; the slice position of a tuple is
 // its id (shared slice; do not mutate).
 func (ix *Index) Tuples() []Tuple { return ix.tuples }
 
 // Tuple resolves an id.
+//
+//lint:testonly cover and data tests resolve index ids with it
 func (ix *Index) Tuple(id int32) Tuple { return ix.tuples[id] }
 
 // Candidates returns the ids of tuples that t can map onto under a
@@ -171,6 +156,8 @@ func (ix *Index) Tuple(id int32) Tuple { return ix.tuples[id] }
 // checked here; callers enforce it during search. The returned slice
 // may share the index's storage and must not be modified; Searcher
 // memoises it per tuple pattern.
+//
+//lint:testonly cover and data tests check the posting lists through it
 func (ix *Index) Candidates(t Tuple) []int32 { return ix.candidates(ix.rels[t.Rel], t) }
 
 // candidates is Candidates over t's relation postings (nil when the
@@ -311,9 +298,6 @@ func NewSearcher(ix *Index) *Searcher {
 	}
 }
 
-// Index returns the underlying index.
-func (s *Searcher) Index() *Index { return s.ix }
-
 // candidatesFor returns the memoised candidate set of a tuple. The
 // set depends only on the tuple's pattern (relation, arity, constant
 // positions and values), so chase tuples repeating across firings and
@@ -331,7 +315,7 @@ func (s *Searcher) candidatesFor(t Tuple) candSet {
 }
 
 // appendPattern appends the null-insensitive pattern of t (see
-// Tuple.Pattern) to buf.
+// Tuple.AppendPattern) to buf.
 func appendPattern(buf []byte, t Tuple) []byte {
 	buf = appendEscaped(buf, t.Rel, relSpecial)
 	buf = append(buf, '(')

@@ -213,3 +213,6 @@ func TestSearcherSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state enumeration allocates %.1f objects/run, want 0", avg)
 	}
 }
+
+// Index returns the underlying index.
+func (s *Searcher) Index() *Index { return s.ix }

@@ -1,11 +1,12 @@
-// Package lint is the project's static-analysis suite: five analyzers
+// Package lint is the project's static-analysis suite: six analyzers
 // that mechanically enforce the invariants the differential tests only
 // catch after the fact — deterministic iteration in result-affecting
 // packages (detrange), mutex coverage of guarded fields (guardlock),
 // mutation-sequence bumps on every evidence-mutating return path
 // (seqbump), no wall-clock or global randomness inside solver call
-// graphs (nondet), and registry/wiring/README agreement for registered
-// solvers (regwire). cmd/mapvet drives them over the repository and
+// graphs (nondet), registry/wiring/README agreement for registered
+// solvers (regwire), and no exported internal API that only tests
+// use (deadexport). cmd/mapvet drives them over the repository and
 // gates CI; docs/ANALYSIS.md documents each analyzer and the
 // annotation grammar.
 //
@@ -49,7 +50,7 @@ type Analyzer struct {
 // this list, and cmd/docscheck verifies docs/ANALYSIS.md documents
 // exactly these names.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detrange, Guardlock, Seqbump, Nondet, Regwire}
+	return []*Analyzer{Detrange, Guardlock, Seqbump, Nondet, Regwire, Deadexport}
 }
 
 // Package is one loaded, typechecked package.
@@ -81,6 +82,9 @@ type Program struct {
 	// ReadmePath is the solver-documentation file regwire audits
 	// registered names against ("" disables that check).
 	ReadmePath string
+	// Whole reports that every package of the module is loaded, so an
+	// identifier no package uses is unused (deadexport needs this).
+	Whole bool
 
 	byPath map[string]*Package
 }
@@ -113,9 +117,6 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
-
-// Fset returns the program's file set.
-func (p *Pass) Fset() *token.FileSet { return p.Prog.Fset }
 
 // RunAnalyzers runs the given analyzers over every package of prog,
 // then the Finish hooks, and returns the diagnostics sorted by

@@ -12,6 +12,7 @@ package lint
 //	//lint:commutative <reason>       detrange: loop body is order-independent
 //	//lint:wallclock <reason>         nondet: time.Now is timing-only, not result-affecting
 //	//lint:guarded-by-caller <reason>  guardlock: every caller holds the named mutex
+//	//lint:testonly <reason>          deadexport: only other packages' tests use this export
 import (
 	"go/ast"
 	"go/token"

@@ -22,6 +22,8 @@ import (
 // Run loads the fixture packages (paths relative to testdata/src,
 // "dir/..." patterns allowed) and checks a's diagnostics against the
 // want comments.
+//
+//lint:testonly the analyzer fixture tests of internal/lint call it
 func Run(t *testing.T, a *lint.Analyzer, pkgs ...string) {
 	t.Helper()
 	RunProgram(t, a, nil, pkgs...)

@@ -19,6 +19,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -93,6 +94,7 @@ func LoadProgram(cfg LoadConfig, patterns ...string) (*Program, error) {
 	prog.RootDir = cfg.Dir
 	prog.ModulePath = cfg.ModulePath
 	prog.TypeErrors = ld.errs
+	prog.Whole = slices.Contains(patterns, "./...")
 	if cfg.ModulePath != "" {
 		prog.ReadmePath = filepath.Join(cfg.Dir, "README.md")
 		prog.WireRoots = []string{

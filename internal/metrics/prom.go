@@ -252,47 +252,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the buckets by
-// linear interpolation inside the containing bucket — the usual
-// histogram_quantile approximation; observations above the last bound
-// clamp to it. It returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	rank := q * float64(h.total)
-	cum := uint64(0)
-	lower := 0.0
-	for i, c := range h.counts {
-		if float64(cum+c) >= rank && c > 0 {
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + frac*(h.bounds[i]-lower)
-		}
-		cum += c
-		lower = h.bounds[i]
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 func (h *Histogram) write(w io.Writer, name, labels string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

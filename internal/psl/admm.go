@@ -120,17 +120,6 @@ type Solution struct {
 	// State holds the captured warm-restart state when
 	// ADMMOptions.CaptureState was set (nil otherwise).
 	State *ADMMState
-	mrf   *MRF
-}
-
-// Value returns the inferred truth value of a ground open atom, or 0
-// when the atom never appeared in a ground potential or constraint.
-func (s *Solution) Value(pred string, args ...string) float64 {
-	i := s.mrf.VarNamed(atomKey(pred, args))
-	if i < 0 {
-		return 0
-	}
-	return s.X[i]
 }
 
 // Factor kinds, in the order localStep dispatches on them.
@@ -180,15 +169,12 @@ func (fs *factorSet) len() int { return len(fs.kind) }
 // The problem minimised is Σ potentials subject to the hard
 // constraints and x ∈ [0,1]ⁿ; it is convex, so ADMM converges to a
 // global optimum (of the continuous relaxation).
-func SolveMAP(m *MRF, opts ADMMOptions) (*Solution, error) {
-	return SolveMAPContext(context.Background(), m, opts)
-}
-
-// SolveMAPContext is SolveMAP with a cancellation checkpoint every
-// iteration. On cancellation it returns the partial Solution at the
-// current iterate (Converged=false) together with ctx.Err(), so
-// callers with a soft compute budget can keep the best-so-far state
-// while callers wanting a hard stop propagate the error.
+//
+// ctx is checked once per iteration. On cancellation SolveMAP returns
+// the partial Solution at the current iterate (Converged=false)
+// together with ctx.Err(), so callers with a soft compute budget can
+// keep the best-so-far state while callers wanting a hard stop
+// propagate the error.
 //
 // The three steps of each iteration — factor-local updates, the
 // consensus average, and the dual update — are each embarrassingly
@@ -197,7 +183,7 @@ func SolveMAP(m *MRF, opts ADMMOptions) (*Solution, error) {
 // run on a persistent worker pool. The consensus step is sharded by
 // variable over a precomputed factor-incidence CSR, so no two workers
 // ever write the same consensus entry.
-func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) {
+func SolveMAP(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) {
 	if opts.Rho <= 0 {
 		opts.Rho = 1
 	}
@@ -271,7 +257,7 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 		}
 	}
 	if numFactors == 0 {
-		sol := &Solution{X: z, Objective: 0, Converged: true, mrf: m}
+		sol := &Solution{X: z, Objective: 0, Converged: true}
 		if opts.CaptureState {
 			sol.State = captureState(rho)
 		}
@@ -330,7 +316,6 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 				Objective:  m.Objective(z),
 				Iterations: iter,
 				Converged:  false,
-				mrf:        m,
 			}, ctx.Err()
 		default:
 		}
@@ -452,7 +437,6 @@ func SolveMAPContext(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, 
 		Objective:  m.Objective(z),
 		Iterations: iter,
 		Converged:  converged,
-		mrf:        m,
 	}
 	if opts.CaptureState {
 		sol.State = captureState(rho)

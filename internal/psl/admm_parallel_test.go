@@ -1,6 +1,7 @@
 package psl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,11 +73,11 @@ func TestParallelADMMMatchesSerial(t *testing.T) {
 			opts := DefaultADMMOptions()
 			opts.MaxIterations = 800
 			opts.Parallelism = 1
-			serial, serialErr := SolveMAP(tc.m(), opts)
+			serial, serialErr := SolveMAP(context.Background(), tc.m(), opts)
 
 			for _, par := range []int{2, 4, 7} {
 				opts.Parallelism = par
-				got, gotErr := SolveMAP(tc.m(), opts)
+				got, gotErr := SolveMAP(context.Background(), tc.m(), opts)
 				if (serialErr == nil) != (gotErr == nil) {
 					t.Fatalf("parallelism %d: err %v, serial err %v", par, gotErr, serialErr)
 				}
@@ -104,9 +105,9 @@ func TestParallelADMMSeeded(t *testing.T) {
 	opts.Seed = 99
 	opts.MaxIterations = 500
 	opts.Parallelism = 1
-	serial, _ := SolveMAP(randomMRF(80, 300, 7), opts)
+	serial, _ := SolveMAP(context.Background(), randomMRF(80, 300, 7), opts)
 	opts.Parallelism = 4
-	par, _ := SolveMAP(randomMRF(80, 300, 7), opts)
+	par, _ := SolveMAP(context.Background(), randomMRF(80, 300, 7), opts)
 	if par.Objective != serial.Objective || par.Iterations != serial.Iterations {
 		t.Fatalf("seeded run diverged: parallel (obj=%v, iter=%d) vs serial (obj=%v, iter=%d)",
 			par.Objective, par.Iterations, serial.Objective, serial.Iterations)
@@ -129,7 +130,7 @@ func TestADMMConsensusAllocs(t *testing.T) {
 		return testing.AllocsPerRun(5, func() {
 			// Infeasibility at loose tolerance is expected on truncated
 			// runs; only a nil solution is a real failure.
-			if sol, err := SolveMAP(m, o); sol == nil {
+			if sol, err := SolveMAP(context.Background(), m, o); sol == nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,6 +1,7 @@
 package psl
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -24,11 +25,11 @@ func TestSquaredRuleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := SolveMAP(m, DefaultADMMOptions())
+	sol, err := SolveMAP(context.Background(), m, DefaultADMMOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sol.Value("A", "x"); math.Abs(got-0.75) > 0.02 {
+	if got := atomValue(m, sol, "A", "x"); math.Abs(got-0.75) > 0.02 {
 		t.Errorf("A = %v, want 0.75", got)
 	}
 }
@@ -55,12 +56,12 @@ func TestCollectiveSmoothingModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := SolveMAP(m, DefaultADMMOptions())
+	sol, err := SolveMAP(context.Background(), m, DefaultADMMOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, c := sol.Value("Same", "a"), sol.Value("Same", "b"), sol.Value("Same", "c")
-	lonely := sol.Value("Same", "lonely")
+	a, b, c := atomValue(m, sol, "Same", "a"), atomValue(m, sol, "Same", "b"), atomValue(m, sol, "Same", "c")
+	lonely := atomValue(m, sol, "Same", "lonely")
 	if a < 0.9 {
 		t.Errorf("seed a = %v, want ~1", a)
 	}
@@ -87,16 +88,16 @@ func TestRuleWithConstantArgument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := SolveMAP(m, DefaultADMMOptions())
+	sol, err := SolveMAP(context.Background(), m, DefaultADMMOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Value("Good", "u1") < 0.9 {
-		t.Errorf("vip = %v, want ~1", sol.Value("Good", "u1"))
+	if atomValue(m, sol, "Good", "u1") < 0.9 {
+		t.Errorf("vip = %v, want ~1", atomValue(m, sol, "Good", "u1"))
 	}
 	// u2 has no potentials at all; its consensus stays at the 0.5
 	// initialisation (an unconstrained variable).
-	if got := sol.Value("Good", "u2"); got > 0.9 {
+	if got := atomValue(m, sol, "Good", "u2"); got > 0.9 {
 		t.Errorf("basic = %v, should not be pushed up", got)
 	}
 }
@@ -118,14 +119,14 @@ func TestHardLogicalRuleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := SolveMAP(m, DefaultADMMOptions())
+	sol, err := SolveMAP(context.Background(), m, DefaultADMMOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Value("A", "x") < 0.98 {
-		t.Errorf("hard rule violated: A = %v", sol.Value("A", "x"))
+	if atomValue(m, sol, "A", "x") < 0.98 {
+		t.Errorf("hard rule violated: A = %v", atomValue(m, sol, "A", "x"))
 	}
-	if sol.Value("B", "x") < 0.9 {
-		t.Errorf("chained inference failed: B = %v", sol.Value("B", "x"))
+	if atomValue(m, sol, "B", "x") < 0.9 {
+		t.Errorf("chained inference failed: B = %v", atomValue(m, sol, "B", "x"))
 	}
 }

@@ -7,6 +7,14 @@ import (
 	"strings"
 )
 
+// This file and oracle_program_test.go hold the PSL rule language the
+// paper states its model in: predicates, weighted Łukasiewicz rules
+// with a text DSL, a fact database, and a grounder that turns a
+// program plus database into an HL-MRF. No production code grounds
+// rules: internal/core builds the selection MRF directly. The grounder
+// is kept, next to the tests that use it, as the exact oracle that
+// direct grounding must match (selection_oracle_test.go).
+
 // Database holds the observed atoms (for closed predicates, with soft
 // truth values in [0,1]; unlisted closed atoms are false) and the
 // registered target atoms of open predicates (the decision variables).
@@ -27,10 +35,15 @@ func NewDatabase() *Database {
 	}
 }
 
-// atomKey is the ground-atom name used for database keys and MRF
-// variables (Solution.Value looks atoms up by it).
-func atomKey(pred string, args []string) string {
-	return pred + "(" + strings.Join(args, "\x00") + ")"
+// atomValue returns the solved truth value of the ground atom
+// pred(args...), or 0 when the atom never appeared in a ground
+// potential or constraint.
+func atomValue(m *MRF, sol *Solution, pred string, args ...string) float64 {
+	i, ok := m.varIndex[atomKey(pred, args)]
+	if !ok {
+		return 0
+	}
+	return sol.X[i]
 }
 
 // Observe records a soft observation for a closed predicate's atom.
@@ -62,172 +75,6 @@ func (db *Database) AddTarget(pred string, args ...string) {
 // closed predicates).
 func (db *Database) ObservedValue(pred string, args []string) float64 {
 	return db.obs[atomKey(pred, args)]
-}
-
-// LinTerm is one coefficient·variable term of a linear expression over
-// the MRF's variables.
-type LinTerm struct {
-	Var  int
-	Coef float64
-}
-
-// Potential is one hinge-loss potential w·max(0, Σ coefᵢ·xᵢ + c)^p
-// with p ∈ {1,2}.
-type Potential struct {
-	Weight  float64
-	Squared bool
-	Terms   []LinTerm
-	Const   float64
-}
-
-// Distance evaluates the potential's unweighted distance to
-// satisfaction max(0, Σ coef·x + c)^p at the assignment x.
-func (p Potential) Distance(x []float64) float64 {
-	v := p.Const
-	for _, t := range p.Terms {
-		v += t.Coef * x[t.Var]
-	}
-	if v <= 0 {
-		return 0
-	}
-	if p.Squared {
-		return v * v
-	}
-	return v
-}
-
-// Cmp distinguishes ≤ from = in linear constraints.
-type Cmp int
-
-const (
-	// LE is Σ terms + c ≤ 0.
-	LE Cmp = iota
-	// EQ is Σ terms + c = 0.
-	EQ
-)
-
-// Constraint is one hard linear constraint over the MRF's variables.
-type Constraint struct {
-	Terms []LinTerm
-	Const float64
-	Cmp   Cmp
-}
-
-// MRF is a ground hinge-loss Markov random field over box-constrained
-// variables x ∈ [0,1]ⁿ.
-type MRF struct {
-	varNames    []string
-	varIndex    map[string]int
-	Potentials  []Potential
-	Constraints []Constraint
-}
-
-// NewMRF returns an empty MRF.
-func NewMRF() *MRF {
-	return &MRF{varIndex: make(map[string]int)}
-}
-
-// NumVars returns the number of variables.
-func (m *MRF) NumVars() int { return len(m.varNames) }
-
-// Var returns the index of the named variable, creating it if new.
-func (m *MRF) Var(name string) int {
-	if i, ok := m.varIndex[name]; ok {
-		return i
-	}
-	i := len(m.varNames)
-	m.varIndex[name] = i
-	m.varNames = append(m.varNames, name)
-	return i
-}
-
-// VarNames returns the variable names in index order (a copy).
-func (m *MRF) VarNames() []string {
-	return append([]string(nil), m.varNames...)
-}
-
-// VarNamed returns the index of the named variable, or -1.
-func (m *MRF) VarNamed(name string) int {
-	if i, ok := m.varIndex[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// AtomVar returns the variable index of a ground open atom.
-func (m *MRF) AtomVar(pred string, args ...string) int {
-	return m.Var(atomKey(pred, args))
-}
-
-// AddPotential appends a hinge potential; potentials with no variable
-// terms or that can never be positive are dropped.
-func (m *MRF) AddPotential(p Potential) {
-	if len(p.Terms) == 0 || p.Weight <= 0 {
-		return
-	}
-	maxVal := p.Const
-	for _, t := range p.Terms {
-		if t.Coef > 0 {
-			maxVal += t.Coef
-		}
-	}
-	if maxVal <= 0 {
-		return
-	}
-	m.Potentials = append(m.Potentials, p)
-}
-
-// AddConstraint appends a hard linear constraint.
-func (m *MRF) AddConstraint(c Constraint) error {
-	if len(c.Terms) == 0 {
-		sat := c.Const <= 1e-9
-		if c.Cmp == EQ {
-			sat = math.Abs(c.Const) <= 1e-9
-		}
-		if !sat {
-			return fmt.Errorf("psl: constant constraint violated (const=%g)", c.Const)
-		}
-		return nil
-	}
-	m.Constraints = append(m.Constraints, c)
-	return nil
-}
-
-// Objective evaluates Σ potentials at x (ignoring constraints).
-func (m *MRF) Objective(x []float64) float64 {
-	total := 0.0
-	for _, p := range m.Potentials {
-		v := p.Const
-		for _, t := range p.Terms {
-			v += t.Coef * x[t.Var]
-		}
-		if v <= 0 {
-			continue
-		}
-		if p.Squared {
-			total += p.Weight * v * v
-		} else {
-			total += p.Weight * v
-		}
-	}
-	return total
-}
-
-// Feasible reports whether x satisfies all hard constraints within tol.
-func (m *MRF) Feasible(x []float64, tol float64) bool {
-	for _, c := range m.Constraints {
-		v := c.Const
-		for _, t := range c.Terms {
-			v += t.Coef * x[t.Var]
-		}
-		if c.Cmp == LE && v > tol {
-			return false
-		}
-		if c.Cmp == EQ && math.Abs(v) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Ground grounds the program against the database, producing the MRF.

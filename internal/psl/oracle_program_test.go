@@ -1,16 +1,3 @@
-// Package psl implements a compact Probabilistic Soft Logic engine:
-// predicates, weighted Łukasiewicz rules with a text DSL, grounding
-// against a fact database, hinge-loss Markov random field (HL-MRF)
-// construction — including hard linear constraints (PSL's arithmetic
-// rules) — and MAP inference by consensus ADMM with closed-form local
-// updates (after Bach et al., "Hinge-Loss Markov Random Fields and
-// Probabilistic Soft Logic", JMLR 2017).
-//
-// The paper under reproduction performs mapping selection by MAP
-// inference in exactly such an HL-MRF; see internal/core's collective
-// solver for the encoding. The collective solver builds its MRF
-// directly and solves it with SolveMAP; the rule DSL and Ground are
-// kept as the test oracle that direct grounding must match.
 package psl
 
 import (

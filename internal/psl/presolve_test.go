@@ -1,6 +1,7 @@
 package psl
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -97,11 +98,11 @@ func presolveDifferential(t testing.TB, m *MRF) {
 	}
 	opts := DefaultADMMOptions()
 	opts.MaxIterations = 10000 // the blocked copy converges more slowly
-	got, err := SolveMAP(m, opts)
+	got, err := SolveMAP(context.Background(), m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SolveMAP(blocked, opts)
+	want, err := SolveMAP(context.Background(), blocked, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestPresolveWarmStateRoundTrip(t *testing.T) {
 	m := selectionMRF(17, 100, 6)
 	opts := DefaultADMMOptions()
 	opts.CaptureState = true
-	cold, err := SolveMAP(m, opts)
+	cold, err := SolveMAP(context.Background(), m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestPresolveWarmStateRoundTrip(t *testing.T) {
 	}
 	warmOpts := opts
 	warmOpts.Warm = st
-	warm, err := SolveMAP(m, warmOpts)
+	warm, err := SolveMAP(context.Background(), m, warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestPresolveWarmStateRoundTrip(t *testing.T) {
 		tomb.ConsU[ci] = nil
 	}
 	warmOpts.Warm = &tomb
-	again, err := SolveMAP(m, warmOpts)
+	again, err := SolveMAP(context.Background(), m, warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestPresolveWarmStateRoundTrip(t *testing.T) {
 func TestCapturedDualSlotsAreIsolated(t *testing.T) {
 	opts := DefaultADMMOptions()
 	opts.CaptureState = true
-	sol, err := SolveMAP(warmTestMRF(), opts)
+	sol, err := SolveMAP(context.Background(), warmTestMRF(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +347,7 @@ func TestADMMCaptureAllocs(t *testing.T) {
 		o := opts
 		o.CaptureState = capture
 		return testing.AllocsPerRun(3, func() {
-			if sol, err := SolveMAP(m, o); sol == nil {
+			if sol, err := SolveMAP(context.Background(), m, o); sol == nil {
 				t.Fatal(err)
 			}
 		})

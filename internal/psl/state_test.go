@@ -1,6 +1,7 @@
 package psl
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestADMMWarmStateResume(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultADMMOptions()
 			opts.CaptureState = true
-			cold, err := SolveMAP(tc.m(), opts)
+			cold, err := SolveMAP(context.Background(), tc.m(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,7 +31,7 @@ func TestADMMWarmStateResume(t *testing.T) {
 			}
 			warmOpts := opts
 			warmOpts.Warm = cold.State
-			warm, err := SolveMAP(tc.m(), warmOpts)
+			warm, err := SolveMAP(context.Background(), tc.m(), warmOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,17 +66,17 @@ func TestADMMWarmStateGrownMRF(t *testing.T) {
 	}
 	opts := DefaultADMMOptions()
 	opts.CaptureState = true
-	small, err := SolveMAP(build(false), opts)
+	small, err := SolveMAP(context.Background(), build(false), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldGrown, err := SolveMAP(build(true), DefaultADMMOptions())
+	coldGrown, err := SolveMAP(context.Background(), build(true), DefaultADMMOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmOpts := DefaultADMMOptions()
 	warmOpts.Warm = small.State
-	warmGrown, err := SolveMAP(build(true), warmOpts)
+	warmGrown, err := SolveMAP(context.Background(), build(true), warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestADMMWarmStateGrownMRF(t *testing.T) {
 func TestADMMWarmStateInvalidatedSlots(t *testing.T) {
 	opts := DefaultADMMOptions()
 	opts.CaptureState = true
-	cold, err := SolveMAP(warmTestMRF(), opts)
+	cold, err := SolveMAP(context.Background(), warmTestMRF(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestADMMWarmStateInvalidatedSlots(t *testing.T) {
 	}
 	warmOpts := DefaultADMMOptions()
 	warmOpts.Warm = st
-	warm, err := SolveMAP(warmTestMRF(), warmOpts)
+	warm, err := SolveMAP(context.Background(), warmTestMRF(), warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package psl
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -31,13 +32,13 @@ func warmTestMRF() *MRF {
 func TestADMMInitialPoint(t *testing.T) {
 	opts := DefaultADMMOptions()
 	opts.Epsilon = 1e-8
-	cold, err := SolveMAP(warmTestMRF(), opts)
+	cold, err := SolveMAP(context.Background(), warmTestMRF(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmOpts := opts
 	warmOpts.Initial = cold.X
-	warm, err := SolveMAP(warmTestMRF(), warmOpts)
+	warm, err := SolveMAP(context.Background(), warmTestMRF(), warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestADMMInitialPoint(t *testing.T) {
 	// Out-of-range initial values are clamped, not propagated.
 	clampOpts := opts
 	clampOpts.Initial = []float64{-5, 7, 0.5}
-	sol, err := SolveMAP(warmTestMRF(), clampOpts)
+	sol, err := SolveMAP(context.Background(), warmTestMRF(), clampOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestADMMInitialPoint(t *testing.T) {
 	// it is now a descriptive error.
 	badOpts := opts
 	badOpts.Initial = []float64{0.1}
-	sol, err = SolveMAP(warmTestMRF(), badOpts)
+	sol, err = SolveMAP(context.Background(), warmTestMRF(), badOpts)
 	if err == nil {
 		t.Fatal("wrong-length Initial: want error, got nil")
 	}

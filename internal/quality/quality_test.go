@@ -2,6 +2,9 @@ package quality
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -182,4 +185,17 @@ func TestReportRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, reports[0]) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, reports[0])
 	}
+}
+
+// LoadReport reads one QUALITY_<solver>.json file.
+func LoadReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("quality: report %s: %w", path, err)
+	}
+	return &r, nil
 }

@@ -43,15 +43,6 @@ func ParseUCQ(src string) (*UCQ, error) {
 	return u, nil
 }
 
-// MustParseUCQ is ParseUCQ but panics on error.
-func MustParseUCQ(src string) *UCQ {
-	u, err := ParseUCQ(src)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
 // String renders the union with "; " separators.
 func (u *UCQ) String() string {
 	parts := make([]string, len(u.Disjuncts))

@@ -7,8 +7,17 @@ import (
 	"schemamap/internal/tgd"
 )
 
+func mustParseUCQ(t *testing.T, src string) *UCQ {
+	t.Helper()
+	u, err := ParseUCQ(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
 func TestParseUCQ(t *testing.T) {
-	u := MustParseUCQ("q(x) :- a(x) ; q(x) :- b(x)")
+	u := mustParseUCQ(t, "q(x) :- a(x) ; q(x) :- b(x)")
 	if len(u.Disjuncts) != 2 {
 		t.Fatalf("disjuncts = %d", len(u.Disjuncts))
 	}
@@ -31,7 +40,7 @@ func TestUCQEvalUnion(t *testing.T) {
 	in.Add(data.NewTuple("a", "1"))
 	in.Add(data.NewTuple("b", "2"))
 	in.Add(data.NewTuple("b", "1")) // overlap with a's answer
-	u := MustParseUCQ("q(x) :- a(x) ; q(x) :- b(x)")
+	u := mustParseUCQ(t, "q(x) :- a(x) ; q(x) :- b(x)")
 	got := u.Eval(in)
 	if len(got) != 2 {
 		t.Errorf("answers = %v, want deduped {1,2}", got)
@@ -46,7 +55,7 @@ func TestUCQCertainAnswers(t *testing.T) {
 		tgd.MustParse("projA(p,e) -> task(p,e)"),
 		tgd.MustParse("projB(p,e) -> job(p,e,X)"),
 	}
-	u := MustParseUCQ("q(e) :- task(p, e) ; q(e) :- job(p, e, x)")
+	u := mustParseUCQ(t, "q(e) :- task(p, e) ; q(e) :- job(p, e, x)")
 	got := CertainAnswersUCQ(u, I, m)
 	// Alice via task; Bob's disjunct binds x to a null in the head? No
 	// — x is not projected, so Bob is certain too.

@@ -6,7 +6,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -26,22 +25,6 @@ func NewRelation(name string, attrs ...string) *Relation {
 
 // Arity returns the number of attributes of r.
 func (r *Relation) Arity() int { return len(r.Attrs) }
-
-// AttrPos returns the position of the named attribute, or -1.
-func (r *Relation) AttrPos(name string) int {
-	for i, a := range r.Attrs {
-		if a == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// WithKey sets the primary-key positions and returns r for chaining.
-func (r *Relation) WithKey(pos ...int) *Relation {
-	r.Key = append([]int(nil), pos...)
-	return r
-}
 
 // String renders the relation as Name(attr1, attr2, ...).
 func (r *Relation) String() string {
@@ -126,9 +109,6 @@ func (s *Schema) MustAddRelation(r *Relation) *Relation {
 // Relation returns the named relation or nil.
 func (s *Schema) Relation(name string) *Relation { return s.rels[name] }
 
-// HasRelation reports whether the named relation exists.
-func (s *Schema) HasRelation(name string) bool { _, ok := s.rels[name]; return ok }
-
 // Relations returns all relations in insertion order.
 func (s *Schema) Relations() []*Relation {
 	out := make([]*Relation, 0, len(s.order))
@@ -184,28 +164,6 @@ func (s *Schema) MustAddFK(fk ForeignKey) {
 // FKs returns all foreign keys.
 func (s *Schema) FKs() []ForeignKey { return append([]ForeignKey(nil), s.fks...) }
 
-// FKsFrom returns foreign keys whose source is the named relation.
-func (s *Schema) FKsFrom(rel string) []ForeignKey {
-	var out []ForeignKey
-	for _, fk := range s.fks {
-		if fk.FromRel == rel {
-			out = append(out, fk)
-		}
-	}
-	return out
-}
-
-// FKsTo returns foreign keys whose target is the named relation.
-func (s *Schema) FKsTo(rel string) []ForeignKey {
-	var out []ForeignKey
-	for _, fk := range s.fks {
-		if fk.ToRel == rel {
-			out = append(out, fk)
-		}
-	}
-	return out
-}
-
 // String renders the schema, one relation per line, then foreign keys.
 func (s *Schema) String() string {
 	var b strings.Builder
@@ -236,58 +194,6 @@ func (c Correspondence) String() string {
 // Correspondences is a set of attribute correspondences with helpers
 // used by candidate generation.
 type Correspondences []Correspondence
-
-// ForTargetRel returns the correspondences pointing into the named
-// target relation.
-func (cs Correspondences) ForTargetRel(rel string) Correspondences {
-	var out Correspondences
-	for _, c := range cs {
-		if c.TargetRel == rel {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// ForSourceRel returns the correspondences leaving the named source
-// relation.
-func (cs Correspondences) ForSourceRel(rel string) Correspondences {
-	var out Correspondences
-	for _, c := range cs {
-		if c.SourceRel == rel {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// SourceRels returns the distinct source relations, sorted.
-func (cs Correspondences) SourceRels() []string {
-	seen := make(map[string]bool)
-	for _, c := range cs {
-		seen[c.SourceRel] = true
-	}
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TargetRels returns the distinct target relations, sorted.
-func (cs Correspondences) TargetRels() []string {
-	seen := make(map[string]bool)
-	for _, c := range cs {
-		seen[c.TargetRel] = true
-	}
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Dedup returns the correspondences with exact duplicates removed,
 // preserving first-occurrence order.

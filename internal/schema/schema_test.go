@@ -10,18 +10,8 @@ func TestRelationBasics(t *testing.T) {
 	if r.Arity() != 3 {
 		t.Errorf("arity = %d, want 3", r.Arity())
 	}
-	if r.AttrPos("emp") != 1 {
-		t.Errorf("AttrPos(emp) = %d, want 1", r.AttrPos("emp"))
-	}
-	if r.AttrPos("nope") != -1 {
-		t.Errorf("AttrPos(nope) = %d, want -1", r.AttrPos("nope"))
-	}
 	if got := r.String(); got != "proj(name, emp, company)" {
 		t.Errorf("String() = %q", got)
-	}
-	r.WithKey(0)
-	if len(r.Key) != 1 || r.Key[0] != 0 {
-		t.Errorf("key = %v", r.Key)
 	}
 }
 
@@ -36,7 +26,7 @@ func TestRelationValidate(t *testing.T) {
 		{"no attrs", NewRelation("r"), false},
 		{"dup attrs", NewRelation("r", "a", "a"), false},
 		{"empty attr", NewRelation("r", ""), false},
-		{"bad key", NewRelation("r", "a").WithKey(5), false},
+		{"bad key", &Relation{Name: "r", Attrs: []string{"a"}, Key: []int{5}}, false},
 	}
 	for _, c := range cases {
 		if err := c.rel.Validate(); (err == nil) != c.ok {
@@ -54,9 +44,6 @@ func TestSchemaAddAndLookup(t *testing.T) {
 	}
 	if s.Relation("a") == nil || s.Relation("c") != nil {
 		t.Error("lookup broken")
-	}
-	if !s.HasRelation("b") || s.HasRelation("zz") {
-		t.Error("HasRelation broken")
 	}
 	if got := s.RelationNames(); got[0] != "a" || got[1] != "b" {
 		t.Errorf("order broken: %v", got)
@@ -79,15 +66,6 @@ func TestSchemaFKs(t *testing.T) {
 	}
 	if n := len(s.FKs()); n != 1 {
 		t.Errorf("FKs = %d", n)
-	}
-	if n := len(s.FKsFrom("task")); n != 1 {
-		t.Errorf("FKsFrom(task) = %d", n)
-	}
-	if n := len(s.FKsTo("org")); n != 1 {
-		t.Errorf("FKsTo(org) = %d", n)
-	}
-	if n := len(s.FKsFrom("org")); n != 0 {
-		t.Errorf("FKsFrom(org) = %d", n)
 	}
 
 	bad := []ForeignKey{
@@ -124,18 +102,6 @@ func TestCorrespondences(t *testing.T) {
 	}
 	if got := cs.Dedup(); len(got) != 3 {
 		t.Errorf("Dedup len = %d, want 3", len(got))
-	}
-	if got := cs.ForTargetRel("v"); len(got) != 2 {
-		t.Errorf("ForTargetRel(v) = %d, want 2", len(got))
-	}
-	if got := cs.ForSourceRel("q"); len(got) != 1 {
-		t.Errorf("ForSourceRel(q) = %d, want 1", len(got))
-	}
-	if got := cs.SourceRels(); len(got) != 2 || got[0] != "p" {
-		t.Errorf("SourceRels = %v", got)
-	}
-	if got := cs.TargetRels(); len(got) != 2 || got[0] != "u" {
-		t.Errorf("TargetRels = %v", got)
 	}
 
 	bad := Correspondences{{SourceRel: "p", SourcePos: 7, TargetRel: "u", TargetPos: 0}}

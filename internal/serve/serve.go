@@ -234,9 +234,6 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Registry returns the server's metric registry.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
-
 // Stats is a point-in-time snapshot of the server counters bench's
 // load generator reads in-process.
 type Stats struct {

@@ -40,9 +40,6 @@ type Atom struct {
 	Args []Term
 }
 
-// NewAtom builds an atom.
-func NewAtom(rel string, args ...Term) Atom { return Atom{Rel: rel, Args: args} }
-
 // String renders the atom in DSL syntax.
 func (a Atom) String() string {
 	parts := make([]string, len(a.Args))
@@ -99,9 +96,6 @@ func (d *TGD) ExistVars() []string {
 	}
 	return out
 }
-
-// IsFull reports whether the tgd has no existential variables.
-func (d *TGD) IsFull() bool { return len(d.ExistVars()) == 0 }
 
 // Size returns the size measure used by the selection objective:
 // the number of atoms (body plus head) plus the number of existential

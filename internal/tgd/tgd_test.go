@@ -91,11 +91,8 @@ func TestVarsAndExistentials(t *testing.T) {
 	if got := d.ExistVars(); len(got) != 2 || got[0] != "E" || got[1] != "F" {
 		t.Errorf("ExistVars = %v", got)
 	}
-	if d.IsFull() {
-		t.Error("IsFull on existential tgd")
-	}
-	if !MustParse("r(x,y) -> s(y,x)").IsFull() {
-		t.Error("IsFull broken on full tgd")
+	if got := MustParse("r(x,y) -> s(y,x)").ExistVars(); len(got) != 0 {
+		t.Errorf("ExistVars of a full tgd = %v", got)
 	}
 }
 
@@ -198,7 +195,7 @@ func TestClone(t *testing.T) {
 }
 
 func TestAtomHelpers(t *testing.T) {
-	a := NewAtom("r", Var("x"), Const("k"), Var("x"))
+	a := Atom{Rel: "r", Args: []Term{Var("x"), Const("k"), Var("x")}}
 	if got := a.Vars(); len(got) != 1 || got[0] != "x" {
 		t.Errorf("Vars = %v", got)
 	}

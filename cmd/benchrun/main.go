@@ -1,92 +1,59 @@
-// Command benchrun is the scenario-scale benchmark harness CLI: it
-// generates ibench-style scenarios at the requested scales, runs every
-// registered solver on them, and writes one machine-readable
-// BENCH_<solver>.json per solver.
+// Command benchrun is the scenario-scale benchmark CLI: it replays the
+// selected trace kinds at the requested scales, writes one
+// machine-readable BENCH_<solver>.json per solver, and applies the row
+// gates and the perf baseline.
 //
 // Usage:
 //
 //	benchrun [flags]
 //
-//	-scale S|M|L|all     scales to run (default S; "none" skips the
-//	                     harness, e.g. for a pure -compare-admm run)
-//	-solvers a,b,...     solver subset (default: all registered)
-//	-parallelism N       WithParallelism for every solve (default 4)
-//	-budget D            per-solve soft budget (default 60s; 0 = off)
+//	-trace K,...         trace kinds to replay (default solve):
+//	                     solve       cold Prepare + solve, every
+//	                                 registered solver
+//	                     stream      8 append batches with warm
+//	                                 re-solves vs cold Prepare+Solve
+//	                                 (greedy, collective)
+//	                     churn       6 steps of appends, removals and
+//	                                 candidate adds (greedy, collective)
+//	                     serve       stream and solve traces over HTTP
+//	                                 from 120 concurrent sessions per
+//	                                 scale, plus a recorded-only L corpus
+//	                                 at 30 (greedy, collective)
+//	                     throughput  the noise-free L/XL specs, tuples/sec
+//	                                 and peak RSS (sharded-greedy,
+//	                                 sharded-collective); replayed first
+//	-scale S|M|L|all     scales to replay (default S; a comma list; the
+//	                     throughput trace has its own L and XL; "none"
+//	                     skips replay, e.g. for a pure -compare-admm run)
+//	-solvers a,b,...     solver subset (default: each trace's own set)
+//	-parallelism N       WithParallelism for every prepare and solve
+//	                     (default 4)
 //	-out DIR             output directory for BENCH_*.json (default .)
-//	-baseline FILE       perf baseline to gate against (optional)
+//	-stream-gate X       speedup floor of the greedy and collective
+//	                     stream rows at the largest streamed scale
+//	                     (default 2; 0 turns it off)
+//	-baseline FILE       perf baseline to gate against (optional): the
+//	                     collective solve time at its scale and prepare
+//	                     time at M, in calibration units
 //	-gate PCT            allowed regression percent (default 20)
 //	-update-baseline     rewrite FILE from this run instead of gating
-//	-baseline-solvers    solvers recorded into the baseline
-//	                     (default collective — the ADMM gate)
-//	-prepare-scale NAME  scale whose prepareMillis the baseline gates
-//	                     (default M; recorded only when the run
-//	                     includes that scale)
 //	-compare-admm        also run the serial-vs-parallel ADMM
 //	                     comparison on the M scenario
 //	-strict-compare      exit non-zero when -compare-admm sees no
 //	                     speedup on a multi-core machine
-//	-stream              also run the streaming benchmark: batched
-//	                     AppendTarget + warm-start re-solve vs cold
-//	                     Prepare+Solve, recorded into BENCH_*.json and
-//	                     gated on evidence/objective equality
-//	-stream-batches N    append batches per streaming run (default 8)
-//	-stream-gate X       minimum warm-vs-cold speedup for the gated
-//	                     solver rows at the largest streamed scale
-//	                     (default 2; 0 disables the speedup check)
-//	-stream-gate-solvers comma list of solvers the -stream-gate floor
-//	                     applies to (default greedy,collective; other
-//	                     streamed solvers are recorded ungated)
-//	-churn               also run the lifecycle-churn benchmark:
-//	                     interleaved AppendTarget / RemoveTarget /
-//	                     AddCandidates steps with warm re-solves,
-//	                     recorded into BENCH_*.json and gated on a
-//	                     per-step evidence differential (zero drift vs
-//	                     a cold Prepare) and warm ≤ cold objectives
-//	-churn-steps N       mutation steps per churn run (default 6)
-//	-serve               also run the serving benchmark: boot the
-//	                     session server (internal/serve) and drive it
-//	                     with concurrent sessions (named-corpus creates
-//	                     sharing prepared problems, plus streaming
-//	                     sessions appending batches with warm
-//	                     re-solves); p50/p99 latency rows are recorded
-//	                     into BENCH_*.json and gated on zero request
-//	                     errors and a warm prepare cache
-//	-serve-sessions N    concurrent sessions per serve scale (default
-//	                     120)
-//	-serve-batches N     append batches per streaming session (default
-//	                     4)
-//	-serve-corpus S|M|L  extra scales driven at N/4 sessions and
-//	                     recorded without gating (default L; "none"
-//	                     disables)
-//	-throughput L,XL     also run the end-to-end throughput benchmark
-//	                     (internal/bench RunThroughput): generate the
-//	                     named large-scale scenarios (~1.1e5 tuples at
-//	                     L, ~1.1e6 at XL), prepare + solve them with
-//	                     the sharded solvers, and record tuples/sec and
-//	                     peak-RSS rows into BENCH_*.json (empty or
-//	                     "none" disables)
-//	-throughput-solvers  solver subset for -throughput (default
-//	                     sharded-greedy,sharded-collective)
-//	-throughput-gate X   minimum calibration-normalized throughput on
-//	                     the gated L rows (default 100; 0 disables;
-//	                     XL rows are recorded-only, never gated)
-//	-throughput-mem MB   peak-RSS budget on the gated L rows (default
-//	                     2048; 0 disables)
-//	-quality             also run the quality scenario matrix
-//	                     (internal/quality) and write QUALITY_*.json
-//	                     next to the bench reports
-//	-quality-baseline F  F1 baseline to gate the -quality run against
-//	                     (refreshed instead when -update-baseline is
-//	                     set)
-//	-quality-tolerance T allowed absolute F1 drop (default 0.01)
 //	-cpuprofile FILE     write a pprof CPU profile of the run
 //	-memprofile FILE     write a pprof heap profile at exit
+//
+// Every replayed row is checked by the row gates (bench.Check):
+// differential and warm ≤ cold on stream and churn rows, the speedup
+// floor, zero errors and a warm cache on serve rows, and the
+// throughput floor and RSS budget at L.
 //
 // SIGINT/SIGTERM cancel the run cleanly (partial work is abandoned,
 // nothing is written) with a non-zero exit.
 //
-// Exit codes: 0 ok, 1 usage/run/interrupt error, 2 perf gate or
-// comparison failure.
+// Exit codes: 0 ok, 1 usage/run/interrupt error, 2 gate or comparison
+// failure.
 package main
 
 import (
@@ -97,13 +64,19 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
-	"time"
 
 	"schemamap/internal/bench"
-	"schemamap/internal/core"
-	"schemamap/internal/quality"
+)
+
+// The baseline records the collective (ADMM) solve time — gating
+// microsecond-fast solvers on wall time would only add noise — and
+// the prepare time at M, where prepare is long enough to time.
+const (
+	baselineSolver = "collective"
+	prepareScale   = "M"
 )
 
 func main() {
@@ -112,37 +85,19 @@ func main() {
 
 func run() int {
 	var (
-		scaleFlag       = flag.String("scale", "S", "scales to run: S, M, L, a comma list, or all")
-		solversFlag     = flag.String("solvers", "", "comma-separated solver subset (default: all registered)")
-		parallelism     = flag.Int("parallelism", 4, "WithParallelism for every solve (0 = GOMAXPROCS)")
-		budget          = flag.Duration("budget", 60*time.Second, "per-solve soft budget (0 = unlimited)")
-		outDir          = flag.String("out", ".", "output directory for BENCH_<solver>.json")
-		baselinePath    = flag.String("baseline", "", "baseline file to gate against (see -gate)")
-		gate            = flag.Float64("gate", 20, "allowed solve-time regression in percent vs -baseline")
-		updateBaseline  = flag.Bool("update-baseline", false, "rewrite -baseline from this run instead of gating")
-		baselineSolvers = flag.String("baseline-solvers", "collective", "solvers recorded by -update-baseline (comma list, or all)")
-		prepareScale    = flag.String("prepare-scale", "M", "scale whose prepareMillis -update-baseline records as the prepare gate (empty disables)")
-		compareADMM     = flag.Bool("compare-admm", false, "run the serial-vs-parallel ADMM comparison on the M scenario")
-		strictCompare   = flag.Bool("strict-compare", false, "fail -compare-admm when no speedup on a multi-core machine")
-		runStream       = flag.Bool("stream", false, "also run the streaming benchmark (batched AppendTarget + warm-start re-solve vs cold Prepare+Solve) on the selected scales")
-		streamBatches   = flag.Int("stream-batches", 8, "append batches per streaming run")
-		streamGate      = flag.Float64("stream-gate", 2, "minimum warm-vs-cold speedup for the gated solver rows at the largest streamed scale (0 disables; evidence/objective equality is always gated)")
-		streamGateSolv  = flag.String("stream-gate-solvers", "greedy,collective", "comma list of solvers the -stream-gate speedup floor applies to")
-		runChurn        = flag.Bool("churn", false, "also run the lifecycle-churn benchmark (interleaved appends/removals/candidate adds with warm re-solves) on the selected scales")
-		churnSteps      = flag.Int("churn-steps", 6, "mutation steps per churn run")
-		runServe        = flag.Bool("serve", false, "also run the serving benchmark: concurrent sessions against the session server, p50/p99 rows recorded and gated")
-		serveSessions   = flag.Int("serve-sessions", 120, "concurrent sessions per serve scale")
-		serveBatches    = flag.Int("serve-batches", 4, "append batches per streaming serve session")
-		serveCorpus     = flag.String("serve-corpus", "L", "extra serve scales driven at a quarter of the sessions, recorded without gating (comma list; none disables)")
-		throughput      = flag.String("throughput", "", "also run the end-to-end throughput benchmark at these scales (comma list of L, XL; empty or none disables)")
-		tputSolvers     = flag.String("throughput-solvers", "", "comma-separated solver subset for -throughput (default sharded-greedy,sharded-collective)")
-		tputGate        = flag.Float64("throughput-gate", 100, "minimum calibration-normalized throughput on the gated L rows (0 disables)")
-		tputMem         = flag.Float64("throughput-mem", 2048, "peak-RSS budget in MB on the gated L rows (0 disables)")
-		runQuality      = flag.Bool("quality", false, "also run the quality scenario matrix and write QUALITY_*.json to -out")
-		qualityBaseline = flag.String("quality-baseline", "", "F1 baseline for the -quality run (gated, or refreshed with -update-baseline)")
-		qualityTol      = flag.Float64("quality-tolerance", 0.01, "allowed absolute F1 drop vs -quality-baseline (0 = exact)")
-		cpuprofile      = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile      = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		traceFlag      = flag.String("trace", "solve", "trace kinds to replay: a comma list of throughput, solve, stream, churn, serve")
+		scaleFlag      = flag.String("scale", "S", "scales to replay: S, M, L (throughput: L, XL), a comma list, all, or none")
+		solversFlag    = flag.String("solvers", "", "comma-separated solver subset (default: each trace's own set)")
+		parallelism    = flag.Int("parallelism", 4, "WithParallelism for every prepare and solve (0 = GOMAXPROCS)")
+		outDir         = flag.String("out", ".", "output directory for BENCH_<solver>.json")
+		streamGate     = flag.Float64("stream-gate", 2, "speedup floor of the greedy and collective stream rows at the largest streamed scale (0 turns it off)")
+		baselinePath   = flag.String("baseline", "", "baseline file to gate against (see -gate)")
+		gate           = flag.Float64("gate", 20, "allowed regression in percent vs -baseline")
+		updateBaseline = flag.Bool("update-baseline", false, "rewrite -baseline from this run instead of gating")
+		compareADMM    = flag.Bool("compare-admm", false, "run the serial-vs-parallel ADMM comparison on the M scenario")
+		strictCompare  = flag.Bool("strict-compare", false, "fail -compare-admm when no speedup on a multi-core machine")
+		cpuprofile     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memprofile     = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
 	flag.Parse()
 
@@ -174,206 +129,48 @@ func run() int {
 		}()
 	}
 
-	scales, err := parseScales(*scaleFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+	kinds := strings.Split(*traceFlag, ",")
+	for _, k := range kinds {
+		if !slices.Contains(bench.Traces(), k) {
+			fmt.Fprintf(os.Stderr, "benchrun: unknown trace %q (have %s)\n", k, strings.Join(bench.Traces(), ", "))
+			return 1
+		}
 	}
-	var solvers []string
+	opt := bench.Options{Parallelism: *parallelism, Progress: func(line string) { fmt.Println(line) }}
 	if *solversFlag != "" {
-		solvers = strings.Split(*solversFlag, ",")
+		opt.Solvers = strings.Split(*solversFlag, ",")
 	}
 
 	// SIGINT/SIGTERM cancel the run; solvers notice at their iteration
-	// checkpoints and the harness returns the cancellation.
+	// checkpoints and the replay returns the cancellation.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	exitStream := 0
-	var streamRows []bench.StreamResult
-	if *runStream {
-		sscales := scales
-		if len(sscales) == 0 {
-			all := bench.Scales()
-			sscales = all[:2]
+	var rows []bench.Row
+	for _, kind := range bench.Traces() { // throughput first: peak RSS is a high-water mark
+		if !slices.Contains(kinds, kind) {
+			continue
 		}
-		fmt.Printf("benchrun: streaming scales=%s batches=%d\n", scaleNames(sscales), *streamBatches)
-		var err error
-		streamRows, err = bench.RunStreaming(ctx, bench.StreamOptions{
-			Scales:      sscales,
-			Batches:     *streamBatches,
-			Parallelism: *parallelism,
-			Budget:      *budget,
-			Progress:    func(line string) { fmt.Println(line) },
-		})
+		specs, err := parseScales(kind, *scaleFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchrun:", err)
 			return 1
 		}
-		gateSolvers := strings.Split(*streamGateSolv, ",")
-		if err := bench.CheckStreaming(streamRows, gateSolvers, *streamGate); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exitStream = 2
-		} else {
-			fmt.Printf("stream gate ok: evidence identical, warm objective ≤ cold, %s speedup ≥ %gx\n",
-				*streamGateSolv, *streamGate)
+		if len(specs) == 0 {
+			continue
 		}
-		// Benchstat-style warm-vs-cold iteration comparison, on stdout
-		// and in the CI job summary when one is collecting.
-		table := streamIterTable(streamRows)
-		fmt.Print(table)
-		appendStepSummary("### Warm vs cold iterations (streaming re-solves)\n\n```\n" + table + "```\n")
-	}
-
-	exitChurn := 0
-	var churnRows []bench.ChurnResult
-	if *runChurn {
-		cscales := scales
-		if len(cscales) == 0 {
-			all := bench.Scales()
-			cscales = all[:2]
-		}
-		fmt.Printf("benchrun: churn scales=%s steps=%d\n", scaleNames(cscales), *churnSteps)
-		var err error
-		churnRows, err = bench.RunChurn(ctx, bench.ChurnOptions{
-			Scales:      cscales,
-			Steps:       *churnSteps,
-			Parallelism: *parallelism,
-			Budget:      *budget,
-			Progress:    func(line string) { fmt.Println(line) },
-		})
+		fmt.Printf("benchrun: trace=%s scales=%s parallelism=%d\n", kind, *scaleFlag, *parallelism)
+		got, err := bench.Replay(ctx, kind, specs, opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchrun:", err)
 			return 1
 		}
-		if err := bench.CheckChurn(churnRows); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exitChurn = 2
-		} else {
-			fmt.Println("churn gate ok: per-step evidence identical, warm objective ≤ cold")
-		}
+		rows = append(rows, got...)
 	}
-
-	exitServe := 0
-	var serveRows []bench.ServeResult
-	if *runServe {
-		sscales := scales
-		if len(sscales) == 0 {
-			all := bench.Scales()
-			sscales = all[:1] // S
-		}
-		var corpus []bench.Spec
-		if !strings.EqualFold(*serveCorpus, "none") {
-			var err error
-			corpus, err = parseScales(*serveCorpus)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		}
-		fmt.Printf("benchrun: serving scales=%s corpus=%s sessions=%d batches=%d\n",
-			scaleNames(sscales), scaleNames(corpus), *serveSessions, *serveBatches)
-		var err error
-		serveRows, err = bench.RunServe(ctx, bench.ServeOptions{
-			Scales:       sscales,
-			CorpusScales: corpus,
-			Sessions:     *serveSessions,
-			Batches:      *serveBatches,
-			Parallelism:  *parallelism,
-			Budget:       *budget,
-			Progress:     func(line string) { fmt.Println(line) },
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-		if err := bench.CheckServe(serveRows); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exitServe = 2
-		} else {
-			fmt.Println("serve gate ok: zero request errors, prepare cache warm")
-		}
-	}
-
-	exitThroughput := 0
-	var throughputRows []bench.ThroughputResult
-	if *throughput != "" && !strings.EqualFold(*throughput, "none") {
-		var tscales []bench.ThroughputSpec
-		for _, name := range strings.Split(*throughput, ",") {
-			spec, err := bench.ThroughputSpecFor(strings.ToUpper(strings.TrimSpace(name)))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			tscales = append(tscales, spec)
-		}
-		var tsolvers []string
-		if *tputSolvers != "" {
-			tsolvers = strings.Split(*tputSolvers, ",")
-		}
-		fmt.Printf("benchrun: throughput scales=%s gate=%g mem=%gMB\n", *throughput, *tputGate, *tputMem)
-		var err error
-		throughputRows, err = bench.RunThroughput(ctx, bench.ThroughputOptions{
-			Scales:      tscales,
-			Solvers:     tsolvers,
-			Parallelism: *parallelism,
-			Budget:      *budget,
-			Progress:    func(line string) { fmt.Println(line) },
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-		if err := bench.CheckThroughput(throughputRows, bench.ThroughputGate{
-			MinNormalized: *tputGate, MaxRSSMB: *tputMem,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exitThroughput = 2
-		} else {
-			fmt.Printf("throughput gate ok: L normalized ≥ %g, peak RSS ≤ %gMB (XL recorded only)\n", *tputGate, *tputMem)
-		}
-	}
-
+	exit := 0
 	var reports []*bench.Report
-	if len(scales) > 0 {
-		opt := bench.Options{
-			Scales:      scales,
-			Solvers:     solvers,
-			Parallelism: *parallelism,
-			Budget:      *budget,
-			Progress:    func(line string) { fmt.Println(line) },
-		}
-		fmt.Printf("benchrun: scales=%s solvers=%s parallelism=%d budget=%v\n",
-			scaleNames(scales), solverNames(solvers), *parallelism, *budget)
-		reports, err = bench.Run(ctx, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-		// Record the streaming and serving rows alongside each solver's
-		// results.
-		for _, r := range reports {
-			for _, row := range streamRows {
-				if row.Solver == r.Solver {
-					r.Streaming = append(r.Streaming, row)
-				}
-			}
-			for _, row := range churnRows {
-				if row.Solver == r.Solver {
-					r.Churn = append(r.Churn, row)
-				}
-			}
-			for _, row := range serveRows {
-				if row.Solver == r.Solver {
-					r.Serve = append(r.Serve, row)
-				}
-			}
-			for _, row := range throughputRows {
-				if row.Solver == r.Solver {
-					r.Throughput = append(r.Throughput, row)
-				}
-			}
-		}
+	if len(rows) > 0 {
+		reports = bench.NewReports(rows)
 		paths, err := bench.WriteReports(*outDir, reports)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchrun:", err)
@@ -382,60 +179,27 @@ func run() int {
 		for _, p := range paths {
 			fmt.Println("wrote", p)
 		}
-	} else if len(throughputRows) > 0 {
-		// Throughput-only run (-scale none -throughput …): the rows
-		// still deserve a report file per solver.
-		byolver := map[string]*bench.Report{}
-		calib := float64(bench.Calibrate().Nanoseconds()) / 1e6
-		for _, row := range throughputRows {
-			r, ok := byolver[row.Solver]
-			if !ok {
-				r = &bench.Report{
-					Solver:            row.Solver,
-					GoVersion:         runtime.Version(),
-					GOMAXPROCS:        runtime.GOMAXPROCS(0),
-					CalibrationMillis: calib,
-					Results:           []bench.Result{},
-				}
-				byolver[row.Solver] = r
-				reports = append(reports, r)
-			}
-			r.Throughput = append(r.Throughput, row)
-		}
-		paths, err := bench.WriteReports(*outDir, reports)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-		for _, p := range paths {
-			fmt.Println("wrote", p)
+		if err := bench.Check(rows, *streamGate); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			exit = 2
+		} else {
+			fmt.Printf("row gates ok: %d rows (stream speedup floor %gx)\n", len(rows), *streamGate)
 		}
 	}
 
-	exit := exitStream
-	if exitChurn > exit {
-		exit = exitChurn
-	}
-	if exitServe > exit {
-		exit = exitServe
-	}
-	if exitThroughput > exit {
-		exit = exitThroughput
-	}
-	if *baselinePath != "" && len(scales) > 0 {
+	if *baselinePath != "" && len(rows) > 0 {
 		if *updateBaseline {
-			scale := scales[0].Name
-			var gated []string
-			if !strings.EqualFold(*baselineSolvers, "all") {
-				gated = strings.Split(*baselineSolvers, ",")
+			scale := ""
+			if i := slices.IndexFunc(rows, func(r bench.Row) bool { return r.Trace == "solve" }); i >= 0 {
+				scale = rows[i].Scale
 			}
-			b := bench.BaselineFrom(reports, scale, gated...)
-			if *prepareScale != "" && !b.RecordPrepare(reports, *prepareScale, gated...) {
+			b := bench.BaselineFrom(reports, scale, baselineSolver)
+			if !b.RecordPrepare(reports, prepareScale, baselineSolver) {
 				// Writing a baseline without the prepare gate silently
 				// disarms the CI prepare check — make it loud.
 				fmt.Fprintf(os.Stderr,
 					"benchrun: warning: no usable %s-scale measurement; baseline written WITHOUT a prepare gate (run with -scale including %s to record one)\n",
-					*prepareScale, *prepareScale)
+					prepareScale, prepareScale)
 			}
 			b.RecordedOn = fmt.Sprintf("go %s, GOMAXPROCS=%d", reports[0].GoVersion, reports[0].GOMAXPROCS)
 			if err := bench.WriteBaseline(*baselinePath, b); err != nil {
@@ -455,25 +219,6 @@ func run() int {
 			} else {
 				fmt.Printf("perf gate ok: within %g%% of baseline %s (scale %s)\n", *gate, *baselinePath, b.Scale)
 			}
-		}
-	}
-
-	if *runQuality {
-		fmt.Printf("benchrun: quality matrix (%d cells)\n", len(quality.Matrix()))
-		code := quality.RunCLI(ctx, quality.CLIConfig{
-			Options: quality.Options{Solvers: solvers, Parallelism: *parallelism,
-				Progress: func(line string) { fmt.Println(line) }},
-			OutDir:         *outDir,
-			BaselinePath:   *qualityBaseline,
-			Tolerance:      *qualityTol,
-			UpdateBaseline: *updateBaseline,
-		})
-		switch code {
-		case 0:
-		case 2:
-			exit = 2 // gate failure: still run -compare-admm below
-		default:
-			return code
 		}
 	}
 
@@ -497,71 +242,23 @@ func run() int {
 	return exit
 }
 
-func parseScales(s string) ([]bench.Spec, error) {
+// parseScales resolves the -scale names against a trace kind's specs.
+func parseScales(kind, s string) ([]bench.Spec, error) {
+	all := bench.ScalesFor(kind)
 	if strings.EqualFold(s, "all") {
-		return bench.Scales(), nil
+		return all, nil
 	}
 	if s == "" || strings.EqualFold(s, "none") {
-		// -scale none: skip the harness (useful with -compare-admm).
 		return nil, nil
 	}
 	var out []bench.Spec
 	for _, name := range strings.Split(s, ",") {
-		spec, err := bench.SpecFor(strings.ToUpper(strings.TrimSpace(name)))
-		if err != nil {
-			return nil, err
+		name = strings.ToUpper(strings.TrimSpace(name))
+		i := slices.IndexFunc(all, func(spec bench.Spec) bool { return spec.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("trace %s has no scale %q", kind, name)
 		}
-		out = append(out, spec)
+		out = append(out, all[i])
 	}
 	return out, nil
-}
-
-func scaleNames(specs []bench.Spec) string {
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	return strings.Join(names, ",")
-}
-
-func solverNames(solvers []string) string {
-	if len(solvers) == 0 {
-		return strings.Join(core.Names(), ",")
-	}
-	return strings.Join(solvers, ",")
-}
-
-// streamIterTable renders a benchstat-style before/after comparison of
-// the solver iteration counts behind the streaming speedups: the cold
-// solve on the final target vs the average warm re-solve.
-func streamIterTable(rows []bench.StreamResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-5s %-14s %12s %12s %8s\n", "scale", "solver", "cold iters", "warm iters", "ratio")
-	for _, r := range rows {
-		if r.Skipped != "" || r.Batches <= 0 {
-			continue
-		}
-		warmAvg := float64(r.WarmIterations) / float64(r.Batches)
-		ratio := "n/a"
-		if r.ColdIterations > 0 {
-			ratio = fmt.Sprintf("%.2fx", warmAvg/float64(r.ColdIterations))
-		}
-		fmt.Fprintf(&b, "%-5s %-14s %12d %12.1f %8s\n", r.Scale, r.Solver, r.ColdIterations, warmAvg, ratio)
-	}
-	return b.String()
-}
-
-// appendStepSummary appends markdown to the GitHub Actions job summary
-// when one is collecting ($GITHUB_STEP_SUMMARY); a no-op elsewhere.
-func appendStepSummary(md string) {
-	path := os.Getenv("GITHUB_STEP_SUMMARY")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	f.WriteString(md)
 }

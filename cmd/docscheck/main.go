@@ -19,7 +19,9 @@
 //   - Artifacts: every root BENCH_<name>.json and QUALITY_<name>.json,
 //     and every solver key of the quality baseline, must name a
 //     registered solver, so a deleted solver cannot leave orphaned
-//     records behind.
+//     records behind; and no BENCH row or QUALITY cell may be
+//     truncated, since a wall-clock-truncated number does not
+//     reproduce.
 //   - Serve endpoints: the endpoint table in docs/FORMATS.md (rows
 //     whose first cell is a backticked `METHOD /path`) must list
 //     exactly the routes internal/serve registers (serve.Routes), so
@@ -80,7 +82,7 @@ func main() {
 	}
 	checkReadmeExamples(readme, binaries, report)
 	checkSolverCoverage(readme, report)
-	checkArtifactSolvers(*root, report)
+	checkArtifacts(*root, report)
 	checkBenchrunFlagTable(readme, binaries, report)
 	checkServeEndpoints(*root, report)
 	checkAnalyzerDocs(*root, report)
@@ -314,10 +316,10 @@ func checkSolverCoverage(readme string, report func(string, ...any)) {
 	}
 }
 
-// checkArtifactSolvers verifies that every recorded BENCH/QUALITY
-// artifact and every quality-baseline solver names a registered
-// solver.
-func checkArtifactSolvers(root string, report func(string, ...any)) {
+// checkArtifacts verifies that every recorded BENCH/QUALITY artifact
+// and every quality-baseline solver names a registered solver, and
+// that no artifact row is truncated.
+func checkArtifacts(root string, report func(string, ...any)) {
 	registered := make(map[string]bool)
 	for _, name := range core.Names() {
 		registered[name] = true
@@ -332,6 +334,15 @@ func checkArtifactSolvers(root string, report func(string, ...any)) {
 			name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), prefix), ".json")
 			if !registered[name] {
 				report("%s: names unregistered solver %q", filepath.Base(f), name)
+			}
+			var rows struct{ Rows, Cells []map[string]any }
+			if err := json.Unmarshal([]byte(readFile(f, report)), &rows); err != nil {
+				report("%s: %v", filepath.Base(f), err)
+			}
+			for i, r := range append(rows.Rows, rows.Cells...) {
+				if r["truncated"] == true {
+					report("%s: row %d (scale %v) is truncated", filepath.Base(f), i, r["scale"])
+				}
 			}
 		}
 	}

@@ -31,22 +31,17 @@ type Baseline struct {
 	RecordedOn string `json:"recordedOn,omitempty"`
 }
 
-// BaselineFrom extracts a baseline from a harness run at the given
-// scale. Only solvers with a measurement at that scale are recorded;
-// when solvers is non-empty it further restricts the recorded set
-// (the CI gate records only the collective/ADMM solver — gating
-// microsecond-fast solvers on wall time would only add noise).
+// BaselineFrom extracts a baseline from the solve-trace rows of a run
+// at the given scale. Only solvers with a measurement at that scale
+// are recorded; when solvers is non-empty it further restricts the
+// recorded set (the CI gate records only the collective/ADMM solver —
+// gating microsecond-fast solvers on wall time would only add noise).
 func BaselineFrom(reports []*Report, scale string, solvers ...string) *Baseline {
-	keep := make(map[string]bool, len(solvers))
-	for _, s := range solvers {
-		keep[s] = true
-	}
-	b := &Baseline{
+	return &Baseline{
 		Scale: scale,
 		NormalizedSolve: recordNormalized(reports, scale,
-			func(res Result) float64 { return res.SolveMillis }, solvers),
+			func(res Row) float64 { return res.SolveMillis }, solvers),
 	}
-	return b
 }
 
 // RecordPrepare adds a prepare-phase gate at the given scale,
@@ -56,7 +51,7 @@ func BaselineFrom(reports []*Report, scale string, solvers ...string) *Baseline 
 // RecordPrepare reports false.
 func (b *Baseline) RecordPrepare(reports []*Report, scale string, solvers ...string) bool {
 	recorded := recordNormalized(reports, scale,
-		func(res Result) float64 { return res.PrepareMillis }, solvers)
+		func(res Row) float64 { return res.PrepareMillis }, solvers)
 	if len(recorded) == 0 {
 		return false
 	}
@@ -68,7 +63,7 @@ func (b *Baseline) RecordPrepare(reports []*Report, scale string, solvers ...str
 // recordNormalized extracts one normalised metric per solver (all
 // when solvers is empty) from the run's usable measurements at the
 // scale.
-func recordNormalized(reports []*Report, scale string, metric func(Result) float64, solvers []string) map[string]float64 {
+func recordNormalized(reports []*Report, scale string, metric func(Row) float64, solvers []string) map[string]float64 {
 	keep := make(map[string]bool, len(solvers))
 	for _, s := range solvers {
 		keep[s] = true
@@ -81,8 +76,8 @@ func recordNormalized(reports []*Report, scale string, metric func(Result) float
 		if len(keep) > 0 && !keep[r.Solver] {
 			continue
 		}
-		for _, res := range r.Results {
-			if res.Scale == scale && res.Skipped == "" {
+		for _, res := range r.Rows {
+			if res.Trace == traceSolve && res.Scale == scale && res.Skipped == "" {
 				recorded[r.Solver] = metric(res) / r.CalibrationMillis
 			}
 		}
@@ -128,10 +123,10 @@ func CheckBaseline(b *Baseline, reports []*Report, gatePercent float64) error {
 		gatePercent = 20
 	}
 	failures := gatePhase(reports, b.Scale, b.NormalizedSolve, gatePercent, "solve",
-		func(res Result) float64 { return res.SolveMillis })
+		func(res Row) float64 { return res.SolveMillis })
 	if b.PrepareScale != "" {
 		failures = append(failures, gatePhase(reports, b.PrepareScale, b.NormalizedPrepare, gatePercent, "prepare",
-			func(res Result) float64 { return res.PrepareMillis })...)
+			func(res Row) float64 { return res.PrepareMillis })...)
 	}
 	if len(failures) > 0 {
 		msg := "bench: perf gate failed:"
@@ -145,7 +140,7 @@ func CheckBaseline(b *Baseline, reports []*Report, gatePercent float64) error {
 
 // gatePhase applies one normalised-time gate (solve or prepare) at
 // one scale and returns the failure descriptions.
-func gatePhase(reports []*Report, scale string, gated map[string]float64, gatePercent float64, phase string, metric func(Result) float64) []string {
+func gatePhase(reports []*Report, scale string, gated map[string]float64, gatePercent float64, phase string, metric func(Row) float64) []string {
 	var failures []string
 	names := make([]string, 0, len(gated))
 	for name := range gated {
@@ -159,8 +154,8 @@ func gatePhase(reports []*Report, scale string, gated map[string]float64, gatePe
 			if r.Solver != name || r.CalibrationMillis <= 0 {
 				continue
 			}
-			for _, res := range r.Results {
-				if res.Scale != scale {
+			for _, res := range r.Rows {
+				if res.Trace != traceSolve || res.Scale != scale {
 					continue
 				}
 				if res.Skipped != "" {

@@ -1,11 +1,17 @@
-// Package bench is the repo's scenario-scale benchmark harness: it
-// generates ibench-style mapping scenarios at fixed S/M/L scales, runs
-// every registered solver on them through the core registry, and emits
-// machine-readable BENCH_<solver>.json reports (wall time, iterations,
-// objective, allocations). cmd/benchrun is the CLI front end; CI runs
-// the S scale on every PR and gates on the checked-in baseline
-// (baseline.go), which turns "measurably faster" claims in future PRs
-// into recorded numbers.
+// Package bench is the repo's scenario-scale benchmark harness. Every
+// benchmark is the replay of one trace — a generated ibench scenario
+// at a fixed scale, the state a session opens on, and a list of
+// ibench.ChurnStep mutations, each followed by a warm re-solve — and
+// every replay emits the same Row (trace.go). The cold solver
+// benchmark is a zero-step trace, streaming an append-only one, churn
+// interleaves appends, removals and candidate additions, throughput is
+// a zero-step trace on the noise-free L/XL specs, and the serve trace
+// replays stream and solve traces over HTTP from concurrent sessions
+// (serve.go). Gates are predicates over rows (gate.go), plus the
+// checked-in baseline (baseline.go), which turns "measurably faster"
+// claims in future PRs into recorded numbers. Rows land in one
+// machine-readable BENCH_<solver>.json per solver; cmd/benchrun is the
+// CLI front end.
 //
 // Wall times are meaningless across machines, so every report carries
 // a calibration measurement — a fixed synthetic ADMM workload solved
@@ -18,9 +24,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"syscall"
 	"time"
 
-	"schemamap/internal/core"
 	"schemamap/internal/ibench"
 	"schemamap/internal/psl"
 )
@@ -54,7 +60,32 @@ func Scales() []Spec {
 	}
 }
 
-// SpecFor resolves a scale by name.
+// throughputScales are the throughput trace's specs: noise-free
+// scenarios far beyond the solver scales, sized in target tuples. L
+// (~1.1·10⁵ tuples) is gated; XL (~1.1·10⁶) is recorded-only, about
+// two minutes of generation plus prepare on a workstation. Noise is
+// off by design — piErrors/piUnexplained make scenario generation
+// itself chase the full candidate set, which would measure the
+// generator, not the system — and every primitive instance lives in
+// its own relation namespace, so the scenarios are multi-component,
+// which is what connected-component sharding exploits.
+func throughputScales() []Spec {
+	return []Spec{
+		{Name: "L", N: 210, Rows: 336, Seed: 105},
+		{Name: "XL", N: 700, Rows: 1000, Seed: 106},
+	}
+}
+
+// ScalesFor returns the specs a trace kind runs at: the throughput
+// trace has its own L and XL, every other trace uses Scales.
+func ScalesFor(kind string) []Spec {
+	if kind == traceThroughput {
+		return throughputScales()
+	}
+	return Scales()
+}
+
+// SpecFor resolves a solver scale by name.
 func SpecFor(name string) (Spec, error) {
 	for _, s := range Scales() {
 		if s.Name == name {
@@ -72,197 +103,6 @@ func (s Spec) Config() ibench.Config {
 	cfg.PiErrors = s.PiErrors
 	cfg.PiUnexplained = s.PiUnexplained
 	return cfg
-}
-
-// Result is one (solver, scale) measurement.
-type Result struct {
-	Solver      string `json:"solver"`
-	Scale       string `json:"scale"`
-	Seed        int64  `json:"seed"`
-	Parallelism int    `json:"parallelism"`
-	// Scenario size.
-	Candidates int `json:"candidates"`
-	JTuples    int `json:"jTuples"`
-	// PrepareMillis is the shared chase + cover analysis phase;
-	// SolveMillis the solver proper (what the baseline gates on).
-	PrepareMillis float64 `json:"prepareMillis"`
-	SolveMillis   float64 `json:"solveMillis"`
-	Iterations    int     `json:"iterations"`
-	Objective     float64 `json:"objective"`
-	// GoldObjective is F at the generating mapping, for context.
-	GoldObjective float64 `json:"goldObjective"`
-	Truncated     bool    `json:"truncated"`
-	// Unconverged flags a relaxation that stopped short of its
-	// convergence tolerance (see core.Selection.Unconverged); omitted
-	// when false.
-	Unconverged bool `json:"unconverged,omitempty"`
-	// Allocations during the solve (prepare excluded).
-	Allocs     uint64 `json:"allocs"`
-	AllocBytes uint64 `json:"allocBytes"`
-	// Skipped carries the reason a solver could not run this scale
-	// (e.g. the exhaustive solver's candidate cap); all measurements
-	// are zero then.
-	Skipped string `json:"skipped,omitempty"`
-}
-
-// Report is the content of one BENCH_<solver>.json file.
-type Report struct {
-	Solver            string   `json:"solver"`
-	GoVersion         string   `json:"goVersion"`
-	GOMAXPROCS        int      `json:"gomaxprocs"`
-	CalibrationMillis float64  `json:"calibrationMillis"`
-	Results           []Result `json:"results"`
-	// Streaming holds the solver's incremental-ingestion rows when the
-	// run included the streaming benchmark (benchrun -stream).
-	Streaming []StreamResult `json:"streaming,omitempty"`
-	// Serve holds the solver's serving-load rows when the run included
-	// the session-server benchmark (benchrun -serve).
-	Serve []ServeResult `json:"serve,omitempty"`
-	// Throughput holds the solver's L/XL end-to-end throughput rows
-	// when the run included the throughput benchmark (benchrun
-	// -throughput); see RunThroughput.
-	Throughput []ThroughputResult `json:"throughput,omitempty"`
-	// Churn holds the solver's lifecycle-churn rows when the run
-	// included the churn benchmark (benchrun -churn); see RunChurn.
-	Churn []ChurnResult `json:"churn,omitempty"`
-}
-
-// Options configure a harness run.
-type Options struct {
-	// Scales to run (nil = all three).
-	Scales []Spec
-	// Solvers to run (nil = every registered solver, core.Names()).
-	Solvers []string
-	// Parallelism is passed to every solve via WithParallelism
-	// (0 = GOMAXPROCS).
-	Parallelism int
-	// Budget is the per-solve soft compute budget (0 = unlimited).
-	// Exhaustive search needs it beyond the S scale.
-	Budget time.Duration
-	// Progress, when non-nil, receives one line per measurement.
-	Progress func(string)
-}
-
-// Run executes the harness and returns one report per solver.
-func Run(ctx context.Context, opt Options) ([]*Report, error) {
-	scales := opt.Scales
-	if len(scales) == 0 {
-		scales = Scales()
-	}
-	solvers := opt.Solvers
-	if len(solvers) == 0 {
-		solvers = core.Names()
-	}
-	calib := Calibrate()
-	reports := make(map[string]*Report, len(solvers))
-	var order []*Report
-	for _, name := range solvers {
-		if _, err := core.Get(name); err != nil {
-			return nil, err
-		}
-		r := &Report{
-			Solver:            name,
-			GoVersion:         runtime.Version(),
-			GOMAXPROCS:        runtime.GOMAXPROCS(0),
-			CalibrationMillis: millis(calib),
-			Results:           []Result{},
-		}
-		reports[name] = r
-		order = append(order, r)
-	}
-
-	for _, spec := range scales {
-		sc, err := ibench.Generate(spec.Config())
-		if err != nil {
-			return nil, fmt.Errorf("bench: scale %s: %w", spec.Name, err)
-		}
-		for _, name := range solvers {
-			res, err := runOne(ctx, spec, sc, name, opt)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				// A solver declining a scale (e.g. exhaustive search's
-				// candidate cap) is data, not a harness failure.
-				res = &Result{Solver: name, Scale: spec.Name, Seed: spec.Seed, Skipped: err.Error()}
-			}
-			reports[name].Results = append(reports[name].Results, *res)
-			if opt.Progress != nil {
-				line := fmt.Sprintf(
-					"%s/%-12s prepare=%8.1fms solve=%9.1fms iter=%6d F=%.4g allocs=%d%s%s",
-					spec.Name, name, res.PrepareMillis, res.SolveMillis,
-					res.Iterations, res.Objective, res.Allocs,
-					map[bool]string{true: " (truncated)"}[res.Truncated],
-					map[bool]string{true: " (unconverged)"}[res.Unconverged])
-				if res.Skipped != "" {
-					line = fmt.Sprintf("%s/%-12s skipped: %s", spec.Name, name, res.Skipped)
-				}
-				opt.Progress(line)
-			}
-		}
-	}
-	return order, nil
-}
-
-// runOne measures a single solver on a generated scenario. Each solver
-// gets a fresh Problem so its prepare cost is measured independently.
-func runOne(ctx context.Context, spec Spec, sc *ibench.Scenario, name string, opt Options) (*Result, error) {
-	solver, err := core.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	p := core.NewProblem(sc.I, sc.J, sc.Candidates)
-
-	prepStart := time.Now()
-	p.PrepareN(opt.Parallelism)
-	prepare := time.Since(prepStart)
-
-	var opts []core.SolveOption
-	opts = append(opts, core.WithParallelism(opt.Parallelism))
-	if opt.Budget > 0 {
-		opts = append(opts, core.WithBudget(opt.Budget))
-	}
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	sel, err := solver.Solve(ctx, p, opts...)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return nil, err
-	}
-	// Fast solves are re-run (min wall) so the baseline gate compares
-	// a stable number instead of scheduler noise; the solvers are
-	// deterministic on a prepared problem, so the selection is
-	// unchanged.
-	for rep := 0; rep < 4 && wall < 250*time.Millisecond; rep++ {
-		start := time.Now()
-		if _, err := solver.Solve(ctx, p, opts...); err != nil {
-			return nil, err
-		}
-		if d := time.Since(start); d < wall {
-			wall = d
-		}
-	}
-
-	return &Result{
-		Solver:        name,
-		Scale:         spec.Name,
-		Seed:          spec.Seed,
-		Parallelism:   opt.Parallelism,
-		Candidates:    len(sc.Candidates),
-		JTuples:       sc.J.Len(),
-		PrepareMillis: millis(prepare),
-		SolveMillis:   millis(wall),
-		Iterations:    sel.Iterations,
-		Objective:     sel.Objective.Total(),
-		GoldObjective: p.Objective(sc.GoldSelection()).Total(),
-		Truncated:     sel.Truncated,
-		Unconverged:   sel.Unconverged,
-		Allocs:        after.Mallocs - before.Mallocs,
-		AllocBytes:    after.TotalAlloc - before.TotalAlloc,
-	}, nil
 }
 
 // Calibrate solves a fixed synthetic ADMM workload serially and
@@ -324,4 +164,18 @@ func calibrationMRF() *psl.MRF {
 
 func millis(d time.Duration) float64 {
 	return float64(d.Nanoseconds()) / 1e6
+}
+
+// peakRSSMB returns the process peak resident set size in MiB.
+// getrusage reports MaxRSS in KiB on Linux and bytes on Darwin.
+func peakRSSMB() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	rss := float64(ru.Maxrss)
+	if runtime.GOOS == "darwin" {
+		return rss / (1024 * 1024)
+	}
+	return rss / 1024
 }

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"schemamap/internal/core"
 )
@@ -32,17 +31,14 @@ func TestSpecFor(t *testing.T) {
 	}
 }
 
-// TestRunAllSolvers runs the harness over every registered solver on
-// a tiny scenario and checks each report is complete and serialises.
+// TestRunAllSolvers replays the solve trace over every registered
+// solver on a tiny scenario and checks each report is complete.
 func TestRunAllSolvers(t *testing.T) {
-	reports, err := Run(context.Background(), Options{
-		Scales:      []Spec{tinySpec()},
-		Parallelism: 2,
-		Budget:      20 * time.Second,
-	})
+	rows, err := Replay(context.Background(), traceSolve, []Spec{tinySpec()}, Options{Parallelism: 2})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Replay: %v", err)
 	}
+	reports := NewReports(rows)
 	if len(reports) != len(core.Names()) {
 		t.Fatalf("got %d reports, want one per registered solver (%d)", len(reports), len(core.Names()))
 	}
@@ -52,16 +48,16 @@ func TestRunAllSolvers(t *testing.T) {
 		if r.CalibrationMillis <= 0 {
 			t.Errorf("%s: calibration missing", r.Solver)
 		}
-		if len(r.Results) != 1 {
-			t.Fatalf("%s: got %d results, want 1", r.Solver, len(r.Results))
+		if len(r.Rows) != 1 {
+			t.Fatalf("%s: got %d rows, want 1", r.Solver, len(r.Rows))
 		}
-		res := r.Results[0]
+		res := r.Rows[0]
 		if res.Skipped != "" {
 			t.Errorf("%s skipped on tiny scenario: %s", r.Solver, res.Skipped)
 			continue
 		}
-		if res.Scale != "T" || res.Candidates <= 0 || res.JTuples <= 0 {
-			t.Errorf("%s: incomplete result %+v", r.Solver, res)
+		if res.Trace != traceSolve || res.Scale != "T" || res.Candidates <= 0 || res.JTuples <= 0 || res.Steps != 0 {
+			t.Errorf("%s: incomplete row %+v", r.Solver, res)
 		}
 		if res.Objective <= 0 {
 			t.Errorf("%s: objective %v not positive on noised scenario", r.Solver, res.Objective)
@@ -74,14 +70,28 @@ func TestRunAllSolvers(t *testing.T) {
 	}
 }
 
-func TestReportRoundTrip(t *testing.T) {
-	reports, err := Run(context.Background(), Options{
-		Scales:  []Spec{tinySpec()},
-		Solvers: []string{"greedy"},
-	})
+// Exhaustive search above the quality harness's deterministic cap is a
+// skipped row, never a wall-clock-truncated one.
+func TestExhaustiveCapSkipsM(t *testing.T) {
+	spec, err := SpecFor("M")
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatal(err)
 	}
+	rows, err := Replay(context.Background(), traceSolve, []Spec{spec}, Options{Solvers: []string{"exhaustive"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Skipped == "" || rows[0].Truncated || rows[0].Objective != 0 {
+		t.Fatalf("rows = %+v, want one skipped row", rows)
+	}
+}
+
+func TestReportRoundTrip(t *testing.T) {
+	rows, err := Replay(context.Background(), traceSolve, []Spec{tinySpec()}, Options{Solvers: []string{"greedy"}})
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	reports := NewReports(rows)
 	dir := t.TempDir()
 	paths, err := WriteReports(dir, reports)
 	if err != nil {
@@ -99,9 +109,16 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
+// An unknown solver or trace kind fails the replay up front, for every
+// kind.
 func TestRunUnknownSolver(t *testing.T) {
-	if _, err := Run(context.Background(), Options{Scales: []Spec{tinySpec()}, Solvers: []string{"nope"}}); err == nil {
-		t.Fatal("unknown solver must fail")
+	for _, kind := range Traces() {
+		if _, err := Replay(context.Background(), kind, []Spec{tinySpec()}, Options{Solvers: []string{"nope"}}); err == nil {
+			t.Errorf("%s: unknown solver must fail", kind)
+		}
+	}
+	if _, err := Replay(context.Background(), "nope", []Spec{tinySpec()}, Options{}); err == nil {
+		t.Error("unknown trace must fail")
 	}
 }
 
@@ -111,7 +128,7 @@ func fakeReports(normalized float64) []*Report {
 	return []*Report{{
 		Solver:            "collective",
 		CalibrationMillis: 1,
-		Results:           []Result{{Solver: "collective", Scale: "S", SolveMillis: normalized}},
+		Rows:              []Row{{Trace: traceSolve, Solver: "collective", Scale: "S", SolveMillis: normalized}},
 	}}
 }
 
@@ -130,7 +147,7 @@ func TestBaselineGate(t *testing.T) {
 	withNew := append(fakeReports(10), &Report{
 		Solver:            "newsolver",
 		CalibrationMillis: 1,
-		Results:           []Result{{Solver: "newsolver", Scale: "S", SolveMillis: 9999}},
+		Rows:              []Row{{Trace: traceSolve, Solver: "newsolver", Scale: "S", SolveMillis: 9999}},
 	})
 	if err := CheckBaseline(base, withNew, 20); err != nil {
 		t.Errorf("unlisted solver must pass: %v", err)
@@ -139,18 +156,18 @@ func TestBaselineGate(t *testing.T) {
 	// solver that was skipped, or has no result at the baseline's
 	// scale, fails rather than passing vacuously.
 	skipped := fakeReports(0)
-	skipped[0].Results[0].Skipped = "solver exploded"
+	skipped[0].Rows[0].Skipped = "solver exploded"
 	if err := CheckBaseline(base, skipped, 20); err == nil {
 		t.Error("skipped gated solver must fail the gate")
 	}
 	// An iteration-capped solve can look fast; it is not comparable.
 	capped := fakeReports(1)
-	capped[0].Results[0].Unconverged = true
+	capped[0].Rows[0].Unconverged = true
 	if err := CheckBaseline(base, capped, 20); err == nil {
 		t.Error("unconverged gated solver must fail the gate")
 	}
 	off := fakeReports(100)
-	off[0].Results[0].Scale = "M"
+	off[0].Rows[0].Scale = "M"
 	if err := CheckBaseline(base, off, 20); err == nil {
 		t.Error("gated solver with no measurement at the baseline scale must fail")
 	}
@@ -165,9 +182,9 @@ func fakePrepareReports(solveS, prepareM float64) []*Report {
 	return []*Report{{
 		Solver:            "collective",
 		CalibrationMillis: 1,
-		Results: []Result{
-			{Solver: "collective", Scale: "S", SolveMillis: solveS, PrepareMillis: solveS},
-			{Solver: "collective", Scale: "M", SolveMillis: 99, PrepareMillis: prepareM},
+		Rows: []Row{
+			{Trace: traceSolve, Solver: "collective", Scale: "S", SolveMillis: solveS, PrepareMillis: solveS},
+			{Trace: traceSolve, Solver: "collective", Scale: "M", SolveMillis: 99, PrepareMillis: prepareM},
 		},
 	}}
 }
@@ -193,7 +210,7 @@ func TestBaselinePrepareGate(t *testing.T) {
 	// A prepare gate with no M measurement fails rather than passing
 	// vacuously.
 	onlyS := fakePrepareReports(10, 30)
-	onlyS[0].Results = onlyS[0].Results[:1]
+	onlyS[0].Rows = onlyS[0].Rows[:1]
 	if err := CheckBaseline(base, onlyS, 20); err == nil {
 		t.Error("missing prepare-scale measurement must fail the gate")
 	}
@@ -223,13 +240,11 @@ func TestRecordPrepare(t *testing.T) {
 }
 
 func TestBaselineRoundTrip(t *testing.T) {
-	reports, err := Run(context.Background(), Options{
-		Scales:  []Spec{tinySpec()},
-		Solvers: []string{"greedy", "independent"},
-	})
+	rows, err := Replay(context.Background(), traceSolve, []Spec{tinySpec()}, Options{Solvers: []string{"greedy", "independent"}})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Replay: %v", err)
 	}
+	reports := NewReports(rows)
 	b := BaselineFrom(reports, "T")
 	if len(b.NormalizedSolve) != 2 {
 		t.Fatalf("baseline covers %d solvers, want 2: %+v", len(b.NormalizedSolve), b)
@@ -276,13 +291,13 @@ func TestCompareADMMTiny(t *testing.T) {
 // artifacts, trend dashboards) reads these field names.
 func TestReportJSONShape(t *testing.T) {
 	r := &Report{Solver: "x", GoVersion: "go", GOMAXPROCS: 1, CalibrationMillis: 1,
-		Results: []Result{{Solver: "x", Scale: "S"}}}
+		Rows: []Row{{Trace: traceSolve, Solver: "x", Scale: "S", PrepareMillis: 1, SolveMillis: 1, Iterations: 1, Objective: 1, Allocs: 1}}}
 	data, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{`"solver"`, `"goVersion"`, `"gomaxprocs"`, `"calibrationMillis"`,
-		`"results"`, `"scale"`, `"prepareMillis"`, `"solveMillis"`, `"iterations"`, `"objective"`, `"allocs"`} {
+		`"rows"`, `"trace"`, `"scale"`, `"seed"`, `"parallelism"`, `"prepareMillis"`, `"solveMillis"`, `"iterations"`, `"objective"`, `"allocs"`} {
 		if !strings.Contains(string(data), field) {
 			t.Errorf("report JSON missing %s: %s", field, data)
 		}

@@ -7,19 +7,16 @@ import (
 	"schemamap/internal/ibench"
 )
 
-// The churn harness must produce sane, gate-passing rows on the S
-// scale: per-step evidence identical to cold, final warm objective no
-// worse than cold, and the plan shape accounted for.
+// The churn trace must produce sane, gate-passing rows on the S scale:
+// per-step evidence identical to cold, warm objectives reproduced by
+// the check replay, final warm objective no worse than cold, and the
+// plan shape accounted for.
 func TestRunChurnS(t *testing.T) {
 	spec, err := SpecFor("S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunChurn(context.Background(), ChurnOptions{
-		Scales:      []Spec{spec},
-		Steps:       4,
-		Parallelism: 2,
-	})
+	rows, err := Replay(context.Background(), traceChurn, []Spec{spec}, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,25 +28,25 @@ func TestRunChurnS(t *testing.T) {
 		if r.Skipped != "" {
 			t.Fatalf("%s/%s skipped: %s", r.Scale, r.Solver, r.Skipped)
 		}
-		if !r.EvidenceIdentical {
-			t.Errorf("%s/%s: incremental evidence diverged from cold Prepare", r.Scale, r.Solver)
+		if !r.EvidenceIdentical || !r.WarmReproducible {
+			t.Errorf("%s/%s: differential failed: %+v", r.Scale, r.Solver, r)
 		}
-		if r.WarmObjective > r.ColdObjective+1e-9 {
-			t.Errorf("%s/%s: warm objective %g worse than cold %g", r.Scale, r.Solver, r.WarmObjective, r.ColdObjective)
+		if r.WarmObjective > r.Objective+1e-9 {
+			t.Errorf("%s/%s: warm objective %g worse than cold %g", r.Scale, r.Solver, r.WarmObjective, r.Objective)
 		}
-		if r.Steps != 4 || r.InitialTuples <= 0 || r.AppendedTuples <= 0 ||
+		if r.Steps != churnSteps || r.InitialTuples <= 0 || r.AppendedTuples <= 0 ||
 			r.RemovedTuples <= 0 || r.CandidatesAdded <= 0 {
 			t.Errorf("%s/%s: inconsistent churn shape %+v", r.Scale, r.Solver, r)
 		}
-		if r.FinalTuples != r.InitialTuples+r.AppendedTuples-r.RemovedTuples {
+		if r.JTuples != r.InitialTuples+r.AppendedTuples-r.RemovedTuples {
 			t.Errorf("%s/%s: final tuples %d, want initial %d + appended %d - removed %d",
-				r.Scale, r.Solver, r.FinalTuples, r.InitialTuples, r.AppendedTuples, r.RemovedTuples)
+				r.Scale, r.Solver, r.JTuples, r.InitialTuples, r.AppendedTuples, r.RemovedTuples)
 		}
 		if r.Speedup <= 0 {
 			t.Errorf("%s/%s: speedup %g not computed", r.Scale, r.Solver, r.Speedup)
 		}
 	}
-	if err := CheckChurn(rows); err != nil {
+	if err := Check(rows, 2); err != nil {
 		t.Errorf("churn gates: %v", err)
 	}
 }
@@ -77,7 +74,8 @@ func TestSplitChurnShape(t *testing.T) {
 		t.Errorf("candidates: initial %d + added %d != scenario %d",
 			len(churn.Candidates), churn.TotalCandidatesAdded(), len(sc.Candidates))
 	}
-	if churn.TotalRemoved() == 0 {
+	appended, removed := churnTotals(churn)
+	if removed == 0 {
 		t.Error("plan has no removals")
 	}
 	// Equal configs split identically.
@@ -85,30 +83,27 @@ func TestSplitChurnShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !churn.Initial.Equal(again.Initial) || again.TotalRemoved() != churn.TotalRemoved() ||
-		again.TotalAppended() != churn.TotalAppended() {
+	if a, r := churnTotals(again); !churn.Initial.Equal(again.Initial) || a != appended || r != removed {
 		t.Error("churn split is not deterministic")
 	}
 }
 
-// An unknown solver is a per-row skip, not a harness failure.
+// An unknown solver fails the churn replay up front.
 func TestRunChurnUnknownSolver(t *testing.T) {
 	spec, err := SpecFor("S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunChurn(context.Background(), ChurnOptions{
-		Scales:  []Spec{spec},
-		Solvers: []string{"nosuch"},
-		Steps:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Replay(context.Background(), traceChurn, []Spec{spec}, Options{Solvers: []string{"nosuch"}}); err == nil {
+		t.Fatal("unknown solver must fail")
 	}
-	if len(rows) != 1 || rows[0].Skipped == "" {
-		t.Fatalf("rows = %+v, want one skipped row", rows)
+}
+
+// churnTotals counts the tuples a churn plan appends and removes.
+func churnTotals(c *ibench.ChurnStream) (appended, removed int) {
+	for _, st := range c.Steps {
+		appended += len(st.Append)
+		removed += len(st.Remove)
 	}
-	if err := CheckChurn(rows); err != nil {
-		t.Errorf("skipped row tripped a gate: %v", err)
-	}
+	return appended, removed
 }

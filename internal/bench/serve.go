@@ -1,14 +1,12 @@
 package bench
 
-// Serving benchmark: drives internal/serve's HTTP session API with
-// hundreds of concurrent sessions — a mix of named-corpus creates
-// (which share prepared problems through the server's content-hash
-// cache) and streaming sessions that upload a partial target, then
-// append batches with warm-started re-solves — and records client-side
-// p50/p99 latency rows next to the batch results in
-// BENCH_<solver>.json. cmd/benchrun -serve is the CLI front end; the
-// CI gate (CheckServe) requires zero request errors and a non-zero
-// prepare-cache hit ratio on the gated scales.
+// The serve trace replays stream and solve traces over HTTP: one
+// in-process session server (internal/serve) per scale, driven by
+// concurrent sessions. A quarter of the sessions stream — upload a
+// variant's initial target, then replay its append steps with warm
+// re-solves — and the rest create the variant by corpus name (sharing
+// prepared problems through the server's content-hash cache) and
+// solve once. Rows carry client-observed p50/p99 latencies.
 
 import (
 	"bytes"
@@ -22,224 +20,129 @@ import (
 	"sync"
 	"time"
 
+	"schemamap/internal/data"
 	"schemamap/internal/ibench"
 	"schemamap/internal/serve"
 )
 
-// ServeResult is one (scale, solver) serving-load measurement. The
-// cache counters are server-wide for the scale's run (every solver row
-// of a scale reports the same ratio).
-type ServeResult struct {
-	Scale  string `json:"scale"`
-	Solver string `json:"solver"`
-	Seed   int64  `json:"seed"`
-	// Load shape.
-	Sessions  int `json:"sessions"`
-	Streamers int `json:"streamers"`
-	Variants  int `json:"variants"`
-	// Request counts observed by this solver's sessions.
-	Solves  int `json:"solves"`
-	Appends int `json:"appends"`
-	Errors  int `json:"errors"`
-	// Server-side prepared-problem cache for the whole scale run.
-	CacheHits     float64 `json:"cacheHits"`
-	CacheMisses   float64 `json:"cacheMisses"`
-	CacheHitRatio float64 `json:"cacheHitRatio"`
-	Forks         float64 `json:"forks"`
-	// Client-side latency quantiles (exact, over recorded samples).
-	P50CreateMillis float64 `json:"p50CreateMillis"`
-	P99CreateMillis float64 `json:"p99CreateMillis"`
-	P50SolveMillis  float64 `json:"p50SolveMillis"`
-	P99SolveMillis  float64 `json:"p99SolveMillis"`
-	P50AppendMillis float64 `json:"p50AppendMillis"`
-	P99AppendMillis float64 `json:"p99AppendMillis"`
-	// Gated marks rows CheckServe enforces; corpus scales record only.
-	Gated bool `json:"gated"`
+// The serve load. The corpus scale runs after the requested scales
+// at a quarter of the sessions and is recorded, not gated.
+const (
+	serveSessions    = 120
+	serveVariants    = 4 // distinct scenario seeds per scale
+	serveBatches     = 4 // append steps per streaming session
+	serveStreamEvery = 4 // every 4th session round streams
+	serveCorpusScale = "L"
+)
+
+// load is one serve run's shape.
+type load struct {
+	sessions, variants, batches int
+	recordedOnly                bool
 }
 
-// String renders the row for progress output.
-func (r ServeResult) String() string {
-	gate := ""
-	if !r.Gated {
-		gate = " (recorded)"
+func replayServe(ctx context.Context, specs []Spec, solvers []string, par int, emit func(Row)) error {
+	corpus, err := SpecFor(serveCorpusScale)
+	if err != nil {
+		return err
 	}
-	return fmt.Sprintf(
-		"%s/%-12s serve sessions=%d solves=%d appends=%d errors=%d hit=%0.2f create p50=%6.2fms p99=%7.2fms solve p50=%6.2fms p99=%7.2fms%s",
-		r.Scale, r.Solver, r.Sessions, r.Solves, r.Appends, r.Errors,
-		r.CacheHitRatio, r.P50CreateMillis, r.P99CreateMillis,
-		r.P50SolveMillis, r.P99SolveMillis, gate)
-}
-
-// ServeOptions configure a serving-load run.
-type ServeOptions struct {
-	// Scales to load-test and gate (nil = S and M, like streaming).
-	Scales []Spec
-	// CorpusScales are driven at Sessions/4 and recorded without
-	// gating — the L-scale stress corpus rides here.
-	CorpusScales []Spec
-	// Sessions is the number of concurrent sessions per scale
-	// (0 = 120).
-	Sessions int
-	// Solvers round-robin across sessions (nil = greedy and
-	// collective, the two with warm paths).
-	Solvers []string
-	// Variants is the number of distinct scenario seeds per scale
-	// (0 = 4); sessions cycle them, so every scale run exercises both
-	// cache hits and misses.
-	Variants int
-	// AppendFraction is the fraction of sessions that stream: upload a
-	// partial target, then append batches with warm re-solves
-	// (0 = 0.25; negative disables streaming sessions).
-	AppendFraction float64
-	// Batches is the number of append batches per streaming session
-	// (0 = 4).
-	Batches int
-	// Parallelism bounds the server's prepare/solve parallelism.
-	Parallelism int
-	// Budget is the per-solve soft budget (0 = the server default).
-	Budget time.Duration
-	// Progress, when non-nil, receives one line per row.
-	Progress func(string)
-}
-
-func (o *ServeOptions) defaults() {
-	if len(o.Scales) == 0 && len(o.CorpusScales) == 0 {
-		all := Scales()
-		o.Scales = all[:2] // S, M
+	run := func(spec Spec, ld load) error {
+		rows, err := serveLoad(ctx, spec, solvers, ld, par)
+		for _, r := range rows {
+			emit(r)
+		}
+		return err
 	}
-	if o.Sessions <= 0 {
-		o.Sessions = 120
-	}
-	if len(o.Solvers) == 0 {
-		o.Solvers = []string{"greedy", "collective"}
-	}
-	if o.Variants <= 0 {
-		o.Variants = 4
-	}
-	if o.AppendFraction == 0 {
-		o.AppendFraction = 0.25
-	}
-	if o.Batches <= 0 {
-		o.Batches = 4
-	}
-}
-
-// RunServe executes the serving benchmark and returns one row per
-// (scale, solver).
-func RunServe(ctx context.Context, opt ServeOptions) ([]ServeResult, error) {
-	opt.defaults()
-	var rows []ServeResult
-	run := func(spec Spec, sessions int, gated bool) error {
-		got, err := runServeScale(ctx, spec, sessions, gated, opt)
-		if err != nil {
+	for _, spec := range specs {
+		if err := run(spec, load{serveSessions, serveVariants, serveBatches, false}); err != nil {
 			return err
 		}
-		for _, r := range got {
-			rows = append(rows, r)
-			if opt.Progress != nil {
-				opt.Progress(r.String())
-			}
-		}
-		return nil
 	}
-	for _, spec := range opt.Scales {
-		if err := run(spec, opt.Sessions, true); err != nil {
-			return nil, err
-		}
-	}
-	for _, spec := range opt.CorpusScales {
-		// Corpus scales are stress material: quarter the session count
-		// so an L run stays bounded, and record without gating.
-		n := opt.Sessions / 4
-		if n < 8 {
-			n = 8
-		}
-		if err := run(spec, n, false); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
+	return run(corpus, load{serveSessions / 4, serveVariants, serveBatches, true})
 }
 
-// variant is one pre-generated scenario a scale run cycles through.
+// variant is one scenario a serve run cycles through: its corpus name,
+// its stream trace, and the create body that uploads the stream's
+// initial state.
 type variant struct {
-	name        string
-	initialJSON []byte      // scenario with only the initial target
-	batches     [][]wireTup // append batches in wire encoding
+	name   string
+	stream *trace
+	upload map[string]any
 }
 
-type wireTup struct {
-	Rel  string   `json:"rel"`
-	Args []string `json:"args"`
-}
-
-// runServeScale boots one server over a variant corpus and drives it
-// with sessions concurrent clients.
-func runServeScale(ctx context.Context, spec Spec, sessions int, gated bool, opt ServeOptions) ([]ServeResult, error) {
-	variants, corpus, err := buildCorpus(spec, opt)
-	if err != nil {
-		return nil, err
+// serveLoad boots one server over a variant corpus of the spec and
+// drives it with ld.sessions concurrent clients, solvers round-robin.
+func serveLoad(ctx context.Context, spec Spec, solvers []string, ld load, par int) ([]Row, error) {
+	variants := make([]variant, ld.variants)
+	corpus := make(map[string]serve.ScenarioSource, ld.variants)
+	for i := range variants {
+		vspec := spec
+		vspec.Seed = spec.Seed + int64(i)
+		tr, err := newTrace(traceSolve, vspec)
+		if err != nil {
+			return nil, err
+		}
+		if tr, err = tr.streamed(ld.batches); err != nil {
+			return nil, err
+		}
+		upload, err := uploadBody(tr)
+		if err != nil {
+			return nil, err
+		}
+		sc := tr.sc
+		variants[i] = variant{name: fmt.Sprintf("%s-v%d", spec.Name, i), stream: tr, upload: upload}
+		corpus[variants[i].name] = func() (*ibench.Scenario, error) { return sc, nil }
 	}
 	srv := serve.NewServer(serve.Config{
-		MaxSessions: sessions + 8,
-		Parallelism: opt.Parallelism,
-		MaxBudget:   opt.Budget,
-		IdleTimeout: -1, // the load generator deletes its own sessions
+		MaxSessions: ld.sessions + 8,
+		Parallelism: par,
+		IdleTimeout: -1, // sessions delete themselves
 		Scenarios:   corpus,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	client := ts.Client()
 
-	// Streamers upload a partial target and append; the rest create by
-	// corpus name. Spread both across solvers and variants.
-	every := 0
-	if opt.AppendFraction > 0 {
-		every = int(1/opt.AppendFraction + 0.5)
-	}
 	type track struct {
-		mu                      sync.Mutex
-		create, solve, appendMs []float64
-		solves, appends, errors int
-		sessions, streamers     int
+		mu                     sync.Mutex
+		create, solve, appends []float64
+		errors                 int
+		sessions, streamers    int
 	}
-	tracks := make(map[string]*track, len(opt.Solvers))
-	for _, name := range opt.Solvers {
-		tracks[name] = &track{}
+	tracks := make([]*track, len(solvers))
+	for i := range tracks {
+		tracks[i] = &track{}
 	}
-
 	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		solver := opt.Solvers[i%len(opt.Solvers)]
-		v := variants[i%len(variants)]
-		// Pick streamers by solver-round, not raw index, so the fraction
-		// spreads across every solver regardless of stride alignment.
-		streamer := every > 0 && (i/len(opt.Solvers))%every == 0
-		tr := tracks[solver]
+	for i := 0; i < ld.sessions; i++ {
+		tr := tracks[i%len(solvers)]
+		solver, v := solvers[i%len(solvers)], variants[i%len(variants)]
+		// Pick streamers by solver round, not raw index, so they spread
+		// across every solver regardless of stride alignment.
+		streamer := (i/len(solvers))%serveStreamEvery == 0
+		var create any = map[string]any{"name": v.name}
+		var steps []ibench.ChurnStep
 		tr.sessions++
 		if streamer {
+			create, steps = v.upload, v.stream.steps
 			tr.streamers++
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			driveSession(ctx, client, ts.URL, solver, v, streamer, opt, func(kind string, ms float64, failed bool) {
+			// A failed request ends the session; observe counts it.
+			_, _ = replayHTTP(ctx, ts.Client(), ts.URL, create, steps, solver, func(op string, ms float64, err error) {
 				tr.mu.Lock()
 				defer tr.mu.Unlock()
-				if failed {
+				switch {
+				case err != nil:
 					tr.errors++
-					return
-				}
-				switch kind {
-				case "create":
+				case op == "create":
 					tr.create = append(tr.create, ms)
-				case "solve":
+				case op == "solve":
 					tr.solve = append(tr.solve, ms)
-					tr.solves++
-				case "append":
-					tr.appendMs = append(tr.appendMs, ms)
-					tr.appends++
+				case op == "append":
+					tr.appends = append(tr.appends, ms)
 				}
 			})
 		}()
@@ -250,100 +153,59 @@ func runServeScale(ctx context.Context, spec Spec, sessions int, gated bool, opt
 	}
 
 	st := srv.Stats()
-	rows := make([]ServeResult, 0, len(opt.Solvers))
-	for _, name := range opt.Solvers {
-		tr := tracks[name]
-		rows = append(rows, ServeResult{
-			Scale:           spec.Name,
-			Solver:          name,
-			Seed:            spec.Seed,
-			Sessions:        tr.sessions,
-			Streamers:       tr.streamers,
-			Variants:        len(variants),
-			Solves:          tr.solves,
-			Appends:         tr.appends,
-			Errors:          tr.errors,
-			CacheHits:       st.CacheHits,
-			CacheMisses:     st.CacheMisses,
-			CacheHitRatio:   srv.CacheHitRatio(),
-			Forks:           st.Forks,
-			P50CreateMillis: quantile(tr.create, 0.5),
-			P99CreateMillis: quantile(tr.create, 0.99),
-			P50SolveMillis:  quantile(tr.solve, 0.5),
-			P99SolveMillis:  quantile(tr.solve, 0.99),
-			P50AppendMillis: quantile(tr.appendMs, 0.5),
-			P99AppendMillis: quantile(tr.appendMs, 0.99),
-			Gated:           gated,
-		})
+	rows := make([]Row, len(solvers))
+	for i, tr := range tracks {
+		rows[i] = Row{
+			Trace: traceServe, Solver: solvers[i], Scale: spec.Name, Seed: spec.Seed, Parallelism: par,
+			Steps: ld.batches, RecordedOnly: ld.recordedOnly,
+			Sessions: tr.sessions, Streamers: tr.streamers, Variants: ld.variants,
+			Solves: len(tr.solve), Appends: len(tr.appends), Errors: tr.errors,
+			CacheHits: st.CacheHits, CacheMisses: st.CacheMisses, CacheHitRatio: srv.CacheHitRatio(), Forks: st.Forks,
+			P50CreateMillis: quantile(tr.create, 0.5), P99CreateMillis: quantile(tr.create, 0.99),
+			P50SolveMillis: quantile(tr.solve, 0.5), P99SolveMillis: quantile(tr.solve, 0.99),
+			P50AppendMillis: quantile(tr.appends, 0.5), P99AppendMillis: quantile(tr.appends, 0.99),
+		}
 	}
 	return rows, nil
 }
 
-// buildCorpus generates the scale's scenario variants: the named
-// corpus the server exposes, plus each variant's partial-target upload
-// body and append batches for the streaming sessions.
-func buildCorpus(spec Spec, opt ServeOptions) ([]*variant, map[string]serve.ScenarioSource, error) {
-	variants := make([]*variant, 0, opt.Variants)
-	corpus := make(map[string]serve.ScenarioSource, opt.Variants)
-	for i := 0; i < opt.Variants; i++ {
-		vspec := spec
-		vspec.Seed = spec.Seed + int64(i)
-		sc, err := ibench.Generate(vspec.Config())
-		if err != nil {
-			return nil, nil, fmt.Errorf("bench: serve scale %s variant %d: %w", spec.Name, i, err)
-		}
-		stream, err := ibench.SplitTarget(sc, ibench.StreamConfig{Batches: opt.Batches, Seed: vspec.Seed + 1})
-		if err != nil {
-			return nil, nil, err
-		}
-		partial := *sc
-		partial.J = stream.Initial
-		initialJSON, err := ibench.MarshalScenario(&partial)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := &variant{
-			name:        fmt.Sprintf("%s-v%d", spec.Name, i),
-			initialJSON: initialJSON,
-		}
-		for _, batch := range stream.Batches {
-			wire := make([]wireTup, len(batch))
-			for k, t := range batch {
-				args := make([]string, len(t.Args))
-				for a, val := range t.Args {
-					args[a] = ibench.EncodeValue(val)
-				}
-				wire[k] = wireTup{Rel: t.Rel, Args: args}
-			}
-			v.batches = append(v.batches, wire)
-		}
-		variants = append(variants, v)
-		full := sc
-		corpus[v.name] = func() (*ibench.Scenario, error) { return full, nil }
+// uploadBody is the create request that uploads the trace's initial
+// state as a scenario.
+func uploadBody(tr *trace) (map[string]any, error) {
+	partial := *tr.sc
+	partial.J = tr.initial
+	raw, err := ibench.MarshalScenario(&partial)
+	if err != nil {
+		return nil, err
 	}
-	return variants, corpus, nil
+	return map[string]any{"scenario": json.RawMessage(raw)}, nil
 }
 
-// driveSession runs one client session end to end, reporting each
-// request's latency (or failure) to record.
-func driveSession(ctx context.Context, client *http.Client, base, solver string, v *variant, streamer bool, opt ServeOptions, record func(kind string, ms float64, failed bool)) {
-	// Create: streamers upload the partial target, the rest reference
-	// the named corpus (exercising the prepared-problem cache).
-	var createBody any
-	if streamer {
-		createBody = map[string]any{"scenario": json.RawMessage(v.initialJSON)}
-	} else {
-		createBody = map[string]any{"name": v.name}
+// solveReply is the part of a solve response the replay keeps.
+type solveReply struct {
+	Tgds      []string `json:"tgds"`
+	Objective struct {
+		Total float64 `json:"total"`
+	} `json:"objective"`
+}
+
+// replayHTTP replays one session through the session API: create with
+// the given body, solve, then apply each step and warm-solve, and
+// finally delete the session. observe receives every request's
+// client-side latency or failure; the replay stops at the first
+// failure. It returns every solve's reply, the initial solve first.
+func replayHTTP(ctx context.Context, client *http.Client, base string, create any, steps []ibench.ChurnStep, solver string, observe func(op string, ms float64, err error)) ([]solveReply, error) {
+	call := func(op, path string, body, out any) error {
+		ms, err := post(ctx, client, base+path, body, out)
+		observe(op, ms, err)
+		return err
 	}
 	var created struct {
 		ID string `json:"id"`
 	}
-	ms, err := post(ctx, client, base+"/sessions", createBody, &created)
-	if err != nil {
-		record("create", 0, true)
-		return
+	if err := call("create", "/sessions", create, &created); err != nil {
+		return nil, err
 	}
-	record("create", ms, false)
 	defer func() {
 		req, _ := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/sessions/"+created.ID, nil)
 		if resp, err := client.Do(req); err == nil {
@@ -351,35 +213,52 @@ func driveSession(ctx context.Context, client *http.Client, base, solver string,
 			resp.Body.Close()
 		}
 	}()
+	session := "/sessions/" + created.ID
+	solve := map[string]any{"solver": solver}
+	replies := make([]solveReply, 1, len(steps)+1)
+	if err := call("solve", session+"/solve", solve, &replies[0]); err != nil {
+		return nil, err
+	}
+	solve["warm"] = true
+	for _, st := range steps {
+		if len(st.AddCandidates) > 0 {
+			return replies, fmt.Errorf("bench: the session API cannot add candidates")
+		}
+		if len(st.Append) > 0 {
+			if err := call("append", session+"/append", map[string]any{"tuples": wire(st.Append)}, nil); err != nil {
+				return replies, err
+			}
+		}
+		if len(st.Remove) > 0 {
+			if err := call("remove", session+"/remove", map[string]any{"tuples": wire(st.Remove)}, nil); err != nil {
+				return replies, err
+			}
+		}
+		var r solveReply
+		if err := call("solve", session+"/solve", solve, &r); err != nil {
+			return replies, err
+		}
+		replies = append(replies, r)
+	}
+	return replies, nil
+}
 
-	solveBody := map[string]any{"solver": solver}
-	if opt.Budget > 0 {
-		solveBody["budgetMillis"] = opt.Budget.Milliseconds()
-	}
-	ms, err = post(ctx, client, base+"/sessions/"+created.ID+"/solve", solveBody, nil)
-	if err != nil {
-		record("solve", 0, true)
-		return
-	}
-	record("solve", ms, false)
-	if !streamer {
-		return
-	}
-	solveBody["warm"] = true
-	for _, batch := range v.batches {
-		ms, err := post(ctx, client, base+"/sessions/"+created.ID+"/append", map[string]any{"tuples": batch}, nil)
-		if err != nil {
-			record("append", 0, true)
-			return
+type wireTuple struct {
+	Rel  string   `json:"rel"`
+	Args []string `json:"args"`
+}
+
+// wire encodes tuples in the session API's wire format.
+func wire(ts []data.Tuple) []wireTuple {
+	out := make([]wireTuple, len(ts))
+	for k, t := range ts {
+		args := make([]string, len(t.Args))
+		for a, val := range t.Args {
+			args[a] = ibench.EncodeValue(val)
 		}
-		record("append", ms, false)
-		ms, err = post(ctx, client, base+"/sessions/"+created.ID+"/solve", solveBody, nil)
-		if err != nil {
-			record("solve", 0, true)
-			return
-		}
-		record("solve", ms, false)
+		out[k] = wireTuple{Rel: t.Rel, Args: args}
 	}
+	return out
 }
 
 // post sends one JSON request and returns its client-observed wall
@@ -424,28 +303,5 @@ func quantile(xs []float64, q float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// CheckServe gates a serving run: every gated row must complete with
-// zero request errors and a warm prepared-problem cache (hit ratio
-// above zero — sessions of equal scenario content actually shared
-// prepares). Corpus rows are recorded but not gated.
-func CheckServe(rows []ServeResult) error {
-	for _, r := range rows {
-		if !r.Gated {
-			continue
-		}
-		if r.Errors > 0 {
-			return fmt.Errorf("bench: serve %s/%s: %d request errors under load", r.Scale, r.Solver, r.Errors)
-		}
-		if r.Solves == 0 {
-			return fmt.Errorf("bench: serve %s/%s: no successful solves recorded", r.Scale, r.Solver)
-		}
-		if r.CacheHitRatio <= 0 {
-			return fmt.Errorf("bench: serve %s/%s: prepared-problem cache never hit (ratio %g)", r.Scale, r.Solver, r.CacheHitRatio)
-		}
-	}
-	return nil
+	return sorted[int(q*float64(len(sorted)-1))]
 }

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// The streaming harness must produce sane, gate-passing rows on the S
-// scale: evidence identical to cold, objectives matching, and the
+// The stream trace must produce sane, gate-passing rows on the S
+// scale: evidence identical to cold after every step, warm objectives
+// reproduced by the check replay and equal to the cold solve, and the
 // stream shape accounted for. (The speedup itself is machine-dependent
 // and CI-gated at the M scale via benchrun, not asserted here.)
 func TestRunStreamingS(t *testing.T) {
@@ -15,11 +16,7 @@ func TestRunStreamingS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunStreaming(context.Background(), StreamOptions{
-		Scales:      []Spec{spec},
-		Batches:     3,
-		Parallelism: 2,
-	})
+	rows, err := Replay(context.Background(), traceStream, []Spec{spec}, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,55 +28,43 @@ func TestRunStreamingS(t *testing.T) {
 		if r.Skipped != "" {
 			t.Fatalf("%s/%s skipped: %s", r.Scale, r.Solver, r.Skipped)
 		}
-		if !r.EvidenceIdentical {
-			t.Errorf("%s/%s: incremental evidence diverged from cold Prepare", r.Scale, r.Solver)
+		if !r.EvidenceIdentical || !r.WarmReproducible {
+			t.Errorf("%s/%s: differential failed: %+v", r.Scale, r.Solver, r)
 		}
-		if !r.ObjectivesMatch {
-			t.Errorf("%s/%s: warm objective %g, cold %g", r.Scale, r.Solver, r.WarmObjective, r.ColdObjective)
+		if d := r.WarmObjective - r.Objective; d > 1e-9 || d < -1e-9 {
+			t.Errorf("%s/%s: warm objective %g, cold %g", r.Scale, r.Solver, r.WarmObjective, r.Objective)
 		}
-		if r.Batches != 3 || r.InitialTuples <= 0 || r.AppendedTuples <= 0 ||
-			r.FinalTuples != r.InitialTuples+r.AppendedTuples {
+		if r.Steps != streamBatches || r.InitialTuples <= 0 || r.AppendedTuples <= 0 || r.RemovedTuples != 0 ||
+			r.JTuples != r.InitialTuples+r.AppendedTuples {
 			t.Errorf("%s/%s: inconsistent stream shape %+v", r.Scale, r.Solver, r)
 		}
 		if r.Speedup <= 0 {
 			t.Errorf("%s/%s: speedup %g not computed", r.Scale, r.Solver, r.Speedup)
 		}
-		if r.ColdIterations <= 0 || r.WarmIterations <= 0 {
+		if r.Iterations <= 0 || r.WarmIterations <= 0 {
 			t.Errorf("%s/%s: iteration counts not recorded (cold %d, warm %d)",
-				r.Scale, r.Solver, r.ColdIterations, r.WarmIterations)
+				r.Scale, r.Solver, r.Iterations, r.WarmIterations)
 		}
 	}
 	// The equality gates pass; a huge speedup floor fails only the
 	// gated solvers at the largest scale.
-	if err := CheckStreaming(rows, []string{"greedy", "collective"}, 0); err != nil {
+	if err := Check(rows, 0); err != nil {
 		t.Errorf("equality gates: %v", err)
 	}
-	if err := CheckStreaming(rows, []string{"greedy", "collective"}, 1e9); err == nil {
+	if err := Check(rows, 1e9); err == nil {
 		t.Error("absurd speedup gate passed")
-	} else if !strings.Contains(err.Error(), "greedy") && !strings.Contains(err.Error(), "collective") {
-		t.Errorf("speedup gate names the wrong row: %v", err)
+	} else if !strings.Contains(err.Error(), "greedy") || !strings.Contains(err.Error(), "collective") {
+		t.Errorf("speedup gate names the wrong rows: %v", err)
 	}
 }
 
-// An unknown solver is a per-row skip, not a harness failure.
+// An unknown solver fails the stream replay up front.
 func TestRunStreamingUnknownSolver(t *testing.T) {
 	spec, err := SpecFor("S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunStreaming(context.Background(), StreamOptions{
-		Scales:  []Spec{spec},
-		Solvers: []string{"nosuch"},
-		Batches: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].Skipped == "" {
-		t.Fatalf("rows = %+v, want one skipped row", rows)
-	}
-	// Skipped rows do not trip the gates.
-	if err := CheckStreaming(rows, []string{"greedy"}, 2); err != nil {
-		t.Errorf("skipped row tripped a gate: %v", err)
+	if _, err := Replay(context.Background(), traceStream, []Spec{spec}, Options{Solvers: []string{"nosuch"}}); err == nil {
+		t.Fatal("unknown solver must fail")
 	}
 }

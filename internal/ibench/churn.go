@@ -57,24 +57,7 @@ type ChurnStream struct {
 	Steps []ChurnStep
 }
 
-// TotalAppended, TotalRemoved and TotalCandidatesAdded count the
-// mutations across all steps.
-func (s *ChurnStream) TotalAppended() int {
-	n := 0
-	for _, st := range s.Steps {
-		n += len(st.Append)
-	}
-	return n
-}
-
-func (s *ChurnStream) TotalRemoved() int {
-	n := 0
-	for _, st := range s.Steps {
-		n += len(st.Remove)
-	}
-	return n
-}
-
+// TotalCandidatesAdded counts the candidates added across all steps.
 func (s *ChurnStream) TotalCandidatesAdded() int {
 	n := 0
 	for _, st := range s.Steps {

@@ -7,9 +7,8 @@ import (
 	"os"
 )
 
-// CLIConfig is the run → write reports → refresh-or-gate pipeline
-// shared by cmd/qualityrun and benchrun -quality, so the two entry
-// points cannot drift.
+// CLIConfig is the run → write reports → refresh-or-gate pipeline of
+// cmd/qualityrun.
 type CLIConfig struct {
 	Options
 	// OutDir receives one QUALITY_<solver>.json per solver.

@@ -185,13 +185,13 @@ type Report struct {
 	Cells     []CellResult `json:"cells"`
 }
 
-// DefaultExhaustiveCellCap bounds the candidate count the quality
-// harness hands to exhaustive search. The solver's own cap (128) only
+// ExhaustiveCellCap bounds the candidate count the quality and bench
+// harnesses hand to exhaustive search. The solver's own cap (128) only
 // bounds its bitset width; branch-and-bound beyond ~two dozen
 // candidates can take minutes, and truncating it with a wall-clock
-// budget would make the measured F1 machine-dependent. Cells above
-// the cap record a skip instead.
-const DefaultExhaustiveCellCap = 24
+// budget would make the recorded F1 and objective machine-dependent.
+// Cells and traces above the cap record a skip instead.
+const ExhaustiveCellCap = 24
 
 // Options configure a harness run.
 type Options struct {
@@ -202,11 +202,6 @@ type Options struct {
 	// Parallelism is passed to every solve via WithParallelism
 	// (0 = GOMAXPROCS); results are independent of it.
 	Parallelism int
-	// CandidateCaps bounds the candidate count per solver name; cells
-	// above a solver's cap are recorded as skipped for it. Nil gets
-	// {"exhaustive": DefaultExhaustiveCellCap}; an explicit empty map
-	// disables all caps.
-	CandidateCaps map[string]int
 	// Progress, when non-nil, receives one line per measurement.
 	Progress func(string)
 }
@@ -225,11 +220,6 @@ func Run(ctx context.Context, opt Options) ([]*Report, error) {
 	if len(solvers) == 0 {
 		solvers = core.Names()
 	}
-	caps := opt.CandidateCaps
-	if caps == nil {
-		caps = map[string]int{"exhaustive": DefaultExhaustiveCellCap}
-	}
-
 	reports := make(map[string]*Report, len(solvers))
 	var order []*Report
 	for _, name := range solvers {
@@ -260,8 +250,8 @@ func Run(ctx context.Context, opt Options) ([]*Report, error) {
 				Noise: c.Noise, Seed: c.Seed,
 				Candidates: len(sc.Candidates), GoldTGDs: len(sc.Gold), JTuples: sc.J.Len(),
 			}
-			if limit, capped := caps[name]; capped && len(sc.Candidates) > limit {
-				res.Skipped = fmt.Sprintf("candidate count %d exceeds deterministic cap %d", len(sc.Candidates), limit)
+			if name == "exhaustive" && len(sc.Candidates) > ExhaustiveCellCap {
+				res.Skipped = fmt.Sprintf("candidate count %d exceeds deterministic cap %d", len(sc.Candidates), ExhaustiveCellCap)
 			} else if err := scoreCell(ctx, name, p, sc, goldObjective, opt.Parallelism, &res); err != nil {
 				if ctx.Err() != nil {
 					return nil, ctx.Err()

@@ -134,25 +134,27 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestExhaustiveCapSkips checks that cells above a solver's candidate
-// cap are recorded as deterministic skips, not run or errored.
+// TestExhaustiveCapSkips checks that a cell above ExhaustiveCellCap
+// candidates is recorded as a deterministic skip for exhaustive search,
+// not run or errored.
 func TestExhaustiveCapSkips(t *testing.T) {
-	cells := tinyCells(t)
-	reports, err := Run(context.Background(), Options{
-		Cells:         cells,
-		Solvers:       []string{"greedy"},
-		CandidateCaps: map[string]int{"greedy": 1},
-	})
+	cells, err := CellsNamed("mixed-S-high")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := Run(context.Background(), Options{Cells: cells, Solvers: []string{"exhaustive"}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for _, res := range reports[0].Cells {
-		if res.Skipped == "" {
-			t.Errorf("%s: cap 1 should skip every cell, got %+v", res.Cell, res)
-		}
-		if res.MappingF1 != 0 || res.TupleF1 != 0 {
-			t.Errorf("%s: skipped cell carries measurements", res.Cell)
-		}
+	res := reports[0].Cells[0]
+	if res.Candidates <= ExhaustiveCellCap {
+		t.Fatalf("%s has %d candidates, want a cell above the cap %d", res.Cell, res.Candidates, ExhaustiveCellCap)
+	}
+	if res.Skipped == "" {
+		t.Errorf("%s: above the cap must skip, got %+v", res.Cell, res)
+	}
+	if res.MappingF1 != 0 || res.TupleF1 != 0 || res.Objective != 0 {
+		t.Errorf("%s: skipped cell carries measurements", res.Cell)
 	}
 }
 

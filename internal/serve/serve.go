@@ -18,8 +18,8 @@
 // The server measures itself: prepare/solve/append latency histograms,
 // cache hit counters, live-session and in-flight gauges, per-solver
 // objective counters — exported in Prometheus text format on
-// GET /metrics and load-tested by bench.RunServe, whose p50/p99 rows
-// gate in CI like the batch benchmarks.
+// GET /metrics and load-tested by the bench serve trace, whose p50/p99
+// rows gate in CI like the in-process traces.
 package serve
 
 import (

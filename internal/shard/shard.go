@@ -26,7 +26,7 @@
 // instance uses its own relation namespace — so at the L/XL scales
 // this turns one 10⁵–10⁶-tuple problem into thousands of small
 // independent ones, which is what makes those scales tractable (see
-// bench.RunThroughput).
+// the bench throughput trace).
 package shard
 
 import (

@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per artifact; see DESIGN.md's experiment
-// index and EXPERIMENTS.md for recorded outputs). Benchmarks use the
-// quick experiment scale so the full suite stays CI-friendly; run
-// cmd/experiments for the full-size tables.
+// evaluation (one benchmark per artifact; README's "Experiments"
+// section lists them). Benchmarks use the quick experiment scale so
+// the full suite stays CI-friendly; run cmd/experiments for the
+// full-size tables.
 package schemamap_test
 
 import (

@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md for the experiment index).
+// paper's evaluation (README's "Experiments" section lists the IDs).
 //
 // Usage:
 //
@@ -32,21 +32,23 @@ func main() {
 	defer stop()
 
 	opts := experiments.Options{Quick: *quick, Seeds: *seeds, BaseSeed: *seed}
-	want := map[string]bool{}
+	var ids []string
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
+			ids = append(ids, strings.TrimSpace(id))
 		}
+	}
+	results, err := experiments.Run(ctx, opts, ids...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	failed := false
-	for _, res := range experiments.All(ctx, opts) {
+	for _, res := range results {
 		if res.Err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", res.Err)
 			failed = true
-			continue
-		}
-		if len(want) > 0 && !want[res.Table.ID] {
 			continue
 		}
 		if *markdown {

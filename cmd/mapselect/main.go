@@ -62,6 +62,12 @@ func main() {
 		streamF  = flag.Float64("stream-frac", 0.5, "fraction of the target in the initial instance when -stream is set")
 	)
 	flag.Parse()
+	weights := core.Weights{Explain: *w1, Error: *w2, Size: *w3}
+	if err := weights.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "mapselect:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *path == "" {
 		fatal(fmt.Errorf("missing -scenario"))
 	}
@@ -124,7 +130,7 @@ func main() {
 			fatal(err)
 		}
 		p = core.NewProblem(sc.I, st.Initial, sc.Candidates)
-		p.Weights = core.Weights{Explain: *w1, Error: *w2, Size: *w3}
+		p.Weights = weights
 		p.PrepareStreaming(*par)
 		sel, err = s.Solve(ctx, p, opts...)
 		if err != nil {
@@ -145,7 +151,7 @@ func main() {
 		}
 	} else {
 		p = core.NewProblem(sc.I, sc.J, sc.Candidates)
-		p.Weights = core.Weights{Explain: *w1, Error: *w2, Size: *w3}
+		p.Weights = weights
 		sel, err = s.Solve(ctx, p, opts...)
 		if err != nil {
 			fatal(err)

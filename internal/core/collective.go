@@ -16,19 +16,22 @@ import (
 // continuous selection and repair it with local flips against the
 // true Eq. (9) objective.
 //
-// The ground HL-MRF has one variable In(θ) per candidate and one
-// variable Explained(t) per (non-certainly-unexplained) J tuple, with:
+// The paper's PSL program has one variable In(θ) per candidate and one
+// variable Explained(t) per (non-certainly-unexplained) J tuple, with
+// the reward w₁·max(0, 1 − Explained(t)), the summation constraint
+// Explained(t) ≤ Σ_θ covers(θ,t)·In(θ), and the prior
+// (w₂·errors(θ) + w₃·size(θ)) : !In(θ). At the optimum
+// Explained(t) = min(1, Σ covers·In), so each tuple's pair is exactly
+// one hinge, and the ground HL-MRF is:
 //
-//   - potential w₁·max(0, 1 − Explained(t)) for every t ∈ J
-//     (from the PSL rule  w₁ : InJ(t) → Explained(t));
-//   - hard arithmetic constraint
-//     Explained(t) ≤ Σ_θ covers(θ,t)·In(θ)
-//     (PSL summation rule linking explanations to selections);
-//   - prior (w₂·errors(θ) + w₃·size(θ)) : !In(θ)  for every θ.
+//   - prior (w₂·errors(θ) + w₃·size(θ))·In(θ) for every θ;
+//   - hinge w₁·max(0, 1 − Σ_θ covers(θ,t)·In(θ)) for every covered t.
 //
-// At the optimum Explained(t) = min(1, Σ covers·In), so the MAP state
-// minimises the standard LP relaxation of Eq. (9) in which the
-// per-tuple max over selected candidates is relaxed to a capped sum.
+// It has only the In variables and no hard constraints, and its MAP
+// state minimises the standard LP relaxation of Eq. (9) in which the
+// per-tuple max over selected candidates is relaxed to a capped sum
+// (Bach et al., JMLR 2017). The PSL program itself is the test oracle
+// this grounding must match.
 type CollectiveSolver struct {
 	// ADMM are the inference options (zero value → defaults).
 	ADMM psl.ADMMOptions
@@ -43,10 +46,11 @@ type CollectiveSolver struct {
 // Name implements Solver.
 func (s CollectiveSolver) Name() string { return "collective" }
 
-// smallMRFFactors is the grounding size below which ADMM runs inline
-// regardless of the configured parallelism: the per-iteration barrier
-// costs of the worker pool exceed the parallel gain on groundings
-// this small, and iterates are bit-identical either way.
+// smallMRFFactors is the grounding size, in the factors ADMM iterates,
+// below which ADMM runs inline regardless of the configured
+// parallelism: the per-iteration barrier costs of the worker pool
+// exceed the parallel gain on groundings this small, and iterates are
+// bit-identical either way.
 const smallMRFFactors = 10000
 
 // warmEpsilonRel is the relative residual tolerance warm re-solves on
@@ -69,7 +73,6 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 		return nil, err
 	}
 	start := time.Now() //lint:wallclock timing-only: feeds Selection.Elapsed, never the selection
-	n := p.NumCandidates()
 
 	// The ground MRF (and the last ADMM dual state) is retained on the
 	// Problem: cold solves reuse the grounding as-is, and AppendTarget
@@ -115,7 +118,7 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 		}
 	}
 	if w := r.cfg.Warm; w != nil && len(opts.Initial) == 0 {
-		opts.Initial = g.warmInitial(p, w)
+		opts.Initial = warmRelax(p, w)
 		// Dual warm restart: resume from the retained state of the
 		// previous solve (delta-dirty slots were tombstoned or
 		// rescaled by AppendTarget). Cold solves never take this path,
@@ -155,10 +158,7 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 		// only needs the relative order of the In values.
 	}
 	g.putState(sol.State)
-	relax := make([]float64, n)
-	for i := 0; i < n; i++ {
-		relax[i] = sol.X[g.inVar[i]]
-	}
+	relax := sol.X // variable i is candidate i's In atom
 
 	r.emit("round", sol.Iterations)
 	sel := s.round(p, relax)

@@ -178,3 +178,35 @@ func TestCollectiveReportsConvergence(t *testing.T) {
 		t.Fatal("greedy reports an unconverged relaxation it does not have")
 	}
 }
+
+// With w₁ = 0 the explanation reward vanishes: the grounding is the
+// priors alone (no tuple hinge, no constraint), and the collective
+// solver still reaches the exact optimum on the benchmark's S scenario.
+func TestCollectiveZeroExplainWeightMatchesExhaustive(t *testing.T) {
+	cfg := ibench.DefaultConfig(7, 7)
+	cfg.Rows = 10
+	cfg.PiCorresp, cfg.PiErrors, cfg.PiUnexplained = 20, 10, 10
+	sc, err := ibench.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProblem(sc.I, sc.J, sc.Candidates)
+	p.Weights = Weights{Explain: 0, Error: 1, Size: 1}
+	mrf := p.SelectionMRF()
+	if len(mrf.Constraints) != 0 || len(mrf.Potentials) > p.NumCandidates() {
+		t.Fatalf("w₁ = 0 grounding has %d potentials and %d constraints; want at most %d priors and none",
+			len(mrf.Potentials), len(mrf.Constraints), p.NumCandidates())
+	}
+	ctx := context.Background()
+	exact, err := ExhaustiveSolver{}.Solve(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CollectiveSolver{}.Solve(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Objective.Total() != exact.Objective.Total() {
+		t.Fatalf("collective objective %v, exhaustive %v", got.Objective.Total(), exact.Objective.Total())
+	}
+}

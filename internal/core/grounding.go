@@ -12,33 +12,34 @@ import (
 // to touch only delta-dirty factors after an AppendTarget, and the
 // captured ADMM dual state the next warm solve restarts from.
 //
+// The MRF is the collective encoding with every Explained(t) atom
+// already eliminated: variable i is candidate i's In atom, and each
+// covered tuple t is the one hinge w₁·max(0, 1 − Σ covers·In(θ)),
+// the capped-sum form of Bach et al. (JMLR 2017). It has no hard
+// constraints.
+//
 // Invariants, maintained by buildGrounding/applyDelta:
 //
-//   - inVar[i] is candidate i's In variable; expVar[j] is tuple j's
-//     Explained variable or -1 while j has no coverage (no Explained
-//     atom is ground for it, matching the cold build's Section III-C
-//     preprocessing).
-//   - potSlot[j] / consSlot[j] index tuple j's w₁ potential and
-//     linking constraint inside mrf.Potentials / mrf.Constraints, or
-//     -1. priorSlot[i] indexes candidate i's prior potential, or -1
-//     when the prior weight was ≤ 0 at build time (the cold build
-//     drops it too).
-//   - Factors are only ever appended or rebuilt in place at their
-//     slot, never reordered, so slots are stable across appends and
-//     the dual-state blocks in psl.ADMMState stay aligned; a rebuilt
-//     slot's dual entry is set to nil (the psl warm-restore skips it).
+//   - potSlot[j] indexes tuple j's hinge inside mrf.Potentials, or -1
+//     while j has no coverage (no hinge is ground for it, matching the
+//     cold build's Section III-C preprocessing) or w₁ ≤ 0. priorSlot[i]
+//     indexes candidate i's prior potential, or -1 when the prior
+//     weight was ≤ 0 at build time (the cold build drops it too).
+//   - The cold build emits the priors in candidate order, then the
+//     tuple hinges in tuple order. Factors are only ever appended or
+//     rebuilt in place at their slot, never reordered, so slots are
+//     stable across appends and the dual-state blocks in
+//     psl.ADMMState stay aligned; a rebuilt slot's dual entry is set
+//     to nil (the psl warm-restore skips it).
 //
-// The rare transitions the slot surgery cannot express — a tuple's
-// coverage vanishing, or a prior weight crossing to ≤ 0 — invalidate
-// the whole grounding (applyDelta returns false and the next solve
-// rebuilds cold), keeping the incremental MRF exactly equal to a cold
-// buildGrounding in every case.
+// The rare transitions the slot surgery cannot express — a covered
+// tuple being removed or losing its coverage, or a prior weight
+// crossing to ≤ 0 — invalidate the whole grounding (applyDelta returns
+// false and the next solve rebuilds cold), keeping the incremental MRF
+// exactly equal to a cold buildGrounding in every case.
 type grounding struct {
 	mrf       *psl.MRF
-	inVar     []int
-	expVar    []int32
 	potSlot   []int32
-	consSlot  []int32
 	priorSlot []int32
 	weights   Weights // the weights the MRF was ground with
 
@@ -80,27 +81,11 @@ func buildGrounding(p *Problem) *grounding {
 	n := p.NumCandidates()
 	g := &grounding{
 		mrf:       psl.NewMRF(),
-		inVar:     make([]int, n),
 		priorSlot: make([]int32, n),
 		weights:   p.Weights,
 	}
 	for i := 0; i < n; i++ {
-		g.inVar[i] = g.mrf.AtomVar("In", fmt.Sprintf("m%d", i))
-	}
-	inc := p.Incidence()
-	nt := inc.NumTuples()
-	g.expVar = make([]int32, nt)
-	g.potSlot = make([]int32, nt)
-	g.consSlot = make([]int32, nt)
-	for j := 0; j < nt; j++ {
-		g.expVar[j], g.potSlot[j], g.consSlot[j] = -1, -1, -1
-		cands, covs := inc.Row(j)
-		if len(cands) == 0 {
-			continue
-		}
-		g.groundTuple(p, j, cands, covs)
-	}
-	for i := range p.analyses {
+		g.mrf.AtomVar("In", fmt.Sprintf("m%d", i))
 		g.priorSlot[i] = -1
 		w := priorWeight(p, i)
 		if w <= 0 {
@@ -109,8 +94,16 @@ func buildGrounding(p *Problem) *grounding {
 		g.priorSlot[i] = int32(len(g.mrf.Potentials))
 		g.mrf.AddPotential(psl.Potential{
 			Weight: w,
-			Terms:  []psl.LinTerm{{Var: g.inVar[i], Coef: 1}},
+			Terms:  []psl.LinTerm{{Var: i, Coef: 1}},
 		})
+	}
+	inc := p.Incidence()
+	g.potSlot = make([]int32, inc.NumTuples())
+	for j := range g.potSlot {
+		g.potSlot[j] = -1
+		if cands, covs := inc.Row(j); len(cands) > 0 {
+			g.groundTuple(p, j, cands, covs)
+		}
 	}
 	return g
 }
@@ -122,91 +115,73 @@ func priorWeight(p *Problem, i int) float64 {
 	return p.Weights.Error*a.Errors + p.Weights.Size*float64(a.Size)
 }
 
-// groundTuple appends tuple j's Explained variable, w₁ potential and
-// linking constraint (first grounding of a covered tuple).
-func (g *grounding) groundTuple(p *Problem, j int, cands []int32, covs []float64) {
-	ev := g.mrf.AtomVar("Explained", fmt.Sprintf("t%d", j))
-	g.expVar[j] = int32(ev)
-	if p.Weights.Explain > 0 {
-		g.potSlot[j] = int32(len(g.mrf.Potentials))
-		g.mrf.AddPotential(psl.Potential{
-			Weight: p.Weights.Explain,
-			Terms:  []psl.LinTerm{{Var: ev, Coef: -1}},
-			Const:  1,
-		})
+// tupleHinge is tuple j's w₁·max(0, 1 − Σ covers·In(θ)).
+func tupleHinge(w1 float64, cands []int32, covs []float64) psl.Potential {
+	terms := make([]psl.LinTerm, len(cands))
+	for k, i := range cands {
+		terms[k] = psl.LinTerm{Var: int(i), Coef: -covs[k]}
 	}
-	g.consSlot[j] = int32(len(g.mrf.Constraints))
-	_ = g.mrf.AddConstraint(psl.Constraint{Terms: g.linkTerms(j, cands, covs), Cmp: psl.LE})
+	return psl.Potential{Weight: w1, Terms: terms, Const: 1}
 }
 
-// linkTerms builds Explained(t_j) − Σ covers·In(θ) in the cold build's
-// term order.
-func (g *grounding) linkTerms(j int, cands []int32, covs []float64) []psl.LinTerm {
-	terms := make([]psl.LinTerm, 0, len(cands)+1)
-	terms = append(terms, psl.LinTerm{Var: int(g.expVar[j]), Coef: 1})
-	for k, i := range cands {
-		terms = append(terms, psl.LinTerm{Var: g.inVar[i], Coef: -covs[k]})
+// groundTuple appends tuple j's hinge (first grounding of a covered
+// tuple). With w₁ ≤ 0 the hinge is weightless and stays absent.
+func (g *grounding) groundTuple(p *Problem, j int, cands []int32, covs []float64) {
+	if p.Weights.Explain > 0 {
+		g.potSlot[j] = int32(len(g.mrf.Potentials))
+		g.mrf.AddPotential(tupleHinge(p.Weights.Explain, cands, covs))
 	}
-	return terms
 }
 
 // applyDelta re-grounds only the factors an AppendTarget dirtied:
-// newly covered tuples get appended variables/factors, changed linking
-// constraints are rebuilt in place at their slot (tombstoning the
-// retained dual), and changed prior weights are updated in place. It
-// reports false when the delta needs a transition the slot surgery
-// cannot express; the caller then drops the grounding entirely.
-// Callers hold p.groundMu.
+// newly covered tuples get appended hinges, changed tuple hinges are
+// rebuilt in place at their slot (tombstoning the retained dual), and
+// changed prior weights are updated in place. It reports false when
+// the delta needs a transition the slot surgery cannot express; the
+// caller then drops the grounding entirely. Callers hold p.groundMu.
 func (g *grounding) applyDelta(p *Problem, d *TargetDelta) bool {
 	if g.weights != p.Weights {
 		return false
 	}
-	// Removed tuples: an uncovered one never had factors — nothing to
-	// do. A covered one would need its variable and factors dropped,
-	// which slot surgery cannot express; rebuild cold (the cold build
-	// omits the dead slot entirely, trivially matching buildGrounding).
+	// Removed tuples: an uncovered one never had a hinge — nothing to
+	// do. Dropping a covered one's hinge from the middle of the slab
+	// would reorder the factors after it; rebuild cold (the cold build
+	// omits the dead tuple entirely, trivially matching buildGrounding).
 	for _, j := range d.RemovedTuples {
-		if g.expVar[j] >= 0 {
+		if g.potSlot[j] >= 0 {
 			return false
 		}
 	}
 	inc := p.incidence
-	for len(g.expVar) < d.NewTuples {
-		g.expVar = append(g.expVar, -1)
+	for len(g.potSlot) < d.NewTuples {
 		g.potSlot = append(g.potSlot, -1)
-		g.consSlot = append(g.consSlot, -1)
 	}
-	// Pre-existing tuples whose coverage row changed: rebuild the
-	// linking constraint in place (or ground the tuple now if this is
-	// its first coverage).
+	// Pre-existing tuples whose coverage row changed: rebuild the hinge
+	// in place (or ground the tuple now if this is its first coverage).
 	for _, j32 := range d.ChangedTuples {
 		j := int(j32)
 		cands, covs := inc.Row(j)
-		if len(cands) == 0 {
-			if g.expVar[j] >= 0 {
-				// Coverage vanished (possible only under HomLimit
-				// truncation): the cold build would omit the tuple's
-				// factors entirely; rebuild cold.
-				return false
-			}
-			continue
-		}
-		if g.expVar[j] < 0 {
+		slot := g.potSlot[j]
+		switch {
+		case len(cands) == 0 && slot >= 0:
+			// Coverage vanished (possible only under HomLimit
+			// truncation): the cold build would omit the hinge; rebuild
+			// cold.
+			return false
+		case len(cands) == 0:
+		case slot < 0:
 			g.groundTuple(p, j, cands, covs)
-			continue
+		default:
+			g.mrf.Potentials[slot] = tupleHinge(p.Weights.Explain, cands, covs)
+			g.tombstonePot(slot)
 		}
-		slot := g.consSlot[j]
-		g.mrf.Constraints[slot] = psl.Constraint{Terms: g.linkTerms(j, cands, covs), Cmp: psl.LE}
-		g.invalidateCons(slot)
 	}
 	// Appended tuples: ground the covered ones (uncovered ones stay
 	// absent, exactly as in a cold build).
 	for j := d.OldTuples; j < d.NewTuples; j++ {
-		cands, covs := inc.Row(j)
-		if len(cands) == 0 {
-			continue
+		if cands, covs := inc.Row(j); len(cands) > 0 {
+			g.groundTuple(p, j, cands, covs)
 		}
-		g.groundTuple(p, j, cands, covs)
 	}
 	// Prior-weight updates (errors drop on appends and can grow on
 	// removals — the rescale below works in either direction). The
@@ -234,11 +209,11 @@ func (g *grounding) applyDelta(p *Problem, d *TargetDelta) bool {
 	return true
 }
 
-// invalidateCons tombstones a rebuilt constraint's retained dual.
-func (g *grounding) invalidateCons(slot int32) {
+// tombstonePot drops a rebuilt potential's retained dual.
+func (g *grounding) tombstonePot(slot int32) {
 	g.stateMu.Lock()
-	if g.state != nil && int(slot) < len(g.state.ConsU) {
-		g.state.ConsU[slot] = nil
+	if g.state != nil && int(slot) < len(g.state.PotU) {
+		g.state.PotU[slot] = nil
 	}
 	g.stateMu.Unlock()
 }
@@ -276,7 +251,8 @@ func (g *grounding) putState(st *psl.ADMMState) {
 
 // warmRelax derives the per-candidate warm values from a prior
 // selection: its recorded relaxation when present, else the 0/1
-// selection.
+// selection. Every MRF variable is an In atom, so this is also the
+// ADMM starting consensus of a WithWarmStart solve.
 func warmRelax(p *Problem, w *Selection) []float64 {
 	n := p.NumCandidates()
 	relax := w.Relaxation
@@ -289,24 +265,4 @@ func warmRelax(p *Problem, w *Selection) []float64 {
 		}
 	}
 	return relax
-}
-
-// warmInitial builds the ADMM starting consensus from a prior
-// selection (the WithWarmStart path): In atoms start at the prior
-// relaxation (or the 0/1 selection when no relaxation was recorded).
-// Every other variable keeps the neutral 0.5; that includes the
-// Explained atoms, which psl's presolve eliminates whenever w₁ > 0
-// and sets to min(1, Σ covers·In) after the solve. It reads the cached
-// variable indices only, so it never creates a variable on the shared
-// MRF.
-func (g *grounding) warmInitial(p *Problem, w *Selection) []float64 {
-	init := make([]float64, g.mrf.NumVars())
-	for i := range init {
-		init[i] = 0.5
-	}
-	relax := warmRelax(p, w)
-	for i, v := range g.inVar {
-		init[v] = relax[i]
-	}
-	return init
 }

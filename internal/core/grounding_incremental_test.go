@@ -19,32 +19,15 @@ import (
 // below tolerates no numeric drift whatsoever.
 func hexF(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
 
-// canonicalVarName maps an MRF variable name to an arrival-order-free
-// key: In atoms are already stable (candidate indices are fixed), and
-// Explained atoms are renamed from their tuple id to the tuple's
-// printed form, which is identical across streamed and cold problems.
-func canonicalVarName(t *testing.T, p *Problem, name string) string {
-	t.Helper()
-	const pfx = "Explained(t"
-	if !strings.HasPrefix(name, pfx) {
-		return name
-	}
-	j, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, pfx), ")"))
-	if err != nil {
-		t.Fatalf("unparsable Explained atom %q: %v", name, err)
-	}
-	return "Explained|" + p.JIndex().Tuples[j].String()
-}
-
 // canonicalMRF renders every potential and constraint of the MRF as a
-// sorted list of strings with exact float bits and arrival-order-free
-// variable names. Two MRFs over the same evidence must produce equal
-// lists regardless of the order their factors were ground in.
-func canonicalMRF(t *testing.T, p *Problem, m *psl.MRF) []string {
-	t.Helper()
+// sorted list of strings with exact float bits and variable names (In
+// atoms are named by candidate index, which is fixed). Two MRFs over
+// the same evidence must produce equal lists regardless of the order
+// their factors were ground in.
+func canonicalMRF(m *psl.MRF) []string {
 	names := m.VarNames()
 	term := func(lt psl.LinTerm) string {
-		return canonicalVarName(t, p, names[lt.Var]) + "*" + hexF(lt.Coef)
+		return names[lt.Var] + "*" + hexF(lt.Coef)
 	}
 	terms := func(lts []psl.LinTerm) string {
 		parts := make([]string, len(lts))
@@ -84,9 +67,9 @@ func TestIncrementalGroundingMatchesCold(t *testing.T) {
 
 		// Instantiate the retained grounding before the first append so
 		// every batch exercises applyDelta rather than a fresh build.
-		got := canonicalMRF(t, p, p.directGrounding().mrf)
+		got := canonicalMRF(p.directGrounding().mrf)
 		cold := coldProblemOf(p)
-		want := canonicalMRF(t, cold, cold.SelectionMRF())
+		want := canonicalMRF(cold.SelectionMRF())
 		diffCanonical(t, fmt.Sprintf("config %d initial", ci), got, want)
 
 		for bi, batch := range batches {
@@ -94,9 +77,9 @@ func TestIncrementalGroundingMatchesCold(t *testing.T) {
 				t.Fatalf("config %d batch %d: %v", ci, bi, err)
 			}
 			g := p.directGrounding()
-			got := canonicalMRF(t, p, g.mrf)
+			got := canonicalMRF(g.mrf)
 			cold := coldProblemOf(p)
-			want := canonicalMRF(t, cold, cold.SelectionMRF())
+			want := canonicalMRF(cold.SelectionMRF())
 			diffCanonical(t, fmt.Sprintf("config %d batch %d", ci, bi), got, want)
 		}
 	}

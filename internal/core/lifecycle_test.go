@@ -134,8 +134,8 @@ func TestLifecycleChurnMatchesColdPrepare(t *testing.T) {
 			label := fmt.Sprintf("config %d step %d (%s)", ci, step, op)
 			cold := coldProblemOf(s.p)
 			assertEvidenceMatchesCold(t, label, s.p, cold)
-			got := canonicalMRF(t, s.p, s.p.directGrounding().mrf)
-			want := canonicalMRF(t, cold, cold.SelectionMRF())
+			got := canonicalMRF(s.p.directGrounding().mrf)
+			want := canonicalMRF(cold.SelectionMRF())
 			diffCanonical(t, label, got, want)
 			// Objective parity at random selections (permutation- and
 			// tombstone-invariant, no remapping needed).
@@ -195,8 +195,8 @@ func TestApplySourceDeltaMatchesColdPrepare(t *testing.T) {
 			label := fmt.Sprintf("config %d source step %d", ci, step)
 			cold := coldProblemOf(p)
 			assertEvidenceMatchesCold(t, label, p, cold)
-			got := canonicalMRF(t, p, p.directGrounding().mrf)
-			want := canonicalMRF(t, cold, cold.SelectionMRF())
+			got := canonicalMRF(p.directGrounding().mrf)
+			want := canonicalMRF(cold.SelectionMRF())
 			diffCanonical(t, label, got, want)
 		}
 	}

@@ -21,6 +21,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,22 @@ type Weights struct {
 
 // DefaultWeights returns the unweighted objective of Eq. (9).
 func DefaultWeights() Weights { return Weights{Explain: 1, Error: 1, Size: 1} }
+
+// Validate reports an error unless every weight is finite and ≥ 0.
+// Entry points that take weights from outside the process check them:
+// Eq. (9) has no meaning for other values, and the collective
+// relaxation would silently drop a term whose weight is ≤ 0.
+func (w Weights) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"w1 (explain)", w.Explain}, {"w2 (error)", w.Error}, {"w3 (size)", w.Size}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("core: weight %s is %v; weights must be finite and ≥ 0", f.name, f.v)
+		}
+	}
+	return nil
+}
 
 // Breakdown is an objective value split into its three parts.
 type Breakdown struct {

@@ -1,14 +1,14 @@
 // Package experiments regenerates the paper's evaluation artifacts:
-// one function per table/figure (see DESIGN.md's experiment index),
-// each returning a Table that cmd/experiments renders and
-// EXPERIMENTS.md records. Scenario scales are configurable so the same
-// code backs both the full runs and the quick CI-sized runs used by
-// the benchmarks.
+// one function per table/figure (README's "Experiments" section lists
+// them), each returning a Table that cmd/experiments renders. Scenario
+// scales are configurable so the same code backs both the full runs
+// and the quick CI-sized runs used by the benchmarks.
 package experiments
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -771,25 +771,50 @@ type Result struct {
 	Err   error
 }
 
-// All runs the full suite in order under ctx; a cancelled context
-// fails the remaining experiments with ctx.Err().
-func All(ctx context.Context, o Options) []Result {
-	type fn func(context.Context, Options) (*Table, error)
-	run := func(f fn) Result {
-		t, err := f(ctx, o)
-		return Result{Table: t, Err: err}
+// experiment is one entry of the suite: an ID and the function that
+// produces its table.
+type experiment struct {
+	id  string
+	run func(context.Context, Options) (*Table, error)
+}
+
+// suite is the experiment table, in run order.
+var suite = []experiment{
+	{"EX0", func(ctx context.Context, _ Options) (*Table, error) { return EX0AppendixExample(ctx) }},
+	{"EX2", EX2SetCover},
+	{"E1", E1PrimitiveQuality},
+	{"E2", E2CorrespSweep},
+	{"E3", E3ErrorsSweep},
+	{"E4", E4UnexplainedSweep},
+	{"E5", E5Scaling},
+	{"E6", E6ApproxQuality},
+	{"E7", E7WeightAblation},
+	{"E8", E8CorroborationAblation},
+	{"E9", E9WeightLearning},
+}
+
+// Run runs the experiments with the given IDs, or the full suite when
+// none are given, in suite order under ctx; a cancelled context fails
+// the remaining experiments with ctx.Err(). An unknown ID is an error,
+// and then nothing runs.
+func Run(ctx context.Context, o Options, ids ...string) ([]Result, error) {
+	want := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		if !slices.ContainsFunc(suite, func(e experiment) bool { return e.id == id }) {
+			known := make([]string, len(suite))
+			for i, e := range suite {
+				known[i] = e.id
+			}
+			return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(known, ", "))
+		}
+		want[id] = true
 	}
-	return []Result{
-		func() Result { t, err := EX0AppendixExample(ctx); return Result{t, err} }(),
-		run(EX2SetCover),
-		run(E1PrimitiveQuality),
-		run(E2CorrespSweep),
-		run(E3ErrorsSweep),
-		run(E4UnexplainedSweep),
-		run(E5Scaling),
-		run(E6ApproxQuality),
-		run(E7WeightAblation),
-		run(E8CorroborationAblation),
-		run(E9WeightLearning),
+	var out []Result
+	for _, e := range suite {
+		if len(want) == 0 || want[e.id] {
+			t, err := e.run(ctx, o)
+			out = append(out, Result{Table: t, Err: err})
+		}
 	}
+	return out, nil
 }

@@ -107,13 +107,38 @@ func TestAllRunsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite run")
 	}
-	for _, res := range All(context.Background(), quick()) {
+	results, err := Run(context.Background(), quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(suite) {
+		t.Fatalf("ran %d experiments, want the whole suite (%d)", len(results), len(suite))
+	}
+	for i, res := range results {
 		if res.Err != nil {
 			t.Errorf("%v", res.Err)
 			continue
 		}
+		if res.Table.ID != suite[i].id {
+			t.Errorf("suite entry %s produced table %s", suite[i].id, res.Table.ID)
+		}
 		if len(res.Table.Rows) == 0 {
 			t.Errorf("%s: no rows", res.Table.ID)
 		}
+	}
+}
+
+// Selecting IDs runs exactly those experiments; an unknown ID is an
+// error before anything runs.
+func TestRunSelectsIDs(t *testing.T) {
+	results, err := Run(context.Background(), quick(), "EX0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Err != nil || results[0].Table.ID != "EX0" {
+		t.Fatalf("Run(EX0) = %+v, want exactly the EX0 table", results)
+	}
+	if results, err := Run(context.Background(), quick(), "EX0", "E42"); err == nil || results != nil {
+		t.Fatalf("Run(EX0, E42) = %v, %v; want an error and no results", results, err)
 	}
 }

@@ -74,9 +74,8 @@ type ADMMOptions struct {
 // Captured via ADMMOptions.CaptureState, restored via ADMMOptions.Warm.
 // The two dual blocks are kept separate because an incrementally grown
 // MRF appends to both slices independently; a single factor-order
-// block would misalign after growth. When the presolve eliminates a
-// variable, its hinge's PotU slot is nil and the merged factor's dual
-// lives in its linking constraint's ConsU slot.
+// block would misalign after growth. Every captured slot holds its
+// factor's dual; nil slots appear only where a caller tombstoned one.
 type ADMMState struct {
 	// Z is the consensus vector; restored per-index, so variables
 	// appended after the capture simply start from Initial/default.
@@ -137,11 +136,8 @@ const (
 // per-iteration wall time on cache-bound problems.
 //
 // Factors are the MRF's potentials, then its constraints, in slot
-// order, except that the presolve (see presolve) drops each eliminated
-// variable's hinge and compiles its linking constraint into one merged
-// hinge. potFactor/consFactor map MRF slots to factor indices, so
-// captured duals stay keyed by MRF slot. With nothing eliminated the
-// layout, and every iterate, is that of the plain slot-order compile.
+// order: potential slot i is factor i and constraint slot i is factor
+// len(m.Potentials)+i, so captured duals stay keyed by MRF slot.
 type factorSet struct {
 	off    []int32 // factor fi owns terms off[fi]..off[fi+1]
 	vars   []int32 // flat term variable indices
@@ -151,16 +147,6 @@ type factorSet struct {
 	weight []float64 // per factor (potentials; 0 for constraints)
 	norm2  []float64 // per factor, Σ coef²
 	kind   []uint8   // per factor
-
-	potFactor  []int32   // MRF potential slot → factor, -1 when eliminated
-	consFactor []int32   // MRF constraint slot → factor
-	elim       []elimVar // eliminated variables, recovered after the solve
-}
-
-// elimVar is a variable the presolve removed from the ADMM problem,
-// with the constraint slot its value is recovered from.
-type elimVar struct {
-	v, cons int32
 }
 
 func (fs *factorSet) len() int { return len(fs.kind) }
@@ -240,9 +226,10 @@ func SolveMAP(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) 
 	}
 	fs := buildFactorSet(m)
 	numFactors := fs.len()
+	np, nc := len(m.Potentials), len(m.Constraints)
 	if w := opts.Warm; w != nil {
-		fs.restoreDuals(w.PotU, fs.potFactor)
-		fs.restoreDuals(w.ConsU, fs.consFactor)
+		fs.restoreDuals(w.PotU, 0, np)
+		fs.restoreDuals(w.ConsU, np, nc)
 	}
 	captureState := func(rho float64) *ADMMState {
 		// One backing array holds every dual; each slot is a
@@ -251,8 +238,8 @@ func SolveMAP(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) 
 		buf := append([]float64(nil), fs.u...)
 		return &ADMMState{
 			Z:     append([]float64(nil), z...),
-			PotU:  fs.dualSlots(buf, fs.potFactor),
-			ConsU: fs.dualSlots(buf, fs.consFactor),
+			PotU:  fs.dualSlots(buf, 0, np),
+			ConsU: fs.dualSlots(buf, np, nc),
 			Rho:   rho,
 		}
 	}
@@ -310,7 +297,6 @@ func SolveMAP(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) 
 	for iter = 0; iter < opts.MaxIterations; iter++ {
 		select {
 		case <-ctx.Done():
-			fs.recoverEliminated(m, z)
 			return &Solution{
 				X:          z,
 				Objective:  m.Objective(z),
@@ -431,7 +417,6 @@ func SolveMAP(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) 
 			break
 		}
 	}
-	fs.recoverEliminated(m, z)
 	sol := &Solution{
 		X:          z,
 		Objective:  m.Objective(z),
@@ -449,197 +434,69 @@ func SolveMAP(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) 
 	return sol, nil
 }
 
-// buildFactorSet compiles the MRF into ADMM factors, eliminating the
-// variables presolve finds.
+// buildFactorSet compiles the MRF into ADMM factors in slot order.
 func buildFactorSet(m *MRF) *factorSet {
-	merged, elim := presolve(m)
-	nf := len(m.Potentials) + len(m.Constraints) - len(elim)
+	nf := len(m.Potentials) + len(m.Constraints)
 	fs := &factorSet{
-		off:        make([]int32, 1, nf+1),
-		konst:      make([]float64, 0, nf),
-		weight:     make([]float64, 0, nf),
-		norm2:      make([]float64, 0, nf),
-		kind:       make([]uint8, 0, nf),
-		potFactor:  make([]int32, len(m.Potentials)),
-		consFactor: make([]int32, len(m.Constraints)),
-		elim:       elim,
+		off:    make([]int32, 1, nf+1),
+		konst:  make([]float64, 0, nf),
+		weight: make([]float64, 0, nf),
+		norm2:  make([]float64, 0, nf),
+		kind:   make([]uint8, 0, nf),
 	}
-	n2 := 0.0
-	term := func(v int, coef float64) {
-		fs.vars = append(fs.vars, int32(v))
-		fs.coefs = append(fs.coefs, coef)
-		n2 += coef * coef
-	}
-	closeFactor := func(konst float64, kind uint8, weight float64) {
+	add := func(terms []LinTerm, konst float64, kind uint8, weight float64) {
+		n2 := 0.0
+		for _, t := range terms {
+			fs.vars = append(fs.vars, int32(t.Var))
+			fs.coefs = append(fs.coefs, t.Coef)
+			n2 += t.Coef * t.Coef
+		}
 		fs.off = append(fs.off, int32(len(fs.vars)))
 		fs.konst = append(fs.konst, konst)
 		fs.weight = append(fs.weight, weight)
 		fs.norm2 = append(fs.norm2, n2)
 		fs.kind = append(fs.kind, kind)
-		n2 = 0
 	}
-	for _, e := range elim {
-		fs.potFactor[merged[e.cons]] = -1
-	}
-	for pi, p := range m.Potentials {
-		if fs.potFactor[pi] < 0 {
-			continue
-		}
-		fs.potFactor[pi] = int32(fs.len())
-		for _, t := range p.Terms {
-			term(t.Var, t.Coef)
-		}
+	for _, p := range m.Potentials {
 		kind := uint8(kindHinge)
 		if p.Squared {
 			kind = kindSquared
 		}
-		closeFactor(p.Const, kind, p.Weight)
+		add(p.Terms, p.Const, kind, p.Weight)
 	}
-	next := 0 // next entry of elim, which is in constraint order
-	for ci, c := range m.Constraints {
-		fs.consFactor[ci] = int32(fs.len())
-		if next < len(elim) && int(elim[next].cons) == ci {
-			// w·max(0, c_P + a·e) with b·e + Σ d·x + c_C ≤ 0 becomes
-			// w·max(0, c_P + r·c_C + Σ r·d·x), r = −a/b.
-			e := int(elim[next].v)
-			next++
-			p := m.Potentials[merged[ci]]
-			r := -p.Terms[0].Coef / coefOf(c.Terms, e)
-			for _, t := range c.Terms {
-				if t.Var != e {
-					term(t.Var, r*t.Coef)
-				}
-			}
-			closeFactor(p.Const+r*c.Const, kindHinge, p.Weight)
-			continue
-		}
-		for _, t := range c.Terms {
-			term(t.Var, t.Coef)
-		}
+	for _, c := range m.Constraints {
 		kind := uint8(kindConsEQ)
 		if c.Cmp == LE {
 			kind = kindConsLE
 		}
-		closeFactor(c.Const, kind, 0)
+		add(c.Terms, c.Const, kind, 0)
 	}
 	fs.y = make([]float64, len(fs.vars))
 	fs.u = make([]float64, len(fs.vars))
 	return fs
 }
 
-// presolve finds the variables ADMM can do without. A variable e is
-// eliminated when it occurs exactly twice:
-//
-//   - as the only term of a linear hinge w·max(0, c_P + a·e) with
-//     w > 0, a < 0 and c_P + a ≤ 0, and
-//   - in an LE constraint b·e + Σ d·x + c_C ≤ 0 with b > 0, every
-//     d ≤ 0 and c_C ≤ 0.
-//
-// The hinge is non-increasing in e, and the constraint caps e at
-// S = (−c_C − Σ d·x)/b ≥ 0, so e's optimum is min(1, S) and the pair
-// is exactly the one hinge w·max(0, c_P − (a/b)·c_C − (a/b)·Σ d·x):
-// both vanish once S ≥ 1 (because c_P + a ≤ 0) and agree below it.
-// This is the capped-sum LP of Bach et al. (JMLR 2017): the PSL pair
-// w₁·max(0, 1 − Explained(t)), Explained(t) ≤ Σ covers·In(θ) compiles
-// to w₁·max(0, 1 − Σ covers·In(θ)) bit for bit.
-//
-// merged[ci] is the potential slot merged into constraint ci (nil
-// when nothing is eliminated); elim lists the eliminated variables in
-// constraint order.
-func presolve(m *MRF) (merged []int32, elim []elimVar) {
-	n := m.NumVars()
-	occ := make([]int32, n)
-	hinge := make([]int32, n) // 1 + slot of a hinge e can be eliminated from
-	for pi, p := range m.Potentials {
-		for _, t := range p.Terms {
-			occ[t.Var]++
-		}
-		if !p.Squared && p.Weight > 0 && len(p.Terms) == 1 &&
-			p.Terms[0].Coef < 0 && p.Const+p.Terms[0].Coef <= 0 {
-			hinge[p.Terms[0].Var] = int32(pi) + 1
-		}
-	}
-	for _, c := range m.Constraints {
-		for _, t := range c.Terms {
-			occ[t.Var]++
-		}
-	}
-	for ci, c := range m.Constraints {
-		if c.Cmp != LE || c.Const > 0 {
-			continue
-		}
-		e, positives := -1, 0
-		for _, t := range c.Terms {
-			if t.Coef > 0 {
-				e = t.Var
-				positives++
-			}
-		}
-		if positives != 1 || occ[e] != 2 || hinge[e] == 0 {
-			continue
-		}
-		if merged == nil {
-			merged = make([]int32, len(m.Constraints))
-			for i := range merged {
-				merged[i] = -1
-			}
-		}
-		merged[ci] = hinge[e] - 1
-		elim = append(elim, elimVar{v: int32(e), cons: int32(ci)})
-	}
-	return merged, elim
-}
-
-// coefOf returns v's coefficient in terms (0 when absent).
-func coefOf(terms []LinTerm, v int) float64 {
-	for _, t := range terms {
-		if t.Var == v {
-			return t.Coef
-		}
-	}
-	return 0
-}
-
-// recoverEliminated sets each eliminated variable to its optimum
-// min(1, max(0, S)), S = (−c_C − Σ d·x)/b, the largest value its
-// linking constraint allows at z.
-func (fs *factorSet) recoverEliminated(m *MRF, z []float64) {
-	for _, e := range fs.elim {
-		c := m.Constraints[e.cons]
-		s := -c.Const
-		for _, t := range c.Terms {
-			if t.Var != int(e.v) {
-				s -= t.Coef * z[t.Var]
-			}
-		}
-		z[e.v] = math.Min(1, math.Max(0, s/coefOf(c.Terms, int(e.v))))
-	}
-}
-
-// restoreDuals copies captured duals into the factors their MRF slots
-// compile to. Slots that are nil, eliminated, out of range or whose
-// length no longer matches the factor keep the zero dual.
-func (fs *factorSet) restoreDuals(slots [][]float64, factorOf []int32) {
+// restoreDuals copies captured duals into the count factors starting
+// at base. Slots that are nil, out of range or whose length no longer
+// matches the factor keep the zero dual.
+func (fs *factorSet) restoreDuals(slots [][]float64, base, count int) {
 	for slot, u := range slots {
-		if slot >= len(factorOf) || u == nil || factorOf[slot] < 0 {
+		if slot >= count || u == nil {
 			continue
 		}
-		fi := factorOf[slot]
-		if lo, hi := fs.off[fi], fs.off[fi+1]; len(u) == int(hi-lo) {
+		if lo, hi := fs.off[base+slot], fs.off[base+slot+1]; len(u) == int(hi-lo) {
 			copy(fs.u[lo:hi], u)
 		}
 	}
 }
 
-// dualSlots cuts per-slot dual windows out of buf, a copy of fs.u; an
-// eliminated slot stays nil.
-func (fs *factorSet) dualSlots(buf []float64, factorOf []int32) [][]float64 {
-	out := make([][]float64, len(factorOf))
-	for slot, fi := range factorOf {
-		if fi >= 0 {
-			lo, hi := fs.off[fi], fs.off[fi+1]
-			out[slot] = buf[lo:hi:hi]
-		}
+// dualSlots cuts the dual windows of the count factors starting at
+// base out of buf, a copy of fs.u.
+func (fs *factorSet) dualSlots(buf []float64, base, count int) [][]float64 {
+	out := make([][]float64, count)
+	for slot := range out {
+		lo, hi := fs.off[base+slot], fs.off[base+slot+1]
+		out[slot] = buf[lo:hi:hi]
 	}
 	return out
 }

@@ -64,9 +64,7 @@ func TestParallelADMMMatchesSerial(t *testing.T) {
 	}{
 		{"chain400", func() *MRF { return benchMRF(400) }},
 		{"random", func() *MRF { return randomMRF(150, 600, 42) }},
-		// Selection-shaped: the presolve eliminates every Explained
-		// variable, so serial and parallel also agree on the recovered
-		// values.
+		// Selection-shaped: the hinge form the collective solver grounds.
 		{"selection", func() *MRF { return selectionMRF(76, 1000, 4) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -50,8 +50,8 @@ func BenchmarkADMM1000(b *testing.B) {
 }
 
 // BenchmarkADMMSelection solves an M-sized selection-shaped MRF (76
-// candidates, 1,000 tuples), whose Explained variables the presolve
-// eliminates; the chain MRFs above have nothing to eliminate.
+// candidates, 1,000 tuple hinges), the hinge form the collective
+// solver grounds.
 func BenchmarkADMMSelection(b *testing.B) {
 	m := selectionMRF(76, 1000, 4)
 	b.ReportAllocs()

@@ -1,5 +1,12 @@
 package psl
 
-// PresolveDifferential exposes the presolve differential check to the
-// external test package, which grounds real scenarios through core.
-var PresolveDifferential = presolveDifferential
+// The selection-shaped MRF generators, exposed to the external test
+// package, which checks its presolve against them.
+var (
+	SelectionMRF     = selectionMRF
+	SelectionPairMRF = selectionPairMRF
+)
+
+// EncodingDifferential exposes the pair-versus-hinge differential to
+// the external test package, which grounds real scenarios through core.
+var EncodingDifferential = encodingDifferential

@@ -6,10 +6,11 @@
 // (optionally squared) hinge potentials, and hard linear constraints;
 // SolveMAP minimises the potentials subject to the constraints.
 //
-// internal/core builds the mapping-selection MRF directly and solves
-// it with SolveMAP. The PSL rule language and its grounder live only
-// in this package's tests, as the oracle that direct grounding must
-// match.
+// internal/core builds the mapping-selection MRF directly, as one
+// hinge per explained tuple with no constraints, and solves it with
+// SolveMAP. The PSL rule language and its grounder live only in this
+// package's tests, as the oracle that direct grounding must match
+// once each tuple's Explained atom is eliminated.
 package psl
 
 import (
@@ -115,6 +116,8 @@ func (m *MRF) AddPotential(p Potential) {
 }
 
 // AddConstraint appends a hard linear constraint.
+//
+//lint:testonly the PSL rule oracle grounds its summation constraints with it
 func (m *MRF) AddConstraint(c Constraint) error {
 	if len(c.Terms) == 0 {
 		sat := c.Const <= 1e-9

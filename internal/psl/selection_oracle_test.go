@@ -20,9 +20,10 @@ import (
 // selection: a PSL *program* (rules over predicates) that the rule
 // grounder of oracle_ground_test.go grounds against a fact database.
 // It is the test oracle for the collective solver's direct grounding
-// (internal/core/grounding.go), which must produce exactly the same
-// hinge-loss MRF. The program documents the model the way the paper
-// presents it:
+// (internal/core/grounding.go): grounding the program and presolving
+// it (eliminating each Explained atom, see presolve) must produce
+// exactly the hinge-loss MRF the direct grounding builds. The program
+// documents the model the way the paper presents it:
 //
 //	predicates:
 //	  JTuple/1     closed  — the tuples of the data example J
@@ -134,29 +135,149 @@ func groundSelectionMRF(p *core.Problem) (*psl.MRF, error) {
 	return mrf, nil
 }
 
+// presolve eliminates the auxiliary atoms of a ground selection
+// program. An atom e is eliminated when it occurs exactly twice:
+//
+//   - as the only term of a linear hinge w·max(0, c_P + a·e) with
+//     w > 0, a < 0 and c_P + a ≤ 0, and
+//   - in an LE constraint b·e + Σ d·x + c_C ≤ 0 with b > 0, every
+//     d ≤ 0 and c_C ≤ 0.
+//
+// The hinge is non-increasing in e, and the constraint caps e at
+// S = (−c_C − Σ d·x)/b ≥ 0, so e's optimum is min(1, S) and the pair
+// is exactly the one hinge w·max(0, c_P − (a/b)·c_C − (a/b)·Σ d·x):
+// both vanish once S ≥ 1 (because c_P + a ≤ 0) and agree below it.
+// This is the capped-sum LP of Bach et al. (JMLR 2017): the PSL pair
+// w₁·max(0, 1 − Explained(t)), Explained(t) ≤ Σ covers·In(θ) becomes
+// w₁·max(0, 1 − Σ covers·In(θ)).
+//
+// presolve returns a new MRF without the eliminated atoms — the
+// remaining potentials, then one merged hinge per eliminated atom in
+// constraint order, then the remaining constraints — and the number
+// of atoms it eliminated.
+func presolve(m *psl.MRF) (*psl.MRF, int) {
+	names := m.VarNames()
+	occ := make([]int, len(names))
+	hinge := make([]int, len(names)) // 1 + slot of a hinge e can be eliminated from
+	for pi, p := range m.Potentials {
+		for _, t := range p.Terms {
+			occ[t.Var]++
+		}
+		if !p.Squared && p.Weight > 0 && len(p.Terms) == 1 &&
+			p.Terms[0].Coef < 0 && p.Const+p.Terms[0].Coef <= 0 {
+			hinge[p.Terms[0].Var] = pi + 1
+		}
+	}
+	for _, c := range m.Constraints {
+		for _, t := range c.Terms {
+			occ[t.Var]++
+		}
+	}
+	elim := make([]int, len(m.Constraints)) // 1 + the atom constraint ci eliminates
+	dropped := make([]bool, len(names))
+	droppedPot := make([]bool, len(m.Potentials))
+	n := 0
+	for ci, c := range m.Constraints {
+		if c.Cmp != psl.LE || c.Const > 0 {
+			continue
+		}
+		e, positives := -1, 0
+		for _, t := range c.Terms {
+			if t.Coef > 0 {
+				e = t.Var
+				positives++
+			}
+		}
+		if positives != 1 || occ[e] != 2 || hinge[e] == 0 {
+			continue
+		}
+		elim[ci] = e + 1
+		dropped[e] = true
+		droppedPot[hinge[e]-1] = true
+		n++
+	}
+
+	out := psl.NewMRF()
+	remap := make([]int, len(names))
+	for v, name := range names {
+		if !dropped[v] {
+			remap[v] = out.Var(name)
+		}
+	}
+	remapped := func(terms []psl.LinTerm, scale float64, skip int) []psl.LinTerm {
+		var r []psl.LinTerm
+		for _, t := range terms {
+			if t.Var != skip {
+				r = append(r, psl.LinTerm{Var: remap[t.Var], Coef: scale * t.Coef})
+			}
+		}
+		return r
+	}
+	for pi, p := range m.Potentials {
+		if !droppedPot[pi] {
+			p.Terms = remapped(p.Terms, 1, -1)
+			out.Potentials = append(out.Potentials, p)
+		}
+	}
+	var kept []psl.Constraint
+	for ci, c := range m.Constraints {
+		if elim[ci] == 0 {
+			c.Terms = remapped(c.Terms, 1, -1)
+			kept = append(kept, c)
+			continue
+		}
+		e := elim[ci] - 1
+		p := m.Potentials[hinge[e]-1]
+		b := 0.0
+		for _, t := range c.Terms {
+			if t.Var == e {
+				b = t.Coef
+			}
+		}
+		r := -p.Terms[0].Coef / b
+		out.Potentials = append(out.Potentials, psl.Potential{
+			Weight: p.Weight,
+			Terms:  remapped(c.Terms, r, e),
+			Const:  p.Const + r*c.Const,
+		})
+	}
+	out.Constraints = kept
+	return out, n
+}
+
 // assertRuleGroundingMatchesDirect checks that grounding the paper's
-// PSL program yields exactly the MRF the collective solver grounds
-// directly: the same variable names, and the same potentials (weight,
-// terms by variable name, constant) and constraints as multisets,
-// compared with exact float bits.
+// PSL program and presolving it yields exactly the MRF the collective
+// solver grounds directly: the same variable names, and the same
+// potentials (weight, terms by variable name, constant) as multisets,
+// compared with exact float bits. Every Explained atom is eliminated,
+// so the direct grounding has neither Explained variables nor
+// constraints.
 func assertRuleGroundingMatchesDirect(t *testing.T, label string, p *core.Problem) {
 	t.Helper()
 	viaRules, err := groundSelectionMRF(p)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	presolved, n := presolve(viaRules)
+	if n == 0 || n != len(viaRules.Constraints) {
+		t.Fatalf("%s: presolve eliminated %d of %d Explained atoms", label, n, len(viaRules.Constraints))
+	}
 	direct := p.SelectionMRF()
-	gotNames, wantNames := viaRules.VarNames(), direct.VarNames()
+	if len(direct.Constraints) != 0 {
+		t.Fatalf("%s: direct grounding has %d constraints, want none", label, len(direct.Constraints))
+	}
+	for _, name := range direct.VarNames() {
+		if !strings.HasPrefix(name, "In(") {
+			t.Fatalf("%s: direct grounding has variable %q; want In atoms only", label, name)
+		}
+	}
+	gotNames, wantNames := presolved.VarNames(), direct.VarNames()
 	sort.Strings(gotNames)
 	sort.Strings(wantNames)
 	if !reflect.DeepEqual(gotNames, wantNames) {
-		t.Fatalf("%s: rule grounding has variables %v, direct %v", label, gotNames, wantNames)
+		t.Fatalf("%s: presolved rule grounding has variables %v, direct %v", label, gotNames, wantNames)
 	}
-	if len(direct.Potentials) == 0 || len(direct.Constraints) == 0 {
-		t.Fatalf("%s: degenerate grounding (%d potentials, %d constraints)",
-			label, len(direct.Potentials), len(direct.Constraints))
-	}
-	diffCanonical(t, label, canonicalMRF(t, p, viaRules), canonicalMRF(t, p, direct))
+	diffCanonical(t, label, canonicalMRF(presolved), canonicalMRF(direct))
 }
 
 // TestRuleGroundingMatchesDirect runs the exact oracle comparison on
@@ -272,32 +393,14 @@ func appendixProblem() *core.Problem {
 // no numeric drift whatsoever.
 func hexF(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
 
-// canonicalVarName maps an MRF variable name to an arrival-order-free
-// key: In atoms are already stable (candidate indices are fixed), and
-// Explained atoms are renamed from their tuple id to the tuple's
-// printed form.
-func canonicalVarName(t *testing.T, p *core.Problem, name string) string {
-	t.Helper()
-	const pfx = "Explained(t"
-	if !strings.HasPrefix(name, pfx) {
-		return name
-	}
-	j, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, pfx), ")"))
-	if err != nil {
-		t.Fatalf("unparsable Explained atom %q: %v", name, err)
-	}
-	return "Explained|" + p.JIndex().Tuples[j].String()
-}
-
 // canonicalMRF renders every potential and constraint of the MRF as a
-// sorted list of strings with exact float bits and arrival-order-free
-// variable names. Two MRFs over the same evidence must produce equal
-// lists regardless of the order their factors were ground in.
-func canonicalMRF(t *testing.T, p *core.Problem, m *psl.MRF) []string {
-	t.Helper()
+// sorted list of strings with exact float bits and variable names.
+// Two MRFs over the same evidence must produce equal lists regardless
+// of the order their factors and variables were ground in.
+func canonicalMRF(m *psl.MRF) []string {
 	names := m.VarNames()
 	term := func(lt psl.LinTerm) string {
-		return canonicalVarName(t, p, names[lt.Var]) + "*" + hexF(lt.Coef)
+		return names[lt.Var] + "*" + hexF(lt.Coef)
 	}
 	terms := func(lts []psl.LinTerm) string {
 		parts := make([]string, len(lts))

@@ -256,6 +256,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Weights != nil {
 		weights = core.Weights{Explain: req.Weights.Explain, Error: req.Weights.Error, Size: req.Weights.Size}
 	}
+	if err := weights.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	var key string
 	var load func() (*ibench.Scenario, error)
 	switch {
@@ -386,7 +390,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	added := delta.NewTuples - delta.OldTuples
 	sess.appends.Add(1)
 	sess.appended.Add(int64(added))
-	s.m.appendSeconds.Observe(elapsed.Seconds())
+	s.m.mutateAppend.Observe(elapsed.Seconds())
 	s.m.appendedTuples.Add(float64(added))
 	writeJSON(w, http.StatusOK, appendResponse{
 		Added:         added,
@@ -434,7 +438,7 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	sess.removed.Add(int64(removed))
 	s.m.removes.Inc()
 	s.m.removedTuples.Add(float64(removed))
-	s.m.appendSeconds.Observe(elapsed.Seconds())
+	s.m.mutateRemove.Observe(elapsed.Seconds())
 	writeJSON(w, http.StatusOK, removeResponse{
 		Removed:       removed,
 		JTuples:       jTuples,
@@ -514,7 +518,7 @@ func (s *Server) handleSourceDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.srcDeltas.Add(1)
 	s.m.sourceDeltas.Inc()
-	s.m.appendSeconds.Observe(elapsed.Seconds())
+	s.m.mutateSource.Observe(elapsed.Seconds())
 	writeJSON(w, http.StatusOK, sourceDeltaResponse{
 		Added:             len(addKeys),
 		Removed:           removedN,

@@ -155,7 +155,9 @@ type serveMetrics struct {
 	cacheHits       *metrics.Counter
 	cacheMisses     *metrics.Counter
 	prepareSeconds  *metrics.Histogram
-	appendSeconds   *metrics.Histogram
+	mutateAppend    *metrics.Histogram // serve_mutate_seconds{op="append"}
+	mutateRemove    *metrics.Histogram // serve_mutate_seconds{op="remove"}
+	mutateSource    *metrics.Histogram // serve_mutate_seconds{op="source_delta"}
 	appendedTuples  *metrics.Counter
 	removes         *metrics.Counter
 	removedTuples   *metrics.Counter
@@ -166,6 +168,9 @@ type serveMetrics struct {
 	inflightGauge   *metrics.Gauge
 	drainingGauge   *metrics.Gauge
 }
+
+// mutateHelp is the help text of the serve_mutate_seconds family.
+const mutateHelp = "Session mutation latency per operation (target appends and removes, source deltas)."
 
 // NewServer builds a server and starts its idle-session reaper.
 func NewServer(cfg Config) *Server {
@@ -217,7 +222,9 @@ func NewServer(cfg Config) *Server {
 		cacheHits:       r.Counter("serve_prepare_cache_hits_total", "Session creates that reused a prepared problem."),
 		cacheMisses:     r.Counter("serve_prepare_cache_misses_total", "Session creates that prepared a new problem."),
 		prepareSeconds:  r.Histogram("serve_prepare_seconds", "Prepare latency (cache misses and forks).", nil),
-		appendSeconds:   r.Histogram("serve_append_seconds", "AppendTarget latency.", nil),
+		mutateAppend:    r.HistogramWith("serve_mutate_seconds", mutateHelp, "op", "append", nil),
+		mutateRemove:    r.HistogramWith("serve_mutate_seconds", mutateHelp, "op", "remove", nil),
+		mutateSource:    r.HistogramWith("serve_mutate_seconds", mutateHelp, "op", "source_delta", nil),
 		appendedTuples:  r.Counter("serve_appended_tuples_total", "Target tuples appended."),
 		removes:         r.Counter("serve_removes_total", "Remove requests applied."),
 		removedTuples:   r.Counter("serve_removed_tuples_total", "Target tuples removed."),

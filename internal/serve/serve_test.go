@@ -373,6 +373,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	var created createResponse
 	call(t, "POST", ts.URL+"/sessions", createRequest{Name: "test"}, &created)
 	call(t, "POST", ts.URL+"/sessions/"+created.ID+"/solve", solveRequest{Solver: "greedy"}, nil)
+	// One mutation of each kind: remove a target tuple, append it back,
+	// remove a source tuple.
+	sc := testScenario(t)
+	victim := []wireTuple{wireOf(sc.J.All()[0])}
+	for _, m := range []struct {
+		path string
+		body any
+	}{
+		{"remove", removeRequest{Tuples: victim}},
+		{"append", appendRequest{Tuples: victim}},
+		{"source-delta", sourceDeltaRequest{Remove: []wireTuple{wireOf(sc.I.All()[0])}}},
+	} {
+		if code := call(t, "POST", ts.URL+"/sessions/"+created.ID+"/"+m.path, m.body, nil); code != http.StatusOK {
+			t.Fatalf("%s: status %d", m.path, code)
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -385,9 +401,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		"serve_sessions_created_total 1",
 		"serve_prepare_cache_misses_total 1",
 		`serve_solves_total{solver="greedy"} 1`,
-		"serve_prepare_seconds_count 1",
+		// The create's prepare, the fork before the first target
+		// mutation and the detaching fork before the source delta.
+		"serve_prepare_seconds_count 3",
 		`serve_solve_seconds_count{solver="greedy"} 1`,
 		"# TYPE serve_solve_seconds histogram",
+		"# TYPE serve_mutate_seconds histogram",
+		`serve_mutate_seconds_count{op="append"} 1`,
+		`serve_mutate_seconds_count{op="remove"} 1`,
+		`serve_mutate_seconds_count{op="source_delta"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)
@@ -445,6 +467,38 @@ func TestMetricsRenderingDeterministic(t *testing.T) {
 	}
 	if parts := strings.Split(scrapesA, "\x00"); parts[0] != parts[1] {
 		t.Errorf("two quiet scrapes differ:\n--- first ---\n%s--- second ---\n%s", parts[0], parts[1])
+	}
+}
+
+// Weights from the client must be finite and non-negative; anything
+// else is a 400 and creates no session.
+func TestCreateRejectsInvalidWeights(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, w := range []wireWeights{
+		{Explain: -1, Error: 1, Size: 1},
+		{Explain: 1, Error: -0.5, Size: 1},
+		{Explain: 1, Error: 1, Size: -2},
+	} {
+		if code := call(t, "POST", ts.URL+"/sessions", createRequest{Name: "test", Weights: &w}, nil); code != http.StatusBadRequest {
+			t.Errorf("weights %+v: status %d, want 400", w, code)
+		}
+	}
+	// JSON has no NaN or infinity; an overflowing number fails decoding.
+	body := `{"name":"test","weights":{"explain":1e999,"error":1,"size":1}}`
+	resp, err := testClient.Post(ts.URL+"/sessions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("overflowing weight: status %d, want 400", resp.StatusCode)
+	}
+	if got := s.Stats().SessionsCreated; got != 0 {
+		t.Fatalf("%v sessions created from invalid weights", got)
+	}
+	zero := wireWeights{}
+	if code := call(t, "POST", ts.URL+"/sessions", createRequest{Name: "test", Weights: &zero}, nil); code != http.StatusCreated {
+		t.Fatalf("zero weights: status %d, want 201", code)
 	}
 }
 

@@ -35,12 +35,6 @@ import (
 type CollectiveSolver struct {
 	// ADMM are the inference options (zero value → defaults).
 	ADMM psl.ADMMOptions
-	// NoRepair disables the greedy local-flip repair after rounding
-	// (used by ablations; repair is on by default).
-	NoRepair bool
-	// RoundThreshold, when positive, rounds at the fixed threshold
-	// instead of sweeping all relaxation values (used by ablations).
-	RoundThreshold float64
 }
 
 // Name implements Solver.
@@ -161,13 +155,11 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 	relax := sol.X // variable i is candidate i's In atom
 
 	r.emit("round", sol.Iterations)
-	sel := s.round(p, relax)
-	if !s.NoRepair {
-		if r.cfg.Progress != nil {
-			r.emitObjective("repair", sol.Iterations, p.Objective(sel).Total())
-		}
-		sel = repair(p, sel)
+	sel := round(p, relax)
+	if r.cfg.Progress != nil {
+		r.emitObjective("repair", sol.Iterations, p.Objective(sel).Total())
 	}
+	sel = repair(p, sel)
 	if err := r.err(); err != nil {
 		return nil, err
 	}
@@ -184,19 +176,11 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 	}, nil
 }
 
-// round converts the continuous relaxation to a boolean selection. By
-// default it sweeps every distinct relaxation value as a threshold and
-// keeps the best true objective; with RoundThreshold set it uses that
-// single cut.
-func (s CollectiveSolver) round(p *Problem, relax []float64) []bool {
+// round converts the continuous relaxation to a boolean selection: it
+// sweeps every distinct relaxation value as a threshold and keeps the
+// best true objective.
+func round(p *Problem, relax []float64) []bool {
 	n := len(relax)
-	if s.RoundThreshold > 0 {
-		sel := make([]bool, n)
-		for i, v := range relax {
-			sel[i] = v >= s.RoundThreshold
-		}
-		return sel
-	}
 	// Distinct thresholds, descending; the empty selection is the
 	// implicit starting point.
 	vals := append([]float64(nil), relax...)
@@ -243,14 +227,20 @@ func (s CollectiveSolver) round(p *Problem, relax []float64) []bool {
 	return best
 }
 
+// Local search on the true objective, shared by repair and greedy's
+// warm pass: localSearchPasses bounds the sweeps, and problems with
+// more than maxSwapCandidates candidates skip the O(|C|²) swap move.
+const (
+	localSearchPasses = 8
+	maxSwapCandidates = 256
+)
+
 // repair runs local search on the true objective until a fixed point
-// (bounded number of sweeps): single flips, plus drop-one/add-one
-// swaps, which escape the characteristic local optimum where a partial
-// candidate (a projection of a gold join) blocks the full one.
+// (at most localSearchPasses sweeps): single flips, then a swapPass.
 func repair(p *Problem, sel []bool) []bool {
 	n := len(sel)
 	ev := NewEvaluator(p, sel)
-	for pass := 0; pass < 8; pass++ {
+	for pass := 0; pass < localSearchPasses; pass++ {
 		improved := false
 		for i := 0; i < n; i++ {
 			if ev.FlipDelta(i) < -1e-12 {
@@ -258,32 +248,45 @@ func repair(p *Problem, sel []bool) []bool {
 				improved = true
 			}
 		}
-		if n <= 256 {
-			for i := 0; i < n; i++ {
-				if !ev.Selected(i) {
-					continue
-				}
-				dropDelta := ev.Flip(i) // tentatively drop i
-				swapped := false
-				for j := 0; j < n; j++ {
-					if ev.Selected(j) || j == i {
-						continue
-					}
-					if dropDelta+ev.FlipDelta(j) < -1e-12 {
-						ev.Flip(j)
-						improved = true
-						swapped = true
-						break
-					}
-				}
-				if !swapped {
-					ev.Flip(i) // restore i
-				}
-			}
-		}
+		improved = swapPass(ev, n, new(int)) || improved
 		if !improved {
 			break
 		}
 	}
 	return ev.Selection()
+}
+
+// swapPass drops each selected candidate i in turn and adds the first
+// unselected j for which the swap improves F, restoring i when none
+// does. It escapes the local optimum no single flip leaves: a partial
+// candidate (a projection of a gold join) blocking the full one. It
+// counts FlipDelta probes in *probes, does nothing when
+// n > maxSwapCandidates, and reports whether it swapped.
+func swapPass(ev *Evaluator, n int, probes *int) bool {
+	if n > maxSwapCandidates {
+		return false
+	}
+	improved := false
+	for i := 0; i < n; i++ {
+		if !ev.Selected(i) {
+			continue
+		}
+		dropDelta := ev.Flip(i) // tentatively drop i
+		swapped := false
+		for j := 0; j < n; j++ {
+			if ev.Selected(j) || j == i {
+				continue
+			}
+			*probes++
+			if dropDelta+ev.FlipDelta(j) < -1e-12 {
+				ev.Flip(j)
+				improved, swapped = true, true
+				break
+			}
+		}
+		if !swapped {
+			ev.Flip(i) // restore i
+		}
+	}
+	return improved
 }

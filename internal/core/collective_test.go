@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -20,24 +21,6 @@ func scenarioProblem(t *testing.T, n int, seed int64, piCorresp float64) *Proble
 		t.Fatal(err)
 	}
 	return NewProblem(sc.I, sc.J, sc.Candidates)
-}
-
-func TestCollectiveRoundThreshold(t *testing.T) {
-	p := appendixProblem()
-	for i := 0; i < 6; i++ {
-		name := "X" + string(rune('a'+i))
-		p.I.Add(data.NewTuple("proj", name, "Alice", "SAP"))
-		p.J.Add(data.NewTuple("task", name, "Alice", "111"))
-	}
-	sel, err := CollectiveSolver{RoundThreshold: 0.5, NoRepair: true}.Solve(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fixed-threshold rounding without repair still finds θ3 here
-	// (its relaxation value is driven to 1).
-	if !sel.Chosen[1] {
-		t.Errorf("θ3 not selected at threshold 0.5; relaxation %v", sel.Relaxation)
-	}
 }
 
 func TestCollectiveRelaxationExposed(t *testing.T) {
@@ -208,5 +191,99 @@ func TestCollectiveZeroExplainWeightMatchesExhaustive(t *testing.T) {
 	}
 	if got.Objective.Total() != exact.Objective.Total() {
 		t.Fatalf("collective objective %v, exhaustive %v", got.Objective.Total(), exact.Objective.Total())
+	}
+}
+
+// assertLocallyOptimal checks that no single flip and no
+// drop-one/add-one swap improves sel by more than 1e-12, with F
+// recomputed from scratch for every move.
+func assertLocallyOptimal(t *testing.T, label string, p *Problem, sel []bool) {
+	t.Helper()
+	base := p.Objective(sel).Total()
+	moved := append([]bool(nil), sel...)
+	for i := range moved {
+		moved[i] = !moved[i]
+		if f := p.Objective(moved).Total(); f < base-1e-12 {
+			t.Errorf("%s: flipping %d improves F from %v to %v", label, i, base, f)
+		}
+		moved[i] = !moved[i]
+	}
+	for i := range moved {
+		if !moved[i] {
+			continue
+		}
+		moved[i] = false
+		for j := range moved {
+			if moved[j] || j == i {
+				continue
+			}
+			moved[j] = true
+			if f := p.Objective(moved).Total(); f < base-1e-12 {
+				t.Errorf("%s: swapping %d for %d improves F from %v to %v", label, i, j, base, f)
+			}
+			moved[j] = false
+		}
+		moved[i] = true
+	}
+}
+
+// The collective solver's repair and greedy's warm pass both end in a
+// local optimum of the single-flip and swap moves. Warm greedy starts
+// from the independent baseline's selection and from seeded random
+// selections: stale starts only the swap move escapes. The noisy
+// scenarios trap both solvers when the swap move is disabled.
+func TestLocalSearchEndsSwapOptimal(t *testing.T) {
+	type namedProblem struct {
+		name string
+		p    *Problem
+	}
+	cases := []namedProblem{{"appendix", appendixProblem()}}
+	for _, c := range []struct {
+		n           int
+		seed        int64
+		corr, noise float64
+	}{{7, 1, 25, 30}, {7, 2, 25, 30}, {7, 4, 25, 30}, {7, 9, 25, 0}, {28, 28, 20, 10}} {
+		cfg := ibench.DefaultConfig(c.n, c.seed)
+		cfg.PiCorresp = c.corr
+		cfg.PiErrors = c.noise
+		cfg.PiUnexplained = c.noise
+		sc, err := ibench.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("ibench-n%d-seed%d-noise%v", c.n, c.seed, c.noise)
+		cases = append(cases, namedProblem{name, NewProblem(sc.I, sc.J, sc.Candidates)})
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range cases {
+		n := c.p.NumCandidates()
+		if n > maxSwapCandidates {
+			t.Fatalf("%s: %d candidates, above the swap cap", c.name, n)
+		}
+		coll, err := CollectiveSolver{}.Solve(ctx, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertLocallyOptimal(t, c.name+"/collective", c.p, coll.Chosen)
+		ind, err := IndependentSolver{}.Solve(ctx, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts := []*Selection{ind}
+		for k := 0; k < 5; k++ {
+			w := make([]bool, n)
+			for i := range w {
+				w[i] = rng.Intn(2) == 0
+			}
+			starts = append(starts, &Selection{Chosen: w})
+		}
+		for k, start := range starts {
+			warm, err := GreedySolver{}.Solve(ctx, c.p, WithWarmStart(start))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertLocallyOptimal(t, fmt.Sprintf("%s/warm-greedy-%d", c.name, k), c.p, warm.Chosen)
+		}
 	}
 }

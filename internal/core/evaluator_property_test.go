@@ -49,9 +49,10 @@ func TestEvaluatorMatchesObjectiveUnderRandomFlips(t *testing.T) {
 }
 
 // Property: under a long random interleaving of flips and target
-// appends (ExtendTarget applying each delta), the evaluator's total
-// stays within tolerance of a from-scratch evaluation, and Resync
-// restores exact agreement after drift-prone stretches.
+// appends, the evaluator's total stays within tolerance of a
+// from-scratch evaluation. Each append makes the evaluator stale (its
+// next use panics); the evaluator rebuilt at the current selection
+// agrees with Objective exactly.
 func TestEvaluatorUnderRandomFlipsAndAppends(t *testing.T) {
 	cfg := ibench.DefaultConfig(7, 7)
 	cfg.Rows = 10
@@ -80,23 +81,22 @@ func TestEvaluatorUnderRandomFlipsAndAppends(t *testing.T) {
 	for step := 0; step < 1200; step++ {
 		switch {
 		case step%97 == 96 && next < len(all):
-			// Append a small batch and apply the delta.
+			// Append a small batch; the old evaluator is stale.
 			hi := next + 1 + rng.Intn(6)
 			if hi > len(all) {
 				hi = len(all)
 			}
-			delta, err := p.AppendTarget(all[next:hi])
-			if err != nil {
+			if _, err := p.AppendTarget(all[next:hi]); err != nil {
 				t.Fatal(err)
 			}
 			next = hi
-			ev.ExtendTarget(delta)
-		case step%293 == 292:
-			// Periodic resync must restore exact agreement.
-			ev.Resync()
+			if !mustPanic(func() { ev.Total() }) {
+				t.Fatalf("step %d: evaluator still usable after an append", step)
+			}
+			ev = NewEvaluator(p, sel)
 			want := p.Objective(sel).Total()
 			if math.Abs(ev.Total()-want) > 1e-9 {
-				t.Fatalf("step %d: after Resync total %v, objective %v", step, ev.Total(), want)
+				t.Fatalf("step %d: rebuilt total %v, objective %v", step, ev.Total(), want)
 			}
 		default:
 			i := rng.Intn(n)
@@ -114,12 +114,10 @@ func TestEvaluatorUnderRandomFlipsAndAppends(t *testing.T) {
 	}
 	if next < len(all) {
 		// Drain the stream and close with a final exact check.
-		delta, err := p.AppendTarget(all[next:])
-		if err != nil {
+		if _, err := p.AppendTarget(all[next:]); err != nil {
 			t.Fatal(err)
 		}
-		ev.ExtendTarget(delta)
-		ev.Resync()
+		ev = NewEvaluator(p, sel)
 	}
 	if want := p.Objective(sel).Total(); math.Abs(ev.Total()-want) > 1e-9 {
 		t.Fatalf("final: evaluator total %v, objective %v", ev.Total(), want)

@@ -10,10 +10,7 @@ import (
 // then run removal passes, until a fixed point. It is a strong
 // combinatorial baseline, but — unlike the collective solver — each
 // step is myopic.
-type GreedySolver struct {
-	// MaxPasses bounds alternating add/remove sweeps (default 8).
-	MaxPasses int
-}
+type GreedySolver struct{}
 
 // Name implements Solver.
 func (s GreedySolver) Name() string { return "greedy" }
@@ -30,10 +27,6 @@ func (s GreedySolver) Solve(ctx context.Context, p *Problem, options ...SolveOpt
 		return nil, err
 	}
 	start := time.Now() //lint:wallclock timing-only: feeds Selection.Elapsed, never the selection
-	passes := s.MaxPasses
-	if passes <= 0 {
-		passes = 8
-	}
 	n := p.NumCandidates()
 	init := make([]bool, n)
 	if w := r.cfg.Warm; w != nil {
@@ -44,7 +37,7 @@ func (s GreedySolver) Solve(ctx context.Context, p *Problem, options ...SolveOpt
 	truncated := false
 
 passes:
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < localSearchPasses; pass++ {
 		r.emitObjective("pass", pass, ev.Total())
 		improved := false
 		// Forward additions: pick the best single addition until none
@@ -96,32 +89,11 @@ passes:
 		// Warm starts inherit the prior target's structure, and the
 		// characteristic trap of a stale selection is a partial
 		// candidate blocking the now-better full one — invisible to
-		// single flips. Escape it with drop-one/add-one swaps (the same
-		// move repair uses); cold solves skip this, so their fixed
-		// points — and the recorded baselines — are unchanged.
-		if r.cfg.Warm != nil && n <= 256 && !improved {
-			for i := 0; i < n; i++ {
-				if !ev.Selected(i) {
-					continue
-				}
-				dropDelta := ev.Flip(i) // tentatively drop i
-				swapped := false
-				for j := 0; j < n; j++ {
-					if ev.Selected(j) || j == i {
-						continue
-					}
-					steps++
-					if dropDelta+ev.FlipDelta(j) < -1e-12 {
-						ev.Flip(j)
-						improved = true
-						swapped = true
-						break
-					}
-				}
-				if !swapped {
-					ev.Flip(i) // restore i
-				}
-			}
+		// single flips. Escape it with repair's swapPass; cold solves
+		// skip it, so their fixed points — and the recorded baselines —
+		// are unchanged.
+		if r.cfg.Warm != nil && !improved {
+			improved = swapPass(ev, n, &steps)
 		}
 		if !improved {
 			break

@@ -28,8 +28,8 @@ type Evaluator struct {
 	// cost[i] caches each candidate's linear cost.
 	cost []float64
 	// seq is the problem mutation sequence the maintained state
-	// reflects; using the evaluator while it lags the problem panics
-	// (the stale-evaluator hazard of the lifecycle methods).
+	// reflects; using the evaluator after a lifecycle mutation panics
+	// (the stale-evaluator hazard).
 	seq uint64
 }
 
@@ -61,13 +61,12 @@ func NewEvaluator(p *Problem, sel []bool) *Evaluator {
 	return e
 }
 
-// checkSeq panics when the problem mutated since the evaluator's state
-// was last synced — continuing would silently evaluate F against stale
-// coverage. Target-side deltas are recoverable via ExtendTarget or
-// Resync; candidate churn requires a new Evaluator.
+// checkSeq panics when the problem's evidence mutated since the
+// evaluator was built — continuing would silently evaluate F against
+// stale coverage.
 func (e *Evaluator) checkSeq() {
 	if e.seq != e.p.mutSeq.Load() {
-		panic("core: stale Evaluator — the problem mutated after it was built or last synced; apply the delta with ExtendTarget, call Resync, or build a new Evaluator")
+		panic("core: stale Evaluator — the problem mutated after it was built; build a new Evaluator")
 	}
 }
 
@@ -159,108 +158,6 @@ func (e *Evaluator) Flip(i int) float64 {
 		e.cnt[j] = scnt
 	}
 	return delta
-}
-
-// ExtendTarget applies a lifecycle delta (AppendTarget, RemoveTarget,
-// or ApplySourceDelta) to the evaluator's maintained state: coverage
-// maxima and attaining counts are recomputed only for the appended
-// tuples and the pre-existing tuples the delta reports as changed
-// (each an incidence-row scan, so the cost is O(affected tuples ×
-// incident candidates)), removed slots drop their unexplained
-// contribution and zero out, and cached linear costs are refreshed for
-// candidates whose error count changed. Evaluators created before a
-// mutation MUST apply its delta (or call Resync) before further use —
-// they panic otherwise. Deltas must be applied in the order the
-// mutations happened (the Seq stamps enforce it); after a large batch,
-// prefer Resync to squash accumulated floating-point drift.
-//
-//lint:testonly the evaluator half of the delta contract in docs/LIFECYCLE.md; no solver keeps an evaluator across a mutation yet, so only the lifecycle property tests drive it
-func (e *Evaluator) ExtendTarget(d *TargetDelta) {
-	switch d.Seq {
-	case e.seq:
-		// A no-op delta stamped at the current sequence; applying its
-		// (empty) contents is harmless.
-	case e.seq + 1:
-		e.seq = d.Seq
-	default:
-		panic("core: Evaluator.ExtendTarget: delta out of sequence — apply lifecycle deltas in mutation order, or call Resync")
-	}
-	p := e.p
-	w1 := p.Weights.Explain
-	nj := p.jidx.Len()
-	for len(e.maxCov) < nj {
-		e.maxCov = append(e.maxCov, 0)
-		e.cnt = append(e.cnt, 0)
-	}
-	for j := d.OldTuples; j < d.NewTuples; j++ {
-		best, c := e.rescanMaxCount(j)
-		e.maxCov[j], e.cnt[j] = best, c
-		e.unexplained += w1 * (1 - best)
-	}
-	for _, j32 := range d.RemovedTuples {
-		j := int(j32)
-		e.unexplained -= w1 * (1 - e.maxCov[j])
-		e.maxCov[j], e.cnt[j] = 0, 0
-	}
-	for _, j32 := range d.ChangedTuples {
-		j := int(j32)
-		old := e.maxCov[j]
-		best, c := e.rescanMaxCount(j)
-		e.maxCov[j], e.cnt[j] = best, c
-		e.unexplained += w1 * (old - best)
-	}
-	for _, i32 := range d.ErrorsChanged {
-		i := int(i32)
-		a := &p.analyses[i]
-		nc := p.Weights.Error*a.Errors + p.Weights.Size*float64(a.Size)
-		if e.sel[i] {
-			e.linear += nc - e.cost[i]
-		}
-		e.cost[i] = nc
-	}
-}
-
-// Resync recomputes the maintained state from scratch at the current
-// selection, discarding any floating-point drift the incremental
-// `+=` updates accumulated across long flip/append sequences — and
-// doubling as the escape hatch after any sequence of target-side
-// lifecycle mutations (it re-stamps the mutation sequence). It is
-// O(|C| + Σ incidence rows) — call it after large batches or
-// periodically in long-running sessions. Candidate churn changes |C|
-// and cannot be resynced; build a new Evaluator (Resync panics on a
-// candidate-count mismatch).
-//
-//lint:testonly the staleness escape hatch in docs/LIFECYCLE.md; only the lifecycle property tests call it
-func (e *Evaluator) Resync() {
-	p := e.p
-	if len(e.cost) != p.NumCandidates() {
-		panic("core: Evaluator.Resync: the candidate set changed — build a new Evaluator")
-	}
-	w1 := p.Weights.Explain
-	nj := p.jidx.Len()
-	for len(e.maxCov) < nj {
-		e.maxCov = append(e.maxCov, 0)
-		e.cnt = append(e.cnt, 0)
-	}
-	e.linear = 0
-	for i := range p.analyses {
-		a := &p.analyses[i]
-		e.cost[i] = p.Weights.Error*a.Errors + p.Weights.Size*float64(a.Size)
-		if e.sel[i] {
-			e.linear += e.cost[i]
-		}
-	}
-	e.unexplained = 0
-	for j := 0; j < nj; j++ {
-		if !p.jidx.Live(j) {
-			e.maxCov[j], e.cnt[j] = 0, 0
-			continue
-		}
-		best, c := e.rescanMaxCount(j)
-		e.maxCov[j], e.cnt[j] = best, c
-		e.unexplained += w1 * (1 - best)
-	}
-	e.seq = p.mutSeq.Load()
 }
 
 // rescanMax returns the best coverage of tuple j over selected

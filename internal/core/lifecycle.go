@@ -5,8 +5,8 @@ package core
 // they make the full streaming contract (docs/LIFECYCLE.md): every
 // mutation keeps the prepared evidence value-identical to a cold
 // Prepare of the mutated problem, updates the version counters
-// coherently, and stamps the returned delta with the mutation
-// sequence number Evaluators enforce.
+// coherently, and bumps the mutation sequence when the evidence
+// changed, which makes earlier Evaluators and split caches stale.
 
 import (
 	"fmt"
@@ -27,8 +27,7 @@ import (
 // grow: chase tuples whose only homomorphic image was removed become
 // creates-errors again. Like AppendTarget it must not run concurrently
 // with Solve/Objective on the same Problem; Evaluators created before
-// the removal must apply the returned delta (ExtendTarget) or call
-// Resync — using them unsynced panics.
+// the removal panic on use — build a new one.
 func (p *Problem) RemoveTarget(tuples []data.Tuple) (*TargetDelta, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -53,7 +52,7 @@ func (p *Problem) RemoveTarget(tuples []data.Tuple) (*TargetDelta, error) {
 		ids = append(ids, int32(j))
 	}
 	if len(ids) == 0 {
-		return &TargetDelta{OldTuples: p.jidx.Len(), NewTuples: p.jidx.Len(), Seq: p.mutSeq.Load()}, nil
+		return &TargetDelta{OldTuples: p.jidx.Len(), NewTuples: p.jidx.Len()}, nil
 	}
 	for _, t := range removed {
 		p.J.Remove(t)
@@ -65,16 +64,13 @@ func (p *Problem) RemoveTarget(tuples []data.Tuple) (*TargetDelta, error) {
 		// already have empty rows — nothing to do.
 		p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
 	}
-	// Unconditional: split caches are keyed on (epoch, slot count) and
-	// tombstoning keeps the slot count, so the epoch must move.
-	p.epoch.Add(1)
 	p.groundMu.Lock()
 	if p.ground != nil && !p.ground.applyDelta(p, delta) {
 		p.ground = nil
 	}
 	p.groundMu.Unlock()
 	p.jVer = p.J.Version()
-	delta.Seq = p.mutSeq.Add(1)
+	p.mutSeq.Add(1)
 	return delta, nil
 }
 
@@ -95,8 +91,8 @@ type SourceDelta struct {
 //
 // The retained collective grounding is dropped when any evidence
 // changed (factor slots cannot survive a re-chase); the next
-// collective solve rebuilds cold. The returned delta carries the
-// changed tuples/errors so Evaluators can ExtendTarget across it.
+// collective solve rebuilds cold. The returned delta lists the changed
+// tuples and error counts.
 func (p *Problem) ApplySourceDelta(d SourceDelta) (*TargetDelta, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -117,21 +113,18 @@ func (p *Problem) ApplySourceDelta(d SourceDelta) (*TargetDelta, error) {
 		}
 	}
 	p.iVer = p.I.Version()
-	if len(changed) == 0 {
-		return &TargetDelta{OldTuples: p.jidx.Len(), NewTuples: p.jidx.Len(), Seq: p.mutSeq.Load()}, nil
+	delta := &TargetDelta{OldTuples: p.jidx.Len(), NewTuples: p.jidx.Len()}
+	if len(changed) > 0 {
+		delta = p.tracker.ApplySourceDelta(p.I, changed, p.Candidates, p.analyses, 0)
 	}
-	delta := p.tracker.ApplySourceDelta(p.I, changed, p.Candidates, p.analyses, 0)
 	if len(delta.PairsChanged) > 0 || len(delta.ChangedTuples) > 0 || len(delta.ErrorsChanged) > 0 {
 		if len(delta.PairsChanged) > 0 {
 			p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
 		}
-		p.epoch.Add(1)
 		p.groundMu.Lock()
 		p.ground = nil
 		p.groundMu.Unlock()
-		delta.Seq = p.mutSeq.Add(1)
-	} else {
-		delta.Seq = p.mutSeq.Load()
+		p.mutSeq.Add(1)
 	}
 	return delta, nil
 }
@@ -163,7 +156,6 @@ func (p *Problem) AddCandidates(cands tgd.Mapping) (int, error) {
 	p.Candidates = append(append(tgd.Mapping{}, p.Candidates...), cands...)
 	p.analyses = append(p.analyses, newAn...)
 	p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
-	p.epoch.Add(1)
 	p.groundMu.Lock()
 	p.ground = nil
 	p.groundMu.Unlock()
@@ -216,7 +208,6 @@ func (p *Problem) RemoveCandidates(indices []int) error {
 	p.Candidates = kept
 	p.analyses = p.analyses[:w]
 	p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
-	p.epoch.Add(1)
 	p.groundMu.Lock()
 	p.ground = nil
 	p.groundMu.Unlock()

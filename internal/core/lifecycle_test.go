@@ -243,9 +243,9 @@ func mustPanic(fn func()) (panicked bool) {
 	return
 }
 
-// An Evaluator created before a RemoveTarget must panic on use until
-// the delta is applied (ExtendTarget) or the state is rebuilt
-// (Resync) — same contract as direct mutation.
+// An Evaluator created before a RemoveTarget must panic on use —
+// the same contract as direct mutation — and a new one must match
+// Objective.
 func TestEvaluatorStaleAfterRemove(t *testing.T) {
 	sc, err := ibench.Generate(streamConfigs()[0])
 	if err != nil {
@@ -257,8 +257,7 @@ func TestEvaluatorStaleAfterRemove(t *testing.T) {
 	sel := make([]bool, n)
 	sel[0] = true
 	ev := NewEvaluator(p, sel)
-	delta, err := p.RemoveTarget(p.JIndex().Tuples[:3])
-	if err != nil {
+	if _, err := p.RemoveTarget(p.JIndex().Tuples[:3]); err != nil {
 		t.Fatal(err)
 	}
 	if !mustPanic(func() { ev.Total() }) {
@@ -270,74 +269,14 @@ func TestEvaluatorStaleAfterRemove(t *testing.T) {
 	if !mustPanic(func() { ev.Flip(1) }) {
 		t.Error("Flip did not panic on a post-removal evaluator")
 	}
-	// ExtendTarget recovers it, bit-matching a fresh evaluator.
-	ev.ExtendTarget(delta)
 	fresh := NewEvaluator(p, sel)
-	if g, w := ev.Total(), fresh.Total(); math.Abs(g-w) > 1e-9 {
-		t.Fatalf("extended evaluator total %v, fresh %v", g, w)
-	}
-	// Resync is the escape hatch for a second removal.
-	if _, err := p.RemoveTarget(p.JIndex().Tuples[3:5]); err != nil {
-		t.Fatal(err)
-	}
-	ev.Resync()
-	fresh = NewEvaluator(p, sel)
-	if g, w := ev.Total(), fresh.Total(); math.Abs(g-w) > 1e-9 {
-		t.Fatalf("resynced evaluator total %v, fresh %v", g, w)
-	}
-	if g, w := ev.Total(), p.Objective(sel).Total(); math.Abs(g-w) > 1e-9 {
-		t.Fatalf("resynced evaluator total %v, Objective %v", g, w)
-	}
-}
-
-// ExtendTarget must track Totals across an interleaved append/remove/
-// source-delta sequence, and reject out-of-order deltas.
-func TestEvaluatorExtendAcrossLifecycle(t *testing.T) {
-	sc, err := ibench.Generate(streamConfigs()[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(19))
-	initial, batches := splitTarget(sc.J, 3, rng)
-	p := NewProblem(sc.I.Clone(), initial, sc.Candidates)
-	p.PrepareStreaming(0)
-	n := p.NumCandidates()
-	sel := make([]bool, n)
-	for i := 0; i < n; i += 2 {
-		sel[i] = true
-	}
-	ev := NewEvaluator(p, sel)
-	apply := func(label string, delta *TargetDelta) {
-		t.Helper()
-		ev.ExtendTarget(delta)
-		if g, w := ev.Total(), p.Objective(sel).Total(); math.Abs(g-w) > 1e-9 {
-			t.Fatalf("%s: extended total %v, objective %v", label, g, w)
-		}
-	}
-	d0, err := p.AppendTarget(batches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	apply("append", d0)
-	d1, err := p.RemoveTarget(batches[0][:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	apply("remove", d1)
-	d2, err := p.ApplySourceDelta(SourceDelta{Remove: p.I.All()[:2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	apply("source", d2)
-	// Re-applying an old delta is out of sequence: panic, not silence.
-	if !mustPanic(func() { ev.ExtendTarget(d1) }) {
-		t.Error("ExtendTarget accepted an out-of-sequence delta")
+	if g, w := fresh.Total(), p.Objective(sel).Total(); math.Abs(g-w) > 1e-9 {
+		t.Fatalf("fresh evaluator total %v, Objective %v", g, w)
 	}
 }
 
 // Candidate churn changes |C|: existing evaluators are permanently
-// stale (panic on use, and Resync refuses), and a fresh evaluator
-// works.
+// stale (panic on use), and a fresh evaluator works.
 func TestCandidateChurnInvalidatesEvaluator(t *testing.T) {
 	sc, err := ibench.Generate(streamConfigs()[0])
 	if err != nil {
@@ -352,9 +291,6 @@ func TestCandidateChurnInvalidatesEvaluator(t *testing.T) {
 	}
 	if !mustPanic(func() { ev.Total() }) {
 		t.Error("Total did not panic after AddCandidates")
-	}
-	if !mustPanic(func() { ev.Resync() }) {
-		t.Error("Resync did not panic on a candidate-count mismatch")
 	}
 	fresh := NewEvaluator(p, make([]bool, p.NumCandidates()))
 	if g, w := fresh.Total(), p.Objective(make([]bool, p.NumCandidates())).Total(); math.Abs(g-w) > 1e-9 {

@@ -117,47 +117,29 @@ type Problem struct {
 	groundMu sync.Mutex
 	ground   *grounding
 
-	// epoch counts the lifecycle mutations that changed already-prepared
-	// evidence (coverage rows, coverage values, error counts, or the
-	// candidate set) — i.e. the mutations after which derived structures
-	// keyed on the evidence shape, like a shard split, must be
-	// recomputed. Pure uncovered growth does not bump it; removals
-	// always do (they keep the slot count, which the split cache also
-	// keys on).
-	epoch atomic.Uint64
-
-	// mutSeq counts every evidence-affecting mutation (appends included:
-	// they grow the per-slot state). Deltas are stamped with it and
-	// Evaluator uses it to detect staleness; see lifecycle.go.
+	// mutSeq counts the lifecycle mutations that changed the prepared
+	// evidence: each append or removal of at least one tuple, each
+	// candidate change, and each source delta that altered coverage or
+	// error counts. Evaluators and the split cache compare it to detect
+	// staleness.
 	mutSeq atomic.Uint64
 
-	// splitMu guards splitVal, splitEpoch, splitTuples: the sharding
-	// layer's retained decomposition (an opaque artifact — core does not
-	// know the shard types) plus the evidence epoch and tuple count the
-	// artifact was computed at. A pure uncovered append keeps the epoch
-	// but grows the tuple count, and invalidates the split too (the
-	// candidate-free shard changed).
-	splitMu     sync.Mutex
-	splitVal    any
-	splitEpoch  uint64
-	splitTuples int
+	// splitMu guards splitVal, splitSeq: the sharding layer's retained
+	// decomposition (an opaque artifact — core does not know the shard
+	// types) and the mutation sequence it was computed at.
+	splitMu  sync.Mutex
+	splitVal any
+	splitSeq uint64
 }
 
-// EvidenceEpoch returns the evidence-shape epoch: it changes exactly
-// when an AppendTarget altered coverage or error evidence (as opposed
-// to only appending uncovered tuples). Derived caches — the sharded
-// solver's component split — compare epochs to decide whether they can
-// be reused across a warm re-solve.
-func (p *Problem) EvidenceEpoch() uint64 { return p.epoch.Load() }
-
-// LoadSplitCache returns the retained sharding decomposition if it is
-// still valid — stored at the current evidence epoch AND tuple count —
-// and nil otherwise. The artifact's lifetime is tied to the Problem,
-// so a retained split never outlives the evidence it decomposes.
+// LoadSplitCache returns the retained sharding decomposition if no
+// evidence mutation happened since it was stored, and nil otherwise.
+// The artifact's lifetime is tied to the Problem, so a retained split
+// never outlives the evidence it decomposes.
 func (p *Problem) LoadSplitCache() any {
 	p.splitMu.Lock()
 	defer p.splitMu.Unlock()
-	if p.splitVal == nil || p.splitEpoch != p.epoch.Load() || p.splitTuples != p.JIndex().Len() {
+	if p.splitVal == nil || p.splitSeq != p.mutSeq.Load() {
 		return nil
 	}
 	return p.splitVal
@@ -169,8 +151,7 @@ func (p *Problem) LoadSplitCache() any {
 func (p *Problem) StoreSplitCache(v any) {
 	p.splitMu.Lock()
 	p.splitVal = v
-	p.splitEpoch = p.epoch.Load()
-	p.splitTuples = p.JIndex().Len()
+	p.splitSeq = p.mutSeq.Load()
 	p.splitMu.Unlock()
 }
 
@@ -223,7 +204,7 @@ func (p *Problem) prepareWith(workers int, streaming bool) {
 
 // TargetDelta reports what one AppendTarget changed; see
 // cover.TrackerDelta for the fields. Evaluators created before the
-// append apply it via Evaluator.ExtendTarget (or Resync).
+// append are stale afterwards; build a new one.
 type TargetDelta = cover.TrackerDelta
 
 // AppendTarget grows the target J by the given tuples (duplicates of
@@ -265,9 +246,6 @@ func (p *Problem) AppendTarget(tuples []data.Tuple) (*TargetDelta, error) {
 			p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
 		}
 	}
-	if len(delta.PairsChanged) > 0 || len(delta.ChangedTuples) > 0 || len(delta.ErrorsChanged) > 0 {
-		p.epoch.Add(1)
-	}
 	// Re-ground only the delta-dirty factors of the retained MRF; the
 	// rare transitions the slot surgery cannot express drop it (the
 	// next collective solve rebuilds cold).
@@ -278,9 +256,7 @@ func (p *Problem) AppendTarget(tuples []data.Tuple) (*TargetDelta, error) {
 	p.groundMu.Unlock()
 	p.jVer = p.J.Version()
 	if len(added) > 0 {
-		delta.Seq = p.mutSeq.Add(1)
-	} else {
-		delta.Seq = p.mutSeq.Load()
+		p.mutSeq.Add(1)
 	}
 	return delta, nil
 }

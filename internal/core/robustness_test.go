@@ -100,19 +100,6 @@ func TestCollectiveWithStarvedADMM(t *testing.T) {
 	}
 }
 
-// NoRepair + fixed threshold is the weakest configuration; it must
-// still return a well-formed selection.
-func TestCollectiveWeakestConfiguration(t *testing.T) {
-	p := appendixProblem()
-	sel, err := CollectiveSolver{NoRepair: true, RoundThreshold: 0.99}.Solve(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Chosen) != 2 || len(sel.Relaxation) != 2 {
-		t.Errorf("malformed selection: %+v", sel)
-	}
-}
-
 // Zero-weight objective components are tolerated.
 func TestZeroWeights(t *testing.T) {
 	p := appendixProblem()

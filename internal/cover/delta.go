@@ -105,8 +105,8 @@ type relPatterns struct {
 }
 
 // TrackerDelta reports what one Append changed, so downstream
-// incremental state (incidence rows, solver evaluators) can update in
-// O(changed) instead of rescanning.
+// incremental state (incidence rows, the retained grounding) can update
+// in O(changed) instead of rescanning.
 type TrackerDelta struct {
 	// OldTuples and NewTuples are the target sizes around the append;
 	// ids OldTuples..NewTuples-1 are the appended tuples.
@@ -125,10 +125,6 @@ type TrackerDelta struct {
 	// ascending. Their slots stay allocated but dead: coverage rows are
 	// empty and IndexOf misses. Appends and source deltas never set it.
 	RemovedTuples []int32
-	// Seq is the problem mutation sequence number as of this delta.
-	// core.Problem stamps it; Evaluator.ExtendTarget enforces in-order
-	// application against it.
-	Seq uint64
 }
 
 // trackSink collects the streaming state analyzeOne records when

@@ -132,13 +132,17 @@ func snapshotCoverage(analyses []Analysis) [][]CoverPair {
 }
 
 // assertChangedTuplesSound verifies the delta report: any pre-existing
-// tuple whose coverage changed for any candidate must be listed in
-// ChangedTuples, and candidates with changed rows in PairsChanged.
+// tuple whose coverage changed for any candidate (gained, moved or
+// lost a pair) must be listed in ChangedTuples or RemovedTuples, and
+// candidates with changed rows in PairsChanged.
 func assertChangedTuplesSound(t *testing.T, before [][]CoverPair, analyses []Analysis, delta *TrackerDelta) {
 	t.Helper()
-	changed := make(map[int32]bool, len(delta.ChangedTuples))
+	reported := make(map[int32]bool, len(delta.ChangedTuples)+len(delta.RemovedTuples))
 	for _, j := range delta.ChangedTuples {
-		changed[j] = true
+		reported[j] = true
+	}
+	for _, j := range delta.RemovedTuples {
+		reported[j] = true
 	}
 	pairsChanged := make(map[int32]bool, len(delta.PairsChanged))
 	for _, i := range delta.PairsChanged {
@@ -150,14 +154,101 @@ func assertChangedTuplesSound(t *testing.T, before [][]CoverPair, analyses []Ana
 		if !pairsEqual(before[i], cur.Pairs) && !pairsChanged[int32(i)] {
 			t.Errorf("candidate %d row changed but not reported in PairsChanged", i)
 		}
+		check := func(j int32) {
+			if int(j) >= delta.OldTuples || reported[j] {
+				return
+			}
+			if was, now := old.CoversOf(int(j)), cur.CoversOf(int(j)); was != now {
+				t.Errorf("candidate %d tuple %d: coverage %v→%v unreported", i, j, was, now)
+			}
+		}
 		for _, pr := range cur.Pairs {
-			if int(pr.J) >= delta.OldTuples {
-				continue
+			check(pr.J)
+		}
+		for _, pr := range before[i] {
+			check(pr.J)
+		}
+	}
+}
+
+// errorCounts copies every candidate's error count.
+func errorCounts(analyses []Analysis) []float64 {
+	out := make([]float64, len(analyses))
+	for i := range analyses {
+		out[i] = analyses[i].Errors
+	}
+	return out
+}
+
+// assertErrorsChangedSound verifies that every candidate whose error
+// count moved is listed in ErrorsChanged.
+func assertErrorsChangedSound(t *testing.T, before []float64, analyses []Analysis, delta *TrackerDelta) {
+	t.Helper()
+	listed := make(map[int32]bool, len(delta.ErrorsChanged))
+	for _, i := range delta.ErrorsChanged {
+		listed[i] = true
+	}
+	for i := range analyses {
+		if analyses[i].Errors != before[i] && !listed[int32(i)] {
+			t.Errorf("candidate %d: errors %v→%v not reported in ErrorsChanged", i, before[i], analyses[i].Errors)
+		}
+	}
+}
+
+// Target removals and source deltas must report every tuple whose
+// coverage they changed and every candidate whose row or error count
+// they changed: the retained grounding and the incidence refresh
+// update only what the delta lists.
+func TestTrackerRemoveAndSourceDeltaReportChanges(t *testing.T) {
+	for ci, cfg := range scenarioConfigs() {
+		sc, err := ibench.Generate(cfg)
+		if err != nil {
+			t.Fatalf("config %d: %v", ci, err)
+		}
+		rng := rand.New(rand.NewSource(int64(ci) + 211))
+		I := sc.I.Clone()
+		jidx := IndexJ(sc.J.Clone())
+		tracker, analyses := BuildTracker(I, jidx, sc.Candidates, DefaultOptions(), 2)
+		check := func(label string, apply func() *TrackerDelta) {
+			t.Helper()
+			before, errs := snapshotCoverage(analyses), errorCounts(analyses)
+			delta := apply()
+			assertChangedTuplesSound(t, before, analyses, delta)
+			assertErrorsChangedSound(t, errs, analyses, delta)
+			if t.Failed() {
+				t.Fatalf("config %d: %s: unsound delta %+v", ci, label, delta)
 			}
-			if old.CoversOf(int(pr.J)) != pr.Cov && !changed[pr.J] {
-				t.Errorf("candidate %d tuple %d: coverage %v→%v unreported",
-					i, pr.J, old.CoversOf(int(pr.J)), pr.Cov)
+		}
+		for step := 0; step < 3; step++ {
+			check("remove", func() *TrackerDelta {
+				var removed []data.Tuple
+				var ids []int32
+				for _, j := range rng.Perm(jidx.Len()) {
+					if jidx.Live(j) && len(ids) < 4 {
+						removed = append(removed, jidx.Tuples[j])
+						ids = append(ids, int32(j))
+					}
+				}
+				return tracker.Remove(removed, ids, analyses, 2)
+			})
+			src := I.All()
+			picked := []data.Tuple{src[rng.Intn(len(src))], src[rng.Intn(len(src))]}
+			changed := map[string]bool{}
+			for _, tp := range picked {
+				changed[tp.Rel] = true
 			}
+			check("source remove", func() *TrackerDelta {
+				for _, tp := range picked {
+					I.Remove(tp)
+				}
+				return tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses, 2)
+			})
+			check("source re-add", func() *TrackerDelta {
+				for _, tp := range picked {
+					I.Add(tp)
+				}
+				return tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses, 2)
+			})
 		}
 	}
 }

@@ -7,9 +7,8 @@ import (
 
 // Seqbump checks that every exported method on Problem that mutates
 // instance/evidence state — the fields the incremental layer snapshots
-// by sequence number — bumps the mutation sequence (p.mutSeq) or the
-// grounding epoch (p.epoch) on every return path that runs after the
-// first mutation. A mutating method that returns without a bump leaves
+// by sequence number — bumps the mutation sequence (p.mutSeq) on every
+// return path that runs after the first mutation. A mutating method that returns without a bump leaves
 // retained groundings, warm starts, and server caches silently stale:
 // they compare sequence numbers, conclude "unchanged", and serve
 // results for a problem that no longer exists.
@@ -17,8 +16,8 @@ import (
 // Mutations counted: writes to the evidence-bearing fields (I, J,
 // Candidates, incidence, jidx) through the receiver — direct
 // assignment, indexed assignment, and Add/Remove/Clear method calls on
-// those fields. Bumps counted: p.mutSeq.Add / .Store (and .Load inside
-// a return expression, the delta-returning idiom) and p.epoch.Add.
+// those fields. Bumps counted: p.mutSeq.Add and p.mutSeq.Store; a Load
+// reads the sequence without moving it, so it is not a bump.
 var Seqbump = &Analyzer{
 	Name: "seqbump",
 	Doc:  "mutating Problem methods must bump the mutation sequence on every return path",
@@ -132,9 +131,7 @@ func checkSeqbump(pass *Pass, fn *ast.FuncDecl, recv string) {
 			}
 			field, method := inner.Sel.Name, sel.Sel.Name
 			switch {
-			case field == "mutSeq" && (method == "Add" || method == "Store" || method == "Load"):
-				bumps = append(bumps, s.Pos())
-			case field == "epoch" && method == "Add":
+			case field == "mutSeq" && (method == "Add" || method == "Store"):
 				bumps = append(bumps, s.Pos())
 			case seqMutFields[field] && seqMutMethods[method]:
 				mutate(s.Pos())
@@ -149,7 +146,7 @@ func checkSeqbump(pass *Pass, fn *ast.FuncDecl, recv string) {
 		return // method does not mutate tracked state
 	}
 	if len(bumps) == 0 {
-		pass.Reportf(fn.Name.Pos(), "exported method %s mutates Problem evidence state but never bumps mutSeq or epoch — retained groundings and caches will serve stale results", fn.Name.Name)
+		pass.Reportf(fn.Name.Pos(), "exported method %s mutates Problem evidence state but never bumps mutSeq — retained groundings and caches will serve stale results", fn.Name.Name)
 		return
 	}
 	bumpBefore := func(end token.Pos) bool {
@@ -165,7 +162,7 @@ func checkSeqbump(pass *Pass, fn *ast.FuncDecl, recv string) {
 			continue // early return before any mutation
 		}
 		if !bumpBefore(ret.End()) {
-			pass.Reportf(ret.Pos(), "return path after Problem mutation without a mutSeq/epoch bump in %s", fn.Name.Name)
+			pass.Reportf(ret.Pos(), "return path after Problem mutation without a mutSeq bump in %s", fn.Name.Name)
 		}
 	}
 }

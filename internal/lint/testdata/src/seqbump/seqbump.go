@@ -1,6 +1,6 @@
 // Package seqbump exercises the mutation-sequence check on a minimal
 // Problem shaped like core's: tracked evidence fields, a mutSeq
-// counter, an epoch counter.
+// counter, and a second counter that is not the mutation sequence.
 package seqbump
 
 import "sync/atomic"
@@ -27,18 +27,23 @@ func (p *Problem) AppendTarget(t int) uint64 {
 	return p.mutSeq.Add(1)
 }
 
-// OK: the delta-returning idiom — the bump is the Load inside the
-// return expression.
+// OK: a Load after the bump is fine.
 func (p *Problem) AddCandidates(cs []int) uint64 {
 	p.Candidates = append(p.Candidates, cs...)
 	p.mutSeq.Add(1)
 	return p.mutSeq.Load()
 }
 
-// OK: an epoch bump also counts.
-func (p *Problem) Reindex(t int) {
+// Flagged: only mutSeq bumps count, not another counter.
+func (p *Problem) Reindex(t int) { // want "mutates Problem evidence state but never bumps mutSeq"
 	p.jidx[t] = t
 	p.epoch.Add(1)
+}
+
+// Flagged: returning the loaded sequence does not move it.
+func (p *Problem) Restamp(t int) uint64 { // want "mutates Problem evidence state but never bumps mutSeq"
+	p.J.Add(t)
+	return p.mutSeq.Load()
 }
 
 // OK: early error return before any mutation needs no bump.
@@ -52,7 +57,7 @@ func (p *Problem) RemoveTarget(t int) error {
 }
 
 // Flagged: mutates and never bumps.
-func (p *Problem) Forget(t int) { // want "mutates Problem evidence state but never bumps mutSeq or epoch"
+func (p *Problem) Forget(t int) { // want "mutates Problem evidence state but never bumps mutSeq"
 	p.J.Remove(t)
 }
 
@@ -60,7 +65,7 @@ func (p *Problem) Forget(t int) { // want "mutates Problem evidence state but ne
 func (p *Problem) Risky(t int, bail bool) error {
 	p.I.Add(t)
 	if bail {
-		return errNegative // want "return path after Problem mutation without a mutSeq/epoch bump"
+		return errNegative // want "return path after Problem mutation without a mutSeq bump"
 	}
 	p.mutSeq.Add(1)
 	return nil

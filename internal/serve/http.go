@@ -80,9 +80,8 @@ type appendResponse struct {
 	AppendMillis  float64 `json:"appendMillis"`
 }
 
-type removeRequest struct {
-	Tuples []wireTuple `json:"tuples"`
-}
+// removeRequest has the append body's shape.
+type removeRequest = appendRequest
 
 type removeResponse struct {
 	Removed       int     `json:"removed"`
@@ -358,6 +357,58 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
+	s.mutateTuples(w, r, (*core.Problem).AppendTarget, func(sess *session, m targetMutation) any {
+		added := m.delta.NewTuples - m.delta.OldTuples
+		sess.appends.Add(1)
+		sess.appended.Add(int64(added))
+		s.m.mutateAppend.Observe(m.elapsed.Seconds())
+		s.m.appendedTuples.Add(float64(added))
+		return appendResponse{
+			Added:         added,
+			JTuples:       m.jTuples,
+			Forked:        m.forked,
+			ChangedTuples: len(m.delta.ChangedTuples),
+			PairsChanged:  len(m.delta.PairsChanged),
+			AppendMillis:  float64(m.elapsed.Nanoseconds()) / 1e6,
+		}
+	})
+}
+
+func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
+	s.mutateTuples(w, r, (*core.Problem).RemoveTarget, func(sess *session, m targetMutation) any {
+		removed := len(m.delta.RemovedTuples)
+		sess.removes.Add(1)
+		sess.removed.Add(int64(removed))
+		s.m.removes.Inc()
+		s.m.removedTuples.Add(float64(removed))
+		s.m.mutateRemove.Observe(m.elapsed.Seconds())
+		return removeResponse{
+			Removed:       removed,
+			JTuples:       m.jTuples,
+			Forked:        m.forked,
+			ChangedTuples: len(m.delta.ChangedTuples),
+			PairsChanged:  len(m.delta.PairsChanged),
+			RemoveMillis:  float64(m.elapsed.Nanoseconds()) / 1e6,
+		}
+	})
+}
+
+// targetMutation is the outcome of one target mutation: its delta,
+// whether the session forked first, the live target size afterwards,
+// and the wall time including the session-lock wait.
+type targetMutation struct {
+	delta   *core.TargetDelta
+	forked  bool
+	jTuples int
+	elapsed time.Duration
+}
+
+// mutateTuples is the shared body of /append and /remove: session
+// lookup (404), body decode and the empty-batch check (400), the
+// mutation under the session lock, and the failure answer (see
+// mutationFailed). On success respond books the operation's counters
+// and returns the 200 response.
+func (s *Server) mutateTuples(w http.ResponseWriter, r *http.Request, mutate func(*core.Problem, []data.Tuple) (*core.TargetDelta, error), respond func(*session, targetMutation) any) {
 	sess, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no such session"))
@@ -378,75 +429,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	start := time.Now()
-	delta, forked, jTuples, err := s.mutateTarget(sess, func(p *core.Problem) (*core.TargetDelta, error) {
-		return p.AppendTarget(tuples)
-	})
-	elapsed := time.Since(start)
+	m, err := s.mutateTarget(sess, tuples, mutate)
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
+		s.mutationFailed(w, sess, err)
 		return
 	}
-	added := delta.NewTuples - delta.OldTuples
-	sess.appends.Add(1)
-	sess.appended.Add(int64(added))
-	s.m.mutateAppend.Observe(elapsed.Seconds())
-	s.m.appendedTuples.Add(float64(added))
-	writeJSON(w, http.StatusOK, appendResponse{
-		Added:         added,
-		JTuples:       jTuples,
-		Forked:        forked,
-		ChangedTuples: len(delta.ChangedTuples),
-		PairsChanged:  len(delta.PairsChanged),
-		AppendMillis:  float64(elapsed.Nanoseconds()) / 1e6,
-	})
-}
-
-func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such session"))
-		return
-	}
-	var req removeRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Tuples) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("empty tuple batch"))
-		return
-	}
-	tuples, err := decodeTuples(req.Tuples)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	start := time.Now()
-	delta, forked, jTuples, err := s.mutateTarget(sess, func(p *core.Problem) (*core.TargetDelta, error) {
-		return p.RemoveTarget(tuples)
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		// Unknown tuple (or stale evidence): the problem is untouched.
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	removed := len(delta.RemovedTuples)
-	sess.removes.Add(1)
-	sess.removed.Add(int64(removed))
-	s.m.removes.Inc()
-	s.m.removedTuples.Add(float64(removed))
-	s.m.mutateRemove.Observe(elapsed.Seconds())
-	writeJSON(w, http.StatusOK, removeResponse{
-		Removed:       removed,
-		JTuples:       jTuples,
-		Forked:        forked,
-		ChangedTuples: len(delta.ChangedTuples),
-		PairsChanged:  len(delta.PairsChanged),
-		RemoveMillis:  float64(elapsed.Nanoseconds()) / 1e6,
-	})
+	writeJSON(w, http.StatusOK, respond(sess, m))
 }
 
 func (s *Server) handleSourceDelta(w http.ResponseWriter, r *http.Request) {
@@ -484,6 +472,7 @@ func (s *Server) handleSourceDelta(w http.ResponseWriter, r *http.Request) {
 	func() {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
+		defer recoverMutation(&err)
 		if !sess.detached {
 			// Source deltas mutate I; even a forked problem still aliases
 			// the shared source instance, so detach on first use.
@@ -513,7 +502,7 @@ func (s *Server) handleSourceDelta(w http.ResponseWriter, r *http.Request) {
 	}()
 	elapsed := time.Since(start)
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
+		s.mutationFailed(w, sess, err)
 		return
 	}
 	sess.srcDeltas.Add(1)
@@ -645,17 +634,50 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // mutateTarget applies a target mutation to the session's problem
 // under its write lock. A session still sharing the cache's problem
 // forks first (copy-on-write: the shared problem must keep its target
-// for the other sessions). It returns the mutation's result, whether
-// it forked, and the live target size afterwards.
-func (s *Server) mutateTarget(sess *session, mutate func(*core.Problem) (*core.TargetDelta, error)) (delta *core.TargetDelta, forked bool, jTuples int, err error) {
+// for the other sessions).
+func (s *Server) mutateTarget(sess *session, tuples []data.Tuple, mutate func(*core.Problem, []data.Tuple) (*core.TargetDelta, error)) (m targetMutation, err error) {
+	start := time.Now()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	defer recoverMutation(&err)
 	if sess.shared {
 		s.fork(sess)
-		forked = true
+		m.forked = true
 	}
-	delta, err = mutate(sess.p)
-	return delta, forked, sess.p.NumLiveTuples(), err
+	m.delta, err = mutate(sess.p, tuples)
+	m.jTuples = sess.p.NumLiveTuples()
+	m.elapsed = time.Since(start)
+	return m, err
+}
+
+// mutationPanic is a panic recovered from a session mutation. The
+// problem may be half-mutated — J grown, its version not re-recorded —
+// so every later request on it would fail CheckFresh.
+type mutationPanic struct{ val any }
+
+func (e *mutationPanic) Error() string {
+	return fmt.Sprintf("mutation panicked: %v; the session was dropped", e.val)
+}
+
+// recoverMutation, deferred inside a session mutation, turns a panic
+// into a *mutationPanic error in *err.
+func recoverMutation(err *error) {
+	if r := recover(); r != nil {
+		*err = &mutationPanic{val: r}
+	}
+}
+
+// mutationFailed answers a failed session mutation. After a panic the
+// session is dropped and the answer is 500; any other error left the
+// problem untouched (unknown tuple, stale evidence) and is a 409.
+func (s *Server) mutationFailed(w http.ResponseWriter, sess *session, err error) {
+	var mp *mutationPanic
+	if errors.As(err, &mp) {
+		s.drop(sess.id)
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeError(w, http.StatusConflict, err)
 }
 
 // solveSession runs the solver on the session's problem under its read

@@ -24,7 +24,7 @@ var (
 	scVal  *ibench.Scenario
 )
 
-func testScenario(t *testing.T) *ibench.Scenario {
+func testScenario(t testing.TB) *ibench.Scenario {
 	t.Helper()
 	scOnce.Do(func() {
 		cfg := ibench.DefaultConfig(5, 42)

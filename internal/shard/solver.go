@@ -88,14 +88,14 @@ func (s Solver) Solve(ctx context.Context, p *core.Problem, options ...core.Solv
 		deadline = start.Add(cfg.Budget)
 	}
 
-	// Warm re-solves reuse the previous decomposition when the evidence
-	// shape is unchanged (same epoch, same tuple count): the cached
-	// shard subproblems then also carry their retained groundings and
-	// ADMM dual states, so the inner warm restarts actually fire. Any
-	// evidence change — a coverage-altering append bumps the epoch, a
-	// pure uncovered append grows the tuple count — forces a fresh
-	// Split. Cold solves never populate the cache, so one-shot solves
-	// (the L/XL throughput path) pay no retention.
+	// Warm re-solves reuse the previous decomposition while the
+	// problem's mutation sequence is unchanged: the cached shard
+	// subproblems then also carry their retained groundings and ADMM
+	// dual states, so the inner warm restarts actually fire. Any
+	// evidence mutation (an append that adds a tuple, or a removal,
+	// source delta or candidate change that alters the evidence) forces
+	// a fresh Split. Cold solves never populate the cache, so one-shot
+	// solves (the L/XL throughput path) pay no retention.
 	var shards []Shard
 	if cfg.Warm != nil {
 		if v, ok := p.LoadSplitCache().([]Shard); ok {

@@ -20,10 +20,10 @@ func countTuples(shards []shard.Shard) int {
 }
 
 // Warm re-solves must reuse the retained decomposition while the
-// evidence shape is unchanged, and recompute it after any append that
-// alters it — a coverage-changing append (epoch bump) or a pure
-// uncovered append (tuple-count growth). Cold solves must not populate
-// the cache at all.
+// evidence is unchanged (a duplicate-only append changes nothing), and
+// recompute it after any append that alters it — a coverage-changing
+// append or a pure uncovered append. Cold solves must not populate the
+// cache at all.
 func TestSplitCacheAcrossWarmResolves(t *testing.T) {
 	sc, err := ibench.Generate(noisyConfig(7, 10, 7))
 	if err != nil {
@@ -67,15 +67,14 @@ func TestSplitCacheAcrossWarmResolves(t *testing.T) {
 		t.Fatal("warm re-solve on unchanged evidence rebuilt the split")
 	}
 
-	// A pure uncovered append keeps the epoch but grows the tuple
-	// count: the candidate partition is unchanged, yet the
-	// candidate-free shard is not, so the cache must invalidate.
-	epoch := p.EvidenceEpoch()
-	if _, err := p.AppendTarget([]data.Tuple{data.NewTuple("alien", "a", "b")}); err != nil {
+	// A pure uncovered append leaves the candidate partition unchanged,
+	// yet the candidate-free shard is not, so the cache must invalidate.
+	d, err := p.AppendTarget([]data.Tuple{data.NewTuple("alien", "a", "b")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.EvidenceEpoch() != epoch {
-		t.Fatal("uncovered append bumped the evidence epoch")
+	if len(d.PairsChanged) != 0 || len(d.ChangedTuples) != 0 || len(d.ErrorsChanged) != 0 {
+		t.Fatalf("uncovered append changed evidence: %+v", d)
 	}
 	if p.LoadSplitCache() != nil {
 		t.Fatal("split cache survived an uncovered append")
@@ -89,11 +88,21 @@ func TestSplitCacheAcrossWarmResolves(t *testing.T) {
 		t.Fatalf("refreshed split spans %d tuples, problem has %d", got, want)
 	}
 
-	// A coverage-changing append bumps the epoch and invalidates too.
-	if _, err := p.AppendTarget(all[len(all)-3:]); err != nil {
+	// Re-appending a tuple J already holds changes nothing: the
+	// retained split survives.
+	if _, err := p.AppendTarget(all[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if p.EvidenceEpoch() == epoch {
+	if v, ok := p.LoadSplitCache().([]shard.Shard); !ok || &v[0] != &v3[0] {
+		t.Fatal("a duplicate-only append invalidated the split cache")
+	}
+
+	// A coverage-changing append invalidates too.
+	d, err = p.AppendTarget(all[len(all)-3:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.PairsChanged) == 0 && len(d.ChangedTuples) == 0 && len(d.ErrorsChanged) == 0 {
 		t.Skip("held-back tuples produced no coverage change in this scenario")
 	}
 	if p.LoadSplitCache() != nil {

@@ -73,18 +73,23 @@ func (s ExhaustiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 	// noise.
 	cost := make([]float64, n)
 	useless := make([]bool, n)
+	pairs := 0
 	for i := range p.analyses {
 		a := &p.analyses[i]
 		cost[i] = p.Weights.Error*a.Errors + p.Weights.Size*float64(a.Size)
 		useless[i] = len(a.Pairs) == 0
+		pairs += len(a.Pairs)
 	}
 
 	// bestCovSuffix[i][j]: the max coverage of J tuple j achievable
-	// using candidates i..n-1 — used for the lower bound.
+	// using candidates i..n-1 — used for the lower bound. The rows are
+	// cut from one array.
+	suffix := make([]float64, (n+1)*nj)
 	bestCovSuffix := make([][]float64, n+1)
-	bestCovSuffix[n] = make([]float64, nj)
+	bestCovSuffix[n] = suffix[n*nj:]
 	for i := n - 1; i >= 0; i-- {
-		row := append([]float64(nil), bestCovSuffix[i+1]...)
+		row := suffix[i*nj : (i+1)*nj]
+		copy(row, bestCovSuffix[i+1])
 		for _, pr := range p.analyses[i].Pairs {
 			if pr.Cov > row[pr.J] {
 				row[pr.J] = pr.Cov
@@ -102,12 +107,14 @@ func (s ExhaustiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 	bestVal := p.Objective(make([]bool, n)).Total()
 	maxCov := make([]float64, nj)
 	// Undo stack for maxCov updates, shared across recursion levels
-	// (each level records its mark), so branching allocates nothing.
+	// (each level records its mark). A path pushes at most one entry
+	// per pair of its included candidates, so Σ|Pairs| entries hold
+	// the deepest path and branching allocates nothing.
 	type undo struct {
 		j   int32
 		old float64
 	}
-	undos := make([]undo, 0, 4*n)
+	undos := make([]undo, 0, pairs)
 	nodes := 0
 	var stopErr error // caller cancellation, unwinds the recursion
 	truncated := false

@@ -23,12 +23,15 @@
 //
 // Analysis is the hot input of every solver, so the evidence is kept
 // sparse and index-friendly: covers values live in a sorted
-// (CSR-style) pair slice rather than a map, homomorphism search runs
-// against a posting-list index of J (data.Index), identical chase
-// blocks are analysed once and shared across candidates, and the
-// inverted tuple→candidate incidence (Incidence) lets solvers rescan
-// only the candidates touching a tuple. AnalyzeReference in
-// reference.go preserves the original scan-based map pipeline; the
+// (CSR-style) pair slice rather than a map, homomorphism search and
+// the creates check probe the CSR posting lists of J (data.Index)
+// directly, identical chase blocks are analysed once and shared
+// across candidates through a block memo sized from |J|, null
+// corroboration is decided by per-block label bitmasks rather than
+// label comparisons, and the inverted tuple→candidate incidence
+// (Incidence) lets solvers rescan only the candidates touching a
+// tuple. AnalyzeReference in reference.go preserves the original
+// scan-based map pipeline with label-comparing corroboration; the
 // differential tests pin the two against each other bit for bit.
 package cover
 
@@ -231,7 +234,7 @@ func PairsFromMap(m map[int]float64) []CoverPair {
 // order matches the candidate order, so output is deterministic.
 func AnalyzeN(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) []Analysis {
 	out := make([]Analysis, len(candidates))
-	memo := newBlockMemo(nil)
+	memo := newBlockMemo(nil, jidx.Len())
 	runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
 		out[i] = w.analyzeOne(i, candidates[i], I, memo, opts, nil)
 	})
@@ -258,13 +261,18 @@ type memoShard struct {
 }
 
 // newBlockMemo returns a memo holding the given blocks (none when
-// blocks is nil).
+// blocks is nil), for an analysis against nj target tuples. A
+// scenario's chase has about as many distinct blocks as its target
+// has tuples (1.1–1.3× on generated scenarios), so each shard is
+// allocated for its share of the larger of nj and the seeded blocks
+// and rarely grows.
 //
 //lint:guarded-by-caller the memo is not shared until it is returned
-func newBlockMemo(blocks map[string]*trackedBlock) *blockMemo {
+func newBlockMemo(blocks map[string]*trackedBlock, nj int) *blockMemo {
 	bm := new(blockMemo)
+	hint := max(nj, len(blocks)) / memoShards
 	for i := range bm.shards {
-		bm.shards[i].m = make(map[string]*trackedBlock)
+		bm.shards[i].m = make(map[string]*trackedBlock, hint)
 	}
 	//lint:commutative per-key copy into the key's shard; each key is stored once
 	for k, tb := range blocks {
@@ -383,27 +391,30 @@ func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) 
 // scratch (two max-coverage accumulators with touched lists, so the
 // per-candidate and per-block passes never clear a full |J| array).
 type analyzeWorker struct {
+	index    *data.Index
 	searcher *data.Searcher
 	acc      []float64
 	accTouch []int32
 	blk      []float64
 	blkTouch []int32
 	keyBuf   data.BlockKeyBuf
+	nulls    blockNulls
 	// seen holds the keys of the chase tuples of the candidate being
 	// analysed; tupleKey is its probe buffer.
 	seen     map[string]struct{}
 	tupleKey []byte
 
-	// block and opts parametrise emit, the worker's one match
-	// callback, for the enumeration in progress.
-	block []data.Tuple
-	opts  Options
-	emit  func(*data.IndexedMatch) bool
+	// opts parametrises emit, the worker's one match callback, for the
+	// enumeration in progress.
+	opts Options
+	emit func(*data.IndexedMatch) bool
 }
 
 func newAnalyzeWorker(jidx *JIndex) *analyzeWorker {
+	idx := jidx.Index()
 	w := &analyzeWorker{
-		searcher: data.NewSearcher(jidx.Index()),
+		index:    idx,
+		searcher: data.NewSearcher(idx),
 		acc:      make([]float64, jidx.Len()),
 		blk:      make([]float64, jidx.Len()),
 		seen:     make(map[string]struct{}),
@@ -431,14 +442,7 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, memo
 		if sink != nil {
 			blocks = append(blocks, tb)
 		}
-		for _, pr := range tb.pairs {
-			if pr.Cov > w.acc[pr.J] {
-				if w.acc[pr.J] == 0 {
-					w.accTouch = append(w.accTouch, pr.J)
-				}
-				w.acc[pr.J] = pr.Cov
-			}
-		}
+		addPairs(w.acc, &w.accTouch, tb.pairs)
 		// K_θ is a set: each distinct chase tuple counts once.
 		for _, t := range block {
 			w.tupleKey = t.AppendKey(w.tupleKey[:0])
@@ -447,7 +451,7 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, memo
 			}
 			w.seen[string(w.tupleKey)] = struct{}{}
 			an.KTuples++
-			if !w.searcher.TupleEmbeds(t) {
+			if !w.index.Embeds(t, 0) {
 				an.Errors++
 				if sink != nil {
 					sink.errs[index] = append(sink.errs[index], t)
@@ -480,7 +484,8 @@ func (w *analyzeWorker) blockContrib(block []data.Tuple, retain bool, memo *bloc
 	if tb := memo.get(key); tb != nil {
 		return tb
 	}
-	tb := &trackedBlock{key: string(key), pairs: w.enumerateBlockPairs(block, opts)}
+	tb := &trackedBlock{key: string(key)}
+	tb.pairs, tb.homs = w.enumerateBlockPairs(block, opts)
 	if retain {
 		tb.tuples = block
 	}
@@ -489,22 +494,49 @@ func (w *analyzeWorker) blockContrib(block []data.Tuple, retain bool, memo *bloc
 
 // enumerateBlockPairs runs the partial-homomorphism enumeration of one
 // block against the searcher's index and returns the block's cover
-// contribution (max degree per J tuple, sparse and sorted).
-func (w *analyzeWorker) enumerateBlockPairs(block []data.Tuple, opts Options) []CoverPair {
-	w.block, w.opts = block, opts
-	w.searcher.EnumeratePartialHoms(block, opts.HomLimit, w.emit)
-	w.block = nil
-	return w.drain(&w.blk, &w.blkTouch)
+// contribution (max degree per J tuple, sparse and sorted) and the
+// number of matches enumerated.
+func (w *analyzeWorker) enumerateBlockPairs(block []data.Tuple, opts Options) ([]CoverPair, int) {
+	w.opts = opts
+	w.nulls.reset(block)
+	homs := w.searcher.EnumeratePartialHoms(block, opts.HomLimit, w.emit)
+	return w.drain(&w.blk, &w.blkTouch), homs
 }
 
-// addMatch folds one partial homomorphism of w.block into the block
-// accumulator.
+// appendedBlockPairs returns tb's contribution and match count once
+// the ids from base on were appended. A complete enumeration's
+// contribution is a maximum over its matches, so while the cached one
+// and the grown one both stay under the hom limit it is the cached row
+// max-merged with the matches that reach an appended id. A block at
+// the limit is enumerated afresh, since a truncated maximum depends on
+// which matches come first.
+func (w *analyzeWorker) appendedBlockPairs(tb *trackedBlock, base int32, opts Options) ([]CoverPair, int) {
+	limit := opts.HomLimit
+	if limit <= 0 {
+		limit = data.DefaultHomLimit
+	}
+	if tb.homs < limit {
+		w.opts = opts
+		w.nulls.reset(tb.tuples)
+		homs := tb.homs + w.searcher.EnumerateNewHoms(tb.tuples, base, limit-tb.homs, w.emit)
+		if homs < limit {
+			addPairs(w.blk, &w.blkTouch, tb.pairs)
+			return w.drain(&w.blk, &w.blkTouch), homs
+		}
+		w.drain(&w.blk, &w.blkTouch) // discard the partial row
+	}
+	return w.enumerateBlockPairs(tb.tuples, opts)
+}
+
+// addMatch folds one partial homomorphism of the block being
+// enumerated into the block accumulator.
 func (w *analyzeWorker) addMatch(m *data.IndexedMatch) bool {
+	w.nulls.setMapped(m.Mapped)
 	for i, mapped := range m.Mapped {
 		if !mapped {
 			continue
 		}
-		deg := coverageDegree(w.block, i, m.Mapped, w.opts)
+		deg := w.nulls.degree(i, w.opts.Corroboration)
 		if deg <= 0 {
 			continue
 		}
@@ -516,6 +548,19 @@ func (w *analyzeWorker) addMatch(m *data.IndexedMatch) bool {
 		}
 	}
 	return true
+}
+
+// addPairs max-merges sparse pairs into a dense accumulator plus
+// touched list.
+func addPairs(acc []float64, touch *[]int32, pairs []CoverPair) {
+	for _, pr := range pairs {
+		if pr.Cov > acc[pr.J] {
+			if acc[pr.J] == 0 {
+				*touch = append(*touch, pr.J)
+			}
+			acc[pr.J] = pr.Cov
+		}
+	}
 }
 
 // drain converts a dense accumulator plus touched list into sorted
@@ -532,43 +577,110 @@ func (w *analyzeWorker) drain(acc *[]float64, touch *[]int32) []CoverPair {
 	return pairs
 }
 
-// coverageDegree computes the fraction of positions of block tuple ti
-// that are covered under the match whose mapped set is mapped:
-// constant positions always count; null positions count iff
-// corroborated (or always, when the corroboration ablation is off).
-func coverageDegree(block []data.Tuple, ti int, mapped []bool, opts Options) float64 {
-	t := block[ti]
-	if len(t.Args) == 0 {
+// blockNulls is the corroboration structure of one block, computed
+// once per block: for every null label, the set of block tuples
+// holding it, as a multi-word bitmask. Under a match, a null position
+// of tuple i is corroborated iff its label's holders, intersected with
+// the mapped tuples and without i itself, are not empty — one AND per
+// mask word instead of comparing label strings across the block.
+type blockNulls struct {
+	words int
+	lbls  []string
+	// argLbl holds each argument's label id (-1 for a constant), the
+	// block's tuples back to back; tuple i's arguments are
+	// argLbl[argOff[i]:argOff[i+1]].
+	argLbl []int32
+	argOff []int
+	// holders[l*words:(l+1)*words] is the mask of label l's tuples;
+	// mapped is the mask of the current match's mapped tuples.
+	holders []uint64
+	mapped  []uint64
+}
+
+// reset computes the label masks of block.
+func (bn *blockNulls) reset(block []data.Tuple) {
+	bn.words = (len(block) + 63) / 64
+	bn.lbls = bn.lbls[:0]
+	bn.argLbl = bn.argLbl[:0]
+	bn.argOff = append(bn.argOff[:0], 0)
+	for _, t := range block {
+		for _, a := range t.Args {
+			l := int32(-1)
+			if a.IsNull() {
+				l = bn.label(a.Name())
+			}
+			bn.argLbl = append(bn.argLbl, l)
+		}
+		bn.argOff = append(bn.argOff, len(bn.argLbl))
+	}
+	bn.holders = resizeMask(bn.holders, len(bn.lbls)*bn.words)
+	bn.mapped = resizeMask(bn.mapped, bn.words)
+	for i := range block {
+		for _, l := range bn.argLbl[bn.argOff[i]:bn.argOff[i+1]] {
+			if l >= 0 {
+				bn.holders[int(l)*bn.words+i>>6] |= 1 << (i & 63)
+			}
+		}
+	}
+}
+
+// label returns the id of a null label, numbering it on first sight.
+func (bn *blockNulls) label(name string) int32 {
+	for l, n := range bn.lbls {
+		if n == name {
+			return int32(l)
+		}
+	}
+	bn.lbls = append(bn.lbls, name)
+	return int32(len(bn.lbls) - 1)
+}
+
+// resizeMask returns a zeroed mask of n words, reusing m's array.
+func resizeMask(m []uint64, n int) []uint64 {
+	m = slices.Grow(m[:0], n)[:n]
+	clear(m)
+	return m
+}
+
+// setMapped loads the mapped tuples of a match.
+func (bn *blockNulls) setMapped(mapped []bool) {
+	clear(bn.mapped)
+	for i, ok := range mapped {
+		if ok {
+			bn.mapped[i>>6] |= 1 << (i & 63)
+		}
+	}
+}
+
+// degree is the coverage degree of block tuple i under the loaded
+// match: the fraction of its positions that are covered. Constant
+// positions always count; null positions count iff corroborated, or
+// always when corroboration is off (the E8 ablation).
+func (bn *blockNulls) degree(i int, corroboration bool) float64 {
+	args := bn.argLbl[bn.argOff[i]:bn.argOff[i+1]]
+	if len(args) == 0 {
 		return 0
 	}
 	covered := 0
-	for _, a := range t.Args {
-		if !a.IsNull() {
-			covered++
-			continue
-		}
-		if !opts.Corroboration {
-			covered++
-			continue
-		}
-		if nullCorroborated(block, ti, mapped, a.Name()) {
+	for _, l := range args {
+		if l < 0 || !corroboration || bn.corroborated(l, i) {
 			covered++
 		}
 	}
-	return float64(covered) / float64(len(t.Args))
+	return float64(covered) / float64(len(args))
 }
 
-// nullCorroborated reports whether the null labelled lbl occurs in
-// another *mapped* tuple of the block.
-func nullCorroborated(block []data.Tuple, ti int, mapped []bool, lbl string) bool {
-	for j, other := range block {
-		if j == ti || !mapped[j] {
-			continue
+// corroborated reports whether null label l occurs in a mapped tuple
+// of the block other than i.
+func (bn *blockNulls) corroborated(l int32, i int) bool {
+	holders := bn.holders[int(l)*bn.words : (int(l)+1)*bn.words]
+	for w, h := range holders {
+		h &= bn.mapped[w]
+		if w == i>>6 {
+			h &^= 1 << (i & 63)
 		}
-		for _, oa := range other.Args {
-			if oa.IsNull() && oa.Name() == lbl {
-				return true
-			}
+		if h != 0 {
+			return true
 		}
 	}
 	return false

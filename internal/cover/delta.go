@@ -16,8 +16,12 @@ package cover
 //     tuple whose constant pattern matches some appended tuple; every
 //     other block keeps an identical candidate set, hence an identical
 //     enumeration, and is never rescanned;
-//  2. re-enumerates only the dirty blocks against the extended index
-//     (which is exactly the enumeration a cold analysis would run);
+//  2. searches only the dirty blocks again, and only for the matches
+//     that map a block tuple onto an appended tuple: a block's row is
+//     a maximum over its matches, so merging those into the cached row
+//     gives the row a cold analysis would compute — as long as neither
+//     enumeration reaches HomLimit; a block that does is re-enumerated
+//     in full, exactly as a cold analysis would;
 //  3. rebuilds the Pairs of candidates owning a changed block by
 //     max-merging the cached per-block contributions — no
 //     homomorphism search for their clean blocks; and
@@ -36,7 +40,6 @@ package cover
 import (
 	"slices"
 	"sort"
-	"strings"
 
 	"schemamap/internal/data"
 	"schemamap/internal/tgd"
@@ -54,6 +57,9 @@ type trackedBlock struct {
 	// pairs is the block's current contribution: max coverage degree
 	// per J tuple over its partial homomorphisms, sparse and sorted.
 	pairs []CoverPair
+	// homs is the number of partial homomorphisms the enumeration
+	// behind pairs emitted; below the hom limit it was complete.
+	homs int
 	// changed marks, during one rescan, a block whose contribution
 	// the re-enumeration changed.
 	changed bool
@@ -152,7 +158,7 @@ func newTrackSink(n int) *trackSink {
 func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) (*Tracker, []Analysis) {
 	analyses := make([]Analysis, len(candidates))
 	sink := newTrackSink(len(candidates))
-	memo := newBlockMemo(nil)
+	memo := newBlockMemo(nil, jidx.Len())
 	runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
 		analyses[i] = w.analyzeOne(i, candidates[i], I, memo, opts, sink)
 	})
@@ -190,7 +196,7 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 	for _, dt := range delta {
 		deltaByRel[dt.Rel] = append(deltaByRel[dt.Rel], dt)
 	}
-	touched := t.rescan(deltaByRel, analyses, int32(oldLen), workers, out)
+	touched := t.rescan(deltaByRel, analyses, int32(oldLen), true, workers, out)
 	out.ChangedTuples = make([]int32, 0, len(touched))
 	for j := range touched {
 		out.ChangedTuples = append(out.ChangedTuples, j)
@@ -198,12 +204,12 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 	sort.Slice(out.ChangedTuples, func(a, b int) bool { return out.ChangedTuples[a] < out.ChangedTuples[b] })
 
 	// 4. Errors: a chase tuple still erroring stops iff it maps onto an
-	// appended tuple, which an index of the delta alone answers.
-	onDelta := data.IndexTuples(slices.Clone(delta))
+	// appended tuple, which a probe of the appended ids alone answers.
+	idx := t.jidx.Index()
 	for i, errs := range t.errTuples {
 		kept := errs[:0]
 		for _, ct := range errs {
-			if !onDelta.Embeds(ct) {
+			if !idx.Embeds(ct, int32(oldLen)) {
 				kept = append(kept, ct)
 				continue
 			}
@@ -224,12 +230,15 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 // on the current index, the blocks with a tuple whose constant
 // positions match one of the changed tuples (grouped by relation) —
 // every other block keeps an identical candidate set, hence an
-// identical enumeration. It then rebuilds the Pairs of every candidate
-// owning a block whose contribution changed by max-merging its blocks'
-// cached contributions (a memory pass, no search), records those
-// candidates in out.PairsChanged and returns the J ids below limit
-// whose coverage changed.
-func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analysis, limit int32, workers int, out *TrackerDelta) map[int32]bool {
+// identical enumeration. After an append (appended set, the ids from
+// limit on being the new tuples) a block enumerates only the matches
+// that reach an appended tuple, merged into its cached row. It then
+// rebuilds the Pairs of every candidate owning a block whose
+// contribution changed by max-merging its blocks' cached contributions
+// (a memory pass, no search), records those candidates in
+// out.PairsChanged and returns the J ids below limit whose coverage
+// changed.
+func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analysis, limit int32, appended bool, workers int, out *TrackerDelta) map[int32]bool {
 	touched := make(map[int32]bool)
 	dirty := t.dirtyBlocks(changedByRel)
 	if len(dirty) == 0 {
@@ -238,7 +247,12 @@ func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analys
 	changed := make([]bool, len(dirty))
 	runWorkers(t.jidx, len(dirty), workers, func(w *analyzeWorker, k int) {
 		tb := dirty[k]
-		pairs := w.enumerateBlockPairs(tb.tuples, t.opts)
+		var pairs []CoverPair
+		if appended {
+			pairs, tb.homs = w.appendedBlockPairs(tb, limit, t.opts)
+		} else {
+			pairs, tb.homs = w.enumerateBlockPairs(tb.tuples, t.opts)
+		}
 		if !pairsEqual(pairs, tb.pairs) {
 			tb.pairs = pairs
 			changed[k] = true
@@ -256,14 +270,7 @@ func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analys
 			continue
 		}
 		for _, tb := range blocks {
-			for _, pr := range tb.pairs {
-				if pr.Cov > w.acc[pr.J] {
-					if w.acc[pr.J] == 0 {
-						w.accTouch = append(w.accTouch, pr.J)
-					}
-					w.acc[pr.J] = pr.Cov
-				}
-			}
+			addPairs(w.acc, &w.accTouch, tb.pairs)
 		}
 		newPairs := w.drain(&w.acc, &w.accTouch)
 		diffPairs(analyses[i].Pairs, newPairs, limit, touched)
@@ -277,10 +284,9 @@ func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analys
 }
 
 // dirtyBlocks returns the blocks with a tuple whose constant positions
-// match one of the changed tuples (grouped by relation), sorted by key
-// for a stable work order (results are order-independent).
+// match one of the changed tuples (grouped by relation), in no
+// particular order: each is rescanned into its own state.
 func (t *Tracker) dirtyBlocks(changedByRel map[string][]data.Tuple) []*trackedBlock {
-	t.internBlocks()
 	dirtyPat := make([]bool, len(t.patReps))
 	//lint:commutative only sets flags; each changed tuple marks its patterns independently
 	for rel, changed := range changedByRel {
@@ -307,19 +313,18 @@ func (t *Tracker) dirtyBlocks(changedByRel map[string][]data.Tuple) []*trackedBl
 		}
 	}
 	var dirty []*trackedBlock
-	//lint:commutative collects dirty blocks and sorts them below
+	//lint:commutative collects dirty blocks; each is rescanned into its own state, so their order only schedules the work
 	for _, tb := range t.blocks {
 		if slices.ContainsFunc(tb.pats, func(id int32) bool { return dirtyPat[id] }) {
 			dirty = append(dirty, tb)
 		}
 	}
-	slices.SortFunc(dirty, func(a, b *trackedBlock) int { return strings.Compare(a.key, b.key) })
 	return dirty
 }
 
 // internBlocks fills the pattern ids of the blocks that lack them:
 // every block on BuildTracker, and later the blocks source deltas and
-// candidate additions bring in.
+// candidate additions bring in (each calls it once it adopted them).
 func (t *Tracker) internBlocks() {
 	//lint:commutative per-block cache fill; pattern ids only key verdicts, so their numbering order does not matter
 	for _, tb := range t.blocks {

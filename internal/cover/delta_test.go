@@ -253,15 +253,55 @@ func TestTrackerRemoveAndSourceDeltaReportChanges(t *testing.T) {
 	}
 }
 
+// Blocks a source delta brings in must take part in later appends:
+// after source tuples are removed and re-added (their candidates
+// re-chased into fresh blocks), each append must still match a cold
+// analysis.
+func TestTrackerAppendAfterSourceDelta(t *testing.T) {
+	for ci, cfg := range scenarioConfigs() {
+		sc, err := ibench.Generate(cfg)
+		if err != nil {
+			t.Fatalf("config %d: %v", ci, err)
+		}
+		rng := rand.New(rand.NewSource(int64(ci) + 307))
+		I := sc.I.Clone()
+		initial, batches := splitTuples(sc.J, 2, rng)
+		jidx := IndexJ(initial)
+		tracker, analyses := BuildTracker(I, jidx, sc.Candidates, DefaultOptions(), 2)
+		src := I.All()
+		picked := []data.Tuple{src[rng.Intn(len(src))], src[rng.Intn(len(src))]}
+		changed := map[string]bool{}
+		for _, tp := range picked {
+			changed[tp.Rel] = true
+			I.Remove(tp)
+		}
+		tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses, 2)
+		tracker.Append(batches[0], analyses, 2)
+		assertTrackedMatchesCold(t, "after source removal", I, jidx, sc.Candidates, DefaultOptions(), analyses)
+		for _, tp := range picked {
+			I.Add(tp)
+		}
+		tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses, 2)
+		tracker.Append(batches[1], analyses, 2)
+		assertTrackedMatchesCold(t, "after source re-add", I, jidx, sc.Candidates, DefaultOptions(), analyses)
+	}
+}
+
 // Random small scenarios, random split sizes, both corroboration
-// settings — the shapes the ibench generator does not produce.
+// settings — the shapes the ibench generator does not produce. Every
+// fourth trial caps the enumeration at 1–6 matches, so appends both
+// merge the matches reaching new tuples into complete blocks and push
+// blocks over the cap, which must then be enumerated afresh.
 func TestTrackerAppendRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		I, J, cands := randomScenario(rng)
 		opts := DefaultOptions()
 		if trial%3 == 2 {
 			opts.Corroboration = false
+		}
+		if trial%4 == 1 {
+			opts.HomLimit = 1 + rng.Intn(6)
 		}
 		nb := 1 + rng.Intn(4)
 		initial, batches := splitTuples(J, nb, rng)

@@ -77,6 +77,7 @@ func Explain(I, J *data.Instance, candidates tgd.Mapping, selected []bool, opts 
 		Errors:    make(map[int][]data.Tuple),
 		JIndex:    jidx,
 	}
+	var nulls blockNulls
 	for ci, on := range selected {
 		if !on {
 			continue
@@ -84,12 +85,14 @@ func Explain(I, J *data.Instance, candidates tgd.Mapping, selected []bool, opts 
 		res := chase.ChaseOne(I, candidates[ci], nil)
 		for bi := range res.Blocks {
 			b := &res.Blocks[bi]
+			nulls.reset(b.Tuples)
 			data.EnumeratePartialHoms(b.Tuples, J, opts.HomLimit, func(m data.BlockMatch) bool {
+				nulls.setMapped(m.Mapped)
 				for i, mapped := range m.Mapped {
 					if !mapped {
 						continue
 					}
-					deg := coverageDegree(b.Tuples, i, m.Mapped, opts)
+					deg := nulls.degree(i, opts.Corroboration)
 					if deg <= 0 {
 						continue
 					}

@@ -57,7 +57,7 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis,
 	for _, rt := range removed {
 		removedByRel[rt.Rel] = append(removedByRel[rt.Rel], rt)
 	}
-	touched := t.rescan(removedByRel, analyses, int32(n), workers, out)
+	touched := t.rescan(removedByRel, analyses, int32(n), false, workers, out)
 	removedSet := make(map[int32]bool, len(ids))
 	for _, id := range ids {
 		removedSet[id] = true
@@ -74,14 +74,13 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis,
 	// 4. Errors grow: an embedded chase tuple loses its image iff it
 	// could map onto a removed tuple and the tombstoned index no longer
 	// embeds it. An index of the removed tuples alone answers the
-	// first; a searcher over the tombstoned index, memoised per
-	// canonical pattern, the second.
+	// first; a probe of the tombstoned index the second.
 	onRemoved := data.IndexTuples(slices.Clone(removed))
-	searcher := data.NewSearcher(t.jidx.Index())
+	idx := t.jidx.Index()
 	for i, oks := range t.okTuples {
 		kept := oks[:0]
 		for _, ct := range oks {
-			if onRemoved.Embeds(ct) && !searcher.TupleEmbeds(ct) {
+			if onRemoved.Embeds(ct, 0) && !idx.Embeds(ct, 0) {
 				// Image gone: migrate back to the error set.
 				t.errTuples[i] = append(t.errTuples[i], ct)
 				continue
@@ -121,7 +120,7 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 	}
 	// Seeding the memo with every retained block means shared
 	// unchanged blocks are never re-enumerated.
-	memo := newBlockMemo(t.blocks)
+	memo := newBlockMemo(t.blocks, t.jidx.Len())
 	sink := newTrackSink(len(candidates))
 	newAn := make([]Analysis, len(affected))
 	runWorkers(t.jidx, len(affected), workers, func(w *analyzeWorker, k int) {
@@ -150,6 +149,7 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 	sort.Slice(out.ChangedTuples, func(a, b int) bool { return out.ChangedTuples[a] < out.ChangedTuples[b] })
 	t.blocks = memo.blocks()
 	t.sweepBlocks()
+	t.internBlocks()
 	return out
 }
 
@@ -159,7 +159,7 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 func (t *Tracker) AddCandidates(I *data.Instance, added tgd.Mapping, workers int) []Analysis {
 	base := len(t.candBlocks)
 	sink := newTrackSink(base + len(added))
-	memo := newBlockMemo(t.blocks)
+	memo := newBlockMemo(t.blocks, t.jidx.Len())
 	newAn := make([]Analysis, len(added))
 	runWorkers(t.jidx, len(added), workers, func(w *analyzeWorker, k int) {
 		newAn[k] = w.analyzeOne(base+k, added[k], I, memo, t.opts, sink)
@@ -170,6 +170,7 @@ func (t *Tracker) AddCandidates(I *data.Instance, added tgd.Mapping, workers int
 		t.okTuples = append(t.okTuples, sink.oks[base+k])
 	}
 	t.blocks = memo.blocks()
+	t.internBlocks()
 	return newAn
 }
 

@@ -152,3 +152,52 @@ func TestCoverMonotoneInJ(t *testing.T) {
 		}
 	}
 }
+
+// The per-block label masks must give every block tuple the degree the
+// label-comparing reference gives it, under every mapped set. Blocks
+// of 63 to 130 tuples span two and three mask words, so a label held
+// on both sides of a word boundary is corroborated across it; labels
+// also repeat inside a tuple and coincide with constant names.
+func TestBlockNullsMatchLabelReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var bn blockNulls
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(6)
+		if trial%4 == 3 {
+			n = 63 + rng.Intn(68)
+		}
+		labels := 1 + rng.Intn(2*n)
+		block := make([]data.Tuple, n)
+		for i := range block {
+			args := make([]data.Value, rng.Intn(4))
+			for p := range args {
+				name := "N" + string(rune('0'+rng.Intn(labels)%10)) + string(rune('a'+rng.Intn(labels)/10))
+				if rng.Intn(3) == 0 {
+					args[p] = data.Const(name)
+				} else {
+					args[p] = data.NullValue(name)
+				}
+			}
+			block[i] = data.Tuple{Rel: "r", Args: args}
+		}
+		bn.reset(block)
+		for q := 0; q < 5; q++ {
+			mapped := make([]bool, n)
+			for i := range mapped {
+				mapped[i] = rng.Intn(2) == 0
+			}
+			bn.setMapped(mapped)
+			for i := range block {
+				if !mapped[i] {
+					continue
+				}
+				for _, corr := range []bool{true, false} {
+					want := coverageDegree(block, i, mapped, Options{Corroboration: corr})
+					if got := bn.degree(i, corr); got != want {
+						t.Fatalf("trial %d, tuple %d of %d, corroboration %v: degree %v, reference %v", trial, i, n, corr, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -72,3 +72,46 @@ func analyzeOneReference(index int, d *tgd.TGD, I, J *data.Instance, jidx *JInde
 	}
 	return an
 }
+
+// coverageDegree is the label-comparing reference of
+// blockNulls.degree: the fraction of positions of block tuple ti that
+// are covered under the match whose mapped set is mapped. Constant
+// positions always count; null positions count iff corroborated (or
+// always, when the corroboration ablation is off).
+func coverageDegree(block []data.Tuple, ti int, mapped []bool, opts Options) float64 {
+	t := block[ti]
+	if len(t.Args) == 0 {
+		return 0
+	}
+	covered := 0
+	for _, a := range t.Args {
+		if !a.IsNull() {
+			covered++
+			continue
+		}
+		if !opts.Corroboration {
+			covered++
+			continue
+		}
+		if nullCorroborated(block, ti, mapped, a.Name()) {
+			covered++
+		}
+	}
+	return float64(covered) / float64(len(t.Args))
+}
+
+// nullCorroborated reports whether the null labelled lbl occurs in
+// another *mapped* tuple of the block.
+func nullCorroborated(block []data.Tuple, ti int, mapped []bool, lbl string) bool {
+	for j, other := range block {
+		if j == ti || !mapped[j] {
+			continue
+		}
+		for _, oa := range other.Args {
+			if oa.IsNull() && oa.Name() == lbl {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -2,7 +2,9 @@ package data
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -13,6 +15,10 @@ type searchCase struct {
 	dead   []int32 // distinct ids to tombstone
 	block  []Tuple
 	limit  int
+	// appended and second split the target: IndexTuples indexes all
+	// but the last appended tuples, and two Appends add the rest, the
+	// second one the last second of them.
+	appended, second int
 }
 
 // byteReader yields the fuzz input byte by byte, then zeros forever,
@@ -40,8 +46,12 @@ var fuzzRels = [...]string{"r", "s", "u"}
 //	block count byte      m = 1 + b%4 block tuples, each:
 //	  header byte           as for target tuples
 //	  one byte per arg      b < 128: null ⊥N<b%4>; else constant c<(b-128)%40>
+//	appended byte         a = b % (|target|+1) target tuples are appended
+//	second byte           the last b % (a+1) of them in a second Append
 //
-// Duplicate target tuples and repeated tombstones are dropped.
+// Target ids follow input order, so a relation's tuples may form
+// several runs. Duplicate target tuples and repeated tombstones are
+// dropped; inputs that end before the append bytes append nothing.
 func decodeSearchCase(in []byte) searchCase {
 	r := &byteReader{b: in}
 	var sc searchCase
@@ -61,9 +71,11 @@ func decodeSearchCase(in []byte) searchCase {
 				args[p] = Const("c" + strconv.Itoa(b%40))
 			}
 		}
-		target.Add(Tuple{Rel: rel, Args: args})
+		if t := (Tuple{Rel: rel, Args: args}); !target.Has(t) {
+			target.Add(t)
+			sc.target = append(sc.target, t)
+		}
 	}
-	sc.target = target.All()
 	seen := make(map[int32]bool)
 	for k := r.next() % 32; k > 0; k-- {
 		b := r.next()
@@ -87,16 +99,26 @@ func decodeSearchCase(in []byte) searchCase {
 		}
 		sc.block = append(sc.block, Tuple{Rel: rel, Args: args})
 	}
+	sc.appended = r.next() % (len(sc.target) + 1)
+	sc.second = r.next() % (sc.appended + 1)
 	return sc
 }
 
-// checkSearchCase compares the Searcher's emission sequence over the
-// tombstoned index with the reference enumeration over the live
-// tuples.
+// checkSearchCase builds the index of the case — IndexTuples, two
+// Appends, tombstones after the appends — checks every posting list
+// against a scan of the tuples, compares the Searcher's emission
+// sequence over the index with the reference enumeration over the
+// live tuples, and, when the case appends, checks EnumerateNewHoms
+// over the appended ids.
 func checkSearchCase(t *testing.T, sc searchCase) {
 	t.Helper()
-	ix := IndexTuples(sc.target)
+	built := len(sc.target) - sc.appended
+	ix := IndexTuples(slices.Clone(sc.target[:built]))
+	checkPostings(t, ix)
+	ix.Append(sc.target[built : len(sc.target)-sc.second])
+	ix.Append(sc.target[len(sc.target)-sc.second:])
 	ix.Remove(sc.dead)
+	checkPostings(t, ix)
 	live := NewInstance()
 	for id, tu := range sc.target {
 		if ix.Live(int32(id)) {
@@ -110,17 +132,120 @@ func checkSearchCase(t *testing.T, sc searchCase) {
 		t.Fatalf("limit %d, dead %v:\nblock %v\nlive target:\n%v\ngot  %v\nwant %v",
 			sc.limit, sc.dead, sc.block, live, got, want)
 	}
-	// A second search reuses the searcher's memos and scratch.
+	// A second search reuses the searcher's scratch.
 	if again := collectIndexed(sc.block, s, sc.limit); !reflect.DeepEqual(again, want) {
 		t.Fatalf("repeated search diverged:\ngot  %v\nwant %v", again, want)
 	}
+	if sc.appended > 0 {
+		checkNewHoms(t, s, sc.block, int32(built), sc.limit)
+	}
 }
 
-// The indexed searcher — candidate memos, bound-null probes and
-// tombstones included — must emit exactly the reference enumeration's
-// sequence. The committed corpus seeds link-table blocks over
-// relations larger than probeCutoff (so the bound-null probe runs),
-// repeated nulls, target nulls, tombstones and limits 1 and 7.
+// checkNewHoms checks EnumerateNewHoms against a filter of the full
+// enumeration: without a cap it emits, in some order, exactly the full
+// enumeration's matches that map a tuple to an id ≥ base (compared
+// when the full enumeration completes under the default cap), and
+// under limit it emits min(limit, that many) of them.
+func checkNewHoms(t *testing.T, s *Searcher, block []Tuple, base int32, limit int) {
+	t.Helper()
+	key := func(m *IndexedMatch) (string, bool) {
+		images, isNew := make([]int32, len(m.Mapped)), false
+		for i, ok := range m.Mapped {
+			images[i] = -1
+			if ok {
+				images[i] = m.Image[i]
+				isNew = isNew || m.Image[i] >= base
+			}
+		}
+		return fmt.Sprint(images), isNew
+	}
+	var want []string
+	if s.EnumeratePartialHoms(block, 0, func(m *IndexedMatch) bool {
+		if k, isNew := key(m); isNew {
+			want = append(want, k)
+		}
+		return true
+	}) == DefaultHomLimit {
+		return
+	}
+	var got []string
+	n := s.EnumerateNewHoms(block, base, DefaultHomLimit, func(m *IndexedMatch) bool {
+		k, isNew := key(m)
+		if !isNew {
+			t.Fatalf("EnumerateNewHoms emitted %s, which maps no tuple to an id ≥ %d", k, base)
+		}
+		got = append(got, k)
+		return true
+	})
+	slices.Sort(got)
+	slices.Sort(want)
+	if n != len(got) || !slices.Equal(got, want) {
+		t.Fatalf("EnumerateNewHoms (base %d, count %d) on block %v:\ngot  %v\nwant %v", base, n, block, got, want)
+	}
+	if limit > 0 {
+		if n := s.EnumerateNewHoms(block, base, limit, func(*IndexedMatch) bool { return true }); n != min(limit, len(want)) {
+			t.Fatalf("EnumerateNewHoms under limit %d emitted %d of %d", limit, n, len(want))
+		}
+	}
+}
+
+// checkPostings checks every posting list of ix against a scan of its
+// tuples: the relation lists and the (relation, position, value) lists
+// hold exactly the ids a scan finds, in ascending order, tombstoned
+// ids included.
+func checkPostings(t *testing.T, ix *Index) {
+	t.Helper()
+	lists := 0
+	for rel, rp := range ix.rels {
+		var want []int32
+		for id, tu := range ix.tuples {
+			if tu.Rel == rel {
+				want = append(want, int32(id))
+			}
+		}
+		if got := ix.list(rp.all); !slices.Equal(got, want) {
+			t.Fatalf("relation %s lists %v, scan finds %v", rel, got, want)
+		}
+		lists++
+		for p, slots := range rp.pos {
+			for v := range slots {
+				want = want[:0]
+				for id, tu := range ix.tuples {
+					if tu.Rel == rel && p < len(tu.Args) && tu.Args[p] == v {
+						want = append(want, int32(id))
+					}
+				}
+				if got := ix.posting(rp, p, v); !slices.Equal(got, want) {
+					t.Fatalf("%s position %d value %v lists %v, scan finds %v", rel, p, v, got, want)
+				}
+				lists++
+			}
+		}
+	}
+	// Every list is reachable, and every value of every tuple has one
+	// (the scans above only visit the values the maps hold).
+	for _, tu := range ix.tuples {
+		for p, a := range tu.Args {
+			if len(ix.posting(ix.rels[tu.Rel], p, a)) == 0 {
+				t.Fatalf("%v: no posting list for position %d", tu, p)
+			}
+		}
+	}
+	n := len(ix.start) - 1
+	if ix.grown != nil {
+		n = len(ix.grown)
+	}
+	if n != lists {
+		t.Fatalf("index holds %d lists, %d reachable", n, lists)
+	}
+}
+
+// The indexed searcher — CSR posting lists, appends, bound-null probes
+// and tombstones included — must emit exactly the reference
+// enumeration's sequence. The committed corpus seeds link-table blocks
+// over relations larger than probeCutoff (so the bound-null probe
+// runs), repeated nulls, target nulls, tombstones, limits 1 and 7,
+// relations in several runs, and appends.
 func FuzzSearcherMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		checkSearchCase(t, decodeSearchCase(in))

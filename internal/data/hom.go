@@ -42,6 +42,10 @@ type homSearch struct {
 	nulls  map[string]Value
 }
 
+// DefaultHomLimit is the number of matches a partial-homomorphism
+// enumeration emits at most when its limit is not positive.
+const DefaultHomLimit = 4096
+
 // EnumeratePartialHoms enumerates partial homomorphisms from block
 // into target, calling emit for each complete assignment (every block
 // tuple either mapped to a target tuple or skipped). Null images are
@@ -54,7 +58,7 @@ type homSearch struct {
 // mapped set is maximised at a maximal match that is also enumerated.
 func EnumeratePartialHoms(block []Tuple, target *Instance, limit int, emit func(BlockMatch) bool) {
 	if limit <= 0 {
-		limit = 4096
+		limit = DefaultHomLimit
 	}
 	// Process constant-rich tuples first so that nulls are bound early
 	// and all-null tuples (e.g. an N-to-M link relation) see a small

@@ -72,11 +72,11 @@ func BenchmarkTupleEmbedsReference(b *testing.B) {
 func BenchmarkTupleEmbedsIndexed(b *testing.B) {
 	target := benchTarget(500)
 	blocks := benchBlocks(64)
-	s := NewSearcher(NewIndex(target))
+	ix := NewIndex(target)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, block := range blocks {
-			s.TupleEmbeds(block[0])
+			ix.Embeds(block[0], 0)
 		}
 	}
 }

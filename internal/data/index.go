@@ -1,19 +1,30 @@
 package data
 
+import (
+	"math"
+	"slices"
+)
+
 // This file implements the indexed fast path for homomorphism search.
 // The scan-based reference in hom.go probes candidate images by
 // walking every target tuple of a relation; at scenario scale that
 // rescan of J per block tuple dominates Problem.Prepare. The Index
-// replaces it with two-level posting lists (relation → argument
-// position → value → tuple ids), and the Searcher adds per-tuple
-// candidate-set memoisation, bound-null probes and reusable search
-// scratch, so one enumeration does index lookups only and allocates
-// nothing per call.
+// replaces it with posting lists (relation → argument position →
+// value → tuple ids) in CSR form: IndexTuples numbers every list into
+// a slot in one pass over the tuples, then cuts all lists from one
+// backing array and fills them in a second. A Searcher probes the
+// lists directly — a block tuple's candidates are the shortest posting
+// list among its constants, narrowed during the search by the posting
+// list of an already-bound null — and reuses all search scratch, so a
+// warm enumeration allocates nothing. Nothing is memoised per tuple
+// pattern: on the sharded-throughput scenario a pattern memo hit 60%
+// of its lookups, yet building and hashing its string keys cost more
+// than the probes the hits saved.
 //
 // The enumeration order is identical to the reference path: block
 // tuples are processed constant-rich first (same stable sort), and
 // candidate images are tried in target insertion order (posting lists
-// are built in global id order, which is Instance.All() order). The
+// are filled in global id order, which is Instance.All() order). The
 // differential tests and the fuzz target in index_test.go, and the
 // analysis differentials in internal/cover, pin the two paths against
 // each other, hom limits included.
@@ -26,6 +37,14 @@ package data
 type Index struct {
 	tuples []Tuple
 	rels   map[string]*relPostings
+	// The posting lists by slot, in CSR form: list s is
+	// ids[start[s]:start[s+1]], in ascending id order.
+	start []int32
+	ids   []int32
+	// grown holds, by slot, the lists Append extended: a list's first
+	// append copies it out of ids, so no list ever writes into its
+	// neighbour's range. nil until the first Append.
+	grown [][]int32
 	// Tombstones: Remove marks ids dead instead of compacting, so
 	// every live id stays stable and posting lists need no surgery.
 	// dead stays nil until the first Remove, keeping the append-only
@@ -33,40 +52,19 @@ type Index struct {
 	dead []bool
 }
 
-// relPostings is the second index level of one relation: its tuple
-// ids, and per argument position the ids holding each value there.
-// Every list is in ascending id order.
+// relPostings is the second index level of one relation: the slot of
+// the list of all its tuple ids, and per argument position the slot of
+// each value's list.
 type relPostings struct {
-	ids []int32
-	pos []map[Value][]int32
+	all int32
+	pos []map[Value]int32
 	// arity is the arity every tuple of the relation has, or -1 when
 	// they differ.
 	arity int
-}
-
-// add appends tuple id to the relation's lists.
-func (rp *relPostings) add(id int32, t Tuple) {
-	if len(rp.ids) == 0 {
-		rp.arity = len(t.Args)
-	} else if rp.arity != len(t.Args) {
-		rp.arity = -1
-	}
-	rp.ids = append(rp.ids, id)
-	for len(rp.pos) < len(t.Args) {
-		rp.pos = append(rp.pos, make(map[Value][]int32))
-	}
-	for p, a := range t.Args {
-		rp.pos[p][a] = append(rp.pos[p][a], id)
-	}
-}
-
-// posting returns the ids of the relation's tuples holding v at
-// position p.
-func (rp *relPostings) posting(p int, v Value) []int32 {
-	if p >= len(rp.pos) {
-		return nil
-	}
-	return rp.pos[p][v]
+	// size is the relation's tuple count when the index was built; its
+	// value maps are allocated for that many values, so they never
+	// grow during the build.
+	size int
 }
 
 // NewIndex builds the posting-list index of an instance.
@@ -78,8 +76,39 @@ func NewIndex(in *Instance) *Index { return IndexTuples(in.All()) }
 // tuple's id is its position in the list. The index takes ownership
 // of the slice (Tuples returns it) — the caller must not modify it.
 func IndexTuples(tuples []Tuple) *Index {
-	ix := &Index{tuples: tuples, rels: make(map[string]*relPostings)}
-	ix.indexFrom(0)
+	ix := &Index{tuples: tuples, rels: make(map[string]*relPostings), start: []int32{0}}
+	n := len(tuples)
+	var rel string
+	var rp *relPostings
+	for _, t := range tuples {
+		n += len(t.Args)
+		if rp == nil || t.Rel != rel {
+			rel, rp = t.Rel, ix.relOf(t)
+		}
+		rp.size++
+	}
+	// Pass 1: the slots of every tuple, in id order, counted into
+	// start[s+1].
+	slots := ix.slots(tuples, make([]int32, 0, n))
+	for _, s := range slots {
+		ix.start[s+1]++
+	}
+	for s := 1; s < len(ix.start); s++ {
+		ix.start[s] += ix.start[s-1]
+	}
+	// Pass 2: fill the lists in id order, start[s] serving as list s's
+	// cursor; it ends on the start of list s+1, so shift start back.
+	ix.ids = make([]int32, len(slots))
+	k := 0
+	for id, t := range tuples {
+		for end := k + 1 + len(t.Args); k < end; k++ {
+			s := slots[k]
+			ix.ids[ix.start[s]] = int32(id)
+			ix.start[s]++
+		}
+	}
+	copy(ix.start[1:], ix.start)
+	ix.start[0] = 0
 	return ix
 }
 
@@ -95,27 +124,87 @@ func (ix *Index) Append(tuples []Tuple) {
 	if ix.dead != nil {
 		ix.dead = append(ix.dead, make([]bool, len(tuples))...)
 	}
-	ix.indexFrom(base)
+	if ix.grown == nil {
+		ix.grown = make([][]int32, len(ix.start)-1)
+	}
+	slots := ix.slots(tuples, nil)
+	k := 0
+	for i, t := range tuples {
+		for end := k + 1 + len(t.Args); k < end; k++ {
+			s := slots[k]
+			l := ix.grown[s]
+			if l == nil && int(s) < len(ix.start)-1 {
+				l = ix.csr(s)
+			}
+			ix.grown[s] = append(l, int32(base+i))
+		}
+	}
 }
 
-// indexFrom adds the tuples with ids base.. to the posting lists.
-func (ix *Index) indexFrom(base int) {
+// relOf returns the postings of t's relation, adding them on first
+// sight.
+func (ix *Index) relOf(t Tuple) *relPostings {
+	rp := ix.rels[t.Rel]
+	if rp == nil {
+		rp = &relPostings{all: ix.newList(), arity: len(t.Args)}
+		ix.rels[t.Rel] = rp
+	}
+	return rp
+}
+
+// slots appends to dst, for each tuple of ts, the slots of the lists
+// it belongs in: its relation's list, then one list per argument
+// position. A relation or value seen first gets a new, empty list.
+func (ix *Index) slots(ts []Tuple, dst []int32) []int32 {
 	var rel string
 	var rp *relPostings
-	for id := base; id < len(ix.tuples); id++ {
-		t := ix.tuples[id]
-		// Tuples arrive grouped by relation, so the first level is
-		// looked up once per run of equal relations.
+	for _, t := range ts {
+		// Tuples usually arrive grouped by relation, so the first
+		// level is looked up once per run of equal relations.
 		if rp == nil || t.Rel != rel {
-			rel = t.Rel
-			rp = ix.rels[rel]
-			if rp == nil {
-				rp = &relPostings{}
-				ix.rels[rel] = rp
-			}
+			rel, rp = t.Rel, ix.relOf(t)
 		}
-		rp.add(int32(id), t)
+		if rp.arity != len(t.Args) {
+			rp.arity = -1
+		}
+		dst = append(dst, rp.all)
+		for len(rp.pos) < len(t.Args) {
+			rp.pos = append(rp.pos, make(map[Value]int32, rp.size))
+		}
+		for p, a := range t.Args {
+			s, ok := rp.pos[p][a]
+			if !ok {
+				s = ix.newList()
+				rp.pos[p][a] = s
+			}
+			dst = append(dst, s)
+		}
 	}
+	return dst
+}
+
+// newList numbers a new, empty posting list: a CSR slot while the
+// index is built, a grown one after the first Append.
+func (ix *Index) newList() int32 {
+	if ix.grown != nil {
+		ix.grown = append(ix.grown, nil)
+		return int32(len(ix.grown) - 1)
+	}
+	ix.start = append(ix.start, 0)
+	return int32(len(ix.start) - 2)
+}
+
+// list returns posting list s.
+func (ix *Index) list(s int32) []int32 {
+	if ix.grown != nil && ix.grown[s] != nil {
+		return ix.grown[s]
+	}
+	return ix.csr(s)
+}
+
+// csr returns list s as laid out by IndexTuples, capped at its end.
+func (ix *Index) csr(s int32) []int32 {
+	return ix.ids[ix.start[s]:ix.start[s+1]:ix.start[s+1]]
 }
 
 // Remove tombstones the given ids: they stop appearing in Candidates
@@ -154,36 +243,47 @@ func (ix *Index) Tuple(id int32) Tuple { return ix.tuples[id] }
 // homomorphism (agreeing on every constant position of t), in
 // ascending id order. Within-tuple repeated-null consistency is NOT
 // checked here; callers enforce it during search. The returned slice
-// may share the index's storage and must not be modified; Searcher
-// memoises it per tuple pattern.
+// may share the index's storage and must not be modified.
 //
 //lint:testonly cover and data tests check the posting lists through it
-func (ix *Index) Candidates(t Tuple) []int32 { return ix.candidates(ix.rels[t.Rel], t) }
+func (ix *Index) Candidates(t Tuple) []int32 {
+	var buf []int32
+	return ix.candidates(ix.rels[t.Rel], t, &buf)
+}
 
 // candidates is Candidates over t's relation postings (nil when the
-// relation holds no tuples).
-func (ix *Index) candidates(rp *relPostings, t Tuple) []int32 {
-	probe := rp.probe(t)
+// relation holds no tuples). When the probe list needs filtering — t
+// has several constants, the relation mixes arities, or ids were
+// removed — the survivors are written to *buf, which keeps the grown
+// array for the next call; otherwise the probe list is returned as is.
+func (ix *Index) candidates(rp *relPostings, t Tuple, buf *[]int32) []int32 {
+	probe := ix.probe(rp, t)
 	if ix.dead == nil && rp != nil && rp.arity == len(t.Args) && constants(t) <= 1 {
 		// Every tuple of the probe list has t's arity and agrees with
 		// its constant, if any: the list is the candidate set.
 		return probe
 	}
-	out := make([]int32, 0, len(probe))
+	out := (*buf)[:0]
 	for _, id := range probe {
 		if ix.live(id) && MatchConstPositions(t, ix.tuples[id]) {
 			out = append(out, id)
 		}
 	}
+	*buf = out
 	return out
 }
 
 // Embeds reports whether the single tuple t has a homomorphic image
-// among the live indexed tuples. Unlike Searcher.TupleEmbeds it
-// memoises nothing and allocates nothing: it suits one-off probes of a
-// small index, such as a delta.
-func (ix *Index) Embeds(t Tuple) bool {
-	for _, id := range ix.rels[t.Rel].probe(t) {
+// among the live indexed tuples with id ≥ from (0 for all of them):
+// from = the first appended id asks whether an Append gave t an image.
+// It probes the posting lists directly and allocates nothing.
+func (ix *Index) Embeds(t Tuple, from int32) bool {
+	probe := ix.probe(ix.rels[t.Rel], t)
+	if from > 0 {
+		at, _ := slices.BinarySearch(probe, from)
+		probe = probe[at:]
+	}
+	for _, id := range probe {
 		if ix.live(id) && TupleMapsTo(t, ix.tuples[id]) {
 			return true
 		}
@@ -193,17 +293,17 @@ func (ix *Index) Embeds(t Tuple) bool {
 
 // probe returns the most selective posting list among t's constant
 // positions (the relation's ids when t has none); every candidate
-// image of t is in it. A nil receiver has no tuples.
-func (rp *relPostings) probe(t Tuple) []int32 {
+// image of t is in it. A nil rp has no tuples.
+func (ix *Index) probe(rp *relPostings, t Tuple) []int32 {
 	if rp == nil {
 		return nil
 	}
-	probe := rp.ids
+	probe := ix.list(rp.all)
 	for p, a := range t.Args {
 		if a.IsNull() {
 			continue
 		}
-		if l := rp.posting(p, a); len(l) < len(probe) {
+		if l := ix.posting(rp, p, a); len(l) < len(probe) {
 			probe = l
 		}
 		if len(probe) == 0 {
@@ -211,6 +311,17 @@ func (rp *relPostings) probe(t Tuple) []int32 {
 		}
 	}
 	return probe
+}
+
+// posting returns the ids of rp's tuples holding v at position p.
+func (ix *Index) posting(rp *relPostings, p int, v Value) []int32 {
+	if p >= len(rp.pos) {
+		return nil
+	}
+	if s, ok := rp.pos[p][v]; ok {
+		return ix.list(s)
+	}
+	return nil
 }
 
 // constants counts t's constant arguments.
@@ -242,28 +353,34 @@ type IndexedMatch struct {
 // it, trying every candidate is cheaper than the value lookups.
 const probeCutoff = 16
 
-// candSet is a memoised candidate set with its relation's postings,
-// which the bound-null probe reads.
+// candSet is one block tuple's candidate set with its relation's
+// postings, which the bound-null probe reads.
 type candSet struct {
 	ids []int32
 	rp  *relPostings
 }
 
-// Searcher runs indexed homomorphism searches against one Index. It
-// memoises candidate sets per tuple pattern and single-tuple
-// embedding verdicts per canonical pattern, and reuses all search
-// scratch. A Searcher is not safe for concurrent use; build one per
-// worker (the Index itself is shared and read-only).
+// Searcher runs indexed homomorphism searches against one Index,
+// reusing all search scratch across calls. A Searcher is not safe for
+// concurrent use; build one per worker (the Index itself is shared and
+// read-only).
 type Searcher struct {
-	ix       *Index
-	candMemo map[string]candSet
-	embMemo  map[string]bool
+	ix *Index
 
-	// Search scratch, grown on demand. Per-tuple slices are indexed by
-	// processing position k (block tuple order[k]).
-	order  []int
-	consts []int
-	cands  []candSet
+	// Search scratch, grown on demand. Per-position slices are indexed
+	// by processing position k (block tuple order[k]).
+	order []int
+	// consts, cands and filtered are by block tuple: its constant
+	// count, its candidate set and, when its probe list needed
+	// filtering (see Index.candidates), the array holding the set.
+	consts   []int
+	cands    []candSet
+	filtered [][]int32
+	// Each position may only map to ids in [lo, hi); optional marks
+	// the positions that may also be skipped.
+	lo, hi   []int32
+	optional []bool
+	// mapped and image, by block tuple, are the match being built.
 	mapped []bool
 	image  []int32
 	// The block's nulls are numbered into slots once per search:
@@ -278,9 +395,6 @@ type Searcher struct {
 	isBound  []bool
 	stack    []int32
 	match    IndexedMatch
-	keyBuf   []byte
-	canonBuf []byte
-	keyLbls  []string
 
 	block   []Tuple
 	limit   int
@@ -290,100 +404,125 @@ type Searcher struct {
 }
 
 // NewSearcher builds a searcher over the index.
-func NewSearcher(ix *Index) *Searcher {
-	return &Searcher{
-		ix:       ix,
-		candMemo: make(map[string]candSet),
-		embMemo:  make(map[string]bool),
-	}
-}
-
-// candidatesFor returns the memoised candidate set of a tuple. The
-// set depends only on the tuple's pattern (relation, arity, constant
-// positions and values), so chase tuples repeating across firings and
-// candidates hit the cache. The key is built into a reused buffer;
-// lookups by string(buf) do not allocate, only misses intern the key.
-func (s *Searcher) candidatesFor(t Tuple) candSet {
-	s.keyBuf = appendPattern(s.keyBuf[:0], t)
-	if c, ok := s.candMemo[string(s.keyBuf)]; ok {
-		return c
-	}
-	rp := s.ix.rels[t.Rel]
-	c := candSet{ids: s.ix.candidates(rp, t), rp: rp}
-	s.candMemo[string(s.keyBuf)] = c
-	return c
-}
-
-// appendPattern appends the null-insensitive pattern of t (see
-// Tuple.AppendPattern) to buf.
-func appendPattern(buf []byte, t Tuple) []byte {
-	buf = appendEscaped(buf, t.Rel, relSpecial)
-	buf = append(buf, '(')
-	for i, a := range t.Args {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		if a.IsNull() {
-			buf = append(buf, '*')
-		} else {
-			buf = appendEscaped(buf, a.Name(), patternSpecial)
-		}
-	}
-	return append(buf, ')')
-}
+func NewSearcher(ix *Index) *Searcher { return &Searcher{ix: ix} }
 
 // EnumeratePartialHoms enumerates partial homomorphisms from block
 // into the indexed instance, with the exact semantics, enumeration
 // order and limit behaviour of the package-level EnumeratePartialHoms
-// (limit <= 0 means the same default cap). The emitted IndexedMatch
-// is reused across calls; see its doc comment.
-func (s *Searcher) EnumeratePartialHoms(block []Tuple, limit int, emit func(*IndexedMatch) bool) {
+// (limit <= 0 means the same default cap), and returns the number of
+// matches it emitted. The emitted IndexedMatch is reused across calls;
+// see its doc comment.
+func (s *Searcher) EnumeratePartialHoms(block []Tuple, limit int, emit func(*IndexedMatch) bool) int {
+	s.begin(block, limit, emit)
+	s.plan(-1, 0)
+	s.rec(0)
+	return s.end()
+}
+
+// EnumerateNewHoms enumerates the partial homomorphisms from block that
+// map at least one block tuple onto an id ≥ base: after an Append of
+// ids base.., exactly the matches a search before it could not find.
+// They come in no particular order. It emits at most limit matches
+// (limit <= 0 means the default cap) and returns how many it emitted.
+//
+// Each such match is found once, under the first block tuple it maps
+// to a new id: that tuple is searched first, among the new ids only,
+// so its nulls bind before the rest of the block is searched, and the
+// block tuples before it map to older ids or are skipped.
+func (s *Searcher) EnumerateNewHoms(block []Tuple, base int32, limit int, emit func(*IndexedMatch) bool) int {
+	s.begin(block, limit, emit)
+	for f := range block {
+		if s.plan(f, base) {
+			s.rec(0)
+		}
+		if s.stopped || s.emitted >= s.limit {
+			break
+		}
+	}
+	return s.end()
+}
+
+// begin sets up the per-block state of a search.
+func (s *Searcher) begin(block []Tuple, limit int, emit func(*IndexedMatch) bool) {
 	if limit <= 0 {
-		limit = 4096
+		limit = DefaultHomLimit
 	}
 	n := len(block)
 	s.grow(n)
-	order := s.order[:n]
-	consts := s.consts[:n]
 	for i, t := range block {
-		order[i] = i
-		consts[i] = constants(t)
+		s.consts[i] = constants(t)
+		rp := s.ix.rels[t.Rel]
+		s.cands[i] = candSet{ids: s.ix.candidates(rp, t, &s.filtered[i]), rp: rp}
 	}
-	// Constant-rich tuples first (same stable insertion sort as the
-	// reference path) so nulls bind early and all-null tuples see a
-	// small candidate set.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && consts[order[j]] > consts[order[j-1]]; j-- {
+	clear(s.mapped)
+	s.block, s.limit, s.emitted, s.emit, s.stopped = block, limit, 0, emit, false
+	s.match.Mapped = s.mapped
+	s.match.Image = s.image
+}
+
+// end releases the caller's block and callback and returns the number
+// of matches emitted.
+func (s *Searcher) end() int {
+	s.block, s.emit = nil, nil
+	return s.emitted
+}
+
+// plan sets up the processing order, id ranges and null slots of one
+// search. With f < 0 the search is the reference one: constant-rich
+// tuples first (same stable insertion sort as the reference path) so
+// nulls bind early and all-null tuples see a small candidate set,
+// every id allowed. With f ≥ 0, block tuple f comes first and must map
+// to an id ≥ base, and the tuples before f may map only to ids below
+// base; plan reports false, planning nothing, when f has no candidate
+// ≥ base.
+func (s *Searcher) plan(f int, base int32) bool {
+	if f >= 0 {
+		if ids := s.cands[f].ids; len(ids) == 0 || ids[len(ids)-1] < base {
+			return false
+		}
+	}
+	block := s.block
+	order := s.order[:0]
+	if f >= 0 {
+		order = append(order, f)
+	}
+	for i := range block {
+		if i != f {
+			order = append(order, i)
+		}
+	}
+	first := 0 // f, if any, stays first
+	if f >= 0 {
+		first = 1
+	}
+	for i := first + 1; i < len(order); i++ {
+		for j := i; j > first && s.consts[order[j]] > s.consts[order[j-1]]; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
 	s.argSlot = s.argSlot[:0]
 	s.slotLbls = s.slotLbls[:0]
-	for k := 0; k < n; k++ {
-		t := block[order[k]]
-		s.cands[k] = s.candidatesFor(t)
-		s.mapped[k] = false
+	for k, i := range order {
+		s.lo[k], s.hi[k], s.optional[k] = 0, math.MaxInt32, true
+		switch {
+		case f < 0:
+		case i == f:
+			s.lo[k], s.optional[k] = base, false
+		case i < f:
+			s.hi[k] = base
+		}
 		s.argOff[k] = len(s.argSlot)
-		for _, a := range t.Args {
+		for _, a := range block[i].Args {
 			s.argSlot = append(s.argSlot, s.slotOf(a))
 		}
 	}
-	s.argOff[n] = len(s.argSlot)
+	s.argOff[len(order)] = len(s.argSlot)
 	for len(s.slotVal) < len(s.slotLbls) {
 		s.slotVal = append(s.slotVal, Value{})
 		s.isBound = append(s.isBound, false)
 	}
 	s.stack = s.stack[:0]
-	s.block = block
-	s.limit = limit
-	s.emitted = 0
-	s.emit = emit
-	s.stopped = false
-	s.match.Mapped = s.mapped[:n]
-	s.match.Image = s.image[:n]
-	s.rec(0)
-	s.block = nil
-	s.emit = nil
+	return true
 }
 
 // slotOf returns the null slot of a, numbering a new label on first
@@ -407,13 +546,22 @@ func (s *Searcher) grow(n int) {
 		s.order = make([]int, n)
 		s.consts = make([]int, n)
 		s.cands = make([]candSet, n)
+		s.lo = make([]int32, n)
+		s.hi = make([]int32, n)
+		s.optional = make([]bool, n)
 		s.mapped = make([]bool, n)
 		s.image = make([]int32, n)
 		s.argOff = make([]int, n+1)
 	}
+	for len(s.filtered) < n {
+		s.filtered = append(s.filtered, nil)
+	}
 	s.order = s.order[:n]
 	s.consts = s.consts[:n]
 	s.cands = s.cands[:n]
+	s.lo = s.lo[:n]
+	s.hi = s.hi[:n]
+	s.optional = s.optional[:n]
 	s.mapped = s.mapped[:n]
 	s.image = s.image[:n]
 	s.argOff = s.argOff[:n+1]
@@ -437,19 +585,26 @@ func (s *Searcher) rec(k int) {
 	// image at that position. The filtered list is exactly the
 	// subsequence of the candidate set that tryBind could accept, in
 	// the same ascending-id order, so the emissions do not change.
-	probe, filter := s.cands[k].ids, false
+	probe, filter := s.cands[i].ids, false
 	if len(probe) > probeCutoff {
 		for p, sl := range slots {
 			if sl < 0 || !s.isBound[sl] {
 				continue
 			}
-			if l := s.cands[k].rp.posting(p, s.slotVal[sl]); len(l) < len(probe) {
+			if l := s.ix.posting(s.cands[i].rp, p, s.slotVal[sl]); len(l) < len(probe) {
 				probe, filter = l, true
 			}
 		}
 	}
-	// Option 1: map tuple i to each consistent candidate.
+	if lo := s.lo[k]; lo > 0 {
+		at, _ := slices.BinarySearch(probe, lo)
+		probe = probe[at:]
+	}
+	// Option 1: map tuple i to each consistent candidate in range.
 	for _, cid := range probe {
+		if cid >= s.hi[k] {
+			break
+		}
 		cand := s.ix.tuples[cid]
 		if filter && (!s.ix.live(cid) || !MatchConstPositions(t, cand)) {
 			continue
@@ -470,7 +625,9 @@ func (s *Searcher) rec(k int) {
 		}
 	}
 	// Option 2: skip tuple i.
-	s.rec(k + 1)
+	if s.optional[k] {
+		s.rec(k + 1)
+	}
 }
 
 // tryBind extends the current null assignment so that the tuple with
@@ -493,26 +650,6 @@ func (s *Searcher) tryBind(slots []int32, cand Tuple) bool {
 		s.stack = append(s.stack, sl)
 	}
 	return true
-}
-
-// TupleEmbeds reports whether the single tuple t has a homomorphic
-// image in the indexed instance, memoised by canonical pattern (the
-// verdict depends only on t's constants and repeated-null structure).
-func (s *Searcher) TupleEmbeds(t Tuple) bool {
-	s.keyLbls = s.keyLbls[:0]
-	s.canonBuf = appendCanonPattern(s.canonBuf[:0], t, &s.keyLbls)
-	if v, ok := s.embMemo[string(s.canonBuf)]; ok {
-		return v
-	}
-	res := false
-	for _, cid := range s.candidatesFor(t).ids {
-		if repeatedNullsConsistent(t, s.ix.tuples[cid]) {
-			res = true
-			break
-		}
-	}
-	s.embMemo[string(s.canonBuf)] = res
-	return res
 }
 
 // BlockKeyBuf renders canonical block keys into reused scratch, so a
@@ -578,8 +715,7 @@ func appendInt(buf []byte, n int) []byte {
 
 // TupleMapsTo reports whether the single tuple t maps onto cand under
 // a homomorphism: constants preserved and repeated nulls consistently
-// assigned. It is the per-image predicate behind TupleEmbeds; the
-// incremental cover path uses it to probe a small delta directly.
+// assigned. It is the per-image predicate behind Embeds.
 func TupleMapsTo(t, cand Tuple) bool {
 	return MatchConstPositions(t, cand) && repeatedNullsConsistent(t, cand)
 }

@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -113,9 +114,13 @@ func collectIndexed(block []Tuple, s *Searcher, limit int) []flatMatch {
 // The indexed searcher must emit exactly the reference sequence —
 // same matches, same order — including under tight hom limits, so
 // capped analyses stay bit-identical across the two paths. Every
-// other trial tombstones a random subset of the target, which the
-// reference sees as the live tuples only; the larger targets put more
-// than probeCutoff tuples in a relation, so bound-null probes run.
+// other trial tombstones a random subset of the target (after the
+// appends), which the reference sees as the live tuples only; the
+// larger targets put more than probeCutoff tuples in a relation, so
+// bound-null probes run. Half the trials shuffle the target, so a
+// relation's tuples form several non-adjacent runs, and three in four
+// index part of it with IndexTuples and Append the rest in two
+// batches, which extends CSR lists and starts new ones.
 func TestIndexedSearchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 300; trial++ {
@@ -124,6 +129,14 @@ func TestIndexedSearchMatchesReference(t *testing.T) {
 			size, block = 150+rng.Intn(100), randomNullBlock(rng)
 		}
 		target := randomInstance(rng, size, trial%3 == 0).All()
+		if trial%2 == 0 {
+			rng.Shuffle(len(target), func(i, j int) { target[i], target[j] = target[j], target[i] })
+		}
+		appended, second := 0, 0
+		if trial%4 != 0 {
+			appended = rng.Intn(len(target) + 1)
+			second = rng.Intn(appended + 1)
+		}
 		var dead []int32
 		if trial%2 == 1 {
 			for id := range target {
@@ -133,31 +146,36 @@ func TestIndexedSearchMatchesReference(t *testing.T) {
 			}
 		}
 		for _, limit := range []int{0, 1, 7} {
-			checkSearchCase(t, searchCase{target: target, dead: dead, block: block, limit: limit})
+			checkSearchCase(t, searchCase{target: target, dead: dead, block: block, limit: limit, appended: appended, second: second})
 		}
 	}
 }
 
-// Searcher.TupleEmbeds and Index.Embeds must agree with the reference
-// TupleEmbeds, memoisation included (repeat queries exercise the
-// cache).
+// Index.Embeds must agree with the reference TupleEmbeds over the live
+// tuples from its id on, with and without tombstones.
 func TestIndexedTupleEmbedsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 100; trial++ {
-		target := randomInstance(rng, 3+rng.Intn(25), false)
-		s := NewSearcher(NewIndex(target))
+		target := randomInstance(rng, 3+rng.Intn(25), false).All()
+		ix := IndexTuples(target)
+		from := int32(0)
+		if trial%3 == 2 {
+			from = int32(rng.Intn(len(target) + 1))
+		}
+		live := NewInstance()
+		for id, tu := range target {
+			if trial%2 == 1 && rng.Intn(4) == 0 {
+				ix.Remove([]int32{int32(id)})
+				continue
+			}
+			if int32(id) >= from {
+				live.Add(tu)
+			}
+		}
 		for q := 0; q < 20; q++ {
-			block := randomBlock(rng)
-			tu := block[0]
-			want := TupleEmbeds(tu, target)
-			if got := s.TupleEmbeds(tu); got != want {
-				t.Fatalf("trial %d: TupleEmbeds(%v) = %v, reference %v", trial, tu, got, want)
-			}
-			if got := s.TupleEmbeds(tu); got != want { // memo hit
-				t.Fatalf("trial %d: memoised TupleEmbeds(%v) flipped to %v", trial, tu, got)
-			}
-			if got := s.Index().Embeds(tu); got != want {
-				t.Fatalf("trial %d: Index.Embeds(%v) = %v, reference %v", trial, tu, got, want)
+			tu := randomBlock(rng)[0]
+			if got, want := ix.Embeds(tu, from), TupleEmbeds(tu, live); got != want {
+				t.Fatalf("trial %d: Index.Embeds(%v, %d) = %v, reference %v", trial, tu, from, got, want)
 			}
 		}
 	}
@@ -198,8 +216,61 @@ func TestIndexCandidates(t *testing.T) {
 	}
 }
 
+// Appending to one value's posting list must leave every other list
+// as it was — above all its neighbour in the CSR backing array, which
+// a list extended in place would overwrite — and keep the extended
+// list ascending.
+func TestAppendKeepsCSRNeighbours(t *testing.T) {
+	ix := IndexTuples([]Tuple{
+		NewTuple("r", "a", "x"),
+		NewTuple("r", "b", "x"),
+		NewTuple("r", "a", "y"),
+		NewTuple("r", "b", "y"),
+		NewTuple("s", "a"),
+	})
+	snapshot := func() map[string][]int32 {
+		out := make(map[string][]int32)
+		for rel, rp := range ix.rels {
+			out[rel] = slices.Clone(ix.list(rp.all))
+			for p, slots := range rp.pos {
+				for v := range slots {
+					out[fmt.Sprintf("%s.%d.%s", rel, p, v)] = slices.Clone(ix.posting(rp, p, v))
+				}
+			}
+		}
+		return out
+	}
+	before := snapshot()
+	// r.0.a is cut from the backing array right before r.0.b. The
+	// first Append extends r.0.a and r.1.x and starts r.1.z and r.0.c;
+	// the second extends r.0.a again, now out of the backing array.
+	ix.Append([]Tuple{NewTuple("r", "a", "z"), NewTuple("r", "c", "x")})
+	ix.Append([]Tuple{NewTuple("r", "a", "w")})
+	after := snapshot()
+	want := map[string][]int32{
+		"r":     {0, 1, 2, 3, 5, 6, 7},
+		"r.0.a": {0, 2, 5, 7},
+		"r.0.c": {6},
+		"r.1.x": {0, 1, 6},
+		"r.1.z": {5},
+		"r.1.w": {7},
+	}
+	for key, list := range after {
+		w, changed := want[key]
+		if !changed {
+			w = before[key]
+		}
+		if !slices.Equal(list, w) {
+			t.Errorf("after Append, list %s = %v, want %v", key, list, w)
+		}
+	}
+	if len(after) != len(before)+3 {
+		t.Errorf("Append left %d lists, want %d", len(after), len(before)+3)
+	}
+}
+
 // The search scratch must make repeated enumerations allocation-free
-// (beyond the one-time memo fills).
+// once the first search has grown it.
 func TestSearcherSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	target := randomInstance(rng, 50, false)
@@ -208,7 +279,7 @@ func TestSearcherSteadyStateAllocs(t *testing.T) {
 	run := func() {
 		s.EnumeratePartialHoms(block, 0, func(m *IndexedMatch) bool { return true })
 	}
-	run() // warm memos and scratch
+	run() // grow the scratch
 	if avg := testing.AllocsPerRun(20, run); avg > 0 {
 		t.Errorf("steady-state enumeration allocates %.1f objects/run, want 0", avg)
 	}

@@ -23,8 +23,7 @@
 //	                                 and peak RSS (sharded-greedy,
 //	                                 sharded-collective); replayed first
 //	-scale S|M|L|all     scales to replay (default S; a comma list; the
-//	                     throughput trace has its own L and XL; "none"
-//	                     skips replay, e.g. for a pure -compare-admm run)
+//	                     throughput trace has its own L and XL)
 //	-solvers a,b,...     solver subset (default: each trace's own set)
 //	-parallelism N       WithParallelism for every prepare and solve
 //	                     (default 4)
@@ -37,10 +36,6 @@
 //	                     time at M, in calibration units
 //	-gate PCT            allowed regression percent (default 20)
 //	-update-baseline     rewrite FILE from this run instead of gating
-//	-compare-admm        also run the serial-vs-parallel ADMM
-//	                     comparison on the M scenario
-//	-strict-compare      exit non-zero when -compare-admm sees no
-//	                     speedup on a multi-core machine
 //	-cpuprofile FILE     write a pprof CPU profile of the run
 //	-memprofile FILE     write a pprof heap profile at exit
 //
@@ -52,8 +47,7 @@
 // SIGINT/SIGTERM cancel the run cleanly (partial work is abandoned,
 // nothing is written) with a non-zero exit.
 //
-// Exit codes: 0 ok, 1 usage/run/interrupt error, 2 gate or comparison
-// failure.
+// Exit codes: 0 ok, 1 usage/run/interrupt error, 2 gate failure.
 package main
 
 import (
@@ -86,7 +80,7 @@ func main() {
 func run() int {
 	var (
 		traceFlag      = flag.String("trace", "solve", "trace kinds to replay: a comma list of throughput, solve, stream, churn, serve")
-		scaleFlag      = flag.String("scale", "S", "scales to replay: S, M, L (throughput: L, XL), a comma list, all, or none")
+		scaleFlag      = flag.String("scale", "S", "scales to replay: S, M, L (throughput: L, XL), a comma list, or all")
 		solversFlag    = flag.String("solvers", "", "comma-separated solver subset (default: each trace's own set)")
 		parallelism    = flag.Int("parallelism", 4, "WithParallelism for every prepare and solve (0 = GOMAXPROCS)")
 		outDir         = flag.String("out", ".", "output directory for BENCH_<solver>.json")
@@ -94,8 +88,6 @@ func run() int {
 		baselinePath   = flag.String("baseline", "", "baseline file to gate against (see -gate)")
 		gate           = flag.Float64("gate", 20, "allowed regression in percent vs -baseline")
 		updateBaseline = flag.Bool("update-baseline", false, "rewrite -baseline from this run instead of gating")
-		compareADMM    = flag.Bool("compare-admm", false, "run the serial-vs-parallel ADMM comparison on the M scenario")
-		strictCompare  = flag.Bool("strict-compare", false, "fail -compare-admm when no speedup on a multi-core machine")
 		cpuprofile     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile     = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
@@ -155,9 +147,6 @@ func run() int {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchrun:", err)
 			return 1
-		}
-		if len(specs) == 0 {
-			continue
 		}
 		fmt.Printf("benchrun: trace=%s scales=%s parallelism=%d\n", kind, *scaleFlag, *parallelism)
 		got, err := bench.Replay(ctx, kind, specs, opt)
@@ -222,23 +211,6 @@ func run() int {
 		}
 	}
 
-	if *compareADMM {
-		spec, _ := bench.SpecFor("M")
-		cmp, err := bench.CompareADMM(ctx, spec, *parallelism)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrun:", err)
-			return 1
-		}
-		fmt.Println(cmp)
-		if !cmp.ObjectivesMatch(1e-6) {
-			fmt.Fprintf(os.Stderr, "benchrun: parallel ADMM objective diverged from serial by %g (tolerance 1e-6)\n", cmp.ObjectiveDelta)
-			exit = 2
-		}
-		if *strictCompare && cmp.ExpectSpeedup() && cmp.Speedup < 1 {
-			fmt.Fprintf(os.Stderr, "benchrun: parallel ADMM slower than serial (%.2fx) on a %d-CPU machine\n", cmp.Speedup, cmp.NumCPU)
-			exit = 2
-		}
-	}
 	return exit
 }
 
@@ -247,9 +219,6 @@ func parseScales(kind, s string) ([]bench.Spec, error) {
 	all := bench.ScalesFor(kind)
 	if strings.EqualFold(s, "all") {
 		return all, nil
-	}
-	if s == "" || strings.EqualFold(s, "none") {
-		return nil, nil
 	}
 	var out []bench.Spec
 	for _, name := range strings.Split(s, ",") {

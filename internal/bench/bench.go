@@ -114,7 +114,6 @@ func Calibrate() time.Duration {
 	opts := psl.DefaultADMMOptions()
 	opts.MaxIterations = 300
 	opts.Epsilon = 1e-12 // run all 300 iterations
-	opts.Parallelism = 1
 	best := time.Duration(0)
 	for trial := 0; trial < 3; trial++ {
 		start := time.Now()

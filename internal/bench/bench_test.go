@@ -266,27 +266,6 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompareADMMTiny checks the comparison plumbing end to end on a
-// tiny scenario: objectives must match bit-for-bit.
-func TestCompareADMMTiny(t *testing.T) {
-	cmp, err := CompareADMM(context.Background(), tinySpec(), 4)
-	if err != nil {
-		t.Fatalf("CompareADMM: %v", err)
-	}
-	if cmp.ObjectiveDelta != 0 {
-		t.Errorf("objective delta %g, want exact 0 (deterministic chunking)", cmp.ObjectiveDelta)
-	}
-	if !cmp.ObjectivesMatch(1e-6) {
-		t.Error("ObjectivesMatch(1e-6) = false")
-	}
-	if cmp.SerialIterations != cmp.ParallelIterations {
-		t.Errorf("iterations diverged: %d vs %d", cmp.SerialIterations, cmp.ParallelIterations)
-	}
-	if cmp.Vars <= 0 || cmp.Factors <= 0 {
-		t.Errorf("missing problem size: %+v", cmp)
-	}
-}
-
 // TestReportJSONShape pins the report schema: downstream tooling (CI
 // artifacts, trend dashboards) reads these field names.
 func TestReportJSONShape(t *testing.T) {

@@ -10,9 +10,10 @@ import (
 // next to their timings: every solver's objective and iteration
 // counts on a (trace, solver, scale, seed) are functions of the code
 // alone. Replaying the solve, stream and churn traces at S (and M
-// unless -short) at the recorded parallelism must reproduce them
-// exactly, so a change that claims bit-identical objectives is
-// checked here rather than by hand.
+// unless -short), and the throughput trace at L (unless -short), at
+// the recorded parallelism must reproduce them exactly, so a change
+// that claims bit-identical objectives is checked here rather than by
+// hand.
 func TestRecordedObjectivesReproduce(t *testing.T) {
 	type key struct {
 		trace, solver, scale string
@@ -36,9 +37,16 @@ func TestRecordedObjectivesReproduce(t *testing.T) {
 	if testing.Short() {
 		specs = specs[:1]
 	}
+	replays := map[string][]Spec{traceSolve: specs, traceStream: specs, traceChurn: specs}
+	if !testing.Short() {
+		replays[traceThroughput] = throughputScales()[:1] // L
+	}
 	matched := 0
-	for _, kind := range []string{traceSolve, traceStream, traceChurn} {
-		rows, err := Replay(context.Background(), kind, specs, Options{Parallelism: 2})
+	for _, kind := range Traces() {
+		if replays[kind] == nil {
+			continue
+		}
+		rows, err := Replay(context.Background(), kind, replays[kind], Options{Parallelism: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sort"
 	"time"
 
@@ -39,13 +38,6 @@ type CollectiveSolver struct {
 
 // Name implements Solver.
 func (s CollectiveSolver) Name() string { return "collective" }
-
-// smallMRFFactors is the grounding size, in the factors ADMM iterates,
-// below which ADMM runs inline regardless of the configured
-// parallelism: the per-iteration barrier costs of the worker pool
-// exceed the parallel gain on groundings this small, and iterates are
-// bit-identical either way.
-const smallMRFFactors = 10000
 
 // warmEpsilonRel is the relative residual tolerance warm re-solves on
 // a retained grounding use (Boyd et al. §3.3). Cold solves polish to
@@ -84,23 +76,6 @@ func (s CollectiveSolver) Solve(ctx context.Context, p *Problem, options ...Solv
 	}
 	if opts.Seed == 0 {
 		opts.Seed = r.cfg.Seed
-	}
-	if opts.Parallelism == 0 {
-		// WithParallelism(0) means GOMAXPROCS; ADMM iterates are
-		// bit-identical at every parallelism level, so the worker count
-		// is purely a scheduling choice and never changes results.
-		// Below ~10k factors the per-iteration pool barriers cost more
-		// than the parallel phases save (measured ~45µs/iter serial vs
-		// ~58µs at 4 workers on the M scenario), so small groundings
-		// solve inline; WithParallelism is a resource cap, not a floor.
-		if len(mrf.Potentials)+len(mrf.Constraints) < smallMRFFactors {
-			opts.Parallelism = 1
-		} else {
-			opts.Parallelism = runtime.GOMAXPROCS(0)
-			if r.cfg.Parallelism > 0 {
-				opts.Parallelism = r.cfg.Parallelism
-			}
-		}
 	}
 	if r.cfg.Progress != nil {
 		prev := opts.Progress

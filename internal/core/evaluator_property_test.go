@@ -11,6 +11,26 @@ import (
 	"schemamap/internal/ibench"
 )
 
+// scenarioProblems builds seeded noisy ibench scenarios — the workload
+// the benchmark harness runs — for differential tests.
+func scenarioProblems(t *testing.T) []*Problem {
+	t.Helper()
+	var out []*Problem
+	for _, seed := range []int64{1, 5, 9} {
+		cfg := ibench.DefaultConfig(7, seed)
+		cfg.Rows = 8
+		cfg.PiCorresp = 25
+		cfg.PiErrors = 10
+		cfg.PiUnexplained = 10
+		sc, err := ibench.Generate(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		out = append(out, NewProblem(sc.I, sc.J, sc.Candidates))
+	}
+	return out
+}
+
 // Property: under arbitrary random flip sequences, the Evaluator's
 // incrementally maintained total equals Problem.Objective recomputed
 // from scratch, FlipDelta predicts the applied Flip delta exactly,

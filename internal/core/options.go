@@ -25,10 +25,10 @@ type SolveConfig struct {
 	Budget time.Duration
 	// Progress, when non-nil, receives solver progress events.
 	Progress func(Event)
-	// Parallelism bounds worker pools spawned by the call: the
-	// Prepare pool and the collective solver's ADMM workers
-	// (0 = GOMAXPROCS). ADMM iterates are bit-identical at every
-	// parallelism level, so this only changes speed, never results.
+	// Parallelism bounds the worker pools spawned by the call: the
+	// Prepare pool and the sharded solvers' shard pool
+	// (0 = GOMAXPROCS). It changes speed, never results; ADMM itself
+	// always runs on the calling goroutine.
 	Parallelism int
 	// Seed seeds any randomised tie-breaking; the collective solver
 	// uses it to perturb the ADMM initial point (0 = deterministic
@@ -60,7 +60,7 @@ func WithProgress(fn func(Event)) SolveOption {
 }
 
 // WithParallelism bounds the worker pools spawned by the call (the
-// Prepare pool and the collective solver's ADMM workers). n ≤ 0 means
+// Prepare pool and the sharded solvers' shard pool). n ≤ 0 means
 // GOMAXPROCS. Results are independent of the chosen parallelism.
 func WithParallelism(n int) SolveOption {
 	return func(c *SolveConfig) { c.Parallelism = n }

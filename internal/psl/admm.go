@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 )
 
 // ADMMOptions configure MAP inference.
@@ -60,12 +58,6 @@ type ADMMOptions struct {
 	// Progress, when non-nil, is called every progressEvery
 	// iterations with the current iteration count.
 	Progress func(iter int)
-	// Parallelism bounds the worker pool running the factor-local,
-	// consensus and dual steps; ≤ 1 runs them inline. The iterates are
-	// bit-identical at every parallelism level: work is partitioned
-	// into fixed-size chunks (independent of the worker count) and the
-	// residual partial sums are reduced in chunk order.
-	Parallelism int
 }
 
 // ADMMState is the warm-restartable part of an ADMM solve: the final
@@ -94,16 +86,6 @@ type ADMMState struct {
 
 // progressEvery is the cadence of ADMMOptions.Progress callbacks.
 const progressEvery = 64
-
-// factorChunk and varChunk are the fixed chunk sizes the ADMM phases
-// are partitioned into. They are deliberately independent of
-// Parallelism so that the floating-point reduction order — and hence
-// every iterate — is identical whether the chunks run on one worker
-// or many.
-const (
-	factorChunk = 128
-	varChunk    = 256
-)
 
 // DefaultADMMOptions returns the defaults used across the repo.
 func DefaultADMMOptions() ADMMOptions {
@@ -162,13 +144,10 @@ func (fs *factorSet) len() int { return len(fs.kind) }
 // keep the best-so-far state while callers wanting a hard stop
 // propagate the error.
 //
-// The three steps of each iteration — factor-local updates, the
-// consensus average, and the dual update — are each embarrassingly
-// parallel (all local problems are independent given the
-// consensus), so with opts.Parallelism > 1 they
-// run on a persistent worker pool. The consensus step is sharded by
-// variable over a precomputed factor-incidence CSR, so no two workers
-// ever write the same consensus entry.
+// Each iteration runs three passes on the calling goroutine: the
+// factor-local updates, the consensus average over a precomputed
+// variable-incidence CSR, and the dual update. Every residual norm is
+// summed inside the pass that produces it.
 func SolveMAP(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) {
 	if opts.Rho <= 0 {
 		opts.Rho = 1
@@ -257,8 +236,7 @@ func SolveMAP(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) 
 
 	// Variable-incidence CSR: for each variable, the flat term indices
 	// that touch it. The consensus step sums over a variable's
-	// incidence list, so each variable is owned by exactly one chunk
-	// and the sum order is fixed regardless of parallelism.
+	// incidence list in a fixed order.
 	count := make([]float64, n)
 	total := len(fs.vars)
 	for _, v := range fs.vars {
@@ -277,21 +255,6 @@ func SolveMAP(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) 
 		cursor[v] = c + 1
 	}
 
-	numFactChunks := (numFactors + factorChunk - 1) / factorChunk
-	numVarChunks := (n + varChunk - 1) / varChunk
-	primalPart := make([]float64, numFactChunks)
-	dualPart := make([]float64, numVarChunks)
-	rel := opts.EpsilonRel > 0
-	var yNormPart, uNormPart, zNormPart []float64
-	if rel {
-		yNormPart = make([]float64, numFactChunks)
-		uNormPart = make([]float64, numFactChunks)
-		zNormPart = make([]float64, numVarChunks)
-	}
-
-	pool := newChunkPool(opts.Parallelism)
-	defer pool.close()
-
 	var iter int
 	converged := false
 	for iter = 0; iter < opts.MaxIterations; iter++ {
@@ -309,105 +272,49 @@ func SolveMAP(ctx context.Context, m *MRF, opts ADMMOptions) (*Solution, error) 
 			opts.Progress(iter)
 		}
 		// Local steps: independent per factor.
-		zCur := z
-		pool.run(numFactChunks, func(chunk int) {
-			lo := chunk * factorChunk
-			hi := lo + factorChunk
-			if hi > numFactors {
-				hi = numFactors
-			}
-			for fi := lo; fi < hi; fi++ {
-				fs.localStep(fi, zCur, rho)
-			}
-		})
-		// Consensus step with box projection, sharded by variable; the
-		// dual residual Σ_{(f,k)} (z_v − zOld_v)² = Σ_v count_v·Δ_v²
-		// accumulates into per-chunk partials.
-		zNew := zNext
-		pool.run(numVarChunks, func(chunk int) {
-			lo := chunk * varChunk
-			hi := lo + varChunk
-			if hi > n {
-				hi = n
-			}
-			// The ‖z‖ partial rides along in the same pass: it costs
-			// little next to the gather, and only the relative
-			// criterion reads it.
-			dp, zn := 0.0, 0.0
-			for v := lo; v < hi; v++ {
-				if count[v] == 0 {
-					zNew[v] = zCur[v]
-					continue
-				}
-				s := 0.0
-				for i := incOff[v]; i < incOff[v+1]; i++ {
-					t := incTerm[i]
-					s += fs.y[t] + fs.u[t]
-				}
-				zi := s / count[v]
-				if zi < 0 {
-					zi = 0
-				}
-				if zi > 1 {
-					zi = 1
-				}
-				zNew[v] = zi
-				d := zi - zCur[v]
-				dp += count[v] * d * d
-				zn += count[v] * zi * zi
-			}
-			dualPart[chunk] = dp
-			if rel {
-				zNormPart[chunk] = zn
-			}
-		})
-		z, zNext = zNext, z
-		// Dual updates and the primal residual, chunked over factors.
-		zCons := z
-		pool.run(numFactChunks, func(chunk int) {
-			lo := chunk * factorChunk
-			hi := lo + factorChunk
-			if hi > numFactors {
-				hi = numFactors
-			}
-			tlo, thi := fs.off[lo], fs.off[hi]
-			// ‖y‖ and ‖u‖ partials ride along, like ‖z‖ above.
-			pp, yn, un := 0.0, 0.0, 0.0
-			for ti := tlo; ti < thi; ti++ {
-				y := fs.y[ti]
-				r := y - zCons[fs.vars[ti]]
-				u := fs.u[ti] + r
-				fs.u[ti] = u
-				pp += r * r
-				yn += y * y
-				un += u * u
-			}
-			primalPart[chunk] = pp
-			if rel {
-				yNormPart[chunk] = yn
-				uNormPart[chunk] = un
-			}
-		})
-		// Reduce partials in chunk order (deterministic).
-		primal, dual := 0.0, 0.0
-		for _, p := range primalPart {
-			primal += p
+		for fi := 0; fi < numFactors; fi++ {
+			fs.localStep(fi, z, rho)
 		}
-		for _, d := range dualPart {
-			dual += d
+		// Consensus step with box projection. The dual residual
+		// Σ_{(f,k)} (z_v − zOld_v)² = Σ_v count_v·Δ_v² and ‖z‖ (which
+		// only the relative criterion reads) accumulate in the same
+		// pass.
+		dual, zz := 0.0, 0.0
+		for v := 0; v < n; v++ {
+			if count[v] == 0 {
+				zNext[v] = z[v]
+				continue
+			}
+			s := 0.0
+			for i := incOff[v]; i < incOff[v+1]; i++ {
+				t := incTerm[i]
+				s += fs.y[t] + fs.u[t]
+			}
+			zi := s / count[v]
+			if zi < 0 {
+				zi = 0
+			}
+			if zi > 1 {
+				zi = 1
+			}
+			zNext[v] = zi
+			d := zi - z[v]
+			dual += count[v] * d * d
+			zz += count[v] * zi * zi
+		}
+		z, zNext = zNext, z
+		// Dual updates and the primal residual; ‖y‖ and ‖u‖ ride along.
+		primal, yy, uu := 0.0, 0.0, 0.0
+		for ti, y := range fs.y {
+			r := y - z[fs.vars[ti]]
+			u := fs.u[ti] + r
+			fs.u[ti] = u
+			primal += r * r
+			yy += y * y
+			uu += u * u
 		}
 		epsPri, epsDual := opts.Epsilon, opts.Epsilon
-		if rel {
-			yy, uu, zz := 0.0, 0.0, 0.0
-			for _, v := range yNormPart {
-				yy += v
-			}
-			for _, v := range uNormPart {
-				uu += v
-			}
-			for _, v := range zNormPart {
-				zz += v
-			}
+		if opts.EpsilonRel > 0 {
 			epsPri += opts.EpsilonRel * math.Sqrt(math.Max(yy, zz))
 			epsDual += opts.EpsilonRel * rho * math.Sqrt(uu)
 		}
@@ -566,108 +473,5 @@ func (fs *factorSet) localStep(fi int, z []float64, rho float64) {
 	t := val / fs.norm2[fi]
 	for k := range v {
 		v[k] -= t * coefs[k]
-	}
-}
-
-// chunkPool runs phases of chunked work on persistent workers. A nil
-// pool (parallelism ≤ 1) runs chunks inline; otherwise each run
-// dispatches the phase to every worker, which race through the chunk
-// indices via a shared atomic counter. The pool is created once per
-// solve, so the per-phase cost is one channel send per worker plus a
-// WaitGroup barrier — cheap enough for thousands of ADMM iterations.
-//
-// A panic in a chunk does not kill the process from a worker
-// goroutine: the worker records the first one, the other workers
-// finish the phase, and run re-raises it on the calling goroutine,
-// where the caller's recover (or deferred close) sees it.
-type chunkPool struct {
-	workers int
-	next    atomic.Int64
-	wg      sync.WaitGroup
-	jobs    []chan chunkJob
-
-	panicMu sync.Mutex // guards panicked
-	// panicked holds the first recovered chunk panic of the current
-	// run (nil when none).
-	panicked any
-}
-
-type chunkJob struct {
-	n  int
-	fn func(chunk int)
-}
-
-// newChunkPool returns nil when workers ≤ 1 (inline execution).
-func newChunkPool(workers int) *chunkPool {
-	if workers <= 1 {
-		return nil
-	}
-	p := &chunkPool{workers: workers, jobs: make([]chan chunkJob, workers)}
-	for w := range p.jobs {
-		ch := make(chan chunkJob, 1)
-		p.jobs[w] = ch
-		go func() {
-			for j := range ch {
-				p.work(j)
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// work runs chunks of j until none are left, recording a panic
-// instead of letting it escape the worker goroutine.
-func (p *chunkPool) work(j chunkJob) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.panicMu.Lock()
-			if p.panicked == nil {
-				p.panicked = r
-			}
-			p.panicMu.Unlock()
-		}
-	}()
-	for {
-		c := int(p.next.Add(1)) - 1
-		if c >= j.n {
-			return
-		}
-		j.fn(c)
-	}
-}
-
-// run executes fn(0..n-1) across the pool and returns when every
-// chunk is done. If a chunk panicked, run panics with the same value
-// once every worker has finished the phase.
-func (p *chunkPool) run(n int, fn func(chunk int)) {
-	if p == nil {
-		for c := 0; c < n; c++ {
-			fn(c)
-		}
-		return
-	}
-	p.next.Store(0)
-	p.wg.Add(p.workers)
-	for _, ch := range p.jobs {
-		ch <- chunkJob{n: n, fn: fn}
-	}
-	p.wg.Wait()
-	p.panicMu.Lock()
-	r := p.panicked
-	p.panicked = nil
-	p.panicMu.Unlock()
-	if r != nil {
-		panic(r)
-	}
-}
-
-// close shuts the workers down; safe on a nil (inline) pool.
-func (p *chunkPool) close() {
-	if p == nil {
-		return
-	}
-	for _, ch := range p.jobs {
-		close(ch)
 	}
 }

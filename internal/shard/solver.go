@@ -28,12 +28,11 @@ const DefaultTinyCap = 12
 // reports.
 //
 // Options map onto shards as follows: WithParallelism bounds the
-// shard worker pool (shards running concurrently solve with inner
-// parallelism 1 — nested pools would oversubscribe); WithBudget is a
-// shared soft budget — each shard receives the time remaining when it
-// starts, and a shard that starts past the deadline returns its
-// warm/empty selection immediately, flagged Truncated; WithSeed is
-// forwarded; WithWarmStart selections are sliced per shard by parent
+// shard worker pool (shards are born prepared, so no inner solve
+// starts a pool of its own); WithBudget is a shared soft budget —
+// each shard receives the time remaining when it starts, and a shard
+// that starts past the deadline returns its warm/empty selection
+// immediately, flagged Truncated; WithSeed is forwarded; WithWarmStart selections are sliced per shard by parent
 // candidate index; WithProgress events are forwarded from all shards,
 // serialised by a mutex. Context cancellation stops all shards
 // promptly and Solve returns ctx.Err(). A shard that fails — with an
@@ -116,10 +115,6 @@ func (s Solver) Solve(ctx context.Context, p *core.Problem, options ...core.Solv
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	innerPar := cfg.Parallelism
-	if workers > 1 {
-		innerPar = 1
-	}
 
 	// Serialise progress events from concurrently solving shards; the
 	// Solver interface promises synchronous callbacks.
@@ -148,7 +143,7 @@ func (s Solver) Solve(ctx context.Context, p *core.Problem, options ...core.Solv
 		go func() {
 			defer wg.Done()
 			for c := range next {
-				sel, err := s.solveShard(cctx, shards[c], inner, tinyCap, innerPar, deadline, &cfg, progress)
+				sel, err := s.solveShard(cctx, shards[c], inner, tinyCap, deadline, &cfg, progress)
 				results[c] = shardResult{sel: sel, err: err}
 				if err != nil {
 					cancel() // fail fast: stop the remaining shards
@@ -242,7 +237,7 @@ func (e shardPanic) Error() string { return fmt.Sprintf("panic: %v", e.v) }
 // have exactly one selection — the empty one — so no solver runs. A
 // panic in the shard's solve is returned as a shardPanic error, so one
 // failing shard aborts the sharded solve instead of the process.
-func (s Solver) solveShard(ctx context.Context, sh Shard, inner core.Solver, tinyCap, innerPar int, deadline time.Time, cfg *core.SolveConfig, progress func(core.Event)) (sel *core.Selection, err error) {
+func (s Solver) solveShard(ctx context.Context, sh Shard, inner core.Solver, tinyCap int, deadline time.Time, cfg *core.SolveConfig, progress func(core.Event)) (sel *core.Selection, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sel, err = nil, shardPanic{r}
@@ -267,7 +262,7 @@ func (s Solver) solveShard(ctx context.Context, sh Shard, inner core.Solver, tin
 	if tinyCap > 0 && len(sh.Candidates) <= tinyCap {
 		solver = core.ExhaustiveSolver{}
 	}
-	opts := []core.SolveOption{core.WithParallelism(innerPar)}
+	var opts []core.SolveOption
 	if !deadline.IsZero() {
 		opts = append(opts, core.WithBudget(time.Until(deadline)))
 	}

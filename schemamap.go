@@ -19,7 +19,7 @@
 //	internal/tgd      st tgds, canonical forms, text DSL
 //	internal/chase    the naive chase (canonical universal solutions)
 //	internal/cover    the Eq. (9) covers/creates measures
-//	internal/psl      a mini PSL engine with ADMM MAP inference
+//	internal/psl      the hinge-loss MRF and its consensus-ADMM MAP inference
 //	internal/core     the selection objective and the four solvers
 //	internal/clio     Clio-style candidate generation
 //	internal/ibench   iBench-style scenario generation with noise
@@ -244,9 +244,8 @@ func WithBudget(d time.Duration) SolveOption { return core.WithBudget(d) }
 func WithProgress(fn func(SolveEvent)) SolveOption { return core.WithProgress(fn) }
 
 // WithParallelism bounds the worker pools of a Solve call (the
-// Prepare pool and the collective solver's ADMM workers); n ≤ 0 means
-// GOMAXPROCS. ADMM iterates are bit-identical at every parallelism
-// level, so this only changes speed, never results.
+// Prepare pool and the sharded solvers' shard pool); n ≤ 0 means
+// GOMAXPROCS. It changes speed, never results.
 func WithParallelism(n int) SolveOption { return core.WithParallelism(n) }
 
 // WithSeed seeds randomised tie-breaking on a Solve call.

@@ -296,7 +296,7 @@ func (tr *trace) row(solver string, parallelism int) Row {
 }
 
 // replay measures one solver on the trace in-process. A zero-step
-// trace is one cold Prepare + solve. A stepped trace is replayed three
+// trace is a cold Prepare + solve. A stepped trace is replayed three
 // times: the timed replay (each step's mutation and warm re-solve
 // timed, nothing else in between), the cold reference on the final
 // state, and an untimed check replay that compares every step's
@@ -310,10 +310,15 @@ func (tr *trace) replay(ctx context.Context, solver core.Solver, par int) (Row, 
 	}
 	opts := []core.SolveOption{core.WithParallelism(par)}
 	if len(tr.steps) == 0 {
-		p, prepare := coldPrepare(1, par, func() *core.Problem { return core.NewProblem(tr.sc.I, tr.initial, tr.candidates) })
-		// Throughput solves once and skips the gold objective: both
-		// would allocate and lift the peak RSS the row records.
-		tput := tr.kind == traceThroughput
+		// Throughput prepares and solves once and skips the gold
+		// objective: each would allocate and lift the peak RSS the row
+		// records. A solve row's Prepare is best-of-3, like the stream
+		// rows' cold reference, since the prepare gate reads it.
+		tput, trials := tr.kind == traceThroughput, 3
+		if tput {
+			trials = 1
+		}
+		p, prepare := coldPrepare(trials, par, func() *core.Problem { return core.NewProblem(tr.sc.I, tr.initial, tr.candidates) })
 		if tput {
 			st := shard.StatsOf(shard.SplitN(p, par))
 			row.Shards, row.UncoveredTuples = st.Shards, st.UncoveredTuples

@@ -71,8 +71,9 @@ func DefaultOptions() Options {
 // to the first call that needs them — Index, Append or Remove — so a
 // sub-problem that is only solved (solvers read Len, Live and NumLive)
 // never builds them. The tuple-key map behind IndexOf is deferred the
-// same way, to the first IndexOf, Append or Remove: cold Prepare and
-// solves never resolve tuples by value. Both deferred builds are safe
+// same way, to the first IndexOf or Remove, and covers the live tuples
+// then, appended ones included: cold Prepare, solves and append-only
+// streams never resolve tuples by value. Both deferred builds are safe
 // under concurrent readers: Len, Live and NumLive read only Tuples and
 // the tombstones, which Remove alone writes.
 type JIndex struct {
@@ -86,7 +87,7 @@ type JIndex struct {
 	build     sync.Once
 	idx       *data.Index
 	buildKeys sync.Once
-	byKey     map[string]int
+	byKey     map[string]int // nil until buildKeys ran
 }
 
 // IndexJ builds a JIndex over the instance.
@@ -108,9 +109,9 @@ func (ix *JIndex) Index() *data.Index {
 	return ix.idx
 }
 
-// keys returns the tuple-key map, building it on first use. Append and
-// Remove call it before they change the tuples, so the build always
-// sees the live tuples only.
+// keys returns the tuple-key map, building it over the live tuples on
+// first use. Remove calls it before it tombstones, so the removed
+// tuples' keys are there to delete.
 func (ix *JIndex) keys() map[string]int {
 	ix.buildKeys.Do(func() {
 		ix.byKey = make(map[string]int, len(ix.Tuples))
@@ -129,12 +130,15 @@ func (ix *JIndex) keys() map[string]int {
 // dedups against its J instance first.
 func (ix *JIndex) Append(tuples []data.Tuple) {
 	idx := ix.Index()
-	byKey := ix.keys()
 	base := len(ix.Tuples)
 	idx.Append(tuples)
 	ix.Tuples = idx.Tuples()
-	for i := base; i < len(ix.Tuples); i++ {
-		byKey[ix.Tuples[i].Key()] = i
+	// A key map built already is extended; an unbuilt one will see the
+	// appended tuples when it is built.
+	if ix.byKey != nil {
+		for i := base; i < len(ix.Tuples); i++ {
+			ix.byKey[ix.Tuples[i].Key()] = i
+		}
 	}
 	if ix.dead != nil {
 		ix.dead = append(ix.dead, make([]bool, len(ix.Tuples)-base)...)
@@ -497,7 +501,7 @@ func (w *analyzeWorker) blockContrib(block []data.Tuple, retain bool, memo *bloc
 // contribution (max degree per J tuple, sparse and sorted) and the
 // number of matches enumerated.
 func (w *analyzeWorker) enumerateBlockPairs(block []data.Tuple, opts Options) ([]CoverPair, int) {
-	w.opts = opts
+	w.use(opts)
 	w.nulls.reset(block)
 	homs := w.searcher.EnumeratePartialHoms(block, opts.HomLimit, w.emit)
 	return w.drain(&w.blk, &w.blkTouch), homs
@@ -516,7 +520,7 @@ func (w *analyzeWorker) appendedBlockPairs(tb *trackedBlock, base int32, opts Op
 		limit = data.DefaultHomLimit
 	}
 	if tb.homs < limit {
-		w.opts = opts
+		w.use(opts)
 		w.nulls.reset(tb.tuples)
 		homs := tb.homs + w.searcher.EnumerateNewHoms(tb.tuples, base, limit-tb.homs, w.emit)
 		if homs < limit {
@@ -526,6 +530,17 @@ func (w *analyzeWorker) appendedBlockPairs(tb *trackedBlock, base int32, opts Op
 		w.drain(&w.blk, &w.blkTouch) // discard the partial row
 	}
 	return w.enumerateBlockPairs(tb.tuples, opts)
+}
+
+// use parametrises emit and the searcher for one enumeration. Under
+// the corroboration rule a block tuple the search leaves inert (see
+// data.Searcher.CollapseInert) scores 0 and corroborates nothing, so
+// the searcher counts its images instead of emitting each; without the
+// rule (the E8 ablation) such a tuple scores 1, and every image is
+// emitted.
+func (w *analyzeWorker) use(opts Options) {
+	w.opts = opts
+	w.searcher.CollapseInert = opts.Corroboration
 }
 
 // addMatch folds one partial homomorphism of the block being

@@ -192,3 +192,26 @@ func TestJIndexIndexOfCommaValues(t *testing.T) {
 		}
 	}
 }
+
+// org(O,C) below shares only O with task, so in the matches that skip
+// task it is an inert leaf: no constant, no null bound. Under
+// corroboration it scores 0 there and the search counts its images;
+// without corroboration (the E8 ablation) both of its nulls count, so
+// every org image is covered and the search must visit each.
+func TestInertLeafAblation(t *testing.T) {
+	I, J, _, _ := appendixExample()
+	th := tgd.MustParse("proj(p,e,c) -> task(p,e,O) & org(O,C)")
+	jidx := IndexJ(J)
+	sapOrg := jidx.IndexOf(data.NewTuple("org", "111", "SAP"))
+	googleOrg := jidx.IndexOf(data.NewTuple("org", "222", "Google"))
+	an := AnalyzeOne(0, th, I, J, DefaultOptions())
+	if !approx(an.CoversOf(sapOrg), 0.5) || an.CoversOf(googleOrg) != 0 {
+		t.Errorf("covers(org(111,SAP)), covers(org(222,Google)) = %v, %v, want 1/2, 0",
+			an.CoversOf(sapOrg), an.CoversOf(googleOrg))
+	}
+	naive := AnalyzeOne(0, th, I, J, Options{Corroboration: false})
+	if !approx(naive.CoversOf(sapOrg), 1) || !approx(naive.CoversOf(googleOrg), 1) {
+		t.Errorf("naive covers(org(111,SAP)), covers(org(222,Google)) = %v, %v, want 1, 1",
+			naive.CoversOf(sapOrg), naive.CoversOf(googleOrg))
+	}
+}

@@ -61,8 +61,9 @@ type trackedBlock struct {
 	// behind pairs emitted; below the hom limit it was complete.
 	homs int
 	// changed marks, during one rescan, a block whose contribution
-	// the re-enumeration changed.
-	changed bool
+	// the re-enumeration changed; dirty marks, while dirtyBlocks runs,
+	// a block it already collected.
+	changed, dirty bool
 	// pats caches the ids of the block's distinct tuple patterns (see
 	// Tracker.patIDs). Retained block tuples never change, so the cache
 	// is built once per block and reused by every append and removal —
@@ -91,14 +92,16 @@ type Tracker struct {
 	// a tuple whose image vanishes migrates back to errTuples.
 	okTuples [][]data.Tuple
 	// patIDs interns the null-insensitive patterns of retained block
-	// tuples, patReps holds one representative tuple per id, and
-	// patsByRel indexes the ids by relation and first constant.
-	// Dirtiness against a delta is pattern-determined, so dirtyBlocks
-	// probes the index with each changed tuple and looks the verdict up
-	// per block by id.
+	// tuples, patReps holds one representative tuple per id, patsByRel
+	// indexes the ids by relation and first constant, and patBlocks
+	// lists, by id, the retained blocks holding the pattern. Dirtiness
+	// against a delta is pattern-determined, so dirtyBlocks probes the
+	// index with each changed tuple and collects the blocks of the
+	// dirty ids, never visiting a clean block.
 	patIDs    map[string]int32
 	patReps   []data.Tuple
 	patsByRel map[string]*relPatterns
+	patBlocks [][]*trackedBlock
 	patBuf    []byte
 }
 
@@ -204,12 +207,13 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 	sort.Slice(out.ChangedTuples, func(a, b int) bool { return out.ChangedTuples[a] < out.ChangedTuples[b] })
 
 	// 4. Errors: a chase tuple still erroring stops iff it maps onto an
-	// appended tuple, which a probe of the appended ids alone answers.
+	// appended tuple, which a probe of the appended ids alone answers —
+	// and only a tuple of a relation the delta touched can.
 	idx := t.jidx.Index()
 	for i, errs := range t.errTuples {
 		kept := errs[:0]
 		for _, ct := range errs {
-			if !idx.Embeds(ct, int32(oldLen)) {
+			if _, touched := deltaByRel[ct.Rel]; !touched || !idx.Embeds(ct, int32(oldLen)) {
 				kept = append(kept, ct)
 				continue
 			}
@@ -313,11 +317,19 @@ func (t *Tracker) dirtyBlocks(changedByRel map[string][]data.Tuple) []*trackedBl
 		}
 	}
 	var dirty []*trackedBlock
-	//lint:commutative collects dirty blocks; each is rescanned into its own state, so their order only schedules the work
-	for _, tb := range t.blocks {
-		if slices.ContainsFunc(tb.pats, func(id int32) bool { return dirtyPat[id] }) {
-			dirty = append(dirty, tb)
+	for id, d := range dirtyPat {
+		if !d {
+			continue
 		}
+		for _, tb := range t.patBlocks[id] {
+			if !tb.dirty {
+				tb.dirty = true
+				dirty = append(dirty, tb)
+			}
+		}
+	}
+	for _, tb := range dirty {
+		tb.dirty = false
 	}
 	return dirty
 }
@@ -326,10 +338,13 @@ func (t *Tracker) dirtyBlocks(changedByRel map[string][]data.Tuple) []*trackedBl
 // every block on BuildTracker, and later the blocks source deltas and
 // candidate additions bring in (each calls it once it adopted them).
 func (t *Tracker) internBlocks() {
-	//lint:commutative per-block cache fill; pattern ids only key verdicts, so their numbering order does not matter
+	//lint:commutative per-block cache fill; pattern ids only key verdicts and patBlocks lists are sets, so the visiting order does not matter
 	for _, tb := range t.blocks {
 		if tb.pats == nil {
 			tb.pats = t.internPatterns(tb.tuples)
+			for _, id := range tb.pats {
+				t.patBlocks[id] = append(t.patBlocks[id], tb)
+			}
 		}
 	}
 }
@@ -345,6 +360,7 @@ func (t *Tracker) internPatterns(tuples []data.Tuple) []int32 {
 			id = int32(len(t.patReps))
 			t.patIDs[string(t.patBuf)] = id
 			t.patReps = append(t.patReps, bt)
+			t.patBlocks = append(t.patBlocks, nil)
 			t.indexPattern(id, bt)
 		}
 		if !slices.Contains(ids, id) {

@@ -3,6 +3,7 @@ package cover
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -376,4 +377,32 @@ func TestJIndexAppendMatchesRebuild(t *testing.T) {
 			t.Fatalf("candidate set of %v: appended %v, rebuilt %v", tp, got, want)
 		}
 	}
+}
+
+// BenchmarkTrackerAppend replays the M stream trace's appends: the M
+// scenario's target dealt into an initial half, tracked by
+// BuildTracker (untimed), and 8 append batches in shuffled arrival
+// order (the stream trace's seed), applied on GOMAXPROCS workers as
+// core.Problem.AppendTarget applies them.
+func BenchmarkTrackerAppend(b *testing.B) {
+	sc, err := ibench.Generate(scenarioConfigs()[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream, err := ibench.SplitTarget(sc, ibench.StreamConfig{Batches: 8, Seed: 29})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr, analyses := BuildTracker(sc.I, IndexJ(stream.Initial), sc.Candidates, DefaultOptions(), 0)
+		runtime.GC() // the build's garbage is not the appends' cost
+		b.StartTimer()
+		for _, batch := range stream.Batches {
+			tr.Append(batch, analyses, 0)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*len(stream.Batches)), "ms/append")
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"schemamap/internal/data"
 	"schemamap/internal/ibench"
 )
 
@@ -66,40 +67,49 @@ func TestAnalyzeMatchesReferenceOnScenarios(t *testing.T) {
 // The equality must also hold under the E8 ablation (no
 // corroboration) and under tight hom limits, where identical
 // enumeration order between the two paths is what keeps truncated
-// evidence identical.
+// evidence identical. The link-table scenario's all-null link atoms
+// are the inert leaves the searcher counts instead of visiting under
+// corroboration; a limit that falls inside such a run must truncate
+// the evidence exactly where the reference's enumeration does.
 func TestAnalyzeMatchesReferenceAblations(t *testing.T) {
-	cfg := scenarioConfigs()[0]
-	sc, err := ibench.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
+	link := ibench.DefaultConfig(70, 70)
+	link.Rows = 20
+	opts := []Options{{Corroboration: false}}
+	for _, limit := range []int{1, 2, 3, 5, 7} {
+		opts = append(opts, Options{Corroboration: true, HomLimit: limit}, Options{Corroboration: false, HomLimit: limit})
 	}
-	jidx := IndexJ(sc.J)
-	for _, opts := range []Options{
-		{Corroboration: false},
-		{Corroboration: true, HomLimit: 3},
-		{Corroboration: false, HomLimit: 1},
-	} {
-		want := AnalyzeReference(sc.I, jidx, sc.Candidates, opts)
-		got := Analyze(sc.I, jidx, sc.Candidates, opts)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("opts %+v: indexed path diverged from reference", opts)
+	for ci, cfg := range []ibench.Config{scenarioConfigs()[0], link} {
+		sc, err := ibench.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jidx := IndexJ(sc.J)
+		for _, o := range opts {
+			want := AnalyzeReference(sc.I, jidx, sc.Candidates, o)
+			got := Analyze(sc.I, jidx, sc.Candidates, o)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("scenario %d, opts %+v: indexed path diverged from reference", ci, o)
+			}
 		}
 	}
 }
 
 // Random small scenarios widen the differential net beyond the ibench
 // generator's shapes (joins through shared nulls, repeated nulls,
-// noise tuples).
+// noise tuples). Without corroboration a tuple the searcher would
+// leave inert covers its images, so the ablation must visit them.
 func TestAnalyzeMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	for trial := 0; trial < 40; trial++ {
 		I, J, cands := randomScenario(rng)
 		jidx := IndexJ(J)
-		want := AnalyzeReference(I, jidx, cands, DefaultOptions())
-		got := Analyze(I, jidx, cands, DefaultOptions())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: indexed path diverged from reference\n got  %+v\n want %+v",
-				trial, got, want)
+		for _, opts := range []Options{DefaultOptions(), {Corroboration: false}} {
+			want := AnalyzeReference(I, jidx, cands, opts)
+			got := Analyze(I, jidx, cands, opts)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, opts %+v: indexed path diverged from reference\n got  %+v\n want %+v",
+					trial, opts, got, want)
+			}
 		}
 	}
 }
@@ -180,12 +190,7 @@ func TestAnalyzeNAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyses an 11k-tuple scenario")
 	}
-	cfg := ibench.DefaultConfig(70, 70)
-	cfg.Rows = 100
-	sc, err := ibench.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := shardedScenario(t)
 	jidx := IndexJ(sc.J)
 	allocs := testing.AllocsPerRun(2, func() {
 		AnalyzeN(sc.I, jidx, sc.Candidates, DefaultOptions(), 1)
@@ -196,16 +201,53 @@ func TestAnalyzeNAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkAnalyzeNSharded is the cold evidence path of one
-// sharded-throughput op: index the ≈11k-tuple target of the 70-primitive
-// scenario, then analyse every candidate on 2 workers.
-func BenchmarkAnalyzeNSharded(b *testing.B) {
+// On the sharded-throughput scenario most matches differ only in the
+// image of an inert leaf — a vertical partitioning's all-null link
+// atom whose partner was skipped — so a cold analysis must count those
+// runs, not visit them: AnalyzeN's single-worker body (analyzeOne per
+// candidate over one block memo) may call its match callback for at
+// most a quarter of the matches its blocks count. Visiting every match
+// calls it for all of them.
+func TestAnalyzeNCountsInertRuns(t *testing.T) {
+	sc := shardedScenario(t)
+	jidx := IndexJ(sc.J)
+	w := newAnalyzeWorker(jidx)
+	emits := 0
+	w.emit = func(m *data.IndexedMatch) bool {
+		emits++
+		return w.addMatch(m)
+	}
+	memo := newBlockMemo(nil, jidx.Len())
+	for i, d := range sc.Candidates {
+		w.analyzeOne(i, d, sc.I, memo, DefaultOptions(), nil)
+	}
+	homs := 0
+	for _, tb := range memo.blocks() {
+		homs += tb.homs
+	}
+	t.Logf("%d match callbacks for %d matches (%.0f%%)", emits, homs, 100*float64(emits)/float64(homs))
+	if 4*emits > homs {
+		t.Fatalf("%d match callbacks for %d matches, want at most a quarter", emits, homs)
+	}
+}
+
+// shardedScenario generates the sharded-throughput scenario shape: 70
+// primitives, 100 rows, ≈11k target tuples.
+func shardedScenario(tb testing.TB) *ibench.Scenario {
 	cfg := ibench.DefaultConfig(70, 70)
 	cfg.Rows = 100
 	sc, err := ibench.Generate(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return sc
+}
+
+// BenchmarkAnalyzeNSharded is the cold evidence path of one
+// sharded-throughput op: index the ≈11k-tuple target of the 70-primitive
+// scenario, then analyse every candidate on 2 workers.
+func BenchmarkAnalyzeNSharded(b *testing.B) {
+	sc := shardedScenario(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

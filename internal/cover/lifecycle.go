@@ -195,7 +195,8 @@ func (t *Tracker) RemoveCandidates(keep []bool) {
 	t.sweepBlocks()
 }
 
-// sweepBlocks drops blocks no candidate references anymore.
+// sweepBlocks drops blocks no candidate references anymore, from the
+// block map and from the pattern lists dirtyBlocks reads.
 func (t *Tracker) sweepBlocks() {
 	used := make(map[*trackedBlock]bool, len(t.blocks))
 	for _, blocks := range t.candBlocks {
@@ -208,5 +209,8 @@ func (t *Tracker) sweepBlocks() {
 		if !used[tb] {
 			delete(t.blocks, k)
 		}
+	}
+	for id, blocks := range t.patBlocks {
+		t.patBlocks[id] = slices.DeleteFunc(blocks, func(tb *trackedBlock) bool { return !used[tb] })
 	}
 }

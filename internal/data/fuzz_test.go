@@ -139,6 +139,83 @@ func checkSearchCase(t *testing.T, sc searchCase) {
 	if sc.appended > 0 {
 		checkNewHoms(t, s, sc.block, int32(built), sc.limit)
 	}
+	checkCollapse(t, s, sc.block, int32(built), sc.appended > 0)
+}
+
+// checkCollapse checks Searcher.CollapseInert against the full
+// enumeration, at limits 1–8 and the default, for EnumeratePartialHoms
+// and, when the case appends, EnumerateNewHoms over the ids from base
+// on: the collapsed search returns the full one's count, and its
+// emissions equal the full one's as sets once inert tuples are
+// unmapped (see inertFree).
+func checkCollapse(t *testing.T, s *Searcher, block []Tuple, base int32, appended bool) {
+	t.Helper()
+	type search struct {
+		name string
+		run  func(limit int, emit func(*IndexedMatch) bool) int
+	}
+	searches := []search{{"EnumeratePartialHoms", func(limit int, emit func(*IndexedMatch) bool) int {
+		return s.EnumeratePartialHoms(block, limit, emit)
+	}}}
+	if appended {
+		searches = append(searches, search{"EnumerateNewHoms", func(limit int, emit func(*IndexedMatch) bool) int {
+			return s.EnumerateNewHoms(block, base, limit, emit)
+		}})
+	}
+	defer func() { s.CollapseInert = false }()
+	for _, sr := range searches {
+		for limit := 0; limit <= 8; limit++ {
+			var n [2]int
+			var sets [2][]string
+			for c, collapse := range []bool{false, true} {
+				s.CollapseInert = collapse
+				seen := make(map[string]bool)
+				n[c] = sr.run(limit, func(m *IndexedMatch) bool {
+					if k := inertFree(block, m); !seen[k] {
+						seen[k] = true
+						sets[c] = append(sets[c], k)
+					}
+					return true
+				})
+				slices.Sort(sets[c])
+			}
+			if n[1] != n[0] || !slices.Equal(sets[1], sets[0]) {
+				t.Fatalf("%s, limit %d, block %v: collapsed count %d, full %d\ncollapsed %v\nfull      %v",
+					sr.name, limit, block, n[1], n[0], sets[1], sets[0])
+			}
+		}
+	}
+}
+
+// inertFree renders a match with its inert tuples unmapped: the mapped
+// tuples without a constant none of whose nulls occurs in another
+// mapped tuple. The inert leaf CollapseInert folds is one of them, and
+// unmapping them changes no other tuple's status.
+func inertFree(block []Tuple, m *IndexedMatch) string {
+	images := make([]int32, len(block))
+	for i := range block {
+		images[i] = -1
+		if m.Mapped[i] && !inert(block, m.Mapped, i) {
+			images[i] = m.Image[i]
+		}
+	}
+	return fmt.Sprint(images)
+}
+
+// inert reports whether block tuple i, mapped, has no constant and
+// shares no null with another mapped tuple.
+func inert(block []Tuple, mapped []bool, i int) bool {
+	for _, a := range block[i].Args {
+		if !a.IsNull() {
+			return false
+		}
+		for j, other := range block {
+			if j != i && mapped[j] && slices.Contains(other.Args, a) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // checkNewHoms checks EnumerateNewHoms against a filter of the full
@@ -242,10 +319,11 @@ func checkPostings(t *testing.T, ix *Index) {
 
 // The indexed searcher — CSR posting lists, appends, bound-null probes
 // and tombstones included — must emit exactly the reference
-// enumeration's sequence. The committed corpus seeds link-table blocks
-// over relations larger than probeCutoff (so the bound-null probe
-// runs), repeated nulls, target nulls, tombstones, limits 1 and 7,
-// relations in several runs, and appends.
+// enumeration's sequence, and its inert-leaf collapse must keep the
+// counts and, up to inert tuples, the matches. The committed corpus
+// seeds link-table blocks over relations larger than probeCutoff (so
+// the bound-null probe runs), repeated nulls, target nulls,
+// tombstones, limits 1 and 7, relations in several runs, and appends.
 func FuzzSearcherMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		checkSearchCase(t, decodeSearchCase(in))

@@ -28,6 +28,14 @@ import (
 // differential tests and the fuzz target in index_test.go, and the
 // analysis differentials in internal/cover, pin the two paths against
 // each other, hom limits included.
+//
+// One opt-in departure from that sequence: with CollapseInert set, the
+// run of images of an inert leaf — the last processed tuple, when it
+// has no constant and no bound null — is counted rather than visited
+// and reported as one match with the tuple unmapped. The count, the
+// hom-limit cut-off and every maximum over matches of a score that
+// gives such a tuple 0 are those of the full enumeration; the same
+// tests pin that, at limits 1–8 and the default.
 
 // Index is a probe structure over one instance. Tuple ids are
 // positions in the Instance.All() order at build time; the index does
@@ -341,8 +349,11 @@ func (ix *Index) live(id int32) bool { return ix.dead == nil || !ix.dead[id] }
 // IndexedMatch is the allocation-free analogue of BlockMatch emitted
 // by Searcher.EnumeratePartialHoms: Image[i] is the id of the target
 // tuple block tuple i maps to, valid only where Mapped[i] is true.
-// The struct and its slices are reused across emissions — callers
-// must consume it inside the callback and not retain it.
+// Under Searcher.CollapseInert one match may stand for a run of
+// matches that differ only in the image of an inert leaf, which it
+// leaves unmapped. The struct and its slices are reused across
+// emissions — callers must consume it inside the callback and not
+// retain it.
 type IndexedMatch struct {
 	Mapped []bool
 	Image  []int32
@@ -365,6 +376,21 @@ type candSet struct {
 // concurrent use; build one per worker (the Index itself is shared and
 // read-only).
 type Searcher struct {
+	// CollapseInert makes the search count, rather than visit, the run
+	// of images of an inert leaf: the last processed block tuple, when
+	// it has no constant and none of its nulls is bound by the tuples
+	// mapped before it. Mapping such a tuple corroborates nothing and,
+	// under the corroboration rule, covers nothing, so its images differ
+	// only in a score of 0. The run is reported as one emission with the
+	// tuple unmapped and the rest of it is added to the emitted count,
+	// capped where the full enumeration would hit the limit; a callback
+	// returning false on that emission stops the search as it would
+	// after the run's first match. Counts, and every maximum over the
+	// matches of a score that ignores inert tuples, are unchanged; the
+	// emission sequence is the full one's with each run folded into one
+	// match.
+	CollapseInert bool
+
 	ix *Index
 
 	// Search scratch, grown on demand. Per-position slices are indexed
@@ -409,9 +435,10 @@ func NewSearcher(ix *Index) *Searcher { return &Searcher{ix: ix} }
 // EnumeratePartialHoms enumerates partial homomorphisms from block
 // into the indexed instance, with the exact semantics, enumeration
 // order and limit behaviour of the package-level EnumeratePartialHoms
-// (limit <= 0 means the same default cap), and returns the number of
-// matches it emitted. The emitted IndexedMatch is reused across calls;
-// see its doc comment.
+// (limit <= 0 means the same default cap; see CollapseInert for the
+// one opt-in departure), and returns the number of matches it
+// enumerated, counted ones included. The emitted IndexedMatch is
+// reused across calls; see its doc comment.
 func (s *Searcher) EnumeratePartialHoms(block []Tuple, limit int, emit func(*IndexedMatch) bool) int {
 	s.begin(block, limit, emit)
 	s.plan(-1, 0)
@@ -422,8 +449,10 @@ func (s *Searcher) EnumeratePartialHoms(block []Tuple, limit int, emit func(*Ind
 // EnumerateNewHoms enumerates the partial homomorphisms from block that
 // map at least one block tuple onto an id ≥ base: after an Append of
 // ids base.., exactly the matches a search before it could not find.
-// They come in no particular order. It emits at most limit matches
-// (limit <= 0 means the default cap) and returns how many it emitted.
+// They come in no particular order. It enumerates at most limit
+// matches (limit <= 0 means the default cap; CollapseInert counts an
+// inert leaf's run as EnumeratePartialHoms does) and returns how many
+// it enumerated.
 //
 // Each such match is found once, under the first block tuple it maps
 // to a new id: that tuple is searched first, among the new ids only,
@@ -581,6 +610,12 @@ func (s *Searcher) rec(k int) {
 	i := s.order[k]
 	t := s.block[i]
 	slots := s.argSlot[s.argOff[k]:s.argOff[k+1]]
+	if s.CollapseInert && k == len(s.block)-1 && s.consts[i] == 0 {
+		if inert, repeated := s.inertSlots(slots); inert {
+			s.countRun(k, t, repeated)
+			return
+		}
+	}
 	// A bound null narrows the candidates to the posting list of its
 	// image at that position. The filtered list is exactly the
 	// subsequence of the candidate set that tryBind could accept, in
@@ -625,6 +660,56 @@ func (s *Searcher) rec(k int) {
 		}
 	}
 	// Option 2: skip tuple i.
+	if s.optional[k] {
+		s.rec(k + 1)
+	}
+}
+
+// inertSlots reports whether none of the given null slots is bound,
+// and whether a slot occurs twice (a repeated null).
+func (s *Searcher) inertSlots(slots []int32) (inert, repeated bool) {
+	for p, sl := range slots {
+		if s.isBound[sl] {
+			return false, false
+		}
+		repeated = repeated || slices.Contains(slots[:p], sl)
+	}
+	return true, repeated
+}
+
+// countRun takes the place of rec's two options for the inert leaf at
+// position k (see CollapseInert). Without a repeated null every
+// candidate in [lo, hi) is an image, so two binary searches count the
+// run; with one, the candidates are checked until the limit is reached.
+// One emission, the tuple unmapped, stands for a non-empty run; the
+// skip option follows when the limit allows, as in rec.
+func (s *Searcher) countRun(k int, t Tuple, repeated bool) {
+	probe := s.cands[s.order[k]].ids
+	at, _ := slices.BinarySearch(probe, s.lo[k])
+	end, _ := slices.BinarySearch(probe, s.hi[k])
+	probe = probe[at:end]
+	n := len(probe)
+	if repeated {
+		n = 0
+		for _, cid := range probe {
+			if repeatedNullsConsistent(t, s.ix.tuples[cid]) {
+				if n++; s.emitted+n >= s.limit {
+					break
+				}
+			}
+		}
+	}
+	if n > 0 {
+		s.emitted++
+		if !s.emit(&s.match) {
+			s.stopped = true
+			return
+		}
+		s.emitted += min(n-1, s.limit-s.emitted)
+		if s.emitted >= s.limit {
+			return
+		}
+	}
 	if s.optional[k] {
 		s.rec(k + 1)
 	}

@@ -64,7 +64,7 @@ func EvidenceIdentical(p, cold *core.Problem) bool {
 		}
 	}
 	// Same live target as tuple sets (both directions covered by equal
-	// live counts plus the byKey lookups above).
+	// live counts plus the IndexOf lookups below).
 	for j, t := range pj.Tuples {
 		if !pj.Live(j) {
 			continue

@@ -9,7 +9,7 @@ import (
 
 // grounding is the retained direct-build HL-MRF of a Problem: the
 // ground MRF plus the slot bookkeeping incremental re-grounding needs
-// to touch only delta-dirty factors after an AppendTarget, and the
+// to touch only delta-dirty factors after a lifecycle mutation, and the
 // captured ADMM dual state the next warm solve restarts from.
 //
 // The MRF is the collective encoding with every Explained(t) atom
@@ -52,8 +52,8 @@ type grounding struct {
 
 // directGrounding returns the retained grounding, building it on first
 // use (or after an invalidation). The returned MRF is read-only for
-// solvers; only AppendTarget mutates it, and the Problem contract
-// already forbids appends concurrent with solves.
+// solvers; only the lifecycle mutators patch it, and the Problem
+// contract already forbids mutations concurrent with solves.
 func (p *Problem) directGrounding() *grounding {
 	p.Prepare()
 	p.groundMu.Lock()
@@ -70,6 +70,8 @@ func (p *Problem) directGrounding() *grounding {
 // SelectionMRF prepares the problem and returns a freshly built ground
 // HL-MRF of the collective solver's encoding. It is built cold and
 // never touches the retained grounding, so the caller owns it.
+//
+//lint:testonly psl oracle tests and core grounding tests compare against the cold build
 func (p *Problem) SelectionMRF() *psl.MRF {
 	p.Prepare()
 	return buildGrounding(p).mrf
@@ -133,12 +135,13 @@ func (g *grounding) groundTuple(p *Problem, j int, cands []int32, covs []float64
 	}
 }
 
-// applyDelta re-grounds only the factors an AppendTarget dirtied:
-// newly covered tuples get appended hinges, changed tuple hinges are
-// rebuilt in place at their slot (tombstoning the retained dual), and
-// changed prior weights are updated in place. It reports false when
-// the delta needs a transition the slot surgery cannot express; the
-// caller then drops the grounding entirely. Callers hold p.groundMu.
+// applyDelta re-grounds only the factors a target or source delta
+// dirtied: newly covered tuples get appended hinges, changed tuple
+// hinges are rebuilt in place at their slot (tombstoning the retained
+// dual), and changed prior weights are updated in place. It reports
+// false when the delta needs a transition the slot surgery cannot
+// express; the caller then drops the grounding entirely. Callers hold
+// p.groundMu.
 func (g *grounding) applyDelta(p *Problem, d *TargetDelta) bool {
 	if g.weights != p.Weights {
 		return false
@@ -164,7 +167,7 @@ func (g *grounding) applyDelta(p *Problem, d *TargetDelta) bool {
 		slot := g.potSlot[j]
 		switch {
 		case len(cands) == 0 && slot >= 0:
-			// Coverage vanished (possible only under HomLimit
+			// Coverage vanished (a source removal, or HomLimit
 			// truncation): the cold build would omit the hinge; rebuild
 			// cold.
 			return false

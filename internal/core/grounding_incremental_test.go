@@ -50,11 +50,15 @@ func canonicalMRF(m *psl.MRF) []string {
 	return out
 }
 
-// The retained grounding after every AppendTarget batch must be
+// The retained grounding after every AppendTarget batch, and after
+// each half of a remove-then-add source delta, must be
 // factor-for-factor identical (exact float bits) to a cold
-// buildGrounding over the same grown target — the differential test
-// behind the incremental re-grounding path.
+// buildGrounding over the same mutated problem — the differential test
+// behind the incremental re-grounding path. Some evidence-changing
+// source deltas must keep the grounding, or the source half checks
+// only cold rebuilds.
 func TestIncrementalGroundingMatchesCold(t *testing.T) {
+	kept := 0
 	for ci, cfg := range streamConfigs() {
 		sc, err := ibench.Generate(cfg)
 		if err != nil {
@@ -82,6 +86,26 @@ func TestIncrementalGroundingMatchesCold(t *testing.T) {
 			want := canonicalMRF(cold.SelectionMRF())
 			diffCanonical(t, fmt.Sprintf("config %d batch %d", ci, bi), got, want)
 		}
+
+		src := sc.I.All()
+		for k := 0; k < len(src); k += 4 {
+			for _, d := range []SourceDelta{{Remove: src[k : k+1]}, {Add: src[k : k+1]}} {
+				g := p.directGrounding()
+				delta, err := p.ApplySourceDelta(d)
+				if err != nil {
+					t.Fatalf("config %d source tuple %d: %v", ci, k, err)
+				}
+				if p.ground == g && len(delta.ChangedTuples)+len(delta.ErrorsChanged) > 0 {
+					kept++
+				}
+				got := canonicalMRF(p.directGrounding().mrf)
+				want := canonicalMRF(coldProblemOf(p).SelectionMRF())
+				diffCanonical(t, fmt.Sprintf("config %d source delta %+v", ci, d), got, want)
+			}
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no evidence-changing source delta kept the retained grounding")
 	}
 }
 

@@ -6,7 +6,8 @@ package core
 // mutation keeps the prepared evidence value-identical to a cold
 // Prepare of the mutated problem, updates the version counters
 // coherently, and bumps the mutation sequence when the evidence
-// changed, which makes earlier Evaluators and split caches stale.
+// changed, which makes earlier Evaluators stale. A sub-problem view is
+// read-only: each mutation on it returns an error and changes nothing.
 
 import (
 	"fmt"
@@ -31,11 +32,9 @@ import (
 func (p *Problem) RemoveTarget(tuples []data.Tuple) (*TargetDelta, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.Prepare()
-	if err := p.CheckFresh(); err != nil {
+	if err := p.beginMutation(); err != nil {
 		return nil, err
 	}
-	p.ensureTracker()
 	seen := make(map[int32]bool, len(tuples))
 	var removed []data.Tuple
 	var ids []int32
@@ -89,18 +88,17 @@ type SourceDelta struct {
 // are still reused via the retained block memo). I's version counter
 // is bumped and re-recorded, keeping CheckFresh green.
 //
-// The retained collective grounding is dropped when any evidence
-// changed (factor slots cannot survive a re-chase); the next
-// collective solve rebuilds cold. The returned delta lists the changed
-// tuples and error counts.
+// The retained collective grounding is patched as for a target
+// delta: changed tuple hinges are rebuilt in place and changed priors
+// reweighted, and it is dropped only for a transition the slot surgery
+// cannot express (see grounding.applyDelta). The returned delta lists
+// the changed tuples and error counts.
 func (p *Problem) ApplySourceDelta(d SourceDelta) (*TargetDelta, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.Prepare()
-	if err := p.CheckFresh(); err != nil {
+	if err := p.beginMutation(); err != nil {
 		return nil, err
 	}
-	p.ensureTracker()
 	changed := make(map[string]bool)
 	for _, t := range d.Add {
 		if p.I.Add(t) {
@@ -122,7 +120,9 @@ func (p *Problem) ApplySourceDelta(d SourceDelta) (*TargetDelta, error) {
 			p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
 		}
 		p.groundMu.Lock()
-		p.ground = nil
+		if p.ground != nil && !p.ground.applyDelta(p, delta) {
+			p.ground = nil
+		}
 		p.groundMu.Unlock()
 		p.mutSeq.Add(1)
 	}
@@ -144,14 +144,12 @@ func (p *Problem) ApplySourceDelta(d SourceDelta) (*TargetDelta, error) {
 func (p *Problem) AddCandidates(cands tgd.Mapping) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.Prepare()
-	if err := p.CheckFresh(); err != nil {
+	if err := p.beginMutation(); err != nil {
 		return 0, err
 	}
 	if len(cands) == 0 {
 		return 0, nil
 	}
-	p.ensureTracker()
 	newAn := p.tracker.AddCandidates(p.I, cands, 0)
 	p.Candidates = append(append(tgd.Mapping{}, p.Candidates...), cands...)
 	p.analyses = append(p.analyses, newAn...)
@@ -168,11 +166,12 @@ func (p *Problem) AddCandidates(cands tgd.Mapping) (int, error) {
 // retained streaming state. An out-of-range index returns an error
 // and leaves the problem untouched; duplicate indices are retired
 // once. The same staleness rules as AddCandidates apply.
+//
+//lint:testonly lifecycle tests drive it; no trace step or HTTP op retires candidates until ROADMAP item 7(a) adds one
 func (p *Problem) RemoveCandidates(indices []int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.Prepare()
-	if err := p.CheckFresh(); err != nil {
+	if err := p.beginMutation(); err != nil {
 		return err
 	}
 	keep := make([]bool, len(p.Candidates))
@@ -192,7 +191,6 @@ func (p *Problem) RemoveCandidates(indices []int) error {
 	if n == 0 {
 		return nil
 	}
-	p.ensureTracker()
 	p.tracker.RemoveCandidates(keep)
 	kept := make(tgd.Mapping, 0, len(keep)-n)
 	w := 0

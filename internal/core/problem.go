@@ -20,6 +20,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -86,8 +87,8 @@ func (b Breakdown) String() string {
 // detected via the instances' version counters: Solve returns an
 // error and Objective panics on a stale problem.
 //
-// A sub-problem view built by Subproblem has a nil J until its first
-// lifecycle mutation builds it; see Subproblem.
+// A sub-problem view built by Subproblem has a nil J and is read-only:
+// its lifecycle methods return an error; see Subproblem.
 type Problem struct {
 	I          *data.Instance
 	J          *data.Instance
@@ -120,39 +121,8 @@ type Problem struct {
 	// mutSeq counts the lifecycle mutations that changed the prepared
 	// evidence: each append or removal of at least one tuple, each
 	// candidate change, and each source delta that altered coverage or
-	// error counts. Evaluators and the split cache compare it to detect
-	// staleness.
+	// error counts. Evaluators compare it to detect staleness.
 	mutSeq atomic.Uint64
-
-	// splitMu guards splitVal, splitSeq: the sharding layer's retained
-	// decomposition (an opaque artifact — core does not know the shard
-	// types) and the mutation sequence it was computed at.
-	splitMu  sync.Mutex
-	splitVal any
-	splitSeq uint64
-}
-
-// LoadSplitCache returns the retained sharding decomposition if no
-// evidence mutation happened since it was stored, and nil otherwise.
-// The artifact's lifetime is tied to the Problem, so a retained split
-// never outlives the evidence it decomposes.
-func (p *Problem) LoadSplitCache() any {
-	p.splitMu.Lock()
-	defer p.splitMu.Unlock()
-	if p.splitVal == nil || p.splitSeq != p.mutSeq.Load() {
-		return nil
-	}
-	return p.splitVal
-}
-
-// StoreSplitCache retains a sharding decomposition computed against
-// the Problem's current evidence. The sharded solver populates it only
-// on warm re-solves, so one-shot cold solves never pay the retention.
-func (p *Problem) StoreSplitCache(v any) {
-	p.splitMu.Lock()
-	p.splitVal = v
-	p.splitSeq = p.mutSeq.Load()
-	p.splitMu.Unlock()
 }
 
 // NewProblem builds a problem with default weights and cover options.
@@ -225,11 +195,9 @@ type TargetDelta = cover.TrackerDelta
 func (p *Problem) AppendTarget(tuples []data.Tuple) (*TargetDelta, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.Prepare()
-	if err := p.CheckFresh(); err != nil {
+	if err := p.beginMutation(); err != nil {
 		return nil, err
 	}
-	p.ensureTracker()
 	var added []data.Tuple
 	for _, t := range tuples {
 		if p.J.Add(t) {
@@ -299,25 +267,34 @@ func (p *Problem) CheckFresh() error {
 	return nil
 }
 
-// ensureTracker readies a prepared problem for a lifecycle mutation:
-// it builds a sub-problem view's target instance (see Subproblem) and
-// the retained streaming state when they are missing. Callers hold mu.
-func (p *Problem) ensureTracker() {
+// errView is what a lifecycle mutation of a sub-problem view returns.
+var errView = errors.New("core: a sub-problem view is read-only; Fork it to mutate")
+
+// beginMutation readies the problem for a lifecycle mutation: it
+// prepares it, refuses a sub-problem view (see Subproblem) and stale
+// evidence, and builds the retained streaming state when it is
+// missing. Callers hold mu.
+func (p *Problem) beginMutation() error {
+	p.Prepare()
 	if p.J == nil {
-		p.J = targetOf(p.jidx)
-		p.jVer = p.J.Version()
+		return errView
+	}
+	if err := p.CheckFresh(); err != nil {
+		return err
 	}
 	if p.tracker == nil {
 		p.tracker, p.analyses = cover.BuildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, 0)
 	}
+	return nil
 }
 
 // cloneTarget returns a private copy of the target for a fork; a
-// sub-problem view's copy is built from its tuples, leaving the view
-// itself untouched. Callers hold mu.
+// sub-problem view's copy is built from its tuples. Callers hold mu.
 func (p *Problem) cloneTarget() *data.Instance {
 	if p.J == nil {
-		return targetOf(p.jidx)
+		J := data.NewInstance()
+		J.AddAll(p.jidx.Tuples)
+		return J
 	}
 	return p.J.Clone()
 }

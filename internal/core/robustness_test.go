@@ -121,7 +121,8 @@ func TestZeroWeights(t *testing.T) {
 // TestIndependentOverSelects.)
 func TestDuplicateCandidates(t *testing.T) {
 	p := appendixProblem()
-	p.Candidates = append(p.Candidates, p.Candidates[1].Clone())
+	dup := *p.Candidates[1]
+	p.Candidates = append(p.Candidates, &dup)
 	for i := 0; i < 6; i++ {
 		name := "X" + string(rune('a'+i))
 		p.I.Add(data.NewTuple("proj", name, "Alice", "SAP"))

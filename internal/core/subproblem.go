@@ -15,15 +15,15 @@ import (
 // ascending. The prepared evidence is *sliced*, not recomputed — no
 // chase or homomorphism search runs.
 //
-// The subproblem is a view over the parent's prepared target: its
-// JIndex holds the parent's tuple values for tupleIdx and nothing
-// else — no key strings, posting lists or target instance — so
-// building one costs O(|tupleIdx| + evidence touched). Its J field
-// stays nil until the first lifecycle mutation (AppendTarget,
-// RemoveTarget, ApplySourceDelta, AddCandidates, RemoveCandidates)
-// builds the target instance; Fork and ForkDetached build one for the
-// fork, and JIndex().IndexOf or JIndex().Index build the key map and
-// posting lists on first use. Solvers need none of these.
+// The subproblem is a read-only view over the parent's prepared
+// target: its JIndex holds the parent's tuple values for tupleIdx and
+// nothing else — no posting lists, tombstones or target instance — so
+// building one costs O(|tupleIdx| + evidence touched). Its J field is
+// nil, and its lifecycle mutators (AppendTarget, RemoveTarget,
+// ApplySourceDelta, AddCandidates, RemoveCandidates) return an error
+// and change nothing. Fork and ForkDetached return an owned, mutable
+// problem over a copy of its tuples. JIndex().IndexOf on a view scans
+// its tuples. Solvers need none of these.
 //
 // The intended caller is connected-component sharding
 // (internal/shard): when the index sets are closed under the evidence
@@ -36,8 +36,8 @@ import (
 // The subproblem shares the parent's source instance, tgd pointers and
 // (immutable) tuple values, and is born prepared: Prepare on it is a
 // no-op, and solvers can run on it immediately and concurrently. It is
-// detached from the parent — a target mutation on either does not
-// affect the other.
+// detached from the parent — a later mutation of the parent does not
+// affect it.
 func (p *Problem) Subproblem(candIdx, tupleIdx []int) *Problem {
 	p.Prepare()
 	p.mustFresh()
@@ -87,15 +87,4 @@ func (p *Problem) Subproblem(candIdx, tupleIdx []int) *Problem {
 		sub.prepared = true
 	})
 	return sub
-}
-
-// targetOf builds a target instance holding the live tuples of jidx.
-func targetOf(jidx *cover.JIndex) *data.Instance {
-	J := data.NewInstance()
-	for j, t := range jidx.Tuples {
-		if jidx.Live(j) {
-			J.Add(t)
-		}
-	}
-	return J
 }

@@ -3,11 +3,14 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
-	"schemamap/internal/bench"
 	"schemamap/internal/core"
+	"schemamap/internal/cover"
 	"schemamap/internal/data"
 	"schemamap/internal/ibench"
 )
@@ -35,8 +38,7 @@ func viewFixture(t *testing.T) (p, sub *core.Problem, cands, tuples []int) {
 }
 
 // TestSubproblemIsView: a sub-problem solves and evaluates like its
-// parent without ever building a target instance; IndexOf resolves
-// on demand, and the first lifecycle mutation builds the target.
+// parent without a target instance, and IndexOf resolves its tuples.
 func TestSubproblemIsView(t *testing.T) {
 	p, sub, _, _ := viewFixture(t)
 	sel, err := core.MustGet("collective").Solve(context.Background(), sub)
@@ -47,29 +49,75 @@ func TestSubproblemIsView(t *testing.T) {
 		t.Fatalf("view objective %+v != parent %+v", got, want)
 	}
 	if sub.J != nil {
-		t.Fatal("solving a view built its target instance")
+		t.Fatal("a view has a target instance")
 	}
 	for j, tu := range sub.JIndex().Tuples {
 		if got := sub.JIndex().IndexOf(tu); got != j {
 			t.Fatalf("IndexOf(%s) = %d, want %d", tu, got, j)
 		}
 	}
-	if sub.J != nil {
-		t.Fatal("IndexOf on a view built its target instance")
+	if got := sub.JIndex().IndexOf(data.NewTuple("view_extra", "a")); got != -1 {
+		t.Fatalf("IndexOf of an absent tuple = %d, want -1", got)
 	}
-	extra := data.NewTuple("view_extra", "a")
-	if _, err := sub.AppendTarget([]data.Tuple{extra}); err != nil {
-		t.Fatalf("append to view: %v", err)
+}
+
+// problemState is what a lifecycle mutation can change.
+type problemState struct {
+	candidates, slots, live, iLen int
+	analyses                      []cover.Analysis
+	iVersion                      uint64
+}
+
+func stateOf(p *core.Problem) problemState {
+	return problemState{
+		candidates: p.NumCandidates(),
+		slots:      p.JIndex().Len(),
+		live:       p.NumLiveTuples(),
+		analyses:   slices.Clone(p.Analyses()),
+		iVersion:   p.I.Version(),
+		iLen:       p.I.Len(),
 	}
-	if sub.J == nil || sub.J.Len() != p.JIndex().Len()+1 || !sub.J.Has(extra) {
-		t.Fatal("AppendTarget did not build the view's target with the appended tuple")
+}
+
+// TestSubproblemMutatorsRejected: every lifecycle mutator of a view
+// returns the read-only error and changes neither the view nor its
+// parent; a fork of the view is mutable.
+func TestSubproblemMutatorsRejected(t *testing.T) {
+	p, sub, _, _ := viewFixture(t)
+	parentBefore, viewBefore := stateOf(p), stateOf(sub)
+	src := p.I.All()[0]
+	mutators := map[string]func() error{
+		"AppendTarget": func() error {
+			_, err := sub.AppendTarget([]data.Tuple{data.NewTuple("view_extra", "a")})
+			return err
+		},
+		"RemoveTarget": func() error {
+			_, err := sub.RemoveTarget(sub.JIndex().Tuples[:1])
+			return err
+		},
+		"ApplySourceDelta": func() error {
+			_, err := sub.ApplySourceDelta(core.SourceDelta{Remove: []data.Tuple{src}})
+			return err
+		},
+		"AddCandidates": func() error {
+			_, err := sub.AddCandidates(p.Candidates[:1])
+			return err
+		},
+		"RemoveCandidates": func() error { return sub.RemoveCandidates([]int{0}) },
 	}
-	if p.J.Has(extra) {
-		t.Fatal("append to a view reached the parent target")
+	for name, mutate := range mutators {
+		if err := mutate(); err == nil || !strings.Contains(err.Error(), "read-only") {
+			t.Fatalf("%s on a view: error %v, want the read-only error", name, err)
+		}
+		if !reflect.DeepEqual(stateOf(sub), viewBefore) {
+			t.Fatalf("%s on a view changed the view", name)
+		}
+		if !reflect.DeepEqual(stateOf(p), parentBefore) {
+			t.Fatalf("%s on a view changed the parent", name)
+		}
 	}
-	cold := core.NewProblem(p.I, sub.J.Clone(), p.Candidates)
-	if !bench.EvidenceIdentical(sub, cold) {
-		t.Fatal("view evidence after append differs from a cold Prepare")
+	if _, err := sub.Fork().AppendTarget([]data.Tuple{data.NewTuple("view_extra", "a")}); err != nil {
+		t.Fatalf("append to a fork of a view: %v", err)
 	}
 }
 
@@ -104,9 +152,8 @@ func TestSubproblemRejectsBadIndexSets(t *testing.T) {
 	mustPanic("open index set", func() { p.Subproblem([]int{covered}, open) })
 }
 
-// TestSubproblemConcurrentReaders: the on-demand index build of a view
-// is safe against concurrent solves, evaluations, IndexOf and forks
-// (run under -race).
+// TestSubproblemConcurrentReaders: a view serves concurrent solves,
+// IndexOf and forks (run under -race).
 func TestSubproblemConcurrentReaders(t *testing.T) {
 	_, sub, _, _ := viewFixture(t)
 	var wg sync.WaitGroup
@@ -127,7 +174,6 @@ func TestSubproblemConcurrentReaders(t *testing.T) {
 					return
 				}
 			}
-			sub.JIndex().Index()
 		}()
 		go func() {
 			defer wg.Done()

@@ -63,86 +63,38 @@ func DefaultOptions() Options {
 	return Options{Corroboration: true}
 }
 
-// JIndex assigns stable indices to the tuples of the data example J
-// and carries the posting-list index the analysis probes. A tuple's
-// JIndex position equals its data.Index id.
+// JIndex assigns stable indices to the tuples of the data example J:
+// a tuple's JIndex position is its data.Index id. The index is the one
+// record of the target: its posting lists serve the analysis, and its
+// tombstones and IndexOf serve liveness and lookups by value.
 //
-// IndexJ builds the posting lists eagerly; a view (ViewJ) defers them
-// to the first call that needs them — Index, Append or Remove — so a
-// sub-problem that is only solved (solvers read Len, Live and NumLive)
-// never builds them. The tuple-key map behind IndexOf is deferred the
-// same way, to the first IndexOf or Remove, and covers the live tuples
-// then, appended ones included: cold Prepare, solves and append-only
-// streams never resolve tuples by value. Both deferred builds are safe
-// under concurrent readers: Len, Live and NumLive read only Tuples and
-// the tombstones, which Remove alone writes.
+// A view (ViewJ) is the tuples alone, with no index: the read-only
+// target of a sub-problem that is only solved (see
+// core.Problem.Subproblem). Every tuple of a view is live, and its
+// IndexOf scans the tuples.
 type JIndex struct {
 	Tuples []data.Tuple
-
-	// dead mirrors the tombstones of idx (nil until the first Remove),
-	// so liveness checks never wait on the deferred build.
-	dead    []bool
-	numDead int
-
-	build     sync.Once
-	idx       *data.Index
-	buildKeys sync.Once
-	byKey     map[string]int // nil until buildKeys ran
+	idx    *data.Index // nil for a view
 }
 
 // IndexJ builds a JIndex over the instance.
 func IndexJ(J *data.Instance) *JIndex {
-	ix := ViewJ(J.All())
-	ix.Index()
-	return ix
+	idx := data.IndexTuples(J.All())
+	return &JIndex{Tuples: idx.Tuples(), idx: idx}
 }
 
-// ViewJ returns a JIndex over the given tuples, id = slice position,
-// without indexing them yet (see JIndex). It takes ownership of the
-// slice; the tuples must be distinct.
+// ViewJ returns an index-free JIndex over the given tuples, id = slice
+// position (see JIndex). It takes ownership of the slice; the tuples
+// must be distinct.
 func ViewJ(tuples []data.Tuple) *JIndex { return &JIndex{Tuples: tuples} }
-
-// Index returns the posting-list index over J, building it on first
-// use.
-func (ix *JIndex) Index() *data.Index {
-	ix.build.Do(func() { ix.idx = data.IndexTuples(ix.Tuples) })
-	return ix.idx
-}
-
-// keys returns the tuple-key map, building it over the live tuples on
-// first use. Remove calls it before it tombstones, so the removed
-// tuples' keys are there to delete.
-func (ix *JIndex) keys() map[string]int {
-	ix.buildKeys.Do(func() {
-		ix.byKey = make(map[string]int, len(ix.Tuples))
-		for i, t := range ix.Tuples {
-			if ix.Live(i) {
-				ix.byKey[t.Key()] = i
-			}
-		}
-	})
-	return ix.byKey
-}
 
 // Append indexes new target tuples, assigning them the next ids (the
 // posting lists of the underlying data.Index are extended in place).
 // The caller must not append tuples already indexed; core.Problem
 // dedups against its J instance first.
 func (ix *JIndex) Append(tuples []data.Tuple) {
-	idx := ix.Index()
-	base := len(ix.Tuples)
-	idx.Append(tuples)
-	ix.Tuples = idx.Tuples()
-	// A key map built already is extended; an unbuilt one will see the
-	// appended tuples when it is built.
-	if ix.byKey != nil {
-		for i := base; i < len(ix.Tuples); i++ {
-			ix.byKey[ix.Tuples[i].Key()] = i
-		}
-	}
-	if ix.dead != nil {
-		ix.dead = append(ix.dead, make([]bool, len(ix.Tuples)-base)...)
-	}
+	ix.idx.Append(tuples)
+	ix.Tuples = ix.idx.Tuples()
 }
 
 // Remove tombstones target tuples by id: IndexOf stops resolving them
@@ -151,23 +103,17 @@ func (ix *JIndex) Append(tuples []data.Tuple) {
 // slot itself stays allocated, so live ids are stable and Len is
 // unchanged. The ids must be live; core.Problem resolves and dedups
 // them first.
-func (ix *JIndex) Remove(ids []int32) {
-	byKey := ix.keys()
-	ix.Index().Remove(ids)
-	if ix.dead == nil && len(ids) > 0 {
-		ix.dead = make([]bool, len(ix.Tuples))
-	}
-	for _, id := range ids {
-		ix.dead[id] = true
-		delete(byKey, ix.Tuples[id].Key())
-	}
-	ix.numDead += len(ids)
-}
+func (ix *JIndex) Remove(ids []int32) { ix.idx.Remove(ids) }
 
-// IndexOf returns the index of the tuple, or -1.
+// IndexOf returns the index of the live tuple equal to t, or -1.
 func (ix *JIndex) IndexOf(t data.Tuple) int {
-	if i, ok := ix.keys()[t.Key()]; ok {
-		return i
+	if ix.idx != nil {
+		return ix.idx.IndexOf(t)
+	}
+	for j, u := range ix.Tuples {
+		if u.Equal(t) {
+			return j
+		}
 	}
 	return -1
 }
@@ -178,11 +124,19 @@ func (ix *JIndex) Len() int { return len(ix.Tuples) }
 
 // Live reports whether slot j holds a live (non-removed) tuple.
 func (ix *JIndex) Live(j int) bool {
-	return j >= 0 && j < len(ix.Tuples) && (ix.dead == nil || !ix.dead[j])
+	if ix.idx != nil {
+		return ix.idx.Live(j)
+	}
+	return j >= 0 && j < len(ix.Tuples)
 }
 
 // NumLive returns the number of live target tuples.
-func (ix *JIndex) NumLive() int { return len(ix.Tuples) - ix.numDead }
+func (ix *JIndex) NumLive() int {
+	if ix.idx != nil {
+		return ix.idx.NumLive()
+	}
+	return len(ix.Tuples)
+}
 
 // CoverPair is one sparse covers entry: covers(θ, Tuples[J]) = Cov.
 type CoverPair struct {
@@ -415,10 +369,9 @@ type analyzeWorker struct {
 }
 
 func newAnalyzeWorker(jidx *JIndex) *analyzeWorker {
-	idx := jidx.Index()
 	w := &analyzeWorker{
-		index:    idx,
-		searcher: data.NewSearcher(idx),
+		index:    jidx.idx,
+		searcher: data.NewSearcher(jidx.idx),
 		acc:      make([]float64, jidx.Len()),
 		blk:      make([]float64, jidx.Len()),
 		seen:     make(map[string]struct{}),

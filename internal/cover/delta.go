@@ -209,7 +209,7 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 	// 4. Errors: a chase tuple still erroring stops iff it maps onto an
 	// appended tuple, which a probe of the appended ids alone answers —
 	// and only a tuple of a relation the delta touched can.
-	idx := t.jidx.Index()
+	idx := t.jidx.idx
 	for i, errs := range t.errTuples {
 		kept := errs[:0]
 		for _, ct := range errs {

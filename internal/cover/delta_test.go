@@ -353,9 +353,9 @@ func TestJIndexAppendMatchesRebuild(t *testing.T) {
 	}
 	for i, tp := range jidx.Tuples {
 		if jidx.IndexOf(tp) != i {
-			t.Fatalf("byKey lookup of appended tuple %d broken", i)
+			t.Fatalf("IndexOf of appended tuple %d broken", i)
 		}
-		if !jidx.Index().Tuple(int32(i)).Equal(tp) {
+		if !jidx.idx.Tuple(int32(i)).Equal(tp) {
 			t.Fatalf("index id %d does not resolve to its tuple", i)
 		}
 	}
@@ -371,7 +371,7 @@ func TestJIndexAppendMatchesRebuild(t *testing.T) {
 		return keys
 	}
 	for _, tp := range jidx.Tuples {
-		got := asKeys(jidx.Index(), jidx.Index().Candidates(tp))
+		got := asKeys(jidx.idx, jidx.idx.Candidates(tp))
 		want := asKeys(rebuilt, rebuilt.Candidates(tp))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("candidate set of %v: appended %v, rebuilt %v", tp, got, want)

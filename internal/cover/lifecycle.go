@@ -76,7 +76,7 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis,
 	// embeds it. An index of the removed tuples alone answers the
 	// first; a probe of the tombstoned index the second.
 	onRemoved := data.IndexTuples(slices.Clone(removed))
-	idx := t.jidx.Index()
+	idx := t.jidx.idx
 	for i, oks := range t.okTuples {
 		kept := oks[:0]
 		for _, ct := range oks {

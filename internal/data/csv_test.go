@@ -172,7 +172,7 @@ func TestReadCSVBlankRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tuples) != 2 || tuples[0].Arity() != 2 {
+	if len(tuples) != 2 || len(tuples[0].Args) != 2 {
 		t.Fatalf("tuples = %v", tuples)
 	}
 	// Width inference survives a blank first row; a ragged row after

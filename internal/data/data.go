@@ -124,9 +124,6 @@ func CloneTuples(ts []Tuple) []Tuple {
 	return out
 }
 
-// Arity returns the number of arguments.
-func (t Tuple) Arity() int { return len(t.Args) }
-
 // HasNull reports whether any argument is a labelled null.
 func (t Tuple) HasNull() bool {
 	for _, a := range t.Args {
@@ -387,6 +384,8 @@ func (in *Instance) Clone() *Instance {
 }
 
 // Union adds every tuple of other into in.
+//
+//lint:testonly cover property tests and data tests merge instances with it
 func (in *Instance) Union(other *Instance) {
 	for _, t := range other.All() {
 		in.Add(t)
@@ -394,6 +393,8 @@ func (in *Instance) Union(other *Instance) {
 }
 
 // Equal reports whether two instances hold exactly the same facts.
+//
+//lint:testonly chase, ibench and data tests compare instances with it
 func (in *Instance) Equal(other *Instance) bool {
 	if in.size != other.size {
 		return false
@@ -436,6 +437,8 @@ func MatchConstPositions(t, cand Tuple) bool {
 // constant, consistently (the same null maps to the same constant).
 // The prefix controls the generated constant names. Used to turn a
 // universal solution into a ground data example J.
+//
+//lint:testonly cover, psl and data tests turn chase results into ground targets with it
 func (in *Instance) Ground(prefix string) *Instance {
 	out := NewInstance()
 	assign := make(map[string]Value)

@@ -85,7 +85,7 @@ func TestTupleKeysAndPatterns(t *testing.T) {
 
 func TestTupleHelpers(t *testing.T) {
 	tu := NewTuple("r", "a", "b")
-	if tu.Arity() != 2 || tu.HasNull() {
+	if len(tu.Args) != 2 || tu.HasNull() {
 		t.Errorf("helpers broken: %v", tu)
 	}
 	if !tu.Equal(NewTuple("r", "a", "b")) {

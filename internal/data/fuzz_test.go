@@ -106,7 +106,8 @@ func decodeSearchCase(in []byte) searchCase {
 
 // checkSearchCase builds the index of the case — IndexTuples, two
 // Appends, tombstones after the appends — checks every posting list
-// against a scan of the tuples, compares the Searcher's emission
+// against a scan of the tuples and IndexOf against a scan of the live
+// tuples at each stage, compares the Searcher's emission
 // sequence over the index with the reference enumeration over the
 // live tuples, and, when the case appends, checks EnumerateNewHoms
 // over the appended ids.
@@ -115,13 +116,16 @@ func checkSearchCase(t *testing.T, sc searchCase) {
 	built := len(sc.target) - sc.appended
 	ix := IndexTuples(slices.Clone(sc.target[:built]))
 	checkPostings(t, ix)
+	checkIndexOf(t, ix)
 	ix.Append(sc.target[built : len(sc.target)-sc.second])
 	ix.Append(sc.target[len(sc.target)-sc.second:])
+	checkIndexOf(t, ix)
 	ix.Remove(sc.dead)
 	checkPostings(t, ix)
+	checkIndexOf(t, ix)
 	live := NewInstance()
 	for id, tu := range sc.target {
-		if ix.Live(int32(id)) {
+		if ix.Live(id) {
 			live.Add(tu)
 		}
 	}
@@ -266,6 +270,38 @@ func checkNewHoms(t *testing.T, s *Searcher, block []Tuple, base int32, limit in
 	}
 }
 
+// checkIndexOf checks IndexOf and NumLive against a scan of the live
+// tuples, for every indexed tuple and three absent variants of each:
+// another relation, another last argument, and one argument more.
+func checkIndexOf(t *testing.T, ix *Index) {
+	t.Helper()
+	live := 0
+	scan := func(q Tuple) int {
+		for id, tu := range ix.tuples {
+			if ix.Live(id) && tu.Equal(q) {
+				return id
+			}
+		}
+		return -1
+	}
+	for id, tu := range ix.tuples {
+		if ix.Live(id) {
+			live++
+		}
+		changed := Tuple{Rel: tu.Rel, Args: slices.Clone(tu.Args)}
+		changed.Args[len(changed.Args)-1] = Const("absent")
+		longer := Tuple{Rel: tu.Rel, Args: append(slices.Clone(tu.Args), Const("c0"))}
+		for _, q := range []Tuple{tu, {Rel: "absent", Args: tu.Args}, changed, longer} {
+			if got, want := ix.IndexOf(q), scan(q); got != want {
+				t.Fatalf("IndexOf(%v) = %d, a scan of the live tuples finds %d", q, got, want)
+			}
+		}
+	}
+	if ix.NumLive() != live {
+		t.Fatalf("NumLive = %d, %d tuples live", ix.NumLive(), live)
+	}
+}
+
 // checkPostings checks every posting list of ix against a scan of its
 // tuples: the relation lists and the (relation, position, value) lists
 // hold exactly the ids a scan finds, in ascending order, tombstoned
@@ -328,14 +364,6 @@ func FuzzSearcherMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		checkSearchCase(t, decodeSearchCase(in))
 	})
-}
-
-// Live reports whether id is indexed and not tombstoned.
-func (ix *Index) Live(id int32) bool {
-	if id < 0 || int(id) >= len(ix.tuples) {
-		return false
-	}
-	return ix.dead == nil || !ix.dead[id]
 }
 
 // FuzzReadCSV feeds arbitrary bytes to ReadCSV, the loader behind the

@@ -56,8 +56,10 @@ type Index struct {
 	// Tombstones: Remove marks ids dead instead of compacting, so
 	// every live id stays stable and posting lists need no surgery.
 	// dead stays nil until the first Remove, keeping the append-only
-	// fast path allocation- and branch-predictable.
-	dead []bool
+	// fast path allocation- and branch-predictable; removed counts the
+	// dead ids.
+	dead    []bool
+	removed int
 }
 
 // relPostings is the second index level of one relation: the slot of
@@ -236,7 +238,28 @@ func (ix *Index) Remove(ids []int32) {
 		}
 		ix.dead[id] = true
 	}
+	ix.removed += len(ids)
 }
+
+// IndexOf returns the id of the live indexed tuple equal to t, or -1.
+// It scans t's most selective constant posting list (see probe) and
+// allocates nothing.
+func (ix *Index) IndexOf(t Tuple) int {
+	for _, id := range ix.probe(ix.rels[t.Rel], t) {
+		if ix.live(id) && ix.tuples[id].Equal(t) {
+			return int(id)
+		}
+	}
+	return -1
+}
+
+// Live reports whether id is indexed and not tombstoned.
+func (ix *Index) Live(id int) bool {
+	return id >= 0 && id < len(ix.tuples) && (ix.dead == nil || !ix.dead[id])
+}
+
+// NumLive returns the number of indexed tuples not tombstoned.
+func (ix *Index) NumLive() int { return len(ix.tuples) - ix.removed }
 
 // Tuples returns all indexed tuples; the slice position of a tuple is
 // its id (shared slice; do not mutate).

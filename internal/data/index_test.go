@@ -285,5 +285,21 @@ func TestSearcherSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// IndexOf probes the posting lists without allocating, over live and
+// tombstoned tuples alike.
+func TestIndexOfAllocs(t *testing.T) {
+	tuples := randomInstance(rand.New(rand.NewSource(5)), 50, false).All()
+	ix := IndexTuples(tuples)
+	ix.Remove([]int32{0})
+	lookups := func() {
+		for _, tu := range tuples {
+			ix.IndexOf(tu)
+		}
+	}
+	if avg := testing.AllocsPerRun(20, lookups); avg > 0 {
+		t.Errorf("IndexOf over %d tuples allocates %.1f objects/run, want 0", len(tuples), avg)
+	}
+}
+
 // Index returns the underlying index.
 func (s *Searcher) Index() *Index { return s.ix }

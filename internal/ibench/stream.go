@@ -39,6 +39,8 @@ type TargetStream struct {
 }
 
 // TotalAppended counts the tuples across all batches.
+//
+//lint:testonly ibench stream tests check the split sizes with it
 func (s *TargetStream) TotalAppended() int {
 	n := 0
 	for _, b := range s.Batches {

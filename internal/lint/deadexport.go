@@ -11,11 +11,12 @@ import (
 // internal package has no callers outside the module, so an export
 // nothing ships with is either dead or a test helper. Uses resolve
 // through types.Info.Uses across every loaded package, the declaring
-// one included. Two kinds of method are exempt: those that let their
-// receiver satisfy an interface the program can see (they are called
-// through it), and those of a type a package outside internal/
-// re-exports by alias (they are public API). A helper kept for other
-// packages' tests carries //lint:testonly <reason>.
+// one included. Methods that let their receiver satisfy an interface
+// the program can see are exempt (they are called through it). A
+// method of a type that a package outside internal/ re-exports by
+// alias is not: an alias makes the type public, not each of its
+// methods, so such a method needs a use like any other. A helper kept
+// for other packages' tests carries //lint:testonly <reason>.
 //
 // Only a whole-program load can prove an export unused, so the check
 // runs in the Finish hook and stands down unless Program.Whole is set.
@@ -30,21 +31,10 @@ func finishDeadexport(prog *Program) []Diagnostic {
 		return nil
 	}
 	used := make(map[*types.Func]bool)
-	public := make(map[*types.TypeName]bool)
 	for _, pkg := range prog.Pkgs {
 		for _, obj := range pkg.Info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
 				used[fn.Origin()] = true
-			}
-		}
-		if internal(pkg.Path) {
-			continue
-		}
-		for _, name := range pkg.Types.Scope().Names() {
-			if tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() && tn.Exported() {
-				if named := namedOf(tn.Type()); named != nil {
-					public[named] = true
-				}
 			}
 		}
 	}
@@ -66,7 +56,7 @@ func finishDeadexport(prog *Program) []Diagnostic {
 				}
 				if r := fn.Type().(*types.Signature).Recv(); r != nil {
 					recv := namedOf(r.Type())
-					if recv == nil || public[recv] || implementsAny(types.NewPointer(recv.Type()), ifaces[fn.Name()]) {
+					if recv == nil || implementsAny(types.NewPointer(recv.Type()), ifaces[fn.Name()]) {
 						continue
 					}
 				}

@@ -23,7 +23,8 @@ func Kept() {}
 //lint:testonly
 func Bare() {} // want `//lint:testonly annotation on Bare requires a reason`
 
-// Pub is re-exported by package pub, so its methods are public API.
+// Pub is re-exported by package pub. The alias makes the type public,
+// not its methods: one nothing calls is dead like any other export.
 type Pub struct{}
 
-func (Pub) Method() {}
+func (Pub) Method() {} // want `\(deadexport/internal/a.Pub\).Method is exported but no non-test code uses it`

@@ -53,6 +53,8 @@ func (u *UCQ) String() string {
 }
 
 // Eval evaluates all disjuncts and unions the answers (deduplicated).
+//
+//lint:testonly query tests check UCQ answers with it
 func (u *UCQ) Eval(in *data.Instance) []Answer {
 	var out []Answer
 	seen := make(map[string]bool)

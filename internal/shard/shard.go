@@ -18,9 +18,12 @@
 //
 // Split performs the decomposition; Solver wraps any registered solver
 // into its sharded variant, routing tiny components to the exact
-// exhaustive search and running shards on a bounded worker pool. The
-// package registers "sharded-greedy" and "sharded-collective" in the
-// core solver registry at init.
+// exhaustive search and running shards on a bounded worker pool. A
+// shard is solved, never mutated: each is a read-only view over the
+// parent's evidence, and every sharded solve splits afresh, so no
+// decomposition outlives the evidence it was cut from. The package
+// registers "sharded-greedy" and "sharded-collective" in the core
+// solver registry at init.
 //
 // ibench scenarios are naturally multi-component — every primitive
 // instance uses its own relation namespace — so at the L/XL scales
@@ -38,8 +41,9 @@ import (
 type Shard struct {
 	// Problem is the prepared subproblem spanning exactly this
 	// component's candidates and tuples; solvers run on it directly.
-	// It is a view over the parent's prepared target (its J stays nil
-	// until a lifecycle mutation; see core.Problem.Subproblem).
+	// It is a read-only view over the parent's prepared target: its
+	// lifecycle mutators return an error, and Fork gives a mutable
+	// copy (see core.Problem.Subproblem).
 	Problem *core.Problem
 	// Candidates holds the parent candidate indices, ascending:
 	// subproblem candidate k is parent candidate Candidates[k].

@@ -32,14 +32,16 @@ const DefaultTinyCap = 12
 // starts a pool of its own); WithBudget is a shared soft budget —
 // each shard receives the time remaining when it starts, and a shard
 // that starts past the deadline returns its warm/empty selection
-// immediately, flagged Truncated; WithSeed is forwarded; WithWarmStart selections are sliced per shard by parent
-// candidate index; WithProgress events are forwarded from all shards,
-// serialised by a mutex. Context cancellation stops all shards
-// promptly and Solve returns ctx.Err(). A shard that fails — with an
-// error, or with a panic, which is recovered — cancels the remaining
-// shards, and Solve returns "shard <c> (<n> candidates): <error>"
-// (for a panic, "panic: <value>"); a panic also drops the retained
-// split, so the next warm solve re-splits.
+// immediately, flagged Truncated; WithSeed is forwarded; WithWarmStart
+// selections are sliced per shard by parent candidate index;
+// WithProgress events are forwarded from all shards, serialised by a
+// mutex. Context cancellation stops all shards promptly and Solve
+// returns ctx.Err(). A shard that fails — with an error, or with a
+// panic, which is recovered — cancels the remaining shards, and Solve
+// returns "shard <c> (<n> candidates): <error>" (for a panic,
+// "panic: <value>"). Every solve splits the problem afresh: a shard is
+// a read-only view over the evidence at the time of the solve (see
+// core.Problem.Subproblem).
 //
 // The zero value is not useful — Inner must name a registered solver.
 // The registry's "sharded-greedy" and "sharded-collective" entries are
@@ -87,26 +89,7 @@ func (s Solver) Solve(ctx context.Context, p *core.Problem, options ...core.Solv
 		deadline = start.Add(cfg.Budget)
 	}
 
-	// Warm re-solves reuse the previous decomposition while the
-	// problem's mutation sequence is unchanged: the cached shard
-	// subproblems then also carry their retained groundings and ADMM
-	// dual states, so the inner warm restarts actually fire. Any
-	// evidence mutation (an append that adds a tuple, or a removal,
-	// source delta or candidate change that alters the evidence) forces
-	// a fresh Split. Cold solves never populate the cache, so one-shot
-	// solves (the L/XL throughput path) pay no retention.
-	var shards []Shard
-	if cfg.Warm != nil {
-		if v, ok := p.LoadSplitCache().([]Shard); ok {
-			shards = v
-		}
-	}
-	if shards == nil {
-		shards = SplitN(p, cfg.Parallelism)
-		if cfg.Warm != nil {
-			p.StoreSplitCache(shards)
-		}
-	}
+	shards := SplitN(p, cfg.Parallelism)
 
 	workers := cfg.Parallelism
 	if workers <= 0 {
@@ -172,11 +155,6 @@ feed:
 	var cancelled error
 	for c := range results {
 		if err := results[c].err; err != nil {
-			if errors.As(err, new(shardPanic)) {
-				// The shard's retained state may be half-updated: a
-				// cached split must not be reused by the next solve.
-				p.StoreSplitCache(nil)
-			}
 			err = fmt.Errorf("shard %d (%d candidates): %w", c, len(shards[c].Candidates), err)
 			if !errors.Is(err, context.Canceled) {
 				return nil, err
@@ -227,20 +205,14 @@ feed:
 	}, nil
 }
 
-// shardPanic is the error a recovered panic in a shard's solve
-// becomes.
-type shardPanic struct{ v any }
-
-func (e shardPanic) Error() string { return fmt.Sprintf("panic: %v", e.v) }
-
 // solveShard runs one shard. Candidate-free shards (uncovered tuples)
 // have exactly one selection — the empty one — so no solver runs. A
-// panic in the shard's solve is returned as a shardPanic error, so one
-// failing shard aborts the sharded solve instead of the process.
+// panic in the shard's solve is returned as a "panic: <value>" error,
+// so one failing shard aborts the sharded solve instead of the process.
 func (s Solver) solveShard(ctx context.Context, sh Shard, inner core.Solver, tinyCap int, deadline time.Time, cfg *core.SolveConfig, progress func(core.Event)) (sel *core.Selection, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			sel, err = nil, shardPanic{r}
+			sel, err = nil, fmt.Errorf("panic: %v", r)
 		}
 	}()
 	if len(sh.Candidates) == 0 {

@@ -106,10 +106,10 @@ func coldOver(p *core.Problem, tuples []data.Tuple) *core.Problem {
 	return cold
 }
 
-// TestShardLifecycle: the lifecycle mutators and Fork still work on a
-// shard view — its first mutation builds the shard's own target — and
-// the resulting evidence matches a cold Prepare over the shard's
-// tuples, without touching the parent.
+// TestShardLifecycle: a shard view is read-only, and Fork and
+// ForkDetached turn it into an owned problem whose evidence matches a
+// cold Prepare over the shard's tuples, before and after an append,
+// without touching the shard or the parent.
 func TestShardLifecycle(t *testing.T) {
 	p := scenarioProblem(t, noisyConfig(10, 10, 5))
 	shards := shard.Split(p)
@@ -130,45 +130,34 @@ func TestShardLifecycle(t *testing.T) {
 	}
 	parentLive := p.JIndex().NumLive()
 	tuples := append([]data.Tuple(nil), sh.Problem.JIndex().Tuples...)
+	before := snapshotShard(sh)
+	foreign := p.JIndex().Tuples[other.Tuples[0]]
 
-	// Fork of an untouched view: its own target, evidence as cold.
-	f := sh.Problem.Fork()
-	if f.J == nil || f.J.Len() != len(tuples) {
-		t.Fatalf("fork target holds %v tuples, want %d", f.J, len(tuples))
+	if _, err := sh.Problem.AppendTarget([]data.Tuple{foreign}); err == nil {
+		t.Fatal("AppendTarget on a shard view succeeded")
+	}
+	for name, f := range map[string]*core.Problem{"Fork": sh.Problem.Fork(), "ForkDetached": sh.Problem.ForkDetached()} {
+		if f.J == nil || f.J.Len() != len(tuples) {
+			t.Fatalf("%s: target holds %v tuples, want %d", name, f.J, len(tuples))
+		}
+		if !bench.EvidenceIdentical(f, coldOver(sh.Problem, tuples)) {
+			t.Fatalf("%s: evidence differs from a cold Prepare over the shard's tuples", name)
+		}
+		if _, err := f.AppendTarget([]data.Tuple{foreign}); err != nil {
+			t.Fatalf("%s: append: %v", name, err)
+		}
+		if !bench.EvidenceIdentical(f, coldOver(sh.Problem, append(append([]data.Tuple(nil), tuples...), foreign))) {
+			t.Fatalf("%s: evidence differs from a cold Prepare after append", name)
+		}
+	}
+	if !reflect.DeepEqual(snapshotShard(sh), before) {
+		t.Fatal("forking and appending to the forks changed the shard")
 	}
 	if sh.Problem.J != nil {
-		t.Fatal("Fork built the view's own target")
-	}
-	foreign := p.JIndex().Tuples[other.Tuples[0]]
-	if _, err := f.AppendTarget([]data.Tuple{foreign}); err != nil {
-		t.Fatalf("fork append: %v", err)
-	}
-	if !bench.EvidenceIdentical(f, coldOver(sh.Problem, append(append([]data.Tuple(nil), tuples...), foreign))) {
-		t.Fatal("fork evidence differs from cold Prepare after append")
-	}
-
-	// Remove, then append back plus a tuple from another shard.
-	if _, err := sh.Problem.RemoveTarget(tuples[:1]); err != nil {
-		t.Fatalf("shard remove: %v", err)
-	}
-	if sh.Problem.J == nil {
-		t.Fatal("RemoveTarget did not build the shard's target")
-	}
-	if !bench.EvidenceIdentical(sh.Problem, coldOver(sh.Problem, tuples[1:])) {
-		t.Fatal("shard evidence differs from cold Prepare after remove")
-	}
-	if _, err := sh.Problem.AppendTarget([]data.Tuple{tuples[0], foreign}); err != nil {
-		t.Fatalf("shard append: %v", err)
-	}
-	grown := append(append([]data.Tuple(nil), tuples...), foreign)
-	if !bench.EvidenceIdentical(sh.Problem, coldOver(sh.Problem, grown)) {
-		t.Fatal("shard evidence differs from cold Prepare after append")
-	}
-	if _, err := core.MustGet("greedy").Solve(context.Background(), sh.Problem); err != nil {
-		t.Fatalf("solve after shard mutations: %v", err)
+		t.Fatal("forking built the view's own target")
 	}
 	if got := p.JIndex().NumLive(); got != parentLive {
-		t.Fatalf("shard mutations changed the parent target: %d -> %d live tuples", parentLive, got)
+		t.Fatalf("shard forks changed the parent target: %d -> %d live tuples", parentLive, got)
 	}
 }
 

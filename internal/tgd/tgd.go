@@ -232,26 +232,18 @@ func sortedAtoms(atoms []Atom) []Atom {
 
 // Equal reports logical equality up to variable renaming (and the
 // atom-ordering convention of Canonical).
+//
+//lint:testonly tgd tests check canonical equality with it
 func (d *TGD) Equal(other *TGD) bool {
 	return d.Canonical() == other.Canonical()
-}
-
-// Clone returns a deep copy of the tgd.
-func (d *TGD) Clone() *TGD {
-	c := &TGD{Body: make([]Atom, len(d.Body)), Head: make([]Atom, len(d.Head))}
-	for i, a := range d.Body {
-		c.Body[i] = Atom{Rel: a.Rel, Args: append([]Term(nil), a.Args...)}
-	}
-	for i, a := range d.Head {
-		c.Head[i] = Atom{Rel: a.Rel, Args: append([]Term(nil), a.Args...)}
-	}
-	return c
 }
 
 // Mapping is an ordered set of tgds.
 type Mapping []*TGD
 
 // Size returns the summed size of the member tgds.
+//
+//lint:testonly tgd tests check the size measure with it
 func (m Mapping) Size() int {
 	n := 0
 	for _, d := range m {

@@ -185,15 +185,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	d := MustParse("r(x,y) -> s(x,E)")
-	c := d.Clone()
-	c.Body[0].Args[0] = Const("mutated")
-	if d.Body[0].Args[0].IsConst {
-		t.Error("Clone aliases atom args")
-	}
-}
-
 func TestAtomHelpers(t *testing.T) {
 	a := Atom{Rel: "r", Args: []Term{Var("x"), Const("k"), Var("x")}}
 	if got := a.Vars(); len(got) != 1 || got[0] != "x" {

@@ -181,7 +181,7 @@ func main() {
 		fmt.Printf("tuple PRF   : %s\n", tp)
 	}
 	if *explain {
-		rep := cover.Explain(sc.I, sc.J, sc.Candidates, sel.Chosen, cover.DefaultOptions())
+		rep := cover.Explain(p.I, p.JIndex(), p.Candidates, sel.Chosen, p.CoverOptions)
 		fmt.Printf("\n%s", rep.Summary(10))
 	}
 }

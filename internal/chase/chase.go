@@ -31,9 +31,9 @@ type Block struct {
 }
 
 // Binding returns the firing's body binding as a variable → source
-// value map; d must be the tgd that fired the block.
-func (b *Block) Binding(d *tgd.TGD) map[string]data.Value {
-	vars := d.BodyVars()
+// value map; vars must be the BodyVars of the tgd that fired the
+// block (computed once per tgd by callers binding many blocks).
+func (b *Block) Binding(vars []string) map[string]data.Value {
 	m := make(map[string]data.Value, len(vars))
 	for k, v := range vars {
 		m[v] = b.Vals[k]

@@ -223,7 +223,7 @@ func TestBlockBinding(t *testing.T) {
 	if len(res.Blocks) != 1 {
 		t.Fatalf("blocks = %d, want 1", len(res.Blocks))
 	}
-	got := res.Blocks[0].Binding(d)
+	got := res.Blocks[0].Binding(d.BodyVars())
 	want := map[string]data.Value{"x": data.Const("1"), "y": data.Const("2"), "w": data.Const("3")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Binding = %v, want %v", got, want)

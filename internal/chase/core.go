@@ -10,88 +10,65 @@ package chase
 // tuples all map homomorphically into the rest of the instance is
 // redundant and can be removed.
 
-import "schemamap/internal/data"
+import (
+	"slices"
+
+	"schemamap/internal/data"
+)
 
 // Core returns the core of the chase result as a new instance: it
 // repeatedly removes blocks that embed homomorphically into the
 // remainder of the instance (constants preserved, the block's own
 // nulls excluded from the target of the embedding). Tuples without
-// nulls are never removed — they are forced by the mapping.
+// nulls are never removed — they are forced by the mapping. Each
+// retraction test is a data.Searcher.BlockEmbeds over the posting-list
+// index of that remainder, which finds a total embedding however many
+// partial matches precede it.
 //
 // The input result is not modified.
 func (r *Result) Core() *data.Instance {
 	live := make([]bool, len(r.Blocks))
-	for bi := range r.Blocks {
+	for bi := range live {
 		live[bi] = true
 	}
-
-	current := func() *data.Instance {
-		out := data.NewInstance()
-		for bi, b := range r.Blocks {
-			if !live[bi] {
-				continue
-			}
-			for _, t := range b.Tuples {
-				out.Add(t)
-			}
-		}
-		return out
-	}
-
-	// Retraction target for block bi: every live tuple that does not
-	// contain any null minted by bi.
-	targetFor := func(bi int) *data.Instance {
-		blockNulls := make(map[string]bool)
-		for _, t := range r.Blocks[bi].Tuples {
-			for _, lbl := range t.Nulls() {
-				blockNulls[lbl] = true
-			}
-		}
-		out := data.NewInstance()
-		for bj, b := range r.Blocks {
-			if !live[bj] {
-				continue
-			}
-			for _, t := range b.Tuples {
-				hasOwn := false
-				for _, lbl := range t.Nulls() {
-					if blockNulls[lbl] {
-						hasOwn = true
-						break
-					}
-				}
-				if !hasOwn {
-					out.Add(t)
-				}
-			}
-		}
-		return out
-	}
-
 	// Fixpoint: retract while some block embeds elsewhere. A block
 	// with no nulls never retracts (its tuples are forced facts and
 	// the embedding would be the identity).
 	for changed := true; changed; {
 		changed = false
-		for bi := range r.Blocks {
-			if !live[bi] {
-				continue
-			}
-			hasNull := false
-			for _, t := range r.Blocks[bi].Tuples {
-				if t.HasNull() {
-					hasNull = true
-					break
-				}
-			}
-			if !hasNull {
-				continue
-			}
-			if data.BlockEmbeds(r.Blocks[bi].Tuples, targetFor(bi)) {
-				live[bi] = false
-				changed = true
+		for bi, b := range r.Blocks {
+			if live[bi] && slices.ContainsFunc(b.Tuples, data.Tuple.HasNull) &&
+				data.NewSearcher(data.IndexTuples(r.liveWithout(live, b.Tuples))).BlockEmbeds(b.Tuples) {
+				live[bi], changed = false, true
 			}
 		}
 	}
-	return current()
+	out := data.NewInstance()
+	for _, t := range r.liveWithout(live, nil) {
+		out.Add(t)
+	}
+	return out
+}
+
+// liveWithout lists the tuples of the live blocks, in block order,
+// that hold none of the nulls of block: the retraction target of
+// block. A tuple several blocks share is listed once per block, which
+// changes no embedding.
+func (r *Result) liveWithout(live []bool, block []data.Tuple) []data.Tuple {
+	own := make(map[string]bool)
+	for _, t := range block {
+		for _, lbl := range t.Nulls() {
+			own[lbl] = true
+		}
+	}
+	holdsOwn := func(a data.Value) bool { return a.IsNull() && own[a.Name()] }
+	var out []data.Tuple
+	for bi, b := range r.Blocks {
+		for _, t := range b.Tuples {
+			if live[bi] && !slices.ContainsFunc(t.Args, holdsOwn) {
+				out = append(out, t)
+			}
+		}
+	}
+	return out
 }

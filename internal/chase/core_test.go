@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"fmt"
 	"testing"
 
 	"schemamap/internal/data"
@@ -73,8 +74,9 @@ func TestCoreIsUniversal(t *testing.T) {
 	}
 	res := Chase(I, m, nil)
 	core := res.Core()
+	s := data.NewSearcher(data.NewIndex(core))
 	for bi, b := range res.Blocks {
-		if !data.BlockEmbeds(b.Tuples, core) {
+		if !s.BlockEmbeds(b.Tuples) {
 			t.Errorf("block %d no longer embeds into the core", bi)
 		}
 	}
@@ -90,5 +92,34 @@ func TestCoreIdempotentUnderNoRedundancy(t *testing.T) {
 	core := res.Core()
 	if !core.Equal(res.Instance) {
 		t.Error("core changed a minimal instance")
+	}
+}
+
+// A block must retract whenever a total embedding exists, however many
+// partial matches a search meets first. d's block s(Y,w0) & r(Y)
+// embeds only at the last of n decoy tuples s(x_i,w0), the one r(x)
+// also holds; at n = 5,000 that is past DefaultHomLimit (4,096)
+// matches of a partial enumeration, and the block must still go. The
+// core is the n s tuples plus r(x_{n-1}).
+func TestCoreRetractsPastPartialMatchCap(t *testing.T) {
+	m := tgd.Mapping{
+		tgd.MustParse("a(x,w) -> s(x,w)"),
+		tgd.MustParse("c(x) -> r(x)"),
+		tgd.MustParse("d(w) -> s(Y,w) & r(Y)"),
+	}
+	for _, n := range []int{4000, 5000} {
+		I := data.NewInstance()
+		for i := 0; i < n; i++ {
+			I.Add(data.NewTuple("a", fmt.Sprintf("x%d", i), "w0"))
+		}
+		I.Add(data.NewTuple("c", fmt.Sprintf("x%d", n-1)))
+		I.Add(data.NewTuple("d", "w0"))
+		res := Chase(I, m, nil)
+		if got := res.Instance.Len(); got != n+3 {
+			t.Fatalf("n=%d: chase has %d tuples, want %d", n, got, n+3)
+		}
+		if got := res.Core().Len(); got != n+1 {
+			t.Errorf("n=%d: core has %d tuples, want %d (d's block retracted)", n, got, n+1)
+		}
 	}
 }

@@ -43,8 +43,8 @@ func Implies(sigma, tau *tgd.TGD) bool {
 	// τ's head must map into the chase result with body variables
 	// fixed to their frozen constants and existentials free. Encode
 	// the head as a "block": body variables become their frozen
-	// constants, existentials become nulls, then reuse the block
-	// homomorphism search.
+	// constants, existentials become nulls, then test it for a total
+	// embedding into the index of the chase result.
 	head := make([]data.Tuple, 0, len(tau.Head))
 	for _, a := range tau.Head {
 		args := make([]data.Value, len(a.Args))
@@ -62,7 +62,7 @@ func Implies(sigma, tau *tgd.TGD) bool {
 		}
 		head = append(head, data.Tuple{Rel: a.Rel, Args: args})
 	}
-	return data.BlockEmbeds(head, res.Instance)
+	return data.NewSearcher(data.IndexTuples(res.Instance.All())).BlockEmbeds(head)
 }
 
 // MinimizeMapping removes tgds implied by another member of the

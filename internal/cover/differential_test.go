@@ -255,6 +255,37 @@ func BenchmarkAnalyzeNSharded(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeNShardedOneWorker analyses every candidate of the
+// sharded-throughput scenario on one worker over a prebuilt index: the
+// yardstick of BenchmarkExplainSharded.
+func BenchmarkAnalyzeNShardedOneWorker(b *testing.B) {
+	sc := shardedScenario(b)
+	jidx := IndexJ(sc.J)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AnalyzeN(sc.I, jidx, sc.Candidates, DefaultOptions(), 1)
+	}
+}
+
+// BenchmarkExplainSharded explains the selection of every candidate of
+// the sharded-throughput scenario over a prebuilt index. It runs the
+// same searches as BenchmarkAnalyzeNShardedOneWorker, without the block
+// memo, plus the witness bookkeeping.
+func BenchmarkExplainSharded(b *testing.B) {
+	sc := shardedScenario(b)
+	jidx := IndexJ(sc.J)
+	all := make([]bool, len(sc.Candidates))
+	for i := range all {
+		all[i] = true
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Explain(sc.I, jidx, sc.Candidates, all, DefaultOptions())
+	}
+}
+
 func BenchmarkAnalyzeNIndexed(b *testing.B) {
 	sc, err := ibench.Generate(scenarioConfigs()[1])
 	if err != nil {

@@ -55,80 +55,120 @@ type Report struct {
 	// Explained maps J tuple indices to their best witness among the
 	// selected candidates.
 	Explained map[int]Witness
-	// Unexplained lists J tuple indices with zero coverage under the
-	// selection.
+	// Unexplained lists live J tuple indices with zero coverage under
+	// the selection.
 	Unexplained []int
-	// Partial lists J tuple indices explained only partially
+	// Partial lists live J tuple indices explained only partially
 	// (0 < degree < 1).
 	Partial []int
-	// Errors lists, per selected candidate index, the chase tuples
-	// with no homomorphic image in J.
+	// Errors lists, per selected candidate index, the distinct chase
+	// tuples with no homomorphic image among the live J tuples.
 	Errors map[int][]data.Tuple
 	// JIndex resolves tuple indices.
 	JIndex *JIndex
 }
 
 // Explain computes the provenance report of the selected candidates
-// against the data example.
-func Explain(I, J *data.Instance, candidates tgd.Mapping, selected []bool, opts Options) *Report {
-	jidx := IndexJ(J)
+// against the target that jidx indexes (IndexJ, not a view). It chases
+// each selected candidate over I and enumerates every block's partial
+// homomorphisms with a worker's data.Searcher, set up as AnalyzeN sets
+// it up (hom limit, corroboration, inert-leaf counting), so a witness's
+// Degree is the candidate's covers value for its tuple. Ties go to the
+// lowest candidate index, then the earliest chase block, then the first
+// match that reaches the tuple's maximum degree. A witness's NullImage
+// holds the images of the nulls of the block tuples its match maps; an
+// inert leaf the search counts rather than maps (see
+// data.Searcher.CollapseInert) contributes none. Errors are probed
+// against the live target tuples, and Unexplained and Partial list
+// live tuples only.
+func Explain(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, selected []bool, opts Options) *Report {
 	rep := &Report{
 		Explained: make(map[int]Witness),
 		Errors:    make(map[int][]data.Tuple),
 		JIndex:    jidx,
 	}
-	var nulls blockNulls
-	for ci, on := range selected {
-		if !on {
+	w := newAnalyzeWorker(jidx)
+	w.use(opts)
+	// best[j] is the match that first reached tuple j's maximum degree
+	// so far; the witness maps are built from it once, at the end.
+	best := make([]bestMatch, jidx.Len())
+	chased, vars := make([]*chase.Result, len(candidates)), make([][]string, len(candidates))
+	var ci, bi int
+	emit := func(m *data.IndexedMatch) bool {
+		w.nulls.setMapped(m.Mapped)
+		for i, mapped := range m.Mapped {
+			if !mapped {
+				continue
+			}
+			b := &best[m.Image[i]]
+			if deg := w.nulls.degree(i, opts.Corroboration); deg > b.degree {
+				b.degree, b.cand, b.block, b.tuple = deg, ci, bi, i
+				b.mapped, b.image = append(b.mapped[:0], m.Mapped...), append(b.image[:0], m.Image...)
+			}
+		}
+		return true
+	}
+	for ci = range selected {
+		if !selected[ci] {
 			continue
 		}
-		res := chase.ChaseOne(I, candidates[ci], nil)
-		for bi := range res.Blocks {
-			b := &res.Blocks[bi]
-			nulls.reset(b.Tuples)
-			data.EnumeratePartialHoms(b.Tuples, J, opts.HomLimit, func(m data.BlockMatch) bool {
-				nulls.setMapped(m.Mapped)
-				for i, mapped := range m.Mapped {
-					if !mapped {
-						continue
-					}
-					deg := nulls.degree(i, opts.Corroboration)
-					if deg <= 0 {
-						continue
-					}
-					j := jidx.IndexOf(m.Image[i])
-					if j < 0 {
-						continue
-					}
-					if prev, ok := rep.Explained[j]; !ok || deg > prev.Degree {
-						rep.Explained[j] = Witness{
-							TGDIndex:   ci,
-							Degree:     deg,
-							ChaseTuple: b.Tuples[i],
-							Binding:    b.Binding(candidates[ci]),
-							NullImage:  m.NullImage,
-						}
-					}
-				}
-				return true
-			})
+		chased[ci], vars[ci] = chase.ChaseOne(I, candidates[ci], nil), candidates[ci].BodyVars()
+		res := chased[ci]
+		for bi = range res.Blocks {
+			w.nulls.reset(res.Blocks[bi].Tuples)
+			w.searcher.EnumeratePartialHoms(res.Blocks[bi].Tuples, opts.HomLimit, emit)
 		}
 		for _, t := range res.Instance.All() {
-			if !data.TupleEmbeds(t, J) {
+			if !w.index.Embeds(t, 0) {
 				rep.Errors[ci] = append(rep.Errors[ci], t)
 			}
 		}
 	}
-	for j := range jidx.Tuples {
-		w, ok := rep.Explained[j]
+	for j := range best {
+		b := &best[j]
 		switch {
-		case !ok:
+		case !jidx.Live(j):
+		case b.degree == 0:
 			rep.Unexplained = append(rep.Unexplained, j)
-		case w.Degree < 1:
-			rep.Partial = append(rep.Partial, j)
+		default:
+			blk := &chased[b.cand].Blocks[b.block]
+			rep.Explained[j] = Witness{
+				TGDIndex:   b.cand,
+				Degree:     b.degree,
+				ChaseTuple: blk.Tuples[b.tuple],
+				Binding:    blk.Binding(vars[b.cand]),
+				NullImage:  b.nullImage(blk.Tuples, jidx.Tuples),
+			}
+			if b.degree < 1 {
+				rep.Partial = append(rep.Partial, j)
+			}
 		}
 	}
 	return rep
+}
+
+// bestMatch is the running witness of one target tuple: the degree,
+// the candidate, chase block and block tuple that reached it, and the
+// match (see data.IndexedMatch).
+type bestMatch struct {
+	degree             float64
+	cand, block, tuple int
+	mapped             []bool
+	image              []int32
+}
+
+// nullImage maps the nulls of the block tuples the match maps to the
+// values at their positions in the tuples' images.
+func (b *bestMatch) nullImage(block, target []data.Tuple) map[string]data.Value {
+	ni := make(map[string]data.Value)
+	for k, t := range block {
+		for p, a := range t.Args {
+			if b.mapped[k] && a.IsNull() {
+				ni[a.Name()] = target[b.image[k]].Args[p]
+			}
+		}
+	}
+	return ni
 }
 
 // Summary renders a human-readable digest: counts plus up to limit
@@ -140,7 +180,7 @@ func (r *Report) Summary(limit int) string {
 	var b strings.Builder
 	full := len(r.Explained) - len(r.Partial)
 	fmt.Fprintf(&b, "explained %d/%d target tuples (%d fully, %d partially)\n",
-		len(r.Explained), r.JIndex.Len(), full, len(r.Partial))
+		len(r.Explained), r.JIndex.NumLive(), full, len(r.Partial))
 	show := func(label string, idxs []int) {
 		if len(idxs) == 0 {
 			return

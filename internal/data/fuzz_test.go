@@ -106,29 +106,27 @@ func decodeSearchCase(in []byte) searchCase {
 
 // checkSearchCase builds the index of the case — IndexTuples, two
 // Appends, tombstones after the appends — checks every posting list
-// against a scan of the tuples and IndexOf against a scan of the live
-// tuples at each stage, compares the Searcher's emission
-// sequence over the index with the reference enumeration over the
-// live tuples, and, when the case appends, checks EnumerateNewHoms
-// over the appended ids.
+// against a scan of the tuples, IndexOf against a scan of the live
+// tuples and BlockEmbeds against the reference enumeration at each
+// stage, compares the Searcher's emission sequence over the index
+// with the reference enumeration over the live tuples, and, when the
+// case appends, checks EnumerateNewHoms over the appended ids.
 func checkSearchCase(t *testing.T, sc searchCase) {
 	t.Helper()
 	built := len(sc.target) - sc.appended
 	ix := IndexTuples(slices.Clone(sc.target[:built]))
 	checkPostings(t, ix)
 	checkIndexOf(t, ix)
+	checkBlockEmbeds(t, ix, sc.block)
 	ix.Append(sc.target[built : len(sc.target)-sc.second])
 	ix.Append(sc.target[len(sc.target)-sc.second:])
 	checkIndexOf(t, ix)
+	checkBlockEmbeds(t, ix, sc.block)
 	ix.Remove(sc.dead)
 	checkPostings(t, ix)
 	checkIndexOf(t, ix)
-	live := NewInstance()
-	for id, tu := range sc.target {
-		if ix.Live(id) {
-			live.Add(tu)
-		}
-	}
+	checkBlockEmbeds(t, ix, sc.block)
+	live := liveInstance(ix)
 	s := NewSearcher(ix)
 	want := collectReference(sc.block, live, sc.limit)
 	got := collectIndexed(sc.block, s, sc.limit)
@@ -144,6 +142,50 @@ func checkSearchCase(t *testing.T, sc searchCase) {
 		checkNewHoms(t, s, sc.block, int32(built), sc.limit)
 	}
 	checkCollapse(t, s, sc.block, int32(built), sc.appended > 0)
+}
+
+// liveInstance returns the live indexed tuples as an instance, in id
+// order: the target the reference enumeration scans.
+func liveInstance(ix *Index) *Instance {
+	live := NewInstance()
+	for id, tu := range ix.tuples {
+		if ix.Live(id) {
+			live.Add(tu)
+		}
+	}
+	return live
+}
+
+// maxReferenceMatches bounds the enumeration checkBlockEmbeds runs
+// through the reference. It is twice DefaultHomLimit, so blocks whose
+// only total match lies past the default cap are checked.
+const maxReferenceMatches = 2 * DefaultHomLimit
+
+// checkBlockEmbeds checks Searcher.BlockEmbeds, with and without
+// CollapseInert, against "some reference match maps every tuple": the
+// reference enumeration over the live tuples runs until its first
+// total match, with a limit above the default cap, so no cap can hide
+// a total embedding. A block whose reference enumeration reaches
+// maxReferenceMatches+1 matches without a total one is skipped.
+func checkBlockEmbeds(t *testing.T, ix *Index, block []Tuple) {
+	t.Helper()
+	want, emitted := false, 0
+	EnumeratePartialHoms(block, liveInstance(ix), maxReferenceMatches+1, func(m BlockMatch) bool {
+		emitted++
+		want = !slices.Contains(m.Mapped, false)
+		return !want
+	})
+	if !want && emitted > maxReferenceMatches {
+		return
+	}
+	s := NewSearcher(ix)
+	for _, collapse := range []bool{false, true} {
+		s.CollapseInert = collapse
+		if got := s.BlockEmbeds(block); got != want {
+			t.Fatalf("BlockEmbeds(%v) = %v with CollapseInert %v, the reference finds a total match: %v\nindex tuples %v, dead %v",
+				block, got, collapse, want, ix.tuples, ix.dead)
+		}
+	}
 }
 
 // checkCollapse checks Searcher.CollapseInert against the full

@@ -1,31 +1,24 @@
 package data
 
-// This file implements homomorphism search from a *block* of tuples
-// (tuples sharing labelled nulls, produced by one tgd firing) into an
-// instance. A homomorphism preserves constants and maps each null to
-// one value consistently across the block. Partial homomorphisms map
-// only a subset of the block's tuples; they are what the Eq. (9)
-// covers measure maximises over.
+// This file is the reference homomorphism search: a direct scan from
+// a *block* of tuples (tuples sharing labelled nulls, produced by one
+// tgd firing) into an instance. A homomorphism preserves constants and
+// maps each null to one value consistently across the block. Partial
+// homomorphisms map only a subset of the block's tuples; they are what
+// the Eq. (9) covers measure maximises over.
+//
+// EnumeratePartialHoms and TupleEmbeds are reference-only: no
+// production path calls them. The indexed Searcher (index.go) is the
+// one engine that analysis, explanation, core computation and
+// implication run on; these scans are what the differential tests,
+// the fuzz target and cover.AnalyzeReference pin it against.
 
 // BlockMatch describes one partial homomorphism from a block into an
 // instance. Image[i] is the image of block tuple i, valid only when
-// Mapped[i] is true. NullImage records the value each mapped null was
-// sent to.
+// Mapped[i] is true.
 type BlockMatch struct {
-	Mapped    []bool
-	Image     []Tuple
-	NullImage map[string]Value
-}
-
-// MappedCount returns the number of block tuples the match maps.
-func (m BlockMatch) MappedCount() int {
-	n := 0
-	for _, ok := range m.Mapped {
-		if ok {
-			n++
-		}
-	}
-	return n
+	Mapped []bool
+	Image  []Tuple
 }
 
 // homSearch carries state for the recursive enumeration.
@@ -67,17 +60,8 @@ func EnumeratePartialHoms(block []Tuple, target *Instance, limit int, emit func(
 	for i := range order {
 		order[i] = i
 	}
-	constCount := func(t Tuple) int {
-		n := 0
-		for _, a := range t.Args {
-			if !a.IsNull() {
-				n++
-			}
-		}
-		return n
-	}
 	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && constCount(block[order[j]]) > constCount(block[order[j-1]]); j-- {
+		for j := i; j > 0 && constants(block[order[j]]) > constants(block[order[j-1]]); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
@@ -88,11 +72,7 @@ func EnumeratePartialHoms(block []Tuple, target *Instance, limit int, emit func(
 	wrapped := emit
 	if len(block) > 1 {
 		wrapped = func(m BlockMatch) bool {
-			orig := BlockMatch{
-				Mapped:    make([]bool, len(block)),
-				Image:     make([]Tuple, len(block)),
-				NullImage: m.NullImage,
-			}
+			orig := BlockMatch{Mapped: make([]bool, len(block)), Image: make([]Tuple, len(block))}
 			for i, idx := range order {
 				orig.Mapped[idx] = m.Mapped[i]
 				orig.Image[idx] = m.Image[i]
@@ -118,15 +98,7 @@ func (s *homSearch) rec(i int) {
 	}
 	if i == len(s.block) {
 		s.emitted++
-		ni := make(map[string]Value, len(s.nulls))
-		for k, v := range s.nulls {
-			ni[k] = v
-		}
-		m := BlockMatch{
-			Mapped:    append([]bool(nil), s.mapped...),
-			Image:     append([]Tuple(nil), s.image...),
-			NullImage: ni,
-		}
+		m := BlockMatch{Mapped: append([]bool(nil), s.mapped...), Image: append([]Tuple(nil), s.image...)}
 		if !s.emit(m) {
 			s.stopped = true
 		}
@@ -204,24 +176,16 @@ func valueAt(t, cand Tuple, lbl string) Value {
 	return Value{}
 }
 
-// BlockEmbeds reports whether a *total* homomorphism exists mapping
-// every tuple of block into target (constants preserved, nulls
-// consistent).
-func BlockEmbeds(block []Tuple, target *Instance) bool {
-	found := false
-	EnumeratePartialHoms(block, target, 0, func(m BlockMatch) bool {
-		if m.MappedCount() == len(block) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // TupleEmbeds reports whether the single tuple t has a homomorphic
 // image in target (some target tuple agreeing on all constant
-// positions, nulls free but consistent within t).
+// positions, nulls free but consistent within t), by scanning t's
+// relation: the reference of Index.Embeds.
 func TupleEmbeds(t Tuple, target *Instance) bool {
-	return BlockEmbeds([]Tuple{t}, target)
+	s := &homSearch{nulls: make(map[string]Value)}
+	for _, cand := range target.Tuples(t.Rel) {
+		if _, ok := s.consistent(t, cand); ok {
+			return true
+		}
+	}
+	return false
 }

@@ -45,11 +45,11 @@ func TestBlockEmbedsJoinConsistency(t *testing.T) {
 	J := NewInstance()
 	J.Add(NewTuple("task", "ML", "Alice", "111"))
 	J.Add(NewTuple("org", "222", "SAP")) // wrong join value
-	if BlockEmbeds(block, J) {
+	if NewSearcher(NewIndex(J)).BlockEmbeds(block) {
 		t.Error("inconsistent join embedded")
 	}
 	J.Add(NewTuple("org", "111", "SAP"))
-	if !BlockEmbeds(block, J) {
+	if !NewSearcher(NewIndex(J)).BlockEmbeds(block) {
 		t.Error("consistent join should embed")
 	}
 }
@@ -67,11 +67,11 @@ func TestEnumeratePartialHomsCountsAndShapes(t *testing.T) {
 	total, full := 0, 0
 	EnumeratePartialHoms(block, J, 0, func(m BlockMatch) bool {
 		total++
-		if m.MappedCount() == 2 {
+		if m.Mapped[0] && m.Mapped[1] {
 			full++
 			// Null image must be consistent.
-			if m.NullImage["N"] != Const("111") {
-				t.Errorf("null image = %v", m.NullImage["N"])
+			if n0, n1 := m.Image[0].Args[2], m.Image[1].Args[0]; n0 != Const("111") || n1 != n0 {
+				t.Errorf("null images = %v, %v", n0, n1)
 			}
 			// Images must be in the original block order.
 			if m.Image[0].Rel != "task" || m.Image[1].Rel != "org" {
@@ -136,7 +136,7 @@ func TestEnumerateOrdersConstantRichFirst(t *testing.T) {
 		J.Add(NewTuple("m", "other"+string(rune('a'+i)), "z"))
 	}
 	J.Add(NewTuple("m", "101", "202"))
-	if !BlockEmbeds(block, J) {
+	if !NewSearcher(NewIndex(J)).BlockEmbeds(block) {
 		t.Error("N-to-M block should embed")
 	}
 }

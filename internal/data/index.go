@@ -5,21 +5,21 @@ import (
 	"slices"
 )
 
-// This file implements the indexed fast path for homomorphism search.
-// The scan-based reference in hom.go probes candidate images by
-// walking every target tuple of a relation; at scenario scale that
-// rescan of J per block tuple dominates Problem.Prepare. The Index
-// replaces it with posting lists (relation → argument position →
-// value → tuple ids) in CSR form: IndexTuples numbers every list into
-// a slot in one pass over the tuples, then cuts all lists from one
-// backing array and fills them in a second. A Searcher probes the
-// lists directly — a block tuple's candidates are the shortest posting
-// list among its constants, narrowed during the search by the posting
-// list of an already-bound null — and reuses all search scratch, so a
-// warm enumeration allocates nothing. Nothing is memoised per tuple
-// pattern: on the sharded-throughput scenario a pattern memo hit 60%
-// of its lookups, yet building and hashing its string keys cost more
-// than the probes the hits saved.
+// This file implements the indexed homomorphism search, the only one
+// production code runs. The scan-based reference in hom.go probes
+// candidate images by walking every target tuple of a relation; at
+// scenario scale that rescan of J per block tuple dominates
+// Problem.Prepare. The Index replaces it with posting lists (relation
+// → argument position → value → tuple ids) in CSR form: IndexTuples
+// numbers every list into a slot in one pass over the tuples, then
+// cuts all lists from one backing array and fills them in a second. A
+// Searcher probes the lists directly — a block tuple's candidates are
+// the shortest posting list among its constants, narrowed during the
+// search by the posting list of an already-bound null — and reuses all
+// search scratch, so a warm enumeration allocates nothing. Nothing is
+// memoised per tuple pattern: on the sharded-throughput scenario a
+// pattern memo hit 60% of its lookups, yet building and hashing its
+// string keys cost more than the probes the hits saved.
 //
 // The enumeration order is identical to the reference path: block
 // tuples are processed constant-rich first (same stable sort), and
@@ -467,6 +467,21 @@ func (s *Searcher) EnumeratePartialHoms(block []Tuple, limit int, emit func(*Ind
 	s.plan(-1, 0)
 	s.rec(0)
 	return s.end()
+}
+
+// BlockEmbeds reports whether a total homomorphism maps every tuple of
+// block into the live indexed tuples (constants preserved, nulls
+// consistent). It plans the search as EnumeratePartialHoms does but
+// makes every position required, so a dead end emits nothing and the
+// first emission is a total embedding: no match limit can hide one.
+// Under CollapseInert that emission may leave an inert leaf unmapped,
+// but only when the leaf has an image.
+func (s *Searcher) BlockEmbeds(block []Tuple) bool {
+	s.begin(block, 1, func(*IndexedMatch) bool { return false })
+	s.plan(-1, 0)
+	clear(s.optional)
+	s.rec(0)
+	return s.end() > 0
 }
 
 // EnumerateNewHoms enumerates the partial homomorphisms from block that

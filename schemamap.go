@@ -353,9 +353,11 @@ func CertainAnswers(q *CQ, I *Instance, m Mapping) []Answer {
 
 // ExplainSelection computes the provenance report of a selection:
 // per-tuple witnesses, unexplained residue, and erroneous chase
-// tuples per selected candidate.
+// tuples per selected candidate. It indexes J and runs cover.Explain
+// with the default options; ties between witnesses of equal degree go
+// to the lowest candidate index.
 func ExplainSelection(I, J *Instance, candidates Mapping, selected []bool) *ExplanationReport {
-	return cover.Explain(I, J, candidates, selected, cover.DefaultOptions())
+	return cover.Explain(I, cover.IndexJ(J), candidates, selected, cover.DefaultOptions())
 }
 
 // ParseUCQ parses a union of conjunctive queries separated by ';'.

@@ -82,7 +82,7 @@ func TestCollectiveCancellationMidADMM(t *testing.T) {
 // the suffix bound loose, so the search would run for minutes.
 func TestExhaustiveCancellationMidSearch(t *testing.T) {
 	p := syntheticProblem(26, 80)
-	s := ExhaustiveSolver{MaxCandidates: 32}
+	s := ExhaustiveSolver{}
 	assertPromptCancel(t, s, p, 30*time.Millisecond)
 }
 
@@ -107,7 +107,7 @@ func TestFastSolversHonourCancelledContext(t *testing.T) {
 // incumbent selection flagged Truncated.
 func TestExhaustiveSoftBudgetReturnsIncumbent(t *testing.T) {
 	p := syntheticProblem(26, 80)
-	s := ExhaustiveSolver{MaxCandidates: 32}
+	s := ExhaustiveSolver{}
 	sel, err := s.Solve(context.Background(), p, WithBudget(30*time.Millisecond))
 	if err != nil {
 		t.Fatalf("budgeted solve errored: %v", err)

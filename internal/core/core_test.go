@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -278,10 +279,16 @@ func TestWeightsScaleObjective(t *testing.T) {
 	}
 }
 
+// One candidate past the cap is refused. The guard fires before
+// Prepare, so the test prepares nothing.
 func TestExhaustiveGuard(t *testing.T) {
-	p := appendixProblem()
-	if _, err := (ExhaustiveSolver{MaxCandidates: 1}).Solve(context.Background(), p); err == nil {
-		t.Error("expected candidate-limit error")
+	var cands tgd.Mapping
+	for i := 0; i <= exhaustiveCap; i++ {
+		cands = append(cands, tgd.MustParse(fmt.Sprintf("r%d(x) -> s%d(x)", i, i)))
+	}
+	p := NewProblem(data.NewInstance(), data.NewInstance(), cands)
+	if _, err := (ExhaustiveSolver{}).Solve(context.Background(), p); err == nil {
+		t.Errorf("exhaustive solve over %d candidates: expected candidate-limit error", len(cands))
 	}
 }
 

@@ -12,14 +12,9 @@ import (
 // reduction tests) and the reference for the E6 approximation-quality
 // experiment. Beyond toy sizes the search is expected to run under a
 // WithBudget soft budget, which truncates it to an anytime solver
-// returning the incumbent.
-type ExhaustiveSolver struct {
-	// MaxCandidates guards against accidental exponential blowups;
-	// Solve returns an error above it. Default 128. The selection
-	// state is a bitset of uint64 words, so the cap costs only
-	// ⌈n/64⌉ words per snapshot.
-	MaxCandidates int
-}
+// returning the incumbent. Solve refuses problems with more than
+// exhaustiveCap candidates.
+type ExhaustiveSolver struct{}
 
 // Name implements Solver.
 func (s ExhaustiveSolver) Name() string { return "exhaustive" }
@@ -28,9 +23,10 @@ func (s ExhaustiveSolver) Name() string { return "exhaustive" }
 // (nodes between context checks).
 const checkEvery = 1024
 
-// defaultExhaustiveCap bounds the search to 2 bitset words unless the
-// caller raises MaxCandidates explicitly.
-const defaultExhaustiveCap = 128
+// exhaustiveCap guards against accidental exponential blowups: Solve
+// returns an error above it. The selection state is a bitset of uint64
+// words, so the cap bounds a snapshot to 2 words.
+const exhaustiveCap = 128
 
 // selWords returns the number of uint64 words covering n candidates.
 func selWords(n int) int { return (n + 63) / 64 }
@@ -40,12 +36,8 @@ func selWords(n int) int { return (n + 63) / 64 }
 // expired WithBudget stops expanding and returns the incumbent
 // selection flagged Truncated.
 func (s ExhaustiveSolver) Solve(ctx context.Context, p *Problem, options ...SolveOption) (*Selection, error) {
-	limit := s.MaxCandidates
-	if limit == 0 {
-		limit = defaultExhaustiveCap
-	}
-	if p.NumCandidates() > limit {
-		return nil, fmt.Errorf("core: exhaustive solver limited to %d candidates, got %d", limit, p.NumCandidates())
+	if p.NumCandidates() > exhaustiveCap {
+		return nil, fmt.Errorf("core: exhaustive solver limited to %d candidates, got %d", exhaustiveCap, p.NumCandidates())
 	}
 	r := newRun(ctx, s.Name(), options)
 	if err := r.prepare(p); err != nil {

@@ -6,13 +6,15 @@ package core
 // mutation keeps the prepared evidence value-identical to a cold
 // Prepare of the mutated problem, updates the version counters
 // coherently, and bumps the mutation sequence when the evidence
-// changed, which makes earlier Evaluators stale. A sub-problem view is
-// read-only: each mutation on it returns an error and changes nothing.
+// changed, which makes earlier Evaluators stale. Each updates the
+// analyses through the tracker and hands the delta to absorb, the one
+// place the incidence, grounding and versions are refreshed. A
+// sub-problem view is read-only: each mutation on it returns an error
+// and changes nothing.
 
 import (
 	"fmt"
 
-	"schemamap/internal/cover"
 	"schemamap/internal/data"
 	"schemamap/internal/tgd"
 )
@@ -57,18 +59,7 @@ func (p *Problem) RemoveTarget(tuples []data.Tuple) (*TargetDelta, error) {
 		p.J.Remove(t)
 	}
 	delta := p.tracker.Remove(removed, ids, p.analyses, 0)
-	if len(delta.PairsChanged) > 0 {
-		// Some candidate covered a removed tuple (or a survivor changed
-		// degree): rebuild the inverted rows. Purely uncovered removals
-		// already have empty rows — nothing to do.
-		p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
-	}
-	p.groundMu.Lock()
-	if p.ground != nil && !p.ground.applyDelta(p, delta) {
-		p.ground = nil
-	}
-	p.groundMu.Unlock()
-	p.jVer = p.J.Version()
+	p.absorb(delta)
 	p.mutSeq.Add(1)
 	return delta, nil
 }
@@ -110,20 +101,12 @@ func (p *Problem) ApplySourceDelta(d SourceDelta) (*TargetDelta, error) {
 			changed[t.Rel] = true
 		}
 	}
-	p.iVer = p.I.Version()
 	delta := &TargetDelta{OldTuples: p.jidx.Len(), NewTuples: p.jidx.Len()}
 	if len(changed) > 0 {
 		delta = p.tracker.ApplySourceDelta(p.I, changed, p.Candidates, p.analyses, 0)
 	}
+	p.absorb(delta)
 	if len(delta.PairsChanged) > 0 || len(delta.ChangedTuples) > 0 || len(delta.ErrorsChanged) > 0 {
-		if len(delta.PairsChanged) > 0 {
-			p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
-		}
-		p.groundMu.Lock()
-		if p.ground != nil && !p.ground.applyDelta(p, delta) {
-			p.ground = nil
-		}
-		p.groundMu.Unlock()
 		p.mutSeq.Add(1)
 	}
 	return delta, nil
@@ -153,10 +136,7 @@ func (p *Problem) AddCandidates(cands tgd.Mapping) (int, error) {
 	newAn := p.tracker.AddCandidates(p.I, cands, 0)
 	p.Candidates = append(append(tgd.Mapping{}, p.Candidates...), cands...)
 	p.analyses = append(p.analyses, newAn...)
-	p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
-	p.groundMu.Lock()
-	p.ground = nil
-	p.groundMu.Unlock()
+	p.absorb(nil)
 	p.mutSeq.Add(1)
 	return len(cands), nil
 }
@@ -205,28 +185,9 @@ func (p *Problem) RemoveCandidates(indices []int) error {
 	}
 	p.Candidates = kept
 	p.analyses = p.analyses[:w]
-	p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
-	p.groundMu.Lock()
-	p.ground = nil
-	p.groundMu.Unlock()
+	p.absorb(nil)
 	p.mutSeq.Add(1)
 	return nil
-}
-
-// ForkDetached is Fork for sessions that will also mutate the source:
-// it clones I as well as J, so ApplySourceDelta on the fork never
-// affects problems sharing the original instances. Like Fork, the
-// returned problem is unprepared.
-func (p *Problem) ForkDetached() *Problem {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return &Problem{
-		I:            p.I.Clone(),
-		J:            p.cloneTarget(),
-		Candidates:   p.Candidates,
-		Weights:      p.Weights,
-		CoverOptions: p.CoverOptions,
-	}
 }
 
 // NumLiveTuples returns the number of live target tuples (slots minus

@@ -104,9 +104,9 @@ type Problem struct {
 	analyses    []cover.Analysis
 	incidence   *cover.Incidence
 
-	// mu serialises AppendTarget calls; tracker is the retained
-	// streaming state (built by PrepareStreaming, or lazily by the
-	// first AppendTarget). iVer/jVer are the instance versions the
+	// mu serialises the lifecycle mutations and forks; tracker is the
+	// retained streaming state (built by PrepareStreaming, or lazily by
+	// the first mutation). iVer/jVer are the instance versions the
 	// prepared evidence reflects.
 	mu         sync.Mutex
 	tracker    *cover.Tracker
@@ -205,28 +205,37 @@ func (p *Problem) AppendTarget(tuples []data.Tuple) (*TargetDelta, error) {
 		}
 	}
 	delta := p.tracker.Append(added, p.analyses, 0)
-	if len(added) > 0 {
-		if len(delta.PairsChanged) == 0 {
-			// No coverage row changed: the appended tuples are (so far)
-			// uncovered, so the incidence only grows empty rows.
-			p.incidence.Grow(p.jidx.Len())
-		} else {
-			p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
-		}
-	}
-	// Re-ground only the delta-dirty factors of the retained MRF; the
-	// rare transitions the slot surgery cannot express drop it (the
-	// next collective solve rebuilds cold).
-	p.groundMu.Lock()
-	if p.ground != nil && !p.ground.applyDelta(p, delta) {
-		p.ground = nil
-	}
-	p.groundMu.Unlock()
-	p.jVer = p.J.Version()
+	p.absorb(delta)
 	if len(added) > 0 {
 		p.mutSeq.Add(1)
 	}
 	return delta, nil
+}
+
+// absorb refreshes the state derived from the analyses after a
+// lifecycle mutation changed them, so it equals what a cold Prepare of
+// the mutated problem builds. A nil delta means the candidate set
+// changed, which no TargetDelta can express: the incidence is rebuilt
+// and the retained grounding dropped. Otherwise the incidence is
+// rebuilt when some coverage row changed and only grows empty rows for
+// appended tuples no candidate covers yet; the grounding re-grounds
+// only the delta-dirty factors, and the rare transitions the slot
+// surgery cannot express drop it (the next collective solve rebuilds
+// cold). Finally the instance versions the evidence reflects are
+// re-recorded. Callers hold mu.
+func (p *Problem) absorb(d *TargetDelta) {
+	switch {
+	case d == nil || len(d.PairsChanged) > 0:
+		p.incidence = cover.BuildIncidence(p.jidx.Len(), p.analyses)
+	case d.NewTuples > d.OldTuples:
+		p.incidence.Grow(p.jidx.Len())
+	}
+	p.groundMu.Lock()
+	if d == nil || (p.ground != nil && !p.ground.applyDelta(p, d)) {
+		p.ground = nil
+	}
+	p.groundMu.Unlock()
+	p.iVer, p.jVer = p.I.Version(), p.J.Version()
 }
 
 // Fork returns an independent copy of the problem for private
@@ -238,13 +247,27 @@ func (p *Problem) AppendTarget(tuples []data.Tuple) (*TargetDelta, error) {
 // with PrepareStreaming (or let the first solve/append do it).
 //
 // Fork is safe to call concurrently with Solve/Objective on the
-// original (those only read), and serialises against AppendTarget so
-// the target is never cloned mid-append.
-func (p *Problem) Fork() *Problem {
+// original (those only read), and serialises against the lifecycle
+// mutations so the target is never cloned mid-mutation.
+func (p *Problem) Fork() *Problem { return p.fork(false) }
+
+// ForkDetached is Fork with a private source: it clones I as well as
+// J, so ApplySourceDelta on the fork never affects problems sharing
+// the original instances. Like Fork, the returned problem is
+// unprepared.
+func (p *Problem) ForkDetached() *Problem { return p.fork(true) }
+
+// fork is the body of Fork and ForkDetached. Both instances are cloned
+// under mu, so neither is copied mid-mutation.
+func (p *Problem) fork(detach bool) *Problem {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	I := p.I
+	if detach {
+		I = I.Clone()
+	}
 	return &Problem{
-		I:            p.I,
+		I:            I,
 		J:            p.cloneTarget(),
 		Candidates:   p.Candidates,
 		Weights:      p.Weights,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -68,7 +69,9 @@ func coldProblemOf(p *Problem) *Problem {
 // assertEvidenceMatchesCold compares an appended problem's evidence
 // against a cold Prepare over the same target, up to the tuple-id
 // permutation induced by arrival order (coverage values, error
-// counts, block counts are value-identical per concrete tuple).
+// counts, block counts are value-identical per concrete tuple). It
+// also checks the incidence every mutation refreshes: row for row, it
+// must be the inversion of the problem's current analyses.
 func assertEvidenceMatchesCold(t *testing.T, label string, p, cold *Problem) {
 	t.Helper()
 	got := p.Analyses()
@@ -91,6 +94,18 @@ func assertEvidenceMatchesCold(t *testing.T, label string, p, cold *Problem) {
 		if !reflect.DeepEqual(remapped, want[i]) {
 			t.Errorf("%s candidate %d:\n streamed (remapped) %+v\n cold                %+v",
 				label, i, remapped, want[i])
+		}
+	}
+	inc, wantInc := p.Incidence(), cover.BuildIncidence(pj.Len(), got)
+	if inc.NumTuples() != wantInc.NumTuples() {
+		t.Fatalf("%s: incidence spans %d tuples, the index %d", label, inc.NumTuples(), wantInc.NumTuples())
+	}
+	for j := 0; j < pj.Len(); j++ {
+		gc, gv := inc.Row(j)
+		wc, wv := wantInc.Row(j)
+		if !slices.Equal(gc, wc) || !slices.Equal(gv, wv) {
+			t.Errorf("%s: incidence row %d is %v %v, the analyses give %v %v", label, j, gc, gv, wc, wv)
+			return
 		}
 	}
 }

@@ -39,7 +39,6 @@ package cover
 
 import (
 	"slices"
-	"sort"
 
 	"schemamap/internal/data"
 	"schemamap/internal/tgd"
@@ -195,16 +194,8 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 
 	// 1–3. Re-enumerate the blocks with a tuple that can map onto an
 	// appended tuple and re-merge the candidates owning a changed one.
-	deltaByRel := make(map[string][]data.Tuple)
-	for _, dt := range delta {
-		deltaByRel[dt.Rel] = append(deltaByRel[dt.Rel], dt)
-	}
-	touched := t.rescan(deltaByRel, analyses, int32(oldLen), true, workers, out)
-	out.ChangedTuples = make([]int32, 0, len(touched))
-	for j := range touched {
-		out.ChangedTuples = append(out.ChangedTuples, j)
-	}
-	sort.Slice(out.ChangedTuples, func(a, b int) bool { return out.ChangedTuples[a] < out.ChangedTuples[b] })
+	deltaByRel := groupByRel(delta)
+	out.ChangedTuples = t.rescan(deltaByRel, analyses, int32(oldLen), true, workers, out)
 
 	// 4. Errors: a chase tuple still erroring stops iff it maps onto an
 	// appended tuple, which a probe of the appended ids alone answers —
@@ -240,13 +231,12 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 // rebuilds the Pairs of every candidate owning a block whose
 // contribution changed by max-merging its blocks' cached contributions
 // (a memory pass, no search), records those candidates in
-// out.PairsChanged and returns the J ids below limit whose coverage
-// changed.
-func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analysis, limit int32, appended bool, workers int, out *TrackerDelta) map[int32]bool {
-	touched := make(map[int32]bool)
+// out.PairsChanged and returns the sorted J ids below limit whose
+// coverage changed, less out.RemovedTuples.
+func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analysis, limit int32, appended bool, workers int, out *TrackerDelta) []int32 {
 	dirty := t.dirtyBlocks(changedByRel)
 	if len(dirty) == 0 {
-		return touched
+		return nil
 	}
 	changed := make([]bool, len(dirty))
 	runWorkers(t.jidx, len(dirty), workers, func(w *analyzeWorker, k int) {
@@ -257,17 +247,18 @@ func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analys
 		} else {
 			pairs, tb.homs = w.enumerateBlockPairs(tb.tuples, t.opts)
 		}
-		if !pairsEqual(pairs, tb.pairs) {
+		if !slices.Equal(pairs, tb.pairs) {
 			tb.pairs = pairs
 			changed[k] = true
 		}
 	})
 	if !slices.Contains(changed, true) {
-		return touched
+		return nil
 	}
 	for k, c := range changed {
 		dirty[k].changed = c
 	}
+	touched := make(map[int32]bool)
 	w := newAnalyzeWorker(t.jidx)
 	for i, blocks := range t.candBlocks {
 		if !slices.ContainsFunc(blocks, func(tb *trackedBlock) bool { return tb.changed }) {
@@ -284,7 +275,7 @@ func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analys
 	for _, tb := range dirty {
 		tb.changed = false
 	}
-	return touched
+	return changedIDs(touched, out.RemovedTuples)
 }
 
 // dirtyBlocks returns the blocks with a tuple whose constant positions
@@ -388,17 +379,27 @@ func (t *Tracker) indexPattern(id int32, bt data.Tuple) {
 	rp.first[p][bt.Args[p]] = append(rp.first[p][bt.Args[p]], id)
 }
 
-// pairsEqual reports exact equality of two sparse cover rows.
-func pairsEqual(a, b []CoverPair) bool {
-	if len(a) != len(b) {
-		return false
+// groupByRel groups the tuples of a delta by relation.
+func groupByRel(tuples []data.Tuple) map[string][]data.Tuple {
+	byRel := make(map[string][]data.Tuple)
+	for _, t := range tuples {
+		byRel[t.Rel] = append(byRel[t.Rel], t)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return byRel
+}
+
+// changedIDs lists the ids in touched that are not in skip (sorted
+// ascending), in ascending order: a delta's ChangedTuples.
+func changedIDs(touched map[int32]bool, skip []int32) []int32 {
+	ids := make([]int32, 0, len(touched))
+	//lint:commutative filtered collect-then-sort: ids is sorted immediately below
+	for j := range touched {
+		if _, found := slices.BinarySearch(skip, j); !found {
+			ids = append(ids, j)
 		}
 	}
-	return true
+	slices.Sort(ids)
+	return ids
 }
 
 // diffPairs records into touched the J ids below limit whose coverage

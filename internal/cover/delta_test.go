@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -152,7 +153,7 @@ func assertChangedTuplesSound(t *testing.T, before [][]CoverPair, analyses []Ana
 	for i := range analyses {
 		old := Analysis{Pairs: before[i]}
 		cur := &analyses[i]
-		if !pairsEqual(before[i], cur.Pairs) && !pairsChanged[int32(i)] {
+		if !slices.Equal(before[i], cur.Pairs) && !pairsChanged[int32(i)] {
 			t.Errorf("candidate %d row changed but not reported in PairsChanged", i)
 		}
 		check := func(j int32) {
@@ -329,7 +330,7 @@ func TestTrackerAppendEmpty(t *testing.T) {
 		t.Fatalf("empty append reported changes: %+v", delta)
 	}
 	for i := range analyses {
-		if !pairsEqual(before[i], analyses[i].Pairs) {
+		if !slices.Equal(before[i], analyses[i].Pairs) {
 			t.Fatalf("empty append mutated candidate %d", i)
 		}
 	}

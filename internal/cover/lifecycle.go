@@ -26,7 +26,6 @@ package cover
 
 import (
 	"slices"
-	"sort"
 
 	"schemamap/internal/data"
 	"schemamap/internal/tgd"
@@ -45,31 +44,15 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis,
 		return out
 	}
 	t.jidx.Remove(ids)
-	out.RemovedTuples = append([]int32(nil), ids...)
-	sort.Slice(out.RemovedTuples, func(a, b int) bool { return out.RemovedTuples[a] < out.RemovedTuples[b] })
+	out.RemovedTuples = slices.Clone(ids)
+	slices.Sort(out.RemovedTuples)
 
 	// 1–3. Append's rescan, with the removed tuples in place of the
 	// appended ones (the candidate probe filters dead ids, so the
 	// re-enumeration is the one a cold analysis of the shrunken target
 	// would run). Removed ids are excluded from ChangedTuples —
 	// RemovedTuples already reports them.
-	removedByRel := make(map[string][]data.Tuple)
-	for _, rt := range removed {
-		removedByRel[rt.Rel] = append(removedByRel[rt.Rel], rt)
-	}
-	touched := t.rescan(removedByRel, analyses, int32(n), false, workers, out)
-	removedSet := make(map[int32]bool, len(ids))
-	for _, id := range ids {
-		removedSet[id] = true
-	}
-	out.ChangedTuples = make([]int32, 0, len(touched))
-	//lint:commutative filtered collect-then-sort: ChangedTuples is sorted immediately below
-	for j := range touched {
-		if !removedSet[j] {
-			out.ChangedTuples = append(out.ChangedTuples, j)
-		}
-	}
-	sort.Slice(out.ChangedTuples, func(a, b int) bool { return out.ChangedTuples[a] < out.ChangedTuples[b] })
+	out.ChangedTuples = t.rescan(groupByRel(removed), analyses, int32(n), false, workers, out)
 
 	// 4. Errors grow: an embedded chase tuple loses its image iff it
 	// could map onto a removed tuple and the tombstoned index no longer
@@ -131,7 +114,7 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 	for k, i := range affected {
 		na := newAn[k]
 		diffPairs(analyses[i].Pairs, na.Pairs, int32(n), touched)
-		if !pairsEqual(analyses[i].Pairs, na.Pairs) {
+		if !slices.Equal(analyses[i].Pairs, na.Pairs) {
 			out.PairsChanged = append(out.PairsChanged, int32(i))
 		}
 		if na.Errors != analyses[i].Errors {
@@ -142,11 +125,7 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 		t.errTuples[i] = sink.errs[i]
 		t.okTuples[i] = sink.oks[i]
 	}
-	out.ChangedTuples = make([]int32, 0, len(touched))
-	for j := range touched {
-		out.ChangedTuples = append(out.ChangedTuples, j)
-	}
-	sort.Slice(out.ChangedTuples, func(a, b int) bool { return out.ChangedTuples[a] < out.ChangedTuples[b] })
+	out.ChangedTuples = changedIDs(touched, nil)
 	t.blocks = memo.blocks()
 	t.sweepBlocks()
 	t.internBlocks()

@@ -423,7 +423,7 @@ func E5Scaling(ctx context.Context, o Options) (*Table, error) {
 			candCount, jCount = len(sc.Candidates), sc.J.Len()
 			solvers := solverSet()
 			if len(sc.Candidates) <= 28 {
-				solvers = append(solvers, core.ExhaustiveSolver{MaxCandidates: 28})
+				solvers = append(solvers, core.ExhaustiveSolver{})
 			} else {
 				exhaustiveRan = false
 			}
@@ -483,7 +483,7 @@ func E6ApproxQuality(ctx context.Context, o Options) (*Table, error) {
 			continue
 		}
 		p := core.NewProblem(sc.I, sc.J, sc.Candidates)
-		exact, err := core.ExhaustiveSolver{MaxCandidates: 36}.Solve(ctx, p)
+		exact, err := core.ExhaustiveSolver{}.Solve(ctx, p)
 		if err != nil {
 			return nil, err
 		}

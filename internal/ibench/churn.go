@@ -22,18 +22,19 @@ type ChurnConfig struct {
 	// instance (≥ 1). Each step carries an append and, in a seeded
 	// pattern, a removal and/or a candidate addition.
 	Steps int
-	// InitialFrac is the fraction of J tuples in the initial target
-	// (0 < f < 1; 0 means the default 0.5).
-	InitialFrac float64
-	// HoldoutFrac is the fraction of candidates withheld at time zero
-	// and added back across the steps (0 ≤ f < 1; 0 means the default
-	// 0.25).
-	HoldoutFrac float64
 	// Seed drives the arrival shuffle and the removal picks. 0 means
 	// seed 1 — churn plans are always shuffled, since removals of
 	// relation-grouped tuples would be unrealistically clustered.
 	Seed int64
 }
+
+// A churn plan starts from churnInitialFrac of the J tuples and
+// withholds churnHoldoutFrac of the candidates at time zero, adding
+// them back across the steps.
+const (
+	churnInitialFrac = 0.5
+	churnHoldoutFrac = 0.25
+)
 
 // ChurnStep is one mutation step: apply Append, then Remove, then
 // AddCandidates (any of them may be empty).
@@ -78,20 +79,6 @@ func SplitChurn(sc *Scenario, cfg ChurnConfig) (*ChurnStream, error) {
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("ibench: churn Steps must be positive")
 	}
-	frac := cfg.InitialFrac
-	if frac == 0 {
-		frac = 0.5
-	}
-	if frac <= 0 || frac >= 1 {
-		return nil, fmt.Errorf("ibench: churn InitialFrac must be in (0,1), got %g", cfg.InitialFrac)
-	}
-	hold := cfg.HoldoutFrac
-	if hold == 0 {
-		hold = 0.25
-	}
-	if hold < 0 || hold >= 1 {
-		return nil, fmt.Errorf("ibench: churn HoldoutFrac must be in [0,1), got %g", cfg.HoldoutFrac)
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -100,7 +87,7 @@ func SplitChurn(sc *Scenario, cfg ChurnConfig) (*ChurnStream, error) {
 
 	all := sc.J.All()
 	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	k := int(float64(len(all)) * frac)
+	k := int(float64(len(all)) * churnInitialFrac)
 	if k < 1 {
 		k = 1
 	}
@@ -116,7 +103,7 @@ func SplitChurn(sc *Scenario, cfg ChurnConfig) (*ChurnStream, error) {
 	// across the steps.
 	nc := len(sc.Candidates)
 	perm := rng.Perm(nc)
-	nHold := int(float64(nc) * hold)
+	nHold := int(float64(nc) * churnHoldoutFrac)
 	if nHold > nc-1 {
 		nHold = nc - 1 // keep at least one candidate at time zero
 	}

@@ -429,7 +429,12 @@ func (s *Server) mutateTuples(w http.ResponseWriter, r *http.Request, mutate fun
 		return
 	}
 
-	m, err := s.mutateTarget(sess, tuples, mutate)
+	var m targetMutation
+	m.elapsed, m.forked, err = s.mutateSession(sess, false, func(p *core.Problem) (err error) {
+		m.delta, err = mutate(p, tuples)
+		m.jTuples = p.NumLiveTuples()
+		return err
+	})
 	if err != nil {
 		s.mutationFailed(w, sess, err)
 		return
@@ -463,25 +468,16 @@ func (s *Server) handleSourceDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	start := time.Now()
 	var (
 		delta                           *core.TargetDelta
 		addKeys                         = make(map[string]bool)
 		removedN, sourceTuples, jTuples int
 	)
-	func() {
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		defer recoverMutation(&err)
-		if !sess.detached {
-			// Source deltas mutate I; even a forked problem still aliases
-			// the shared source instance, so detach on first use.
-			s.forkDetached(sess)
-		}
+	elapsed, _, err := s.mutateSession(sess, true, func(p *core.Problem) (err error) {
 		// Count the effective changes against the pre-state (core
 		// applies adds before removes and skips duplicates and misses).
 		for _, t := range add {
-			if !sess.p.I.Has(t) {
+			if !p.I.Has(t) {
 				addKeys[t.Key()] = true
 			}
 		}
@@ -492,15 +488,15 @@ func (s *Server) handleSourceDelta(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			remSeen[k] = true
-			if sess.p.I.Has(t) || addKeys[k] {
+			if p.I.Has(t) || addKeys[k] {
 				removedN++
 			}
 		}
-		delta, err = sess.p.ApplySourceDelta(core.SourceDelta{Add: add, Remove: rem})
-		sourceTuples = sess.p.I.Len()
-		jTuples = sess.p.NumLiveTuples()
-	}()
-	elapsed := time.Since(start)
+		delta, err = p.ApplySourceDelta(core.SourceDelta{Add: add, Remove: rem})
+		sourceTuples = p.I.Len()
+		jTuples = p.NumLiveTuples()
+		return err
+	})
 	if err != nil {
 		s.mutationFailed(w, sess, err)
 		return
@@ -631,23 +627,26 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// mutateTarget applies a target mutation to the session's problem
-// under its write lock. A session still sharing the cache's problem
-// forks first (copy-on-write: the shared problem must keep its target
-// for the other sessions).
-func (s *Server) mutateTarget(sess *session, tuples []data.Tuple, mutate func(*core.Problem, []data.Tuple) (*core.TargetDelta, error)) (m targetMutation, err error) {
+// mutateSession runs one mutation of the session's problem under its
+// write lock, the one routine every mutating endpoint goes through. It
+// first forks when the problem is not the session's own to mutate: a
+// source mutation (source) on a session without a private source
+// instance gets a detached fork, since even a forked problem still
+// aliases the cache's source; any other mutation on a session sharing
+// the cache's problem gets a plain fork (copy-on-write: the shared
+// problem must keep its target for the other sessions). A panic in fn
+// becomes a *mutationPanic error. elapsed includes the session-lock
+// wait and the fork.
+func (s *Server) mutateSession(sess *session, source bool, fn func(*core.Problem) error) (elapsed time.Duration, forked bool, err error) {
 	start := time.Now()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	defer recoverMutation(&err)
-	if sess.shared {
-		s.fork(sess)
-		m.forked = true
+	if forked = (source && !sess.detached) || (!source && sess.shared); forked {
+		s.fork(sess, source)
 	}
-	m.delta, err = mutate(sess.p, tuples)
-	m.jTuples = sess.p.NumLiveTuples()
-	m.elapsed = time.Since(start)
-	return m, err
+	err = fn(sess.p)
+	return time.Since(start), forked, err
 }
 
 // mutationPanic is a panic recovered from a session mutation. The

@@ -12,8 +12,11 @@
 // delta-Prepares and re-solves warm-start from the session's last
 // selection. The first source delta forks further into a detached
 // problem (source instance cloned too), since shared sessions alias
-// the cache's source. See docs/LIFECYCLE.md for the mutation
-// contract the endpoints expose.
+// the cache's source. Append, remove and source delta all run through
+// one routine, mutateSession: it takes the session's write lock,
+// makes that fork decision, and turns a panic into an error that drops
+// the session. See docs/LIFECYCLE.md for the mutation contract the
+// endpoints expose.
 //
 // The server measures itself: prepare/solve/append latency histograms,
 // cache hit counters, live-session and in-flight gauges, per-solver
@@ -484,35 +487,29 @@ func (s *Server) liveSessions() int {
 	return len(s.sessions)
 }
 
-// fork gives a shared session its private problem before the first
-// target mutation (copy-on-append). Callers hold sess.mu.
+// fork gives a session a private problem before a mutation: a plain
+// Fork before its first target mutation (copy-on-append), or, with
+// detach, a ForkDetached that clones the source instance as well
+// before its first source delta — a plain fork still aliases the
+// shared source, which a source delta would mutate under every session
+// of the scenario. Callers hold sess.mu.
 //
-//lint:guarded-by-caller every caller holds sess.mu.Lock across the copy-on-append decision and the fork
-func (s *Server) fork(sess *session) {
-	forked := sess.p.Fork()
+//lint:guarded-by-caller mutateSession holds sess.mu.Lock across the fork decision and the fork
+func (s *Server) fork(sess *session, detach bool) {
+	var forked *core.Problem
+	if detach {
+		forked = sess.p.ForkDetached()
+	} else {
+		forked = sess.p.Fork()
+	}
 	start := time.Now()
 	forked.PrepareStreaming(s.cfg.Parallelism)
 	s.m.prepareSeconds.Observe(time.Since(start).Seconds())
 	sess.p = forked
 	sess.shared = false
-	s.m.forks.Inc()
-}
-
-// forkDetached gives a session a fully private problem — source
-// instance cloned as well — before its first source delta. A plain
-// fork still aliases the shared source instance, which a source delta
-// would mutate under every session of the scenario. Callers hold
-// sess.mu.
-//
-//lint:guarded-by-caller every caller holds sess.mu.Lock across the detach decision and the fork
-func (s *Server) forkDetached(sess *session) {
-	forked := sess.p.ForkDetached()
-	start := time.Now()
-	forked.PrepareStreaming(s.cfg.Parallelism)
-	s.m.prepareSeconds.Observe(time.Since(start).Seconds())
-	sess.p = forked
-	sess.shared = false
-	sess.detached = true
+	if detach {
+		sess.detached = true
+	}
 	s.m.forks.Inc()
 }
 

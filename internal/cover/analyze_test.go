@@ -17,8 +17,7 @@ func Analyze(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Option
 
 // AnalyzeOne computes the Analysis of a single candidate.
 func AnalyzeOne(index int, d *tgd.TGD, I, J *data.Instance, opts Options) Analysis {
-	jidx := IndexJ(J)
-	return newAnalyzeWorker(jidx).analyzeOne(index, d, I, newBlockMemo(nil, jidx.Len()), opts, nil)
+	return newAnalyzeWorker(IndexJ(J)).analyzeOne(index, d, I, opts, nil)
 }
 
 // CoversOf returns covers(θ, t) for J tuple index j.

@@ -25,14 +25,18 @@
 // sparse and index-friendly: covers values live in a sorted
 // (CSR-style) pair slice rather than a map, homomorphism search and
 // the creates check probe the CSR posting lists of J (data.Index)
-// directly, identical chase blocks are analysed once and shared
-// across candidates through a block memo sized from |J|, null
-// corroboration is decided by per-block label bitmasks rather than
-// label comparisons, and the inverted tuple→candidate incidence
-// (Incidence) lets solvers rescan only the candidates touching a
-// tuple. AnalyzeReference in reference.go preserves the original
-// scan-based map pipeline with label-comparing corroboration; the
-// differential tests pin the two against each other bit for bit.
+// directly, null corroboration is decided by per-block label bitmasks
+// rather than label comparisons, and the inverted tuple→candidate
+// incidence (Incidence) lets solvers rescan only the candidates
+// touching a tuple. covers(θ, t) is a maximum over blocks and matches,
+// so a cold analysis (AnalyzeN) folds each block's matches straight
+// into its candidate's row and keeps nothing per block. Only the
+// streaming Tracker (delta.go) keeps per-block rows: its block memo,
+// sized from |J|, shares identical chase blocks across candidates so
+// that each is retained, and re-enumerated on a delta, once.
+// AnalyzeReference in reference.go preserves the original scan-based
+// map pipeline with label-comparing corroboration; the differential
+// tests pin the two against each other bit for bit.
 package cover
 
 import (
@@ -190,22 +194,26 @@ func PairsFromMap(m map[int]float64) []CoverPair {
 // parallel (they are independent) by at most workers goroutines: 1
 // forces serial analysis, 0 or negative means GOMAXPROCS. The result
 // order matches the candidate order, so output is deterministic.
+//
+// A cold analysis keeps no per-block state: covers(θ, t) is a maximum
+// over blocks and their matches, so every match is folded straight
+// into its candidate's row, in any order.
 func AnalyzeN(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) []Analysis {
 	out := make([]Analysis, len(candidates))
-	memo := newBlockMemo(nil, jidx.Len())
-	runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
-		out[i] = w.analyzeOne(i, candidates[i], I, memo, opts, nil)
+	runWorkers(jidx, nil, len(candidates), workers, func(w *analyzeWorker, i int) {
+		out[i] = w.analyzeOne(i, candidates[i], I, opts, nil)
 	})
 	return out
 }
 
-// blockMemo shares per-block cover contributions across candidates
+// blockMemo shares the tracker's retained blocks across candidates
 // and workers, keyed by canonical block form: identical chase blocks —
 // projections and copies are rife in generated candidate sets — are
-// analysed once. Most blocks of a large scenario are distinct, so
-// nearly every block both looks up and stores; the memo is split into
-// independently locked shards so that workers rarely wait on each
-// other.
+// analysed and retained once. Most blocks of a large scenario are
+// distinct, so nearly every block both looks up and stores; the memo
+// is split into independently locked shards so that workers rarely
+// wait on each other. Cold analysis (AnalyzeN) does not use it: its
+// hits saved fewer enumerations than its keys and locks cost.
 type blockMemo struct {
 	shards [memoShards]memoShard
 }
@@ -288,26 +296,30 @@ func (bm *blockMemo) blocks() map[string]*trackedBlock {
 }
 
 // runWorkers executes fn(w, i) for every i in [0, n) on a pool of
-// `workers` workers (≤ 0 means GOMAXPROCS, capped at n), each owning a
-// fresh analyzeWorker over jidx; the calling goroutine is one of them,
-// so a single worker runs inline. Workers claim items from a shared
-// counter — a delta rescan hands out hundreds of microsecond-sized
-// items, too small for a channel hand-off each. Every analysis fan-out
-// in this package — cold, tracked, and the delta rescans — goes
-// through here. A panic in fn stops the other workers claiming items
-// and is re-raised on the calling goroutine once every worker has
-// stopped, instead of killing the process from a pool goroutine.
-func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) {
+// `workers` workers (≤ 0 means GOMAXPROCS, capped at n), each owning an
+// analyzeWorker over jidx (see fitWorkers); the calling goroutine is
+// one of them, so a single worker runs inline. Workers claim items
+// from a shared counter — a delta rescan hands out hundreds of
+// microsecond-sized items, too small for a channel hand-off each.
+// Every analysis fan-out in this package — cold, tracked, and the
+// delta rescans — goes through here. A panic in fn stops the other
+// workers claiming items and is re-raised on the calling goroutine
+// once every worker has stopped, instead of killing the process from a
+// pool goroutine.
+func runWorkers(jidx *JIndex, keep *[]*analyzeWorker, n, workers int, fn func(w *analyzeWorker, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
+	if n == 0 {
+		return
+	}
+	ws := fitWorkers(jidx, keep, max(workers, 1))
 	if workers <= 1 {
-		w := newAnalyzeWorker(jidx)
 		for i := 0; i < n; i++ {
-			fn(w, i)
+			fn(ws[0], i)
 		}
 		return
 	}
@@ -317,7 +329,7 @@ func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) 
 		panicMu  sync.Mutex
 		panicked any
 	)
-	work := func() {
+	work := func(w *analyzeWorker) {
 		defer wg.Done()
 		defer func() {
 			if r := recover(); r != nil {
@@ -329,32 +341,48 @@ func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) 
 				panicMu.Unlock()
 			}
 		}()
-		w := newAnalyzeWorker(jidx)
 		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			fn(w, i)
 		}
 	}
 	wg.Add(workers)
 	for wk := 1; wk < workers; wk++ {
-		go work()
+		go work(ws[wk])
 	}
-	work()
+	work(ws[0])
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
 	}
 }
 
+// fitWorkers returns n analyzeWorkers over jidx. Without keep they are
+// fresh; with it they are the first n of *keep — a tracker keeps its
+// workers across mutations, since a rescan's items are too small to
+// pay for new scratch each time — topped up with fresh ones and grown
+// to the target's current size.
+func fitWorkers(jidx *JIndex, keep *[]*analyzeWorker, n int) []*analyzeWorker {
+	if keep == nil {
+		keep = new([]*analyzeWorker)
+	}
+	for len(*keep) < n {
+		*keep = append(*keep, newAnalyzeWorker(jidx))
+	}
+	ws := (*keep)[:n]
+	for _, w := range ws {
+		w.acc.fit(jidx.Len())
+		w.blk.fit(jidx.Len())
+	}
+	return ws
+}
+
 // analyzeWorker bundles one worker's searcher and dense accumulation
-// scratch (two max-coverage accumulators with touched lists, so the
-// per-candidate and per-block passes never clear a full |J| array).
+// scratch: the candidate row acc and the block row blk of the tracked
+// paths.
 type analyzeWorker struct {
 	index    *data.Index
 	searcher *data.Searcher
-	acc      []float64
-	accTouch []int32
-	blk      []float64
-	blkTouch []int32
+	acc, blk rowAcc
 	keyBuf   data.BlockKeyBuf
 	nulls    blockNulls
 	// seen holds the keys of the chase tuples of the candidate being
@@ -362,9 +390,10 @@ type analyzeWorker struct {
 	seen     map[string]struct{}
 	tupleKey []byte
 
-	// opts parametrises emit, the worker's one match callback, for the
-	// enumeration in progress.
+	// opts and row parametrise emit, the worker's one match callback,
+	// for the enumeration in progress: emit folds each match into row.
 	opts Options
+	row  *rowAcc
 	emit func(*data.IndexedMatch) bool
 }
 
@@ -372,34 +401,36 @@ func newAnalyzeWorker(jidx *JIndex) *analyzeWorker {
 	w := &analyzeWorker{
 		index:    jidx.idx,
 		searcher: data.NewSearcher(jidx.idx),
-		acc:      make([]float64, jidx.Len()),
-		blk:      make([]float64, jidx.Len()),
+		acc:      newRowAcc(jidx.Len()),
+		blk:      newRowAcc(jidx.Len()),
 		seen:     make(map[string]struct{}),
 	}
 	w.emit = w.addMatch
 	return w
 }
 
-// analyzeOne computes one candidate's Analysis. A non-nil sink
-// additionally records the candidate's blocks and error tuples —
-// the retained streaming state of BuildTracker (delta.go); the
-// analysis itself is identical either way.
-func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, memo *blockMemo, opts Options, sink *trackSink) Analysis {
+// analyzeOne computes one candidate's Analysis. With a nil sink every
+// block's matches are folded straight into the candidate row: no block
+// is keyed, looked up or kept. A non-nil sink additionally retains the
+// candidate's blocks — deduplicated through the sink's block memo — and
+// its error and embedded chase tuples, the streaming state of
+// BuildTracker (delta.go); the analysis itself is identical either way.
+func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts Options, sink *trackSink) Analysis {
 	an := Analysis{TGDIndex: index, Size: d.Size()}
-	var blocks []*trackedBlock
 	clear(w.seen)
 	chase.Each(I, tgd.Mapping{d}, nil, func(b chase.Block) {
 		an.Firings++
 		block := b.Tuples
-		if sink != nil {
+		var tb *trackedBlock
+		if sink == nil {
+			w.enumerate(block, &w.acc, opts)
+		} else {
 			// The tracker keeps the block's tuples.
 			block = data.CloneTuples(block)
+			tb = w.blockContrib(block, sink.memo, opts)
+			sink.blocks[index] = append(sink.blocks[index], tb)
+			w.acc.addPairs(tb.pairs)
 		}
-		tb := w.blockContrib(block, sink != nil, memo, opts)
-		if sink != nil {
-			blocks = append(blocks, tb)
-		}
-		addPairs(w.acc, &w.accTouch, tb.pairs)
 		// K_θ is a set: each distinct chase tuple counts once.
 		for _, t := range block {
 			w.tupleKey = t.AppendKey(w.tupleKey[:0])
@@ -411,53 +442,60 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, memo
 			if !w.index.Embeds(t, 0) {
 				an.Errors++
 				if sink != nil {
-					sink.errs[index] = append(sink.errs[index], t)
+					sink.errs[index] = append(sink.errs[index], chaseTuple{t, tb})
 				}
 			} else if sink != nil {
 				// Embedded chase tuples are retained too: target removals
 				// can take their image away, turning them back into
 				// errors, and the per-candidate multiplicity cannot be
 				// reconstructed from the canonically-deduped blocks.
-				sink.oks[index] = append(sink.oks[index], t)
+				sink.oks[index] = append(sink.oks[index], chaseTuple{t, tb})
 			}
 		}
 	})
-	an.Pairs = w.drain(&w.acc, &w.accTouch)
-	if sink != nil {
-		sink.blocks[index] = blocks
-	}
+	an.Pairs = w.acc.drain()
 	return an
 }
 
-// blockContrib returns the per-block evidence — the maximum coverage
-// degree each J tuple receives from any partial homomorphism of the
-// block — memoised by the block's canonical form: equal blocks up to
-// null renaming contribute identically, whichever candidate fired
-// them. With retain set the memoised trackedBlock also keeps block as
-// its representative, which is what the streaming Tracker re-enumerates;
-// the caller then gives block away.
-func (w *analyzeWorker) blockContrib(block []data.Tuple, retain bool, memo *blockMemo, opts Options) *trackedBlock {
+// blockContrib returns the retained block of block — its per-block
+// evidence, the maximum coverage degree each J tuple receives from any
+// partial homomorphism of it, with block as the representative the
+// streaming Tracker re-enumerates — shared through memo by canonical
+// form: equal blocks up to null renaming contribute identically,
+// whichever candidate fired them. The caller gives block away.
+func (w *analyzeWorker) blockContrib(block []data.Tuple, memo *blockMemo, opts Options) *trackedBlock {
 	key := w.keyBuf.Key(block)
 	if tb := memo.get(key); tb != nil {
 		return tb
 	}
-	tb := &trackedBlock{key: string(key)}
+	tb := &trackedBlock{key: string(key), tuples: block}
 	tb.pairs, tb.homs = w.enumerateBlockPairs(block, opts)
-	if retain {
-		tb.tuples = block
-	}
 	return memo.put(tb)
 }
 
-// enumerateBlockPairs runs the partial-homomorphism enumeration of one
-// block against the searcher's index and returns the block's cover
-// contribution (max degree per J tuple, sparse and sorted) and the
-// number of matches enumerated.
-func (w *analyzeWorker) enumerateBlockPairs(block []data.Tuple, opts Options) ([]CoverPair, int) {
-	w.use(opts)
+// enumerate runs the partial-homomorphism enumeration of one block
+// against the searcher's index, folding every match into row, and
+// returns the number of matches enumerated.
+func (w *analyzeWorker) enumerate(block []data.Tuple, row *rowAcc, opts Options) int {
+	w.use(opts, row)
 	w.nulls.reset(block)
-	homs := w.searcher.EnumeratePartialHoms(block, opts.HomLimit, w.emit)
-	return w.drain(&w.blk, &w.blkTouch), homs
+	return w.searcher.EnumeratePartialHoms(block, opts.HomLimit, w.emit)
+}
+
+// enumerateBlockPairs enumerates one block on its own and returns the
+// block's cover contribution (max degree per J tuple, sparse and
+// sorted) and the number of matches enumerated.
+func (w *analyzeWorker) enumerateBlockPairs(block []data.Tuple, opts Options) ([]CoverPair, int) {
+	homs := w.enumerate(block, &w.blk, opts)
+	return w.blk.drain(), homs
+}
+
+// homLimit returns the effective per-block hom limit of opts.
+func homLimit(opts Options) int {
+	if opts.HomLimit <= 0 {
+		return data.DefaultHomLimit
+	}
+	return opts.HomLimit
 }
 
 // appendedBlockPairs returns tb's contribution and match count once
@@ -468,80 +506,89 @@ func (w *analyzeWorker) enumerateBlockPairs(block []data.Tuple, opts Options) ([
 // the limit is enumerated afresh, since a truncated maximum depends on
 // which matches come first.
 func (w *analyzeWorker) appendedBlockPairs(tb *trackedBlock, base int32, opts Options) ([]CoverPair, int) {
-	limit := opts.HomLimit
-	if limit <= 0 {
-		limit = data.DefaultHomLimit
-	}
+	limit := homLimit(opts)
 	if tb.homs < limit {
-		w.use(opts)
+		w.use(opts, &w.blk)
 		w.nulls.reset(tb.tuples)
 		homs := tb.homs + w.searcher.EnumerateNewHoms(tb.tuples, base, limit-tb.homs, w.emit)
 		if homs < limit {
-			addPairs(w.blk, &w.blkTouch, tb.pairs)
-			return w.drain(&w.blk, &w.blkTouch), homs
+			w.blk.addPairs(tb.pairs)
+			return w.blk.drain(), homs
 		}
-		w.drain(&w.blk, &w.blkTouch) // discard the partial row
+		w.blk.drain() // discard the partial row
 	}
 	return w.enumerateBlockPairs(tb.tuples, opts)
 }
 
-// use parametrises emit and the searcher for one enumeration. Under
-// the corroboration rule a block tuple the search leaves inert (see
-// data.Searcher.CollapseInert) scores 0 and corroborates nothing, so
-// the searcher counts its images instead of emitting each; without the
-// rule (the E8 ablation) such a tuple scores 1, and every image is
-// emitted.
-func (w *analyzeWorker) use(opts Options) {
+// use parametrises emit and the searcher for one enumeration folding
+// into row. Under the corroboration rule a block tuple the search
+// leaves inert (see data.Searcher.CollapseInert) scores 0 and
+// corroborates nothing, so the searcher counts its images instead of
+// emitting each; without the rule (the E8 ablation) such a tuple scores
+// 1, and every image is emitted.
+func (w *analyzeWorker) use(opts Options, row *rowAcc) {
 	w.opts = opts
+	w.row = row
 	w.searcher.CollapseInert = opts.Corroboration
 }
 
 // addMatch folds one partial homomorphism of the block being
-// enumerated into the block accumulator.
+// enumerated into the worker's current row.
 func (w *analyzeWorker) addMatch(m *data.IndexedMatch) bool {
 	w.nulls.setMapped(m.Mapped)
 	for i, mapped := range m.Mapped {
 		if !mapped {
 			continue
 		}
-		deg := w.nulls.degree(i, w.opts.Corroboration)
-		if deg <= 0 {
-			continue
-		}
-		if j := m.Image[i]; deg > w.blk[j] {
-			if w.blk[j] == 0 {
-				w.blkTouch = append(w.blkTouch, j)
-			}
-			w.blk[j] = deg
+		if deg := w.nulls.degree(i, w.opts.Corroboration); deg > 0 {
+			w.row.add(m.Image[i], deg)
 		}
 	}
 	return true
 }
 
-// addPairs max-merges sparse pairs into a dense accumulator plus
-// touched list.
-func addPairs(acc []float64, touch *[]int32, pairs []CoverPair) {
-	for _, pr := range pairs {
-		if pr.Cov > acc[pr.J] {
-			if acc[pr.J] == 0 {
-				*touch = append(*touch, pr.J)
-			}
-			acc[pr.J] = pr.Cov
-		}
+// rowAcc is a dense max-coverage accumulator over the target ids with
+// its touched list, so draining it never clears a full |J| array.
+type rowAcc struct {
+	deg   []float64
+	touch []int32
+}
+
+func newRowAcc(nj int) rowAcc { return rowAcc{deg: make([]float64, nj)} }
+
+// fit grows the drained row to span nj target ids.
+func (r *rowAcc) fit(nj int) {
+	if n := nj - len(r.deg); n > 0 {
+		r.deg = append(r.deg, make([]float64, n)...)
 	}
 }
 
-// drain converts a dense accumulator plus touched list into sorted
-// sparse pairs and resets the accumulator.
-func (w *analyzeWorker) drain(acc *[]float64, touch *[]int32) []CoverPair {
-	t := *touch
-	slices.Sort(t)
-	pairs := make([]CoverPair, len(t))
-	for k, j := range t {
-		pairs[k] = CoverPair{J: j, Cov: (*acc)[j]}
-		(*acc)[j] = 0
+// add raises id j's degree to deg if deg is higher.
+func (r *rowAcc) add(j int32, deg float64) {
+	if deg > r.deg[j] {
+		if r.deg[j] == 0 {
+			r.touch = append(r.touch, j)
+		}
+		r.deg[j] = deg
 	}
-	*touch = t[:0]
+}
+
+// addPairs max-merges sparse pairs into the row.
+func (r *rowAcc) addPairs(pairs []CoverPair) {
+	for _, pr := range pairs {
+		r.add(pr.J, pr.Cov)
+	}
+}
+
+// drain returns the row as sorted sparse pairs and resets it.
+func (r *rowAcc) drain() []CoverPair {
+	slices.Sort(r.touch)
+	pairs := make([]CoverPair, len(r.touch))
+	for k, j := range r.touch {
+		pairs[k] = CoverPair{J: j, Cov: r.deg[j]}
+		r.deg[j] = 0
+	}
+	r.touch = r.touch[:0]
 	return pairs
 }
 

@@ -60,15 +60,38 @@ type trackedBlock struct {
 	// behind pairs emitted; below the hom limit it was complete.
 	homs int
 	// changed marks, during one rescan, a block whose contribution
-	// the re-enumeration changed; dirty marks, while dirtyBlocks runs,
-	// a block it already collected.
-	changed, dirty bool
+	// the re-enumeration changed (see rowChange); dirty marks, while
+	// one target change is applied, a block dirtyBlocks collected.
+	changed rowChange
+	dirty   bool
 	// pats caches the ids of the block's distinct tuple patterns (see
 	// Tracker.patIDs). Retained block tuples never change, so the cache
 	// is built once per block and reused by every append and removal —
 	// rebuilding pattern strings per append dominated the
 	// dirty-detection cost.
 	pats []int32
+}
+
+// rowChange is how one rescan changed a block's contribution.
+type rowChange uint8
+
+const (
+	rowKept rowChange = iota
+	// rowGrown: an append that kept the enumeration under the hom limit
+	// max-merged new matches into the row, so it only grew.
+	rowGrown
+	// rowReplaced: the row was enumerated afresh (a removal, or a block
+	// at the hom limit) and may have lost entries.
+	rowReplaced
+)
+
+// chaseTuple is one distinct chase tuple of a candidate, with the
+// retained block of the chase block it was first seen in. The block
+// holds the tuple's pattern, so the tuple can only map onto a changed
+// target tuple when the block is dirty against the change.
+type chaseTuple struct {
+	data.Tuple
+	blk *trackedBlock
 }
 
 // Tracker is the retained streaming state of one analysed candidate
@@ -85,11 +108,11 @@ type Tracker struct {
 	candBlocks [][]*trackedBlock
 	// errTuples lists each candidate's chase tuples currently lacking
 	// a homomorphic image in J (its creates errors).
-	errTuples [][]data.Tuple
+	errTuples [][]chaseTuple
 	// okTuples lists each candidate's chase tuples that currently DO
 	// embed into J — the complement of errTuples. Removals consult it:
 	// a tuple whose image vanishes migrates back to errTuples.
-	okTuples [][]data.Tuple
+	okTuples [][]chaseTuple
 	// patIDs interns the null-insensitive patterns of retained block
 	// tuples, patReps holds one representative tuple per id, patsByRel
 	// indexes the ids by relation and first constant, and patBlocks
@@ -102,6 +125,9 @@ type Tracker struct {
 	patsByRel map[string]*relPatterns
 	patBlocks [][]*trackedBlock
 	patBuf    []byte
+	// workers are the analysis workers of the tracker's fan-outs, kept
+	// across mutations (see fitWorkers).
+	workers []*analyzeWorker
 }
 
 // relPatterns indexes one relation's pattern ids: wild holds the
@@ -137,37 +163,42 @@ type TrackerDelta struct {
 
 // trackSink collects the streaming state analyzeOne records when
 // asked to: per-candidate blocks plus error and embedded chase tuples.
+// Its block memo deduplicates the retained blocks, across candidates
+// and workers, by canonical key.
 type trackSink struct {
+	memo   *blockMemo
 	blocks [][]*trackedBlock
-	errs   [][]data.Tuple
-	oks    [][]data.Tuple
+	errs   [][]chaseTuple
+	oks    [][]chaseTuple
 }
 
-// newTrackSink sizes a sink for n candidates.
-func newTrackSink(n int) *trackSink {
+// newTrackSink sizes a sink for n candidates analysed against nj target
+// tuples, its memo seeded with the given blocks (none when nil).
+func newTrackSink(n int, blocks map[string]*trackedBlock, nj int) *trackSink {
 	return &trackSink{
+		memo:   newBlockMemo(blocks, nj),
 		blocks: make([][]*trackedBlock, n),
-		errs:   make([][]data.Tuple, n),
-		oks:    make([][]data.Tuple, n),
+		errs:   make([][]chaseTuple, n),
+		oks:    make([][]chaseTuple, n),
 	}
 }
 
-// BuildTracker runs the full evidence analysis (the exact analyzeOne
-// body AnalyzeN runs, on the same worker pool) while retaining the
-// streaming state, returning both. Use it instead of AnalyzeN when
-// the target will grow; the analyses are value-identical to
-// AnalyzeN's.
+// BuildTracker runs the full evidence analysis (analyzeOne, on
+// AnalyzeN's worker pool) while retaining the streaming state,
+// returning both. Use it instead of AnalyzeN when the target will
+// grow; the analyses are value-identical to AnalyzeN's, though each
+// candidate row is merged from the memo-shared block rows instead of
+// folded match by match.
 func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) (*Tracker, []Analysis) {
 	analyses := make([]Analysis, len(candidates))
-	sink := newTrackSink(len(candidates))
-	memo := newBlockMemo(nil, jidx.Len())
-	runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
-		analyses[i] = w.analyzeOne(i, candidates[i], I, memo, opts, sink)
+	sink := newTrackSink(len(candidates), nil, jidx.Len())
+	runWorkers(jidx, nil, len(candidates), workers, func(w *analyzeWorker, i int) {
+		analyses[i] = w.analyzeOne(i, candidates[i], I, opts, sink)
 	})
 	t := &Tracker{
 		jidx:       jidx,
 		opts:       opts,
-		blocks:     memo.blocks(),
+		blocks:     sink.memo.blocks(),
 		candBlocks: sink.blocks,
 		errTuples:  sink.errs,
 		okTuples:   sink.oks,
@@ -194,17 +225,18 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 
 	// 1–3. Re-enumerate the blocks with a tuple that can map onto an
 	// appended tuple and re-merge the candidates owning a changed one.
-	deltaByRel := groupByRel(delta)
-	out.ChangedTuples = t.rescan(deltaByRel, analyses, int32(oldLen), true, workers, out)
+	dirty := t.dirtyBlocks(groupByRel(delta))
+	defer unmark(dirty)
+	out.ChangedTuples = t.rescan(dirty, analyses, int32(oldLen), true, workers, out)
 
 	// 4. Errors: a chase tuple still erroring stops iff it maps onto an
 	// appended tuple, which a probe of the appended ids alone answers —
-	// and only a tuple of a relation the delta touched can.
+	// and only a tuple of a dirty block can.
 	idx := t.jidx.idx
 	for i, errs := range t.errTuples {
 		kept := errs[:0]
 		for _, ct := range errs {
-			if _, touched := deltaByRel[ct.Rel]; !touched || !idx.Embeds(ct, int32(oldLen)) {
+			if !ct.blk.dirty || !idx.Embeds(ct.Tuple, int32(oldLen)) {
 				kept = append(kept, ct)
 				continue
 			}
@@ -222,65 +254,88 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 }
 
 // rescan is steps 1–3 of a target append or removal. It re-enumerates,
-// on the current index, the blocks with a tuple whose constant
-// positions match one of the changed tuples (grouped by relation) —
-// every other block keeps an identical candidate set, hence an
-// identical enumeration. After an append (appended set, the ids from
+// on the current index, the dirty blocks (see dirtyBlocks) — every
+// other block keeps an identical candidate set, hence an identical
+// enumeration. After an append (appended set, the ids from
 // limit on being the new tuples) a block enumerates only the matches
 // that reach an appended tuple, merged into its cached row. It then
 // rebuilds the Pairs of every candidate owning a block whose
-// contribution changed by max-merging its blocks' cached contributions
-// (a memory pass, no search), records those candidates in
-// out.PairsChanged and returns the sorted J ids below limit whose
-// coverage changed, less out.RemovedTuples.
-func (t *Tracker) rescan(changedByRel map[string][]data.Tuple, analyses []Analysis, limit int32, appended bool, workers int, out *TrackerDelta) []int32 {
-	dirty := t.dirtyBlocks(changedByRel)
+// contribution changed (a memory pass, no search), records those
+// candidates in out.PairsChanged and returns the sorted J ids below
+// limit whose coverage changed, less out.RemovedTuples. A candidate
+// whose changed rows all only grew (rowGrown) max-merges them into its
+// current Pairs; any other re-merges all its blocks' cached rows.
+func (t *Tracker) rescan(dirty []*trackedBlock, analyses []Analysis, limit int32, appended bool, workers int, out *TrackerDelta) []int32 {
 	if len(dirty) == 0 {
 		return nil
 	}
-	changed := make([]bool, len(dirty))
-	runWorkers(t.jidx, len(dirty), workers, func(w *analyzeWorker, k int) {
+	homLim := homLimit(t.opts)
+	changed := make([]rowChange, len(dirty))
+	runWorkers(t.jidx, &t.workers, len(dirty), workers, func(w *analyzeWorker, k int) {
 		tb := dirty[k]
 		var pairs []CoverPair
+		grown := false
 		if appended {
+			// Under the limit before and after, appendedBlockPairs only
+			// merged the new matches into the cached row.
+			before := tb.homs
 			pairs, tb.homs = w.appendedBlockPairs(tb, limit, t.opts)
+			grown = before < homLim && tb.homs < homLim
 		} else {
 			pairs, tb.homs = w.enumerateBlockPairs(tb.tuples, t.opts)
 		}
 		if !slices.Equal(pairs, tb.pairs) {
 			tb.pairs = pairs
-			changed[k] = true
+			changed[k] = rowReplaced
+			if grown {
+				changed[k] = rowGrown
+			}
 		}
 	})
-	if !slices.Contains(changed, true) {
+	if !slices.ContainsFunc(changed, func(c rowChange) bool { return c != rowKept }) {
 		return nil
 	}
 	for k, c := range changed {
 		dirty[k].changed = c
 	}
 	touched := make(map[int32]bool)
-	w := newAnalyzeWorker(t.jidx)
+	acc := &t.workers[0].acc // idle now, and runWorkers sized it
 	for i, blocks := range t.candBlocks {
-		if !slices.ContainsFunc(blocks, func(tb *trackedBlock) bool { return tb.changed }) {
-			continue
-		}
+		change := rowKept
 		for _, tb := range blocks {
-			addPairs(w.acc, &w.accTouch, tb.pairs)
+			change = max(change, tb.changed)
 		}
-		newPairs := w.drain(&w.acc, &w.accTouch)
+		switch change {
+		case rowKept:
+			continue
+		case rowGrown:
+			acc.addPairs(analyses[i].Pairs)
+			for _, tb := range blocks {
+				if tb.changed == rowGrown {
+					acc.addPairs(tb.pairs)
+				}
+			}
+		default:
+			for _, tb := range blocks {
+				acc.addPairs(tb.pairs)
+			}
+		}
+		newPairs := acc.drain()
 		diffPairs(analyses[i].Pairs, newPairs, limit, touched)
 		analyses[i].Pairs = newPairs
 		out.PairsChanged = append(out.PairsChanged, int32(i))
 	}
 	for _, tb := range dirty {
-		tb.changed = false
+		tb.changed = rowKept
 	}
 	return changedIDs(touched, out.RemovedTuples)
 }
 
 // dirtyBlocks returns the blocks with a tuple whose constant positions
 // match one of the changed tuples (grouped by relation), in no
-// particular order: each is rescanned into its own state.
+// particular order: each is rescanned into its own state. It leaves
+// them marked dirty; the caller unmarks them when its change is
+// applied.
 func (t *Tracker) dirtyBlocks(changedByRel map[string][]data.Tuple) []*trackedBlock {
 	dirtyPat := make([]bool, len(t.patReps))
 	//lint:commutative only sets flags; each changed tuple marks its patterns independently
@@ -319,10 +374,14 @@ func (t *Tracker) dirtyBlocks(changedByRel map[string][]data.Tuple) []*trackedBl
 			}
 		}
 	}
+	return dirty
+}
+
+// unmark clears the dirty marks dirtyBlocks set.
+func unmark(dirty []*trackedBlock) {
 	for _, tb := range dirty {
 		tb.dirty = false
 	}
-	return dirty
 }
 
 // internBlocks fills the pattern ids of the blocks that lack them:

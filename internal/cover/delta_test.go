@@ -13,19 +13,37 @@ import (
 	"schemamap/internal/tgd"
 )
 
-// BuildTracker must produce exactly the analyses AnalyzeN produces —
-// it is the same pipeline plus retention.
-func TestBuildTrackerMatchesAnalyzeN(t *testing.T) {
-	for ci, cfg := range scenarioConfigs() {
+// BuildTracker must produce exactly the analyses AnalyzeN produces:
+// the tracker merges each candidate's row from memo-shared block rows,
+// the cold path folds every match straight into it, and a maximum does
+// not depend on the grouping. Tight hom limits truncate each block's
+// enumeration, so they check that both paths enumerate every block
+// alike; the sharded scenario's inert runs, collapsed under
+// corroboration only, check the truncation inside a counted run.
+func TestTrackerAnalysesMatchAnalyzeN(t *testing.T) {
+	link := ibench.DefaultConfig(70, 70)
+	link.Rows = 20
+	scenarios := []*ibench.Scenario{shardedScenario(t)}
+	for _, cfg := range append(scenarioConfigs(), link) {
 		sc, err := ibench.Generate(cfg)
 		if err != nil {
-			t.Fatalf("config %d: %v", ci, err)
+			t.Fatal(err)
 		}
-		want := AnalyzeN(sc.I, IndexJ(sc.J), sc.Candidates, DefaultOptions(), 4)
-		for _, workers := range []int{1, 4} {
-			_, got := BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, DefaultOptions(), workers)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("config %d workers %d: tracked analyses diverge from AnalyzeN", ci, workers)
+		scenarios = append(scenarios, sc)
+	}
+	var opts []Options
+	for _, limit := range []int{1, 2, 3, 5, 7, 0} {
+		opts = append(opts, Options{Corroboration: true, HomLimit: limit}, Options{Corroboration: false, HomLimit: limit})
+	}
+	for si, sc := range scenarios {
+		jidx := IndexJ(sc.J)
+		for _, o := range opts {
+			for _, workers := range []int{1, 2} {
+				want := AnalyzeN(sc.I, jidx, sc.Candidates, o, workers)
+				_, got := BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, o, workers)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("scenario %d, opts %+v, workers %d: tracked analyses diverge from AnalyzeN", si, o, workers)
+				}
 			}
 		}
 	}
@@ -377,6 +395,18 @@ func TestJIndexAppendMatchesRebuild(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("candidate set of %v: appended %v, rebuilt %v", tp, got, want)
 		}
+	}
+}
+
+// BenchmarkBuildTrackerSharded is BenchmarkAnalyzeNSharded's analysis
+// through the streaming build: the same ≈11k-tuple target on 2 workers,
+// with every distinct block retained through the block memo.
+func BenchmarkBuildTrackerSharded(b *testing.B) {
+	sc := shardedScenario(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, DefaultOptions(), 2)
 	}
 }
 

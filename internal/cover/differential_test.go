@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"schemamap/internal/chase"
 	"schemamap/internal/data"
 	"schemamap/internal/ibench"
+	"schemamap/internal/tgd"
 )
 
 // scenarioConfigs mirrors the benchmark harness's seeded S/M ibench
@@ -180,12 +182,12 @@ func TestPairsFromMap(t *testing.T) {
 // TestAnalyzeNAllocs pins the allocation cost of a cold analysis of
 // the sharded-throughput scenario shape (70 primitives, 100 rows,
 // ≈11k target tuples). The chase binds slices rather than per-tuple
-// maps, block-memo hits do not allocate, the block memo is allocated
-// at its final size, and the searcher probes the posting lists
-// without memos and reuses its scratch, so the analysis allocates
-// ≈90k objects. The searcher's string-keyed candidate and embedding
-// memos allocated ≈162k, and the map-binding chase with boxed memo
-// keys ≈403k.
+// maps, every block is folded straight into its candidate's row with
+// no key, memo entry or block row, and the searcher probes the posting
+// lists without memos and reuses its scratch, so the analysis
+// allocates ≈47k objects. Through the block memo it allocated ≈90k,
+// with the searcher's string-keyed candidate and embedding memos
+// ≈162k, and with the map-binding chase and boxed memo keys ≈403k.
 func TestAnalyzeNAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyses an 11k-tuple scenario")
@@ -196,8 +198,8 @@ func TestAnalyzeNAllocs(t *testing.T) {
 		AnalyzeN(sc.I, jidx, sc.Candidates, DefaultOptions(), 1)
 	})
 	t.Logf("AnalyzeN allocates %.0f objects over %d target tuples and %d candidates", allocs, jidx.Len(), len(sc.Candidates))
-	if allocs > 180_000 {
-		t.Fatalf("AnalyzeN allocated %.0f objects, want at most 180000", allocs)
+	if allocs > 60_000 {
+		t.Fatalf("AnalyzeN allocated %.0f objects, want at most 60000", allocs)
 	}
 }
 
@@ -205,9 +207,10 @@ func TestAnalyzeNAllocs(t *testing.T) {
 // image of an inert leaf — a vertical partitioning's all-null link
 // atom whose partner was skipped — so a cold analysis must count those
 // runs, not visit them: AnalyzeN's single-worker body (analyzeOne per
-// candidate over one block memo) may call its match callback for at
-// most a quarter of the matches its blocks count. Visiting every match
-// calls it for all of them.
+// candidate, folding every block into the candidate's row) may call
+// its match callback for at most a quarter of the matches its blocks
+// have, which a plain search of every block counts. Visiting every
+// match calls it for all of them.
 func TestAnalyzeNCountsInertRuns(t *testing.T) {
 	sc := shardedScenario(t)
 	jidx := IndexJ(sc.J)
@@ -217,13 +220,15 @@ func TestAnalyzeNCountsInertRuns(t *testing.T) {
 		emits++
 		return w.addMatch(m)
 	}
-	memo := newBlockMemo(nil, jidx.Len())
 	for i, d := range sc.Candidates {
-		w.analyzeOne(i, d, sc.I, memo, DefaultOptions(), nil)
+		w.analyzeOne(i, d, sc.I, DefaultOptions(), nil)
 	}
 	homs := 0
-	for _, tb := range memo.blocks() {
-		homs += tb.homs
+	plain := data.NewSearcher(jidx.idx)
+	for _, d := range sc.Candidates {
+		chase.Each(sc.I, tgd.Mapping{d}, nil, func(b chase.Block) {
+			homs += plain.EnumeratePartialHoms(b.Tuples, 0, func(*data.IndexedMatch) bool { return true })
+		})
 	}
 	t.Logf("%d match callbacks for %d matches (%.0f%%)", emits, homs, 100*float64(emits)/float64(homs))
 	if 4*emits > homs {

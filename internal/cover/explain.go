@@ -88,7 +88,7 @@ func Explain(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, selected []
 		JIndex:    jidx,
 	}
 	w := newAnalyzeWorker(jidx)
-	w.use(opts)
+	w.use(opts, nil)
 	// best[j] is the match that first reached tuple j's maximum degree
 	// so far; the witness maps are built from it once, at the end.
 	best := make([]bestMatch, jidx.Len())

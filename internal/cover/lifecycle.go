@@ -9,9 +9,9 @@ package cover
 //     pattern matches it, so pattern-dirty detection against the
 //     removed tuples finds every block whose enumeration can change;
 //     clean blocks keep pairs that reference live ids only. Errors can
-//     only grow: embedded chase tuples (okTuples) whose pattern maps
-//     onto a removed tuple are re-probed against the tombstoned index
-//     and migrate back to errTuples when their image vanished.
+//     only grow: the embedded chase tuples (okTuples) of dirty blocks
+//     are re-probed against the tombstoned index and migrate back to
+//     errTuples when their image vanished.
 //   - ApplySourceDelta re-chases exactly the candidates whose tgd body
 //     reads a changed relation — a source delta invalidates chase
 //     blocks, not just cover evidence — seeding the block memo with
@@ -52,18 +52,19 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis,
 	// re-enumeration is the one a cold analysis of the shrunken target
 	// would run). Removed ids are excluded from ChangedTuples —
 	// RemovedTuples already reports them.
-	out.ChangedTuples = t.rescan(groupByRel(removed), analyses, int32(n), false, workers, out)
+	dirty := t.dirtyBlocks(groupByRel(removed))
+	defer unmark(dirty)
+	out.ChangedTuples = t.rescan(dirty, analyses, int32(n), false, workers, out)
 
-	// 4. Errors grow: an embedded chase tuple loses its image iff it
-	// could map onto a removed tuple and the tombstoned index no longer
-	// embeds it. An index of the removed tuples alone answers the
-	// first; a probe of the tombstoned index the second.
-	onRemoved := data.IndexTuples(slices.Clone(removed))
+	// 4. Errors grow: an embedded chase tuple loses its image iff the
+	// tombstoned index no longer embeds it. Only a tuple of a dirty
+	// block can have mapped onto a removed tuple, so only those are
+	// probed.
 	idx := t.jidx.idx
 	for i, oks := range t.okTuples {
 		kept := oks[:0]
 		for _, ct := range oks {
-			if onRemoved.Embeds(ct, 0) && !idx.Embeds(ct, 0) {
+			if ct.blk.dirty && !idx.Embeds(ct.Tuple, 0) {
 				// Image gone: migrate back to the error set.
 				t.errTuples[i] = append(t.errTuples[i], ct)
 				continue
@@ -103,12 +104,11 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 	}
 	// Seeding the memo with every retained block means shared
 	// unchanged blocks are never re-enumerated.
-	memo := newBlockMemo(t.blocks, t.jidx.Len())
-	sink := newTrackSink(len(candidates))
+	sink := newTrackSink(len(candidates), t.blocks, t.jidx.Len())
 	newAn := make([]Analysis, len(affected))
-	runWorkers(t.jidx, len(affected), workers, func(w *analyzeWorker, k int) {
+	runWorkers(t.jidx, &t.workers, len(affected), workers, func(w *analyzeWorker, k int) {
 		i := affected[k]
-		newAn[k] = w.analyzeOne(i, candidates[i], I, memo, t.opts, sink)
+		newAn[k] = w.analyzeOne(i, candidates[i], I, t.opts, sink)
 	})
 	touched := make(map[int32]bool)
 	for k, i := range affected {
@@ -126,7 +126,7 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 		t.okTuples[i] = sink.oks[i]
 	}
 	out.ChangedTuples = changedIDs(touched, nil)
-	t.blocks = memo.blocks()
+	t.blocks = sink.memo.blocks()
 	t.sweepBlocks()
 	t.internBlocks()
 	return out
@@ -137,18 +137,17 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 // the existing candidate indices (TGDIndex = previous count + k).
 func (t *Tracker) AddCandidates(I *data.Instance, added tgd.Mapping, workers int) []Analysis {
 	base := len(t.candBlocks)
-	sink := newTrackSink(base + len(added))
-	memo := newBlockMemo(t.blocks, t.jidx.Len())
+	sink := newTrackSink(base+len(added), t.blocks, t.jidx.Len())
 	newAn := make([]Analysis, len(added))
-	runWorkers(t.jidx, len(added), workers, func(w *analyzeWorker, k int) {
-		newAn[k] = w.analyzeOne(base+k, added[k], I, memo, t.opts, sink)
+	runWorkers(t.jidx, &t.workers, len(added), workers, func(w *analyzeWorker, k int) {
+		newAn[k] = w.analyzeOne(base+k, added[k], I, t.opts, sink)
 	})
 	for k := range added {
 		t.candBlocks = append(t.candBlocks, sink.blocks[base+k])
 		t.errTuples = append(t.errTuples, sink.errs[base+k])
 		t.okTuples = append(t.okTuples, sink.oks[base+k])
 	}
-	t.blocks = memo.blocks()
+	t.blocks = sink.memo.blocks()
 	t.internBlocks()
 	return newAn
 }

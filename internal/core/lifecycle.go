@@ -58,7 +58,7 @@ func (p *Problem) RemoveTarget(tuples []data.Tuple) (*TargetDelta, error) {
 	for _, t := range removed {
 		p.J.Remove(t)
 	}
-	delta := p.tracker.Remove(removed, ids, p.analyses, 0)
+	delta := p.tracker.Remove(removed, ids, p.analyses)
 	p.absorb(delta)
 	p.mutSeq.Add(1)
 	return delta, nil
@@ -103,7 +103,7 @@ func (p *Problem) ApplySourceDelta(d SourceDelta) (*TargetDelta, error) {
 	}
 	delta := &TargetDelta{OldTuples: p.jidx.Len(), NewTuples: p.jidx.Len()}
 	if len(changed) > 0 {
-		delta = p.tracker.ApplySourceDelta(p.I, changed, p.Candidates, p.analyses, 0)
+		delta = p.tracker.ApplySourceDelta(p.I, changed, p.Candidates, p.analyses)
 	}
 	p.absorb(delta)
 	if len(delta.PairsChanged) > 0 || len(delta.ChangedTuples) > 0 || len(delta.ErrorsChanged) > 0 {
@@ -133,7 +133,7 @@ func (p *Problem) AddCandidates(cands tgd.Mapping) (int, error) {
 	if len(cands) == 0 {
 		return 0, nil
 	}
-	newAn := p.tracker.AddCandidates(p.I, cands, 0)
+	newAn := p.tracker.AddCandidates(p.I, cands)
 	p.Candidates = append(append(tgd.Mapping{}, p.Candidates...), cands...)
 	p.analyses = append(p.analyses, newAn...)
 	p.absorb(nil)

@@ -204,7 +204,7 @@ func (p *Problem) AppendTarget(tuples []data.Tuple) (*TargetDelta, error) {
 			added = append(added, t)
 		}
 	}
-	delta := p.tracker.Append(added, p.analyses, 0)
+	delta := p.tracker.Append(added, p.analyses)
 	p.absorb(delta)
 	if len(added) > 0 {
 		p.mutSeq.Add(1)

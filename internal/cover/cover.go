@@ -33,7 +33,10 @@
 // into its candidate's row and keeps nothing per block. Only the
 // streaming Tracker (delta.go) keeps per-block rows: its block memo,
 // sized from |J|, shares identical chase blocks across candidates so
-// that each is retained, and re-enumerated on a delta, once.
+// that each is retained, and re-enumerated on a delta, once. The memo
+// is the tracker's one record of its blocks: the streaming build fills
+// it on a worker pool, and every later mutation uses it in place,
+// serially, on the calling goroutine.
 // AnalyzeReference in reference.go preserves the original scan-based
 // map pipeline with label-comparing corroboration; the differential
 // tests pin the two against each other bit for bit.
@@ -200,20 +203,22 @@ func PairsFromMap(m map[int]float64) []CoverPair {
 // into its candidate's row, in any order.
 func AnalyzeN(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) []Analysis {
 	out := make([]Analysis, len(candidates))
-	runWorkers(jidx, nil, len(candidates), workers, func(w *analyzeWorker, i int) {
+	runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
 		out[i] = w.analyzeOne(i, candidates[i], I, opts, nil)
 	})
 	return out
 }
 
-// blockMemo shares the tracker's retained blocks across candidates
-// and workers, keyed by canonical block form: identical chase blocks —
-// projections and copies are rife in generated candidate sets — are
-// analysed and retained once. Most blocks of a large scenario are
-// distinct, so nearly every block both looks up and stores; the memo
-// is split into independently locked shards so that workers rarely
-// wait on each other. Cold analysis (AnalyzeN) does not use it: its
-// hits saved fewer enumerations than its keys and locks cost.
+// blockMemo holds the tracker's retained blocks, keyed by canonical
+// block form: identical chase blocks — projections and copies are rife
+// in generated candidate sets — are analysed and retained once. It is
+// the tracker's one record of its blocks, used in place by every
+// chasing mutation. Only the streaming build (BuildTracker) shares it
+// across workers; most blocks of a large scenario are distinct, so
+// nearly every block both looks up and stores, and the memo is split
+// into independently locked shards so that those workers rarely wait
+// on each other. Cold analysis (AnalyzeN) does not use it: its hits
+// saved fewer enumerations than its keys and locks cost.
 type blockMemo struct {
 	shards [memoShards]memoShard
 }
@@ -226,23 +231,16 @@ type memoShard struct {
 	m  map[string]*trackedBlock // guarded by mu
 }
 
-// newBlockMemo returns a memo holding the given blocks (none when
-// blocks is nil), for an analysis against nj target tuples. A
-// scenario's chase has about as many distinct blocks as its target
-// has tuples (1.1–1.3× on generated scenarios), so each shard is
-// allocated for its share of the larger of nj and the seeded blocks
-// and rarely grows.
+// newBlockMemo returns an empty memo for an analysis against nj target
+// tuples. A scenario's chase has about as many distinct blocks as its
+// target has tuples (1.1–1.3× on generated scenarios), so each shard
+// is allocated for its share of nj and rarely grows.
 //
 //lint:guarded-by-caller the memo is not shared until it is returned
-func newBlockMemo(blocks map[string]*trackedBlock, nj int) *blockMemo {
+func newBlockMemo(nj int) *blockMemo {
 	bm := new(blockMemo)
-	hint := max(nj, len(blocks)) / memoShards
 	for i := range bm.shards {
-		bm.shards[i].m = make(map[string]*trackedBlock, hint)
-	}
-	//lint:commutative per-key copy into the key's shard; each key is stored once
-	for k, tb := range blocks {
-		bm.shards[shardOf(k)].m[k] = tb
+		bm.shards[i].m = make(map[string]*trackedBlock, nj/memoShards)
 	}
 	return bm
 }
@@ -277,36 +275,16 @@ func (bm *blockMemo) put(tb *trackedBlock) *trackedBlock {
 	return tb
 }
 
-// blocks returns every memoised block in one map.
-//
-//lint:guarded-by-caller callers run it after runWorkers returned, when no worker holds the memo
-func (bm *blockMemo) blocks() map[string]*trackedBlock {
-	n := 0
-	for i := range bm.shards {
-		n += len(bm.shards[i].m)
-	}
-	out := make(map[string]*trackedBlock, n)
-	for i := range bm.shards {
-		//lint:commutative per-key copy; shards hold disjoint keys
-		for k, tb := range bm.shards[i].m {
-			out[k] = tb
-		}
-	}
-	return out
-}
-
 // runWorkers executes fn(w, i) for every i in [0, n) on a pool of
-// `workers` workers (≤ 0 means GOMAXPROCS, capped at n), each owning an
-// analyzeWorker over jidx (see fitWorkers); the calling goroutine is
-// one of them, so a single worker runs inline. Workers claim items
-// from a shared counter — a delta rescan hands out hundreds of
-// microsecond-sized items, too small for a channel hand-off each.
-// Every analysis fan-out in this package — cold, tracked, and the
-// delta rescans — goes through here. A panic in fn stops the other
-// workers claiming items and is re-raised on the calling goroutine
-// once every worker has stopped, instead of killing the process from a
-// pool goroutine.
-func runWorkers(jidx *JIndex, keep *[]*analyzeWorker, n, workers int, fn func(w *analyzeWorker, i int)) {
+// `workers` fresh analyzeWorkers over jidx (≤ 0 means GOMAXPROCS,
+// capped at n); the calling goroutine is one of them, so a single
+// worker runs inline. Workers claim items from a shared counter. The
+// cold fan-outs — AnalyzeN and BuildTracker — go through here; a
+// tracker's mutations run serially on its own worker instead. A panic
+// in fn stops the other workers claiming items and is re-raised on the
+// calling goroutine once every worker has stopped, instead of killing
+// the process from a pool goroutine.
+func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -316,10 +294,10 @@ func runWorkers(jidx *JIndex, keep *[]*analyzeWorker, n, workers int, fn func(w 
 	if n == 0 {
 		return
 	}
-	ws := fitWorkers(jidx, keep, max(workers, 1))
 	if workers <= 1 {
+		w := newAnalyzeWorker(jidx)
 		for i := 0; i < n; i++ {
-			fn(ws[0], i)
+			fn(w, i)
 		}
 		return
 	}
@@ -347,33 +325,13 @@ func runWorkers(jidx *JIndex, keep *[]*analyzeWorker, n, workers int, fn func(w 
 	}
 	wg.Add(workers)
 	for wk := 1; wk < workers; wk++ {
-		go work(ws[wk])
+		go work(newAnalyzeWorker(jidx))
 	}
-	work(ws[0])
+	work(newAnalyzeWorker(jidx))
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
 	}
-}
-
-// fitWorkers returns n analyzeWorkers over jidx. Without keep they are
-// fresh; with it they are the first n of *keep — a tracker keeps its
-// workers across mutations, since a rescan's items are too small to
-// pay for new scratch each time — topped up with fresh ones and grown
-// to the target's current size.
-func fitWorkers(jidx *JIndex, keep *[]*analyzeWorker, n int) []*analyzeWorker {
-	if keep == nil {
-		keep = new([]*analyzeWorker)
-	}
-	for len(*keep) < n {
-		*keep = append(*keep, newAnalyzeWorker(jidx))
-	}
-	ws := (*keep)[:n]
-	for _, w := range ws {
-		w.acc.fit(jidx.Len())
-		w.blk.fit(jidx.Len())
-	}
-	return ws
 }
 
 // analyzeWorker bundles one worker's searcher and dense accumulation
@@ -407,6 +365,13 @@ func newAnalyzeWorker(jidx *JIndex) *analyzeWorker {
 	}
 	w.emit = w.addMatch
 	return w
+}
+
+// fit grows the worker's rows to span nj target ids: a tracker keeps
+// its worker across mutations, and appends grow the target.
+func (w *analyzeWorker) fit(nj int) {
+	w.acc.fit(nj)
+	w.blk.fit(nj)
 }
 
 // analyzeOne computes one candidate's Analysis. With a nil sink every

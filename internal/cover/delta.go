@@ -97,13 +97,16 @@ type chaseTuple struct {
 // Tracker is the retained streaming state of one analysed candidate
 // set: everything needed to apply target appends to a []Analysis
 // without re-running the chase or rescanning clean evidence. Build it
-// with BuildTracker; it is not safe for concurrent use (core.Problem
-// serialises appends).
+// with BuildTracker. It is not safe for concurrent use (core.Problem
+// serialises its mutations): every mutation runs serially on the
+// tracker's own worker, on the calling goroutine.
 type Tracker struct {
 	jidx *JIndex
 	opts Options
-	// blocks holds every distinct chase block by canonical key.
-	blocks map[string]*trackedBlock
+	// memo holds every distinct chase block by canonical key; the
+	// chasing mutations (source deltas, candidate additions) use it in
+	// place.
+	memo *blockMemo
 	// candBlocks lists each candidate's blocks, in block order.
 	candBlocks [][]*trackedBlock
 	// errTuples lists each candidate's chase tuples currently lacking
@@ -125,9 +128,9 @@ type Tracker struct {
 	patsByRel map[string]*relPatterns
 	patBlocks [][]*trackedBlock
 	patBuf    []byte
-	// workers are the analysis workers of the tracker's fan-outs, kept
-	// across mutations (see fitWorkers).
-	workers []*analyzeWorker
+	// w is the worker every mutation runs on, kept across mutations and
+	// grown with the target (analyzeWorker.fit).
+	w *analyzeWorker
 }
 
 // relPatterns indexes one relation's pattern ids: wild holds the
@@ -163,8 +166,9 @@ type TrackerDelta struct {
 
 // trackSink collects the streaming state analyzeOne records when
 // asked to: per-candidate blocks plus error and embedded chase tuples.
-// Its block memo deduplicates the retained blocks, across candidates
-// and workers, by canonical key.
+// Its block memo, the tracker's, deduplicates the retained blocks
+// across candidates (and, during BuildTracker, workers) by canonical
+// key.
 type trackSink struct {
 	memo   *blockMemo
 	blocks [][]*trackedBlock
@@ -172,11 +176,11 @@ type trackSink struct {
 	oks    [][]chaseTuple
 }
 
-// newTrackSink sizes a sink for n candidates analysed against nj target
-// tuples, its memo seeded with the given blocks (none when nil).
-func newTrackSink(n int, blocks map[string]*trackedBlock, nj int) *trackSink {
+// newTrackSink sizes a sink for n candidates retaining their blocks
+// in memo.
+func newTrackSink(n int, memo *blockMemo) *trackSink {
 	return &trackSink{
-		memo:   newBlockMemo(blocks, nj),
+		memo:   memo,
 		blocks: make([][]*trackedBlock, n),
 		errs:   make([][]chaseTuple, n),
 		oks:    make([][]chaseTuple, n),
@@ -191,19 +195,20 @@ func newTrackSink(n int, blocks map[string]*trackedBlock, nj int) *trackSink {
 // folded match by match.
 func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) (*Tracker, []Analysis) {
 	analyses := make([]Analysis, len(candidates))
-	sink := newTrackSink(len(candidates), nil, jidx.Len())
-	runWorkers(jidx, nil, len(candidates), workers, func(w *analyzeWorker, i int) {
+	sink := newTrackSink(len(candidates), newBlockMemo(jidx.Len()))
+	runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
 		analyses[i] = w.analyzeOne(i, candidates[i], I, opts, sink)
 	})
 	t := &Tracker{
 		jidx:       jidx,
 		opts:       opts,
-		blocks:     sink.memo.blocks(),
+		memo:       sink.memo,
 		candBlocks: sink.blocks,
 		errTuples:  sink.errs,
 		okTuples:   sink.oks,
 		patIDs:     make(map[string]int32),
 		patsByRel:  make(map[string]*relPatterns),
+		w:          newAnalyzeWorker(jidx),
 	}
 	t.internBlocks()
 	return t, analyses
@@ -213,9 +218,7 @@ func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts O
 // the new tuples (which must already be deduped against the indexed
 // target), updates the analyses in place, and reports what changed.
 // analyses must be the slice BuildTracker returned (same order).
-// Dirty-block re-enumeration runs on a pool of `workers` goroutines
-// (≤ 0 means GOMAXPROCS); everything else is cheap bookkeeping.
-func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *TrackerDelta {
+func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis) *TrackerDelta {
 	oldLen := t.jidx.Len()
 	out := &TrackerDelta{OldTuples: oldLen, NewTuples: oldLen + len(delta)}
 	if len(delta) == 0 {
@@ -227,30 +230,39 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 	// appended tuple and re-merge the candidates owning a changed one.
 	dirty := t.dirtyBlocks(groupByRel(delta))
 	defer unmark(dirty)
-	out.ChangedTuples = t.rescan(dirty, analyses, int32(oldLen), true, workers, out)
+	out.ChangedTuples = t.rescan(dirty, analyses, int32(oldLen), true, out)
 
 	// 4. Errors: a chase tuple still erroring stops iff it maps onto an
 	// appended tuple, which a probe of the appended ids alone answers —
-	// and only a tuple of a dirty block can.
+	// and only a tuple of a dirty block can. It joins the embedded set
+	// (removals may send it back).
+	t.migrate(t.errTuples, t.okTuples, int32(oldLen), true, analyses, out)
+	return out
+}
+
+// migrate is step 4 of a target append or removal: for every candidate
+// it moves the chase tuples of dirty blocks whose embedding into the
+// index — probing the ids from base on — is embeds from the lists
+// `from` to the lists `to` (errTuples and okTuples, one way or the
+// other), and refreshes the Errors of the candidates it moved tuples
+// of, listing them in out.ErrorsChanged.
+func (t *Tracker) migrate(from, to [][]chaseTuple, base int32, embeds bool, analyses []Analysis, out *TrackerDelta) {
 	idx := t.jidx.idx
-	for i, errs := range t.errTuples {
-		kept := errs[:0]
-		for _, ct := range errs {
-			if !ct.blk.dirty || !idx.Embeds(ct.Tuple, int32(oldLen)) {
-				kept = append(kept, ct)
+	for i, cts := range from {
+		kept := cts[:0]
+		for _, ct := range cts {
+			if ct.blk.dirty && idx.Embeds(ct.Tuple, base) == embeds {
+				to[i] = append(to[i], ct)
 				continue
 			}
-			// The tuple gained an image: it stops being an error and
-			// joins the embedded set (removals may send it back).
-			t.okTuples[i] = append(t.okTuples[i], ct)
+			kept = append(kept, ct)
 		}
-		if len(kept) != len(errs) {
-			t.errTuples[i] = kept
-			analyses[i].Errors = float64(len(kept))
+		if len(kept) != len(cts) {
+			from[i] = kept
+			analyses[i].Errors = float64(len(t.errTuples[i]))
 			out.ErrorsChanged = append(out.ErrorsChanged, int32(i))
 		}
 	}
-	return out
 }
 
 // rescan is steps 1–3 of a target append or removal. It re-enumerates,
@@ -265,14 +277,12 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis, workers int) *
 // limit whose coverage changed, less out.RemovedTuples. A candidate
 // whose changed rows all only grew (rowGrown) max-merges them into its
 // current Pairs; any other re-merges all its blocks' cached rows.
-func (t *Tracker) rescan(dirty []*trackedBlock, analyses []Analysis, limit int32, appended bool, workers int, out *TrackerDelta) []int32 {
-	if len(dirty) == 0 {
-		return nil
-	}
+func (t *Tracker) rescan(dirty []*trackedBlock, analyses []Analysis, limit int32, appended bool, out *TrackerDelta) []int32 {
+	w := t.w
+	w.fit(t.jidx.Len())
 	homLim := homLimit(t.opts)
-	changed := make([]rowChange, len(dirty))
-	runWorkers(t.jidx, &t.workers, len(dirty), workers, func(w *analyzeWorker, k int) {
-		tb := dirty[k]
+	anyChanged := false
+	for _, tb := range dirty {
 		var pairs []CoverPair
 		grown := false
 		if appended {
@@ -286,20 +296,18 @@ func (t *Tracker) rescan(dirty []*trackedBlock, analyses []Analysis, limit int32
 		}
 		if !slices.Equal(pairs, tb.pairs) {
 			tb.pairs = pairs
-			changed[k] = rowReplaced
+			tb.changed = rowReplaced
 			if grown {
-				changed[k] = rowGrown
+				tb.changed = rowGrown
 			}
+			anyChanged = true
 		}
-	})
-	if !slices.ContainsFunc(changed, func(c rowChange) bool { return c != rowKept }) {
+	}
+	if !anyChanged {
 		return nil
 	}
-	for k, c := range changed {
-		dirty[k].changed = c
-	}
 	touched := make(map[int32]bool)
-	acc := &t.workers[0].acc // idle now, and runWorkers sized it
+	acc := &w.acc
 	for i, blocks := range t.candBlocks {
 		change := rowKept
 		for _, tb := range blocks {
@@ -384,18 +392,24 @@ func unmark(dirty []*trackedBlock) {
 	}
 }
 
-// internBlocks fills the pattern ids of the blocks that lack them:
-// every block on BuildTracker, and later the blocks source deltas and
-// candidate additions bring in (each calls it once it adopted them).
+// internBlocks fills the pattern ids of the memo's blocks that lack
+// them: every block on BuildTracker, and later the blocks source deltas
+// and candidate additions bring in (each calls it once it adopted
+// them).
 func (t *Tracker) internBlocks() {
-	//lint:commutative per-block cache fill; pattern ids only key verdicts and patBlocks lists are sets, so the visiting order does not matter
-	for _, tb := range t.blocks {
-		if tb.pats == nil {
-			tb.pats = t.internPatterns(tb.tuples)
-			for _, id := range tb.pats {
-				t.patBlocks[id] = append(t.patBlocks[id], tb)
+	for i := range t.memo.shards {
+		sh := &t.memo.shards[i]
+		sh.mu.Lock()
+		//lint:commutative per-block cache fill; pattern ids only key verdicts and patBlocks lists are sets, so the visiting order does not matter
+		for _, tb := range sh.m {
+			if tb.pats == nil {
+				tb.pats = t.internPatterns(tb.tuples)
+				for _, id := range tb.pats {
+					t.patBlocks[id] = append(t.patBlocks[id], tb)
+				}
 			}
 		}
+		sh.mu.Unlock()
 	}
 }
 

@@ -131,13 +131,65 @@ func TestTrackerAppendMatchesColdOnScenarios(t *testing.T) {
 		tracker, analyses := BuildTracker(sc.I, jidx, sc.Candidates, DefaultOptions(), 4)
 		for bi, batch := range batches {
 			before := snapshotCoverage(analyses)
-			delta := tracker.Append(batch, analyses, 2)
+			delta := tracker.Append(batch, analyses)
 			if delta.OldTuples+len(batch) != delta.NewTuples || delta.NewTuples != jidx.Len() {
 				t.Fatalf("config %d batch %d: delta range %d..%d, index has %d",
 					ci, bi, delta.OldTuples, delta.NewTuples, jidx.Len())
 			}
 			assertTrackedMatchesCold(t, "scenario", sc.I, jidx, sc.Candidates, DefaultOptions(), analyses)
 			assertChangedTuplesSound(t, before, analyses, delta)
+		}
+	}
+}
+
+// assertTrackerBlocks checks the tracker's one record of its blocks:
+// the memo holds exactly the blocks some candidate references, each
+// under its canonical key and interned into the pattern lists; every
+// pattern list holds only memo blocks; and no mutation left a dirty or
+// changed mark set.
+func assertTrackerBlocks(t *testing.T, tr *Tracker) {
+	t.Helper()
+	memo := make(map[*trackedBlock]bool)
+	for i := range tr.memo.shards {
+		sh := &tr.memo.shards[i]
+		sh.mu.Lock()
+		//lint:commutative only records membership
+		for k, tb := range sh.m {
+			if k != tb.key {
+				t.Errorf("memo holds block %q under key %q", tb.key, k)
+			}
+			memo[tb] = true
+		}
+		sh.mu.Unlock()
+	}
+	used := make(map[*trackedBlock]bool, len(memo))
+	for i, blocks := range tr.candBlocks {
+		for _, tb := range blocks {
+			if !memo[tb] {
+				t.Errorf("candidate %d references block %q outside the memo", i, tb.key)
+			}
+			used[tb] = true
+		}
+	}
+	inPatterns := make(map[*trackedBlock]int, len(memo))
+	for id, blocks := range tr.patBlocks {
+		for _, tb := range blocks {
+			if !memo[tb] {
+				t.Errorf("pattern %d lists block %q outside the memo", id, tb.key)
+			}
+			inPatterns[tb]++
+		}
+	}
+	//lint:commutative independent per-block checks
+	for tb := range memo {
+		if !used[tb] {
+			t.Errorf("memo retains block %q no candidate references", tb.key)
+		}
+		if tb.pats == nil || inPatterns[tb] != len(tb.pats) {
+			t.Errorf("block %q: %d pattern ids, listed under %d", tb.key, len(tb.pats), inPatterns[tb])
+		}
+		if tb.dirty || tb.changed != rowKept {
+			t.Errorf("block %q left marked (dirty %v, changed %d)", tb.key, tb.dirty, tb.changed)
 		}
 	}
 }
@@ -229,12 +281,14 @@ func TestTrackerRemoveAndSourceDeltaReportChanges(t *testing.T) {
 		I := sc.I.Clone()
 		jidx := IndexJ(sc.J.Clone())
 		tracker, analyses := BuildTracker(I, jidx, sc.Candidates, DefaultOptions(), 2)
+		assertTrackerBlocks(t, tracker)
 		check := func(label string, apply func() *TrackerDelta) {
 			t.Helper()
 			before, errs := snapshotCoverage(analyses), errorCounts(analyses)
 			delta := apply()
 			assertChangedTuplesSound(t, before, analyses, delta)
 			assertErrorsChangedSound(t, errs, analyses, delta)
+			assertTrackerBlocks(t, tracker)
 			if t.Failed() {
 				t.Fatalf("config %d: %s: unsound delta %+v", ci, label, delta)
 			}
@@ -249,7 +303,7 @@ func TestTrackerRemoveAndSourceDeltaReportChanges(t *testing.T) {
 						ids = append(ids, int32(j))
 					}
 				}
-				return tracker.Remove(removed, ids, analyses, 2)
+				return tracker.Remove(removed, ids, analyses)
 			})
 			src := I.All()
 			picked := []data.Tuple{src[rng.Intn(len(src))], src[rng.Intn(len(src))]}
@@ -261,13 +315,13 @@ func TestTrackerRemoveAndSourceDeltaReportChanges(t *testing.T) {
 				for _, tp := range picked {
 					I.Remove(tp)
 				}
-				return tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses, 2)
+				return tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses)
 			})
 			check("source re-add", func() *TrackerDelta {
 				for _, tp := range picked {
 					I.Add(tp)
 				}
-				return tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses, 2)
+				return tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses)
 			})
 		}
 	}
@@ -288,6 +342,7 @@ func TestTrackerAppendAfterSourceDelta(t *testing.T) {
 		initial, batches := splitTuples(sc.J, 2, rng)
 		jidx := IndexJ(initial)
 		tracker, analyses := BuildTracker(I, jidx, sc.Candidates, DefaultOptions(), 2)
+		assertTrackerBlocks(t, tracker)
 		src := I.All()
 		picked := []data.Tuple{src[rng.Intn(len(src))], src[rng.Intn(len(src))]}
 		changed := map[string]bool{}
@@ -295,15 +350,80 @@ func TestTrackerAppendAfterSourceDelta(t *testing.T) {
 			changed[tp.Rel] = true
 			I.Remove(tp)
 		}
-		tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses, 2)
-		tracker.Append(batches[0], analyses, 2)
+		tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses)
+		assertTrackerBlocks(t, tracker)
+		tracker.Append(batches[0], analyses)
+		assertTrackerBlocks(t, tracker)
 		assertTrackedMatchesCold(t, "after source removal", I, jidx, sc.Candidates, DefaultOptions(), analyses)
 		for _, tp := range picked {
 			I.Add(tp)
 		}
-		tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses, 2)
-		tracker.Append(batches[1], analyses, 2)
+		tracker.ApplySourceDelta(I, changed, sc.Candidates, analyses)
+		assertTrackerBlocks(t, tracker)
+		tracker.Append(batches[1], analyses)
+		assertTrackerBlocks(t, tracker)
 		assertTrackedMatchesCold(t, "after source re-add", I, jidx, sc.Candidates, DefaultOptions(), analyses)
+	}
+}
+
+// Candidates added to and retired from a tracked M scenario, with
+// appends in between, must leave the analyses of a cold AnalyzeN over
+// the current candidate set, and the memo exactly the blocks the
+// surviving candidates reference. Retired candidates come back later,
+// so re-added blocks meet the ones still retained.
+func TestTrackerCandidateChurn(t *testing.T) {
+	sc, err := ibench.Generate(scenarioConfigs()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(401))
+	initial, batches := splitTuples(sc.J, 3, rng)
+	jidx := IndexJ(initial)
+	half := len(sc.Candidates) / 2
+	cands := slices.Clone(sc.Candidates[:half])
+	pending := slices.Clone(sc.Candidates[half:])
+	tracker, analyses := BuildTracker(sc.I, jidx, cands, DefaultOptions(), 2)
+	check := func(label string, step int) {
+		t.Helper()
+		assertTrackerBlocks(t, tracker)
+		assertTrackedMatchesCold(t, label, sc.I, jidx, cands, DefaultOptions(), analyses)
+		if t.Failed() {
+			t.Fatalf("step %d: %s diverged", step, label)
+		}
+	}
+	check("build", -1)
+	for step := 0; step < 8; step++ {
+		k := min(len(pending), 1+rng.Intn(12))
+		added := pending[:k]
+		pending = pending[k:]
+		analyses = append(analyses, tracker.AddCandidates(sc.I, added)...)
+		cands = append(cands, added...)
+		check("add", step)
+
+		keep := make([]bool, len(cands))
+		for i := range keep {
+			keep[i] = rng.Intn(4) != 0
+		}
+		tracker.RemoveCandidates(keep)
+		var keptCands tgd.Mapping
+		var keptAn []Analysis
+		for i, k := range keep {
+			if k {
+				an := analyses[i]
+				an.TGDIndex = len(keptAn)
+				keptAn = append(keptAn, an)
+				keptCands = append(keptCands, cands[i])
+			} else {
+				pending = append(pending, cands[i])
+			}
+		}
+		cands, analyses = keptCands, keptAn
+		check("retire", step)
+
+		if step < len(batches) {
+			tracker.Append(batches[step], analyses)
+			check("append", step)
+		}
 	}
 }
 
@@ -328,7 +448,7 @@ func TestTrackerAppendRandom(t *testing.T) {
 		jidx := IndexJ(initial)
 		tracker, analyses := BuildTracker(I, jidx, cands, opts, 1)
 		for _, batch := range batches {
-			tracker.Append(batch, analyses, 1)
+			tracker.Append(batch, analyses)
 		}
 		assertTrackedMatchesCold(t, "random", I, jidx, cands, opts, analyses)
 	}
@@ -343,7 +463,7 @@ func TestTrackerAppendEmpty(t *testing.T) {
 	jidx := IndexJ(sc.J)
 	tracker, analyses := BuildTracker(sc.I, jidx, sc.Candidates, DefaultOptions(), 2)
 	before := snapshotCoverage(analyses)
-	delta := tracker.Append(nil, analyses, 2)
+	delta := tracker.Append(nil, analyses)
 	if len(delta.ChangedTuples) != 0 || len(delta.PairsChanged) != 0 || len(delta.ErrorsChanged) != 0 {
 		t.Fatalf("empty append reported changes: %+v", delta)
 	}
@@ -413,7 +533,7 @@ func BenchmarkBuildTrackerSharded(b *testing.B) {
 // BenchmarkTrackerAppend replays the M stream trace's appends: the M
 // scenario's target dealt into an initial half, tracked by
 // BuildTracker (untimed), and 8 append batches in shuffled arrival
-// order (the stream trace's seed), applied on GOMAXPROCS workers as
+// order (the stream trace's seed), applied as
 // core.Problem.AppendTarget applies them.
 func BenchmarkTrackerAppend(b *testing.B) {
 	sc, err := ibench.Generate(scenarioConfigs()[1])
@@ -432,8 +552,49 @@ func BenchmarkTrackerAppend(b *testing.B) {
 		runtime.GC() // the build's garbage is not the appends' cost
 		b.StartTimer()
 		for _, batch := range stream.Batches {
-			tr.Append(batch, analyses, 0)
+			tr.Append(batch, analyses)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*len(stream.Batches)), "ms/append")
+}
+
+// BenchmarkTrackerSourceDelta times the chasing mutation of a tracked
+// problem: one op removes 3 source tuples and applies the delta, then
+// re-adds them and applies it again, on the sharded scenario and on M.
+// The tracker is built once (untimed); each op leaves it as it was.
+func BenchmarkTrackerSourceDelta(b *testing.B) {
+	m, err := ibench.Generate(scenarioConfigs()[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		sc   *ibench.Scenario
+	}{{"sharded", shardedScenario(b)}, {"M", m}} {
+		b.Run(bc.name, func(b *testing.B) {
+			sc := bc.sc
+			I := sc.I.Clone()
+			tr, analyses := BuildTracker(I, IndexJ(sc.J), sc.Candidates, DefaultOptions(), 0)
+			src := I.All()
+			rng := rand.New(rand.NewSource(43))
+			picked := []data.Tuple{src[rng.Intn(len(src))], src[rng.Intn(len(src))], src[rng.Intn(len(src))]}
+			changed := map[string]bool{}
+			for _, tp := range picked {
+				changed[tp.Rel] = true
+			}
+			runtime.GC() // the build's garbage is not the deltas' cost
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, tp := range picked {
+					I.Remove(tp)
+				}
+				tr.ApplySourceDelta(I, changed, sc.Candidates, analyses)
+				for _, tp := range picked {
+					I.Add(tp)
+				}
+				tr.ApplySourceDelta(I, changed, sc.Candidates, analyses)
+			}
+		})
+	}
 }

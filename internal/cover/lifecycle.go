@@ -14,15 +14,16 @@ package cover
 //     errTuples when their image vanished.
 //   - ApplySourceDelta re-chases exactly the candidates whose tgd body
 //     reads a changed relation — a source delta invalidates chase
-//     blocks, not just cover evidence — seeding the block memo with
-//     every retained block so shared unchanged blocks are never
-//     re-enumerated.
+//     blocks, not just cover evidence — through the tracker's block
+//     memo, which still holds every retained block, so shared
+//     unchanged blocks are never re-enumerated.
 //   - AddCandidates analyses the new candidates against the current
-//     target (block memo seeded likewise); RemoveCandidates compacts
+//     target (through the memo likewise); RemoveCandidates compacts
 //     the retained per-candidate state and sweeps orphaned blocks.
 //
-// All of them keep the Tracker's core invariant: the analyses slice is
-// value-identical to a cold analysis of the current live target.
+// All of them run serially on the tracker's worker, on the calling
+// goroutine, and keep the Tracker's core invariant: the analyses slice
+// is value-identical to a cold analysis of the current live target.
 
 import (
 	"slices"
@@ -37,7 +38,7 @@ import (
 // the blocks whose pattern touches a removed tuple, updates analyses
 // in place, and reports the delta (RemovedTuples set, slot count
 // unchanged).
-func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis, workers int) *TrackerDelta {
+func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis) *TrackerDelta {
 	n := t.jidx.Len()
 	out := &TrackerDelta{OldTuples: n, NewTuples: n}
 	if len(ids) == 0 {
@@ -54,29 +55,13 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis,
 	// RemovedTuples already reports them.
 	dirty := t.dirtyBlocks(groupByRel(removed))
 	defer unmark(dirty)
-	out.ChangedTuples = t.rescan(dirty, analyses, int32(n), false, workers, out)
+	out.ChangedTuples = t.rescan(dirty, analyses, int32(n), false, out)
 
 	// 4. Errors grow: an embedded chase tuple loses its image iff the
-	// tombstoned index no longer embeds it. Only a tuple of a dirty
-	// block can have mapped onto a removed tuple, so only those are
-	// probed.
-	idx := t.jidx.idx
-	for i, oks := range t.okTuples {
-		kept := oks[:0]
-		for _, ct := range oks {
-			if ct.blk.dirty && !idx.Embeds(ct.Tuple, 0) {
-				// Image gone: migrate back to the error set.
-				t.errTuples[i] = append(t.errTuples[i], ct)
-				continue
-			}
-			kept = append(kept, ct)
-		}
-		if len(kept) != len(oks) {
-			t.okTuples[i] = kept
-			analyses[i].Errors = float64(len(t.errTuples[i]))
-			out.ErrorsChanged = append(out.ErrorsChanged, int32(i))
-		}
-	}
+	// tombstoned index no longer embeds it, and migrates back to the
+	// error set. Only a tuple of a dirty block can have mapped onto a
+	// removed tuple, so only those are probed.
+	t.migrate(t.okTuples, t.errTuples, 0, false, analyses, out)
 	return out
 }
 
@@ -84,10 +69,10 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis,
 // of the changed relations against the (already mutated) source
 // instance I, updating analyses in place. Unlike target deltas this
 // re-runs the chase for the affected candidates — their blocks and
-// error sets are invalid, not just their cover pairs — but the block
-// memo is seeded with every retained block, so enumerations shared
+// error sets are invalid, not just their cover pairs — but through the
+// block memo, which holds every retained block, so enumerations shared
 // with clean candidates (or unchanged across the delta) are reused.
-func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool, candidates tgd.Mapping, analyses []Analysis, workers int) *TrackerDelta {
+func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool, candidates tgd.Mapping, analyses []Analysis) *TrackerDelta {
 	n := t.jidx.Len()
 	out := &TrackerDelta{OldTuples: n, NewTuples: n}
 	var affected []int
@@ -102,17 +87,11 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 	if len(affected) == 0 {
 		return out
 	}
-	// Seeding the memo with every retained block means shared
-	// unchanged blocks are never re-enumerated.
-	sink := newTrackSink(len(candidates), t.blocks, t.jidx.Len())
-	newAn := make([]Analysis, len(affected))
-	runWorkers(t.jidx, &t.workers, len(affected), workers, func(w *analyzeWorker, k int) {
-		i := affected[k]
-		newAn[k] = w.analyzeOne(i, candidates[i], I, t.opts, sink)
-	})
+	t.w.fit(n)
+	sink := newTrackSink(len(candidates), t.memo)
 	touched := make(map[int32]bool)
-	for k, i := range affected {
-		na := newAn[k]
+	for _, i := range affected {
+		na := t.w.analyzeOne(i, candidates[i], I, t.opts, sink)
 		diffPairs(analyses[i].Pairs, na.Pairs, int32(n), touched)
 		if !slices.Equal(analyses[i].Pairs, na.Pairs) {
 			out.PairsChanged = append(out.PairsChanged, int32(i))
@@ -126,7 +105,6 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 		t.okTuples[i] = sink.oks[i]
 	}
 	out.ChangedTuples = changedIDs(touched, nil)
-	t.blocks = sink.memo.blocks()
 	t.sweepBlocks()
 	t.internBlocks()
 	return out
@@ -135,19 +113,17 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 // AddCandidates analyses the added candidates against the current
 // target, extending the retained state; the returned analyses continue
 // the existing candidate indices (TGDIndex = previous count + k).
-func (t *Tracker) AddCandidates(I *data.Instance, added tgd.Mapping, workers int) []Analysis {
+func (t *Tracker) AddCandidates(I *data.Instance, added tgd.Mapping) []Analysis {
 	base := len(t.candBlocks)
-	sink := newTrackSink(base+len(added), t.blocks, t.jidx.Len())
+	t.w.fit(t.jidx.Len())
+	sink := newTrackSink(base+len(added), t.memo)
 	newAn := make([]Analysis, len(added))
-	runWorkers(t.jidx, &t.workers, len(added), workers, func(w *analyzeWorker, k int) {
-		newAn[k] = w.analyzeOne(base+k, added[k], I, t.opts, sink)
-	})
-	for k := range added {
+	for k, d := range added {
+		newAn[k] = t.w.analyzeOne(base+k, d, I, t.opts, sink)
 		t.candBlocks = append(t.candBlocks, sink.blocks[base+k])
 		t.errTuples = append(t.errTuples, sink.errs[base+k])
 		t.okTuples = append(t.okTuples, sink.oks[base+k])
 	}
-	t.blocks = sink.memo.blocks()
 	t.internBlocks()
 	return newAn
 }
@@ -174,19 +150,24 @@ func (t *Tracker) RemoveCandidates(keep []bool) {
 }
 
 // sweepBlocks drops blocks no candidate references anymore, from the
-// block map and from the pattern lists dirtyBlocks reads.
+// block memo and from the pattern lists dirtyBlocks reads.
 func (t *Tracker) sweepBlocks() {
-	used := make(map[*trackedBlock]bool, len(t.blocks))
+	used := make(map[*trackedBlock]bool, t.jidx.Len()) // about one block per target tuple
 	for _, blocks := range t.candBlocks {
 		for _, tb := range blocks {
 			used[tb] = true
 		}
 	}
-	//lint:commutative per-key conditional delete; each key is decided independently
-	for k, tb := range t.blocks {
-		if !used[tb] {
-			delete(t.blocks, k)
+	for i := range t.memo.shards {
+		sh := &t.memo.shards[i]
+		sh.mu.Lock()
+		//lint:commutative per-key conditional delete; each key is decided independently
+		for k, tb := range sh.m {
+			if !used[tb] {
+				delete(sh.m, k)
+			}
 		}
+		sh.mu.Unlock()
 	}
 	for id, blocks := range t.patBlocks {
 		t.patBlocks[id] = slices.DeleteFunc(blocks, func(tb *trackedBlock) bool { return !used[tb] })

@@ -19,7 +19,7 @@ func TestRunWorkersPanicReachesCaller(t *testing.T) {
 	var ran atomic.Int64
 	got := func() (r any) {
 		defer func() { r = recover() }()
-		runWorkers(jidx, nil, 50, 4, func(_ *analyzeWorker, i int) {
+		runWorkers(jidx, 50, 4, func(_ *analyzeWorker, i int) {
 			if i == 3 {
 				panic("item 3 failed")
 			}

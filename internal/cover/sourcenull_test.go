@@ -57,7 +57,7 @@ func TestSourceNullRenamingLeavesAnalysisUnchanged(t *testing.T) {
 			I = nullSource(lbl, false)
 			tr, got := BuildTracker(I, IndexJ(J), cands, opts, workers)
 			I.AddAll(nullSource(lbl, true).All())
-			tr.ApplySourceDelta(I, map[string]bool{"r": true}, cands, got, workers)
+			tr.ApplySourceDelta(I, map[string]bool{"r": true}, cands, got)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("ApplySourceDelta, null %s, %d workers:\ngot  %+v\nwant %+v", lbl, workers, got, want)
 			}

@@ -61,7 +61,9 @@ type Config struct {
 	// solve requests queue on the pool.
 	Workers int
 	// Parallelism is the WithParallelism bound for prepare and solve
-	// (0 = GOMAXPROCS); per-request parallelism may lower it.
+	// (0 = GOMAXPROCS); per-request parallelism may lower it. It bounds
+	// every pool a session runs: appends, removals and source deltas
+	// run serially on the request's goroutine.
 	Parallelism int
 	// DefaultSolver is used when a solve request names none
 	// (default "greedy").

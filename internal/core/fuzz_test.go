@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
+	"schemamap/internal/cover"
 	"schemamap/internal/ibench"
 )
 
@@ -20,10 +22,11 @@ const (
 
 // FuzzScenarioSolve drives an uploaded scenario — the untrusted input
 // of mapserve's POST /sessions — through decode, Prepare, and the
-// collective and greedy solves. Any input that decodes must solve
-// without a panic or an error, to a selection over every candidate
-// with a finite objective. The seed corpus lives in
-// testdata/fuzz/FuzzScenarioSolve; run with
+// collective and greedy solves. Any input that decodes must prepare
+// the evidence cover.AnalyzeReference computes (Pairs, Errors, KTuples
+// and Firings, bit for bit) and solve without a panic or an error, to
+// a selection over every candidate with a finite objective. The seed
+// corpus lives in testdata/fuzz/FuzzScenarioSolve; run with
 //
 //	go test -run '^$' -fuzz FuzzScenarioSolve -fuzztime 30s ./internal/core/
 func FuzzScenarioSolve(f *testing.F) {
@@ -56,7 +59,12 @@ func FuzzScenarioSolve(f *testing.F) {
 			}
 		}
 		p := NewProblem(sc.I, sc.J, sc.Candidates)
-		p.Prepare()
+		want := cover.AnalyzeReference(sc.I, p.JIndex(), sc.Candidates, p.CoverOptions)
+		for i, got := range p.Analyses() {
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("candidate %d (%s): analysis\n got  %+v\n want %+v", i, sc.Candidates[i], got, want[i])
+			}
+		}
 		for _, s := range []Solver{CollectiveSolver{}, GreedySolver{}} {
 			sel, err := s.Solve(context.Background(), p)
 			if err != nil {

@@ -14,9 +14,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"schemamap/internal/cover"
 	"schemamap/internal/data"
 	"schemamap/internal/ibench"
 	"schemamap/internal/tgd"
@@ -333,6 +335,39 @@ func TestRemoveTargetSolversAgree(t *testing.T) {
 		}
 		if math.Abs(got.Objective.Total()-want.Objective.Total()) > 1e-6 {
 			t.Errorf("%s: objective %v after removal, cold %v", name, got.Objective.Total(), want.Objective.Total())
+		}
+	}
+}
+
+// A mutation of a problem prepared without a tracker builds one, and
+// keeps to the worker bound the problem was prepared with: after
+// PrepareN(1) the build runs on one worker, not on GOMAXPROCS.
+func TestFirstMutationKeepsPrepareWorkerBound(t *testing.T) {
+	orig := buildTracker
+	defer func() { buildTracker = orig }()
+	var got []int
+	buildTracker = func(I *data.Instance, jidx *cover.JIndex, c tgd.Mapping, opts cover.Options, workers int) (*cover.Tracker, []cover.Analysis) {
+		got = append(got, workers)
+		return orig(I, jidx, c, opts, workers)
+	}
+	sc, err := ibench.Generate(ibench.DefaultConfig(2, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		got = nil
+		p := NewProblem(sc.I, sc.J.Clone(), sc.Candidates)
+		p.PrepareN(workers)
+		for k := 0; k < 2; k++ {
+			u := sc.J.All()[0]
+			extra := data.Tuple{Rel: u.Rel, Args: slices.Clone(u.Args)}
+			extra.Args[0] = data.Const(fmt.Sprint("fresh", k))
+			if _, err := p.AppendTarget([]data.Tuple{extra}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := []int{workers}; !slices.Equal(got, want) {
+			t.Errorf("PrepareN(%d): trackers built with workers %v, want %v", workers, got, want)
 		}
 	}
 }

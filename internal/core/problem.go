@@ -104,6 +104,10 @@ type Problem struct {
 	analyses    []cover.Analysis
 	incidence   *cover.Incidence
 
+	// workers is the worker bound the problem was prepared with; a
+	// mutation that has to build the missing tracker keeps to it.
+	workers int
+
 	// mu serialises the lifecycle mutations and forks; tracker is the
 	// retained streaming state (built by PrepareStreaming, or lazily by
 	// the first mutation). iVer/jVer are the instance versions the
@@ -160,9 +164,10 @@ func (p *Problem) PrepareStreaming(workers int) { p.prepareWith(workers, true) }
 
 func (p *Problem) prepareWith(workers int, streaming bool) {
 	p.prepareOnce.Do(func() {
+		p.workers = workers
 		p.jidx = cover.IndexJ(p.J)
 		if streaming {
-			p.tracker, p.analyses = cover.BuildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, workers)
+			p.tracker, p.analyses = buildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, workers)
 		} else {
 			p.analyses = cover.AnalyzeN(p.I, p.jidx, p.Candidates, p.CoverOptions, workers)
 		}
@@ -306,10 +311,14 @@ func (p *Problem) beginMutation() error {
 		return err
 	}
 	if p.tracker == nil {
-		p.tracker, p.analyses = cover.BuildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, 0)
+		p.tracker, p.analyses = buildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, p.workers)
 	}
 	return nil
 }
+
+// buildTracker is cover.BuildTracker; tests swap it to observe the
+// worker bound a tracker is built with.
+var buildTracker = cover.BuildTracker
 
 // cloneTarget returns a private copy of the target for a fork; a
 // sub-problem view's copy is built from its tuples. Callers hold mu.

@@ -23,14 +23,19 @@
 //
 // Analysis is the hot input of every solver, so the evidence is kept
 // sparse and index-friendly: covers values live in a sorted
-// (CSR-style) pair slice rather than a map, homomorphism search and
-// the creates check probe the CSR posting lists of J (data.Index)
-// directly, null corroboration is decided by per-block label bitmasks
-// rather than label comparisons, and the inverted tuple→candidate
-// incidence (Incidence) lets solvers rescan only the candidates
-// touching a tuple. covers(θ, t) is a maximum over blocks and matches,
-// so a cold analysis (AnalyzeN) folds each block's matches straight
-// into its candidate's row and keeps nothing per block. Only the
+// (CSR-style) pair slice rather than a map, homomorphism search probes
+// the CSR posting lists of J (data.Index) directly, and the creates
+// check of a just-searched block reads the search's candidate sets
+// instead of probing again. K_θ is a set, but only the chase tuples
+// of existential-free head atoms are keyed to dedup it: any other
+// holds a null minted by its own firing, so comparing it with its
+// block's earlier tuples suffices. Null corroboration is decided by
+// per-block label bitmasks rather than label comparisons, and the
+// inverted tuple→candidate incidence (Incidence) lets solvers rescan
+// only the candidates touching a tuple. covers(θ, t) is a maximum over
+// blocks and matches, so a cold analysis (AnalyzeN) folds each block's
+// matches straight into its candidate's row and keeps nothing per
+// block. Only the
 // streaming Tracker (delta.go) keeps per-block rows: its block memo,
 // sized from |J|, shares identical chase blocks across candidates so
 // that each is retained, and re-enumerated on a delta, once. The memo
@@ -343,8 +348,10 @@ type analyzeWorker struct {
 	acc, blk rowAcc
 	keyBuf   data.BlockKeyBuf
 	nulls    blockNulls
-	// seen holds the keys of the chase tuples of the candidate being
-	// analysed; tupleKey is its probe buffer.
+	// fresh marks the head atoms of the candidate being analysed that
+	// hold an existential variable; seen holds the keys of its chase
+	// tuples of the other atoms, and tupleKey is seen's probe buffer.
+	fresh    []bool
 	seen     map[string]struct{}
 	tupleKey []byte
 
@@ -383,28 +390,35 @@ func (w *analyzeWorker) fit(nj int) {
 func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts Options, sink *trackSink) Analysis {
 	an := Analysis{TGDIndex: index, Size: d.Size()}
 	clear(w.seen)
+	w.markFresh(d)
 	chase.Each(I, tgd.Mapping{d}, nil, func(b chase.Block) {
 		an.Firings++
 		block := b.Tuples
 		var tb *trackedBlock
+		// searched: the searcher's candidate sets are block's, so the
+		// creates check reads them instead of probing the index again.
+		searched := true
 		if sink == nil {
 			w.enumerate(block, &w.acc, opts)
 		} else {
 			// The tracker keeps the block's tuples.
 			block = data.CloneTuples(block)
-			tb = w.blockContrib(block, sink.memo, opts)
+			tb, searched = w.blockContrib(block, sink.memo, opts)
 			sink.blocks[index] = append(sink.blocks[index], tb)
 			w.acc.addPairs(tb.pairs)
 		}
-		// K_θ is a set: each distinct chase tuple counts once.
-		for _, t := range block {
-			w.tupleKey = t.AppendKey(w.tupleKey[:0])
-			if _, dup := w.seen[string(w.tupleKey)]; dup {
+		for k, t := range block {
+			if !w.newChaseTuple(block, k) {
 				continue
 			}
-			w.seen[string(w.tupleKey)] = struct{}{}
 			an.KTuples++
-			if !w.index.Embeds(t, 0) {
+			embeds := false
+			if searched {
+				embeds = w.searcher.TupleEmbeds(k, t)
+			} else {
+				embeds = w.index.Embeds(t, 0)
+			}
+			if !embeds {
 				an.Errors++
 				if sink != nil {
 					sink.errs[index] = append(sink.errs[index], chaseTuple{t, tb})
@@ -418,8 +432,47 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts
 			}
 		}
 	})
-	an.Pairs = w.acc.drain()
+	an.Pairs = w.acc.drain(nil)
 	return an
+}
+
+// markFresh records which head atoms of d hold an existential
+// variable (see newChaseTuple).
+func (w *analyzeWorker) markFresh(d *tgd.TGD) {
+	vars := d.BodyVars()
+	w.fresh = w.fresh[:0]
+	for _, a := range d.Head {
+		fresh := false
+		for _, term := range a.Args {
+			fresh = fresh || !term.IsConst && !slices.Contains(vars, term.Name)
+		}
+		w.fresh = append(w.fresh, fresh)
+	}
+}
+
+// newChaseTuple reports whether tuple k of block, a chase block of the
+// candidate being analysed, is one the candidate has not produced
+// before: K_θ is a set, and each distinct chase tuple counts once. A
+// tuple of an atom with an existential variable holds a null minted by
+// this firing, so it can only repeat a tuple of its own block, which a
+// pairwise comparison finds; only the tuples of existential-free atoms
+// can recur across firings, and only they are keyed into seen.
+func (w *analyzeWorker) newChaseTuple(block []data.Tuple, k int) bool {
+	t := block[k]
+	if w.fresh[k] {
+		for _, u := range block[:k] {
+			if u.Equal(t) {
+				return false
+			}
+		}
+		return true
+	}
+	w.tupleKey = t.AppendKey(w.tupleKey[:0])
+	if _, dup := w.seen[string(w.tupleKey)]; dup {
+		return false
+	}
+	w.seen[string(w.tupleKey)] = struct{}{}
+	return true
 }
 
 // blockContrib returns the retained block of block — its per-block
@@ -427,15 +480,16 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts
 // partial homomorphism of it, with block as the representative the
 // streaming Tracker re-enumerates — shared through memo by canonical
 // form: equal blocks up to null renaming contribute identically,
-// whichever candidate fired them. The caller gives block away.
-func (w *analyzeWorker) blockContrib(block []data.Tuple, memo *blockMemo, opts Options) *trackedBlock {
+// whichever candidate fired them. It reports whether it searched
+// block, rather than finding it in memo. The caller gives block away.
+func (w *analyzeWorker) blockContrib(block []data.Tuple, memo *blockMemo, opts Options) (*trackedBlock, bool) {
 	key := w.keyBuf.Key(block)
 	if tb := memo.get(key); tb != nil {
-		return tb
+		return tb, false
 	}
 	tb := &trackedBlock{key: string(key), tuples: block}
 	tb.pairs, tb.homs = w.enumerateBlockPairs(block, opts)
-	return memo.put(tb)
+	return memo.put(tb), true
 }
 
 // enumerate runs the partial-homomorphism enumeration of one block
@@ -452,7 +506,7 @@ func (w *analyzeWorker) enumerate(block []data.Tuple, row *rowAcc, opts Options)
 // sorted) and the number of matches enumerated.
 func (w *analyzeWorker) enumerateBlockPairs(block []data.Tuple, opts Options) ([]CoverPair, int) {
 	homs := w.enumerate(block, &w.blk, opts)
-	return w.blk.drain(), homs
+	return w.blk.drain(nil), homs
 }
 
 // homLimit returns the effective per-block hom limit of opts.
@@ -467,9 +521,10 @@ func homLimit(opts Options) int {
 // the ids from base on were appended. A complete enumeration's
 // contribution is a maximum over its matches, so while the cached one
 // and the grown one both stay under the hom limit it is the cached row
-// max-merged with the matches that reach an appended id. A block at
-// the limit is enumerated afresh, since a truncated maximum depends on
-// which matches come first.
+// max-merged with the matches that reach an appended id — the cached
+// row itself when they raise no degree. A block at the limit is
+// enumerated afresh, since a truncated maximum depends on which
+// matches come first.
 func (w *analyzeWorker) appendedBlockPairs(tb *trackedBlock, base int32, opts Options) ([]CoverPair, int) {
 	limit := homLimit(opts)
 	if tb.homs < limit {
@@ -477,10 +532,9 @@ func (w *analyzeWorker) appendedBlockPairs(tb *trackedBlock, base int32, opts Op
 		w.nulls.reset(tb.tuples)
 		homs := tb.homs + w.searcher.EnumerateNewHoms(tb.tuples, base, limit-tb.homs, w.emit)
 		if homs < limit {
-			w.blk.addPairs(tb.pairs)
-			return w.blk.drain(), homs
+			return w.blk.drain(tb.pairs), homs
 		}
-		w.blk.drain() // discard the partial row
+		w.blk.reset() // discard the partial row
 	}
 	return w.enumerateBlockPairs(tb.tuples, opts)
 }
@@ -545,16 +599,41 @@ func (r *rowAcc) addPairs(pairs []CoverPair) {
 	}
 }
 
-// drain returns the row as sorted sparse pairs and resets it.
-func (r *rowAcc) drain() []CoverPair {
+// drain returns the row max-merged onto the sorted sparse pairs onto
+// (nil for none), as sorted sparse pairs, and resets the row. Only the
+// row's ids are sorted, and an empty row returns onto itself, so
+// merging a few raised degrees into a long row costs no more than a
+// copy of it, and merging none costs nothing.
+func (r *rowAcc) drain(onto []CoverPair) []CoverPair {
+	if len(r.touch) == 0 && onto != nil {
+		return onto
+	}
 	slices.Sort(r.touch)
-	pairs := make([]CoverPair, len(r.touch))
-	for k, j := range r.touch {
-		pairs[k] = CoverPair{J: j, Cov: r.deg[j]}
+	out := make([]CoverPair, 0, len(onto)+len(r.touch))
+	k := 0
+	for _, j := range r.touch {
+		for ; k < len(onto) && onto[k].J < j; k++ {
+			out = append(out, onto[k])
+		}
+		cov := r.deg[j]
+		if k < len(onto) && onto[k].J == j {
+			cov = max(cov, onto[k].Cov)
+			k++
+		}
+		out = append(out, CoverPair{J: j, Cov: cov})
+		r.deg[j] = 0
+	}
+	out = append(out, onto[k:]...)
+	r.touch = r.touch[:0]
+	return out
+}
+
+// reset empties the row.
+func (r *rowAcc) reset() {
+	for _, j := range r.touch {
 		r.deg[j] = 0
 	}
 	r.touch = r.touch[:0]
-	return pairs
 }
 
 // blockNulls is the corroboration structure of one block, computed

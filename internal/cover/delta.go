@@ -134,11 +134,11 @@ type Tracker struct {
 }
 
 // relPatterns indexes one relation's pattern ids: wild holds the
-// patterns without constants, and first[p][v] those whose first
-// constant is v at position p.
+// patterns without constants, and first[p][c] those whose first
+// constant is the constant with text c, at position p.
 type relPatterns struct {
 	wild  []int32
-	first []map[data.Value][]int32
+	first []map[string][]int32
 }
 
 // TrackerDelta reports what one Append changed, so downstream
@@ -313,22 +313,23 @@ func (t *Tracker) rescan(dirty []*trackedBlock, analyses []Analysis, limit int32
 		for _, tb := range blocks {
 			change = max(change, tb.changed)
 		}
+		var onto []CoverPair
 		switch change {
 		case rowKept:
 			continue
 		case rowGrown:
-			acc.addPairs(analyses[i].Pairs)
 			for _, tb := range blocks {
 				if tb.changed == rowGrown {
 					acc.addPairs(tb.pairs)
 				}
 			}
+			onto = analyses[i].Pairs
 		default:
 			for _, tb := range blocks {
 				acc.addPairs(tb.pairs)
 			}
 		}
-		newPairs := acc.drain()
+		newPairs := acc.drain(onto)
 		diffPairs(analyses[i].Pairs, newPairs, limit, touched)
 		analyses[i].Pairs = newPairs
 		out.PairsChanged = append(out.PairsChanged, int32(i))
@@ -362,7 +363,10 @@ func (t *Tracker) dirtyBlocks(changedByRel map[string][]data.Tuple) []*trackedBl
 				if p >= len(rp.first) {
 					break
 				}
-				for _, id := range rp.first[p][a] {
+				if a.IsNull() {
+					continue // no pattern constant maps onto a null
+				}
+				for _, id := range rp.first[p][a.Name()] {
 					if !dirtyPat[id] && data.MatchConstPositions(t.patReps[id], ct) {
 						dirtyPat[id] = true
 					}
@@ -447,9 +451,10 @@ func (t *Tracker) indexPattern(id int32, bt data.Tuple) {
 		return
 	}
 	for len(rp.first) <= p {
-		rp.first = append(rp.first, make(map[data.Value][]int32))
+		rp.first = append(rp.first, make(map[string][]int32))
 	}
-	rp.first[p][bt.Args[p]] = append(rp.first[p][bt.Args[p]], id)
+	c := bt.Args[p].Name()
+	rp.first[p][c] = append(rp.first[p][c], id)
 }
 
 // groupByRel groups the tuples of a delta by relation.

@@ -346,8 +346,8 @@ func checkIndexOf(t *testing.T, ix *Index) {
 
 // checkPostings checks every posting list of ix against a scan of its
 // tuples: the relation lists and the (relation, position, value) lists
-// hold exactly the ids a scan finds, in ascending order, tombstoned
-// ids included.
+// — constants' and nulls' alike — hold exactly the ids a scan finds,
+// in ascending order, tombstoned ids included.
 func checkPostings(t *testing.T, ix *Index) {
 	t.Helper()
 	lists := 0
@@ -362,8 +362,8 @@ func checkPostings(t *testing.T, ix *Index) {
 			t.Fatalf("relation %s lists %v, scan finds %v", rel, got, want)
 		}
 		lists++
-		for p, slots := range rp.pos {
-			for v := range slots {
+		for p := range rp.consts {
+			for _, v := range postedValues(rp, p) {
 				want = want[:0]
 				for id, tu := range ix.tuples {
 					if tu.Rel == rel && p < len(tu.Args) && tu.Args[p] == v {

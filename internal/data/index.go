@@ -12,14 +12,19 @@ import (
 // Problem.Prepare. The Index replaces it with posting lists (relation
 // → argument position → value → tuple ids) in CSR form: IndexTuples
 // numbers every list into a slot in one pass over the tuples, then
-// cuts all lists from one backing array and fills them in a second. A
-// Searcher probes the lists directly — a block tuple's candidates are
-// the shortest posting list among its constants, narrowed during the
-// search by the posting list of an already-bound null — and reuses all
-// search scratch, so a warm enumeration allocates nothing. Nothing is
-// memoised per tuple pattern: on the sharded-throughput scenario a
-// pattern memo hit 60% of its lookups, yet building and hashing its
-// string keys cost more than the probes the hits saved.
+// cuts all lists from one backing array and fills them in a second.
+// Values are looked up by their text alone, in one string-keyed map
+// per position for constants and one for nulls, so no lookup hashes
+// or compares a Value struct. A Searcher probes the lists directly — a
+// block tuple's candidates come from one posting list among its
+// constants (see probe), narrowed during the search by the posting
+// list of an already-bound null — and reuses all search scratch, so a
+// warm enumeration allocates nothing; after a search, TupleEmbeds
+// answers the creates check of a block tuple from its candidate set
+// without probing again. Nothing is memoised per tuple pattern: on the
+// sharded-throughput scenario a pattern memo hit 60% of its lookups,
+// yet building and hashing its string keys cost more than the probes
+// the hits saved.
 //
 // The enumeration order is identical to the reference path: block
 // tuples are processed constant-rich first (same stable sort), and
@@ -67,7 +72,12 @@ type Index struct {
 // each value's list.
 type relPostings struct {
 	all int32
-	pos []map[Value]int32
+	// consts[p] maps the text of each constant at position p to the slot
+	// of its list, and nulls[p] the label of each labelled null (nil
+	// until the position holds one). Keyed by the string alone, a lookup
+	// takes Go's string-keyed map fast path instead of hashing and
+	// comparing a Value struct.
+	consts, nulls []map[string]int32
 	// arity is the arity every tuple of the relation has, or -1 when
 	// they differ.
 	arity int
@@ -178,14 +188,22 @@ func (ix *Index) slots(ts []Tuple, dst []int32) []int32 {
 			rp.arity = -1
 		}
 		dst = append(dst, rp.all)
-		for len(rp.pos) < len(t.Args) {
-			rp.pos = append(rp.pos, make(map[Value]int32, rp.size))
+		for len(rp.consts) < len(t.Args) {
+			rp.consts = append(rp.consts, make(map[string]int32, rp.size))
+			rp.nulls = append(rp.nulls, nil)
 		}
 		for p, a := range t.Args {
-			s, ok := rp.pos[p][a]
+			s, ok := rp.slot(p, a)
 			if !ok {
 				s = ix.newList()
-				rp.pos[p][a] = s
+				m := rp.consts[p]
+				if a.null {
+					if rp.nulls[p] == nil {
+						rp.nulls[p] = make(map[string]int32)
+					}
+					m = rp.nulls[p]
+				}
+				m[a.name] = s
 			}
 			dst = append(dst, s)
 		}
@@ -242,8 +260,8 @@ func (ix *Index) Remove(ids []int32) {
 }
 
 // IndexOf returns the id of the live indexed tuple equal to t, or -1.
-// It scans t's most selective constant posting list (see probe) and
-// allocates nothing.
+// It scans one of t's constant posting lists (see probe) and allocates
+// nothing.
 func (ix *Index) IndexOf(t Tuple) int {
 	for _, id := range ix.probe(ix.rels[t.Rel], t) {
 		if ix.live(id) && ix.tuples[id].Equal(t) {
@@ -322,37 +340,59 @@ func (ix *Index) Embeds(t Tuple, from int32) bool {
 	return false
 }
 
-// probe returns the most selective posting list among t's constant
-// positions (the relation's ids when t has none); every candidate
-// image of t is in it. A nil rp has no tuples.
+// probe returns a posting list holding every candidate image of t:
+// the first list among t's constant positions no longer than
+// shortProbe, else the shortest of them, or the relation's ids when t
+// has no constant. Every caller filters the list exactly
+// (Index.candidates, Embeds, IndexOf), so the choice changes how many
+// ids they check, never what they yield; past a short list, a further
+// value lookup costs more than the few ids it could save. A nil rp
+// has no tuples.
 func (ix *Index) probe(rp *relPostings, t Tuple) []int32 {
 	if rp == nil {
 		return nil
 	}
 	probe := ix.list(rp.all)
 	for p, a := range t.Args {
-		if a.IsNull() {
+		if a.null {
 			continue
 		}
 		if l := ix.posting(rp, p, a); len(l) < len(probe) {
 			probe = l
 		}
-		if len(probe) == 0 {
-			return nil
+		if len(probe) <= shortProbe {
+			break
 		}
+	}
+	if len(probe) == 0 {
+		return nil
 	}
 	return probe
 }
 
+// shortProbe is the posting-list length at which probe stops looking
+// for a shorter list.
+const shortProbe = 8
+
 // posting returns the ids of rp's tuples holding v at position p.
 func (ix *Index) posting(rp *relPostings, p int, v Value) []int32 {
-	if p >= len(rp.pos) {
-		return nil
-	}
-	if s, ok := rp.pos[p][v]; ok {
+	if s, ok := rp.slot(p, v); ok {
 		return ix.list(s)
 	}
 	return nil
+}
+
+// slot returns the slot of v's list at position p, if v has one.
+func (rp *relPostings) slot(p int, v Value) (int32, bool) {
+	if p >= len(rp.consts) {
+		return 0, false
+	}
+	m := rp.consts[p]
+	if v.null {
+		m = rp.nulls[p]
+	}
+	s, ok := m[v.name]
+	return s, ok
 }
 
 // constants counts t's constant arguments.
@@ -482,6 +522,20 @@ func (s *Searcher) BlockEmbeds(block []Tuple) bool {
 	clear(s.optional)
 	s.rec(0)
 	return s.end() > 0
+}
+
+// TupleEmbeds reports whether t, tuple i of the block the last search
+// ran on, has a homomorphic image among the live indexed tuples: it is
+// Index.Embeds(t, 0) without probing the posting lists again, since
+// the search left t's candidate set (the live ids agreeing with its
+// constants) in place. Only the repeated-null check is left to run.
+func (s *Searcher) TupleEmbeds(i int, t Tuple) bool {
+	for _, id := range s.cands[i].ids {
+		if repeatedNullsConsistent(t, s.ix.tuples[id]) {
+			return true
+		}
+	}
+	return false
 }
 
 // EnumerateNewHoms enumerates the partial homomorphisms from block that

@@ -232,8 +232,8 @@ func TestAppendKeepsCSRNeighbours(t *testing.T) {
 		out := make(map[string][]int32)
 		for rel, rp := range ix.rels {
 			out[rel] = slices.Clone(ix.list(rp.all))
-			for p, slots := range rp.pos {
-				for v := range slots {
+			for p := range rp.consts {
+				for _, v := range postedValues(rp, p) {
 					out[fmt.Sprintf("%s.%d.%s", rel, p, v)] = slices.Clone(ix.posting(rp, p, v))
 				}
 			}
@@ -303,3 +303,94 @@ func TestIndexOfAllocs(t *testing.T) {
 
 // Index returns the underlying index.
 func (s *Searcher) Index() *Index { return s.ix }
+
+// postedValues returns the values rp holds a posting list for at
+// position p: its constants, then its labelled nulls.
+func postedValues(rp *relPostings, p int) []Value {
+	var vals []Value
+	for text := range rp.consts[p] {
+		vals = append(vals, Const(text))
+	}
+	for lbl := range rp.nulls[p] {
+		vals = append(vals, NullValue(lbl))
+	}
+	return vals
+}
+
+// A constant and a labelled null of the same text, x and ⊥x, are
+// different values. Where one position holds both, every lookup — the
+// posting lists, Candidates, Embeds, IndexOf, a searcher's bound-null
+// probe and TupleEmbeds — must reach the one it asks for and never the
+// other.
+func TestConstantAndNullKeysStayApart(t *testing.T) {
+	x, nx := Const("x"), NullValue("x")
+	r := func(a, b Value) Tuple { return Tuple{Rel: "r", Args: []Value{a, b}} }
+	s := func(a Value) Tuple { return Tuple{Rel: "s", Args: []Value{a}} }
+	tuples := []Tuple{r(x, Const("a")), r(nx, Const("b")), r(x, Const("c")), s(x), s(nx)}
+	// Filler, so that an all-null r tuple has more than probeCutoff
+	// candidates and the search narrows them by its bound null.
+	for i := 0; i < 2*probeCutoff; i++ {
+		tuples = append(tuples, r(Const(fmt.Sprint("f", i)), Const("a")))
+	}
+	ix := IndexTuples(tuples)
+	checkPostings(t, ix)
+	rp := ix.rels["r"]
+	for _, c := range []struct {
+		v    Value
+		want []int32
+	}{{x, []int32{0, 2}}, {nx, []int32{1}}} {
+		if got := ix.posting(rp, 0, c.v); !slices.Equal(got, c.want) {
+			t.Errorf("posting(r, 0, %v) = %v, want %v", c.v, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		q    Tuple
+		want []int32
+	}{
+		{r(x, NullValue("v")), []int32{0, 2}},
+		{r(x, Const("b")), nil},
+		{s(x), []int32{3}},
+	} {
+		if got := ix.Candidates(c.q); !slices.Equal(got, c.want) {
+			t.Errorf("Candidates(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		q    Tuple
+		want bool
+	}{
+		{r(x, Const("b")), false},
+		{r(x, Const("c")), true},
+		{r(NullValue("v"), Const("b")), true},
+		{r(NullValue("v"), NullValue("v")), false}, // no r tuple repeats a value
+	} {
+		if got := ix.Embeds(c.q, 0); got != c.want {
+			t.Errorf("Embeds(%v) = %v, want %v", c.q, got, c.want)
+		}
+		sr := NewSearcher(ix)
+		sr.EnumeratePartialHoms([]Tuple{c.q}, 0, func(*IndexedMatch) bool { return true })
+		if got := sr.TupleEmbeds(0, c.q); got != c.want {
+			t.Errorf("TupleEmbeds(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		q    Tuple
+		want int
+	}{{r(nx, Const("b")), 1}, {r(x, Const("b")), -1}, {r(nx, Const("a")), -1}, {s(x), 3}, {s(nx), 4}} {
+		if got := ix.IndexOf(c.q); got != c.want {
+			t.Errorf("IndexOf(%v) = %d, want %d", c.q, got, c.want)
+		}
+	}
+	// s(⊥u) binds u to x or to ⊥x; r(⊥u, ⊥v) must then map onto the r
+	// tuples holding that very value.
+	var got [][2]int32
+	NewSearcher(ix).EnumeratePartialHoms([]Tuple{s(NullValue("u")), r(NullValue("u"), NullValue("v"))}, 0, func(m *IndexedMatch) bool {
+		if m.Mapped[0] && m.Mapped[1] {
+			got = append(got, [2]int32{m.Image[0], m.Image[1]})
+		}
+		return true
+	})
+	if want := [][2]int32{{3, 0}, {3, 2}, {4, 1}}; !slices.Equal(got, want) {
+		t.Errorf("bound-null matches = %v, want %v", got, want)
+	}
+}

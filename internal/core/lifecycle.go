@@ -147,7 +147,7 @@ func (p *Problem) AddCandidates(cands tgd.Mapping) (int, error) {
 // and leaves the problem untouched; duplicate indices are retired
 // once. The same staleness rules as AddCandidates apply.
 //
-//lint:testonly lifecycle tests drive it; no trace step or HTTP op retires candidates until ROADMAP item 7(a) adds one
+//lint:testonly lifecycle tests drive it; no trace step or HTTP op retires candidates until ROADMAP item 10(a) adds one
 func (p *Problem) RemoveCandidates(indices []int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -35,13 +35,12 @@
 // only the candidates touching a tuple. covers(θ, t) is a maximum over
 // blocks and matches, so a cold analysis (AnalyzeN) folds each block's
 // matches straight into its candidate's row and keeps nothing per
-// block. Only the
-// streaming Tracker (delta.go) keeps per-block rows: its block memo,
-// sized from |J|, shares identical chase blocks across candidates so
-// that each is retained, and re-enumerated on a delta, once. The memo
-// is the tracker's one record of its blocks: the streaming build fills
-// it on a worker pool, and every later mutation uses it in place,
-// serially, on the calling goroutine.
+// block. Only the streaming Tracker (delta.go) keeps per-block rows:
+// its memo holds each distinct chase block once, by canonical key, so
+// that each is retained, and re-enumerated on a delta, once. A block
+// counts the candidate block lists holding it, so a mutation touches
+// only the blocks of the candidates it changes; every mutation runs
+// serially on the calling goroutine.
 // AnalyzeReference in reference.go preserves the original scan-based
 // map pipeline with label-comparing corroboration; the differential
 // tests pin the two against each other bit for bit.
@@ -214,72 +213,6 @@ func AnalyzeN(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Optio
 	return out
 }
 
-// blockMemo holds the tracker's retained blocks, keyed by canonical
-// block form: identical chase blocks — projections and copies are rife
-// in generated candidate sets — are analysed and retained once. It is
-// the tracker's one record of its blocks, used in place by every
-// chasing mutation. Only the streaming build (BuildTracker) shares it
-// across workers; most blocks of a large scenario are distinct, so
-// nearly every block both looks up and stores, and the memo is split
-// into independently locked shards so that those workers rarely wait
-// on each other. Cold analysis (AnalyzeN) does not use it: its hits
-// saved fewer enumerations than its keys and locks cost.
-type blockMemo struct {
-	shards [memoShards]memoShard
-}
-
-// memoShards is the number of blockMemo shards.
-const memoShards = 32
-
-type memoShard struct {
-	mu sync.Mutex
-	m  map[string]*trackedBlock // guarded by mu
-}
-
-// newBlockMemo returns an empty memo for an analysis against nj target
-// tuples. A scenario's chase has about as many distinct blocks as its
-// target has tuples (1.1–1.3× on generated scenarios), so each shard
-// is allocated for its share of nj and rarely grows.
-//
-//lint:guarded-by-caller the memo is not shared until it is returned
-func newBlockMemo(nj int) *blockMemo {
-	bm := new(blockMemo)
-	for i := range bm.shards {
-		bm.shards[i].m = make(map[string]*trackedBlock, nj/memoShards)
-	}
-	return bm
-}
-
-// shardOf hashes a key to its shard (FNV-1a).
-func shardOf[K string | []byte](key K) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h % memoShards)
-}
-
-// get looks a block up by its canonical key; it does not allocate.
-func (bm *blockMemo) get(key []byte) *trackedBlock {
-	sh := &bm.shards[shardOf(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.m[string(key)]
-}
-
-// put stores tb unless another worker stored the same block first,
-// and returns the stored block.
-func (bm *blockMemo) put(tb *trackedBlock) *trackedBlock {
-	sh := &bm.shards[shardOf(tb.key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if prev, ok := sh.m[tb.key]; ok {
-		return prev
-	}
-	sh.m[tb.key] = tb
-	return tb
-}
-
 // runWorkers executes fn(w, i) for every i in [0, n) on a pool of
 // `workers` fresh analyzeWorkers over jidx (≤ 0 means GOMAXPROCS,
 // capped at n); the calling goroutine is one of them, so a single
@@ -290,16 +223,10 @@ func (bm *blockMemo) put(tb *trackedBlock) *trackedBlock {
 // calling goroutine once every worker has stopped, instead of killing
 // the process from a pool goroutine.
 func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	if n == 0 {
 		return
 	}
-	if workers <= 1 {
+	if workers = poolSize(n, workers); workers <= 1 {
 		w := newAnalyzeWorker(jidx)
 		for i := 0; i < n; i++ {
 			fn(w, i)
@@ -339,6 +266,14 @@ func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) 
 	}
 }
 
+// poolSize is the number of workers runWorkers runs n items on.
+func poolSize(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
+}
+
 // analyzeWorker bundles one worker's searcher and dense accumulation
 // scratch: the candidate row acc and the block row blk of the tracked
 // paths.
@@ -354,6 +289,9 @@ type analyzeWorker struct {
 	fresh    []bool
 	seen     map[string]struct{}
 	tupleKey []byte
+	// memo dedups the blocks analyzeOne retains by canonical key: a
+	// streaming build worker's own map, or the tracker's memo.
+	memo map[string]*trackedBlock
 
 	// opts and row parametrise emit, the worker's one match callback,
 	// for the enumeration in progress: emit folds each match into row.
@@ -383,8 +321,8 @@ func (w *analyzeWorker) fit(nj int) {
 
 // analyzeOne computes one candidate's Analysis. With a nil sink every
 // block's matches are folded straight into the candidate row: no block
-// is keyed, looked up or kept. A non-nil sink additionally retains the
-// candidate's blocks — deduplicated through the sink's block memo — and
+// is keyed, looked up or kept. A non-nil sink additionally records the
+// candidate's blocks — deduplicated through the worker's memo — and
 // its error and embedded chase tuples, the streaming state of
 // BuildTracker (delta.go); the analysis itself is identical either way.
 func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts Options, sink *trackSink) Analysis {
@@ -403,8 +341,8 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts
 		} else {
 			// The tracker keeps the block's tuples.
 			block = data.CloneTuples(block)
-			tb, searched = w.blockContrib(block, sink.memo, opts)
-			sink.blocks[index] = append(sink.blocks[index], tb)
+			tb, searched = w.blockContrib(block, opts)
+			sink.candBlocks[index] = append(sink.candBlocks[index], tb)
 			w.acc.addPairs(tb.pairs)
 		}
 		for k, t := range block {
@@ -421,14 +359,14 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts
 			if !embeds {
 				an.Errors++
 				if sink != nil {
-					sink.errs[index] = append(sink.errs[index], chaseTuple{t, tb})
+					sink.errTuples[index] = append(sink.errTuples[index], chaseTuple{t, tb})
 				}
 			} else if sink != nil {
 				// Embedded chase tuples are retained too: target removals
 				// can take their image away, turning them back into
 				// errors, and the per-candidate multiplicity cannot be
 				// reconstructed from the canonically-deduped blocks.
-				sink.oks[index] = append(sink.oks[index], chaseTuple{t, tb})
+				sink.okTuples[index] = append(sink.okTuples[index], chaseTuple{t, tb})
 			}
 		}
 	})
@@ -478,18 +416,20 @@ func (w *analyzeWorker) newChaseTuple(block []data.Tuple, k int) bool {
 // blockContrib returns the retained block of block — its per-block
 // evidence, the maximum coverage degree each J tuple receives from any
 // partial homomorphism of it, with block as the representative the
-// streaming Tracker re-enumerates — shared through memo by canonical
-// form: equal blocks up to null renaming contribute identically,
-// whichever candidate fired them. It reports whether it searched
-// block, rather than finding it in memo. The caller gives block away.
-func (w *analyzeWorker) blockContrib(block []data.Tuple, memo *blockMemo, opts Options) (*trackedBlock, bool) {
+// streaming Tracker re-enumerates — shared through the worker's memo
+// by canonical form: equal blocks up to null renaming contribute
+// identically, whichever candidate fired them. It reports whether it
+// searched block, rather than finding it in the memo. The caller gives
+// block away.
+func (w *analyzeWorker) blockContrib(block []data.Tuple, opts Options) (*trackedBlock, bool) {
 	key := w.keyBuf.Key(block)
-	if tb := memo.get(key); tb != nil {
+	if tb := w.memo[string(key)]; tb != nil {
 		return tb, false
 	}
 	tb := &trackedBlock{key: string(key), tuples: block}
 	tb.pairs, tb.homs = w.enumerateBlockPairs(block, opts)
-	return memo.put(tb), true
+	w.memo[tb.key] = tb
+	return tb, true
 }
 
 // enumerate runs the partial-homomorphism enumeration of one block

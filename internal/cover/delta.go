@@ -70,6 +70,9 @@ type trackedBlock struct {
 	// rebuilding pattern strings per append dominated the
 	// dirty-detection cost.
 	pats []int32
+	// refs counts the block's occurrences across the tracker's candidate
+	// block lists (see Tracker.retain and Tracker.release).
+	refs int
 }
 
 // rowChange is how one rescan changed a block's contribution.
@@ -103,19 +106,14 @@ type chaseTuple struct {
 type Tracker struct {
 	jidx *JIndex
 	opts Options
-	// memo holds every distinct chase block by canonical key; the
-	// chasing mutations (source deltas, candidate additions) use it in
-	// place.
-	memo *blockMemo
-	// candBlocks lists each candidate's blocks, in block order.
-	candBlocks [][]*trackedBlock
-	// errTuples lists each candidate's chase tuples currently lacking
-	// a homomorphic image in J (its creates errors).
-	errTuples [][]chaseTuple
-	// okTuples lists each candidate's chase tuples that currently DO
-	// embed into J — the complement of errTuples. Removals consult it:
-	// a tuple whose image vanishes migrates back to errTuples.
-	okTuples [][]chaseTuple
+	// memo holds every distinct chase block some candidate references,
+	// by canonical key. The tracker's worker dedups through it, so the
+	// chasing mutations (source deltas, candidate additions) reuse every
+	// retained block.
+	memo map[string]*trackedBlock
+	// trackSink holds each candidate's blocks and chase tuples; the
+	// tracker's worker records into it directly.
+	trackSink
 	// patIDs interns the null-insensitive patterns of retained block
 	// tuples, patReps holds one representative tuple per id, patsByRel
 	// indexes the ids by relation and first constant, and patBlocks
@@ -164,54 +162,86 @@ type TrackerDelta struct {
 	RemovedTuples []int32
 }
 
-// trackSink collects the streaming state analyzeOne records when
-// asked to: per-candidate blocks plus error and embedded chase tuples.
-// Its block memo, the tracker's, deduplicates the retained blocks
-// across candidates (and, during BuildTracker, workers) by canonical
-// key.
+// trackSink is the per-candidate streaming state analyzeOne records
+// when asked to. Each candidate's entries are written by the one worker
+// analysing it, and its blocks come from that worker's memo.
 type trackSink struct {
-	memo   *blockMemo
-	blocks [][]*trackedBlock
-	errs   [][]chaseTuple
-	oks    [][]chaseTuple
+	// candBlocks lists each candidate's blocks, in block order.
+	candBlocks [][]*trackedBlock
+	// errTuples lists each candidate's chase tuples currently lacking
+	// a homomorphic image in J (its creates errors).
+	errTuples [][]chaseTuple
+	// okTuples lists each candidate's chase tuples that currently DO
+	// embed into J — the complement of errTuples. Removals consult it:
+	// a tuple whose image vanishes migrates back to errTuples.
+	okTuples [][]chaseTuple
 }
 
-// newTrackSink sizes a sink for n candidates retaining their blocks
-// in memo.
-func newTrackSink(n int, memo *blockMemo) *trackSink {
-	return &trackSink{
-		memo:   memo,
-		blocks: make([][]*trackedBlock, n),
-		errs:   make([][]chaseTuple, n),
-		oks:    make([][]chaseTuple, n),
-	}
+// extend gives n more candidates empty lists.
+func (s *trackSink) extend(n int) {
+	s.candBlocks = append(s.candBlocks, make([][]*trackedBlock, n)...)
+	s.errTuples = append(s.errTuples, make([][]chaseTuple, n)...)
+	s.okTuples = append(s.okTuples, make([][]chaseTuple, n)...)
 }
 
-// BuildTracker runs the full evidence analysis (analyzeOne, on
-// AnalyzeN's worker pool) while retaining the streaming state,
+// BuildTracker runs the full evidence analysis (analyzeOne, on at most
+// workers goroutines, as AnalyzeN) while retaining the streaming state,
 // returning both. Use it instead of AnalyzeN when the target will
 // grow; the analyses are value-identical to AnalyzeN's, though each
 // candidate row is merged from the memo-shared block rows instead of
-// folded match by match.
+// folded match by match. A single worker is the tracker's own and
+// dedups straight into its memo; on a pool, each worker dedups into a
+// private map and merge then keeps one block per key.
 func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) (*Tracker, []Analysis) {
-	analyses := make([]Analysis, len(candidates))
-	sink := newTrackSink(len(candidates), newBlockMemo(jidx.Len()))
-	runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
-		analyses[i] = w.analyzeOne(i, candidates[i], I, opts, sink)
-	})
 	t := &Tracker{
-		jidx:       jidx,
-		opts:       opts,
-		memo:       sink.memo,
-		candBlocks: sink.blocks,
-		errTuples:  sink.errs,
-		okTuples:   sink.oks,
-		patIDs:     make(map[string]int32),
-		patsByRel:  make(map[string]*relPatterns),
-		w:          newAnalyzeWorker(jidx),
+		jidx:      jidx,
+		opts:      opts,
+		memo:      make(map[string]*trackedBlock, jidx.Len()), // about one block per target tuple
+		patIDs:    make(map[string]int32),
+		patsByRel: make(map[string]*relPatterns),
+		w:         newAnalyzeWorker(jidx),
 	}
-	t.internBlocks()
+	t.w.memo = t.memo
+	t.extend(len(candidates))
+	analyses := make([]Analysis, len(candidates))
+	if workers = poolSize(len(candidates), workers); workers <= 1 {
+		for i, d := range candidates {
+			analyses[i] = t.w.analyzeOne(i, d, I, opts, &t.trackSink)
+		}
+	} else {
+		runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
+			if w.memo == nil {
+				w.memo = make(map[string]*trackedBlock, jidx.Len()/workers)
+			}
+			analyses[i] = w.analyzeOne(i, candidates[i], I, opts, &t.trackSink)
+		})
+		t.merge()
+	}
+	for _, blocks := range t.candBlocks {
+		t.retain(blocks)
+	}
 	return t, analyses
+}
+
+// merge keeps one block per canonical key across the build workers'
+// private memos. In candidate order, the first block of each key
+// enters the tracker's memo, and every later copy — in a block list or
+// a chase tuple's blk — is pointed at it.
+func (t *Tracker) merge() {
+	for i, blocks := range t.candBlocks {
+		for k, tb := range blocks {
+			if kept, ok := t.memo[tb.key]; ok {
+				blocks[k] = kept
+			} else {
+				t.memo[tb.key] = tb
+			}
+		}
+		for _, cts := range [2][]chaseTuple{t.errTuples[i], t.okTuples[i]} {
+			for k := range cts {
+				cts[k].blk = t.memo[cts[k].blk.key]
+			}
+		}
+	}
 }
 
 // Append applies a target delta: it extends the tracker's JIndex with
@@ -396,24 +426,37 @@ func unmark(dirty []*trackedBlock) {
 	}
 }
 
-// internBlocks fills the pattern ids of the memo's blocks that lack
-// them: every block on BuildTracker, and later the blocks source deltas
-// and candidate additions bring in (each calls it once it adopted
-// them).
-func (t *Tracker) internBlocks() {
-	for i := range t.memo.shards {
-		sh := &t.memo.shards[i]
-		sh.mu.Lock()
-		//lint:commutative per-block cache fill; pattern ids only key verdicts and patBlocks lists are sets, so the visiting order does not matter
-		for _, tb := range sh.m {
-			if tb.pats == nil {
-				tb.pats = t.internPatterns(tb.tuples)
-				for _, id := range tb.pats {
-					t.patBlocks[id] = append(t.patBlocks[id], tb)
-				}
+// retain counts the references of a candidate block list being
+// installed. Every block enters the tracker here: its first reference
+// interns its patterns into the lists dirtyBlocks reads.
+func (t *Tracker) retain(blocks []*trackedBlock) {
+	for _, tb := range blocks {
+		if tb.refs++; tb.refs == 1 {
+			tb.pats = t.internPatterns(tb.tuples)
+			for _, id := range tb.pats {
+				t.patBlocks[id] = append(t.patBlocks[id], tb)
 			}
 		}
-		sh.mu.Unlock()
+	}
+}
+
+// release drops the references of a candidate block list being
+// replaced or retired. Every block leaves the tracker here: its last
+// reference deletes it from the memo and from its patterns' lists,
+// which are sets, so the last entry fills its slot.
+func (t *Tracker) release(blocks []*trackedBlock) {
+	for _, tb := range blocks {
+		if tb.refs--; tb.refs > 0 {
+			continue
+		}
+		delete(t.memo, tb.key)
+		for _, id := range tb.pats {
+			list := t.patBlocks[id]
+			last := len(list) - 1
+			k := slices.Index(list, tb)
+			list[k], list[last] = list[last], nil
+			t.patBlocks[id] = list[:last]
+		}
 	}
 }
 

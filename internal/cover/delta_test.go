@@ -144,49 +144,65 @@ func TestTrackerAppendMatchesColdOnScenarios(t *testing.T) {
 
 // assertTrackerBlocks checks the tracker's one record of its blocks:
 // the memo holds exactly the blocks some candidate references, each
-// under its canonical key and interned into the pattern lists; every
-// pattern list holds only memo blocks; and no mutation left a dirty or
+// under its canonical key, with a reference count equal to its
+// occurrences across the candidates' block lists, and listed once
+// under each of its own pattern ids; every pattern list holds only memo
+// blocks; every error and embedded chase tuple points at a memo block
+// its own candidate references; and no mutation left a dirty or
 // changed mark set.
 func assertTrackerBlocks(t *testing.T, tr *Tracker) {
 	t.Helper()
-	memo := make(map[*trackedBlock]bool)
-	for i := range tr.memo.shards {
-		sh := &tr.memo.shards[i]
-		sh.mu.Lock()
-		//lint:commutative only records membership
-		for k, tb := range sh.m {
-			if k != tb.key {
-				t.Errorf("memo holds block %q under key %q", tb.key, k)
-			}
-			memo[tb] = true
+	memo := make(map[*trackedBlock]bool, len(tr.memo))
+	//lint:commutative only records membership
+	for k, tb := range tr.memo {
+		if k != tb.key {
+			t.Errorf("memo holds block %q under key %q", tb.key, k)
 		}
-		sh.mu.Unlock()
+		memo[tb] = true
 	}
-	used := make(map[*trackedBlock]bool, len(memo))
+	refs := make(map[*trackedBlock]int, len(memo))
 	for i, blocks := range tr.candBlocks {
+		own := make(map[*trackedBlock]bool, len(blocks))
 		for _, tb := range blocks {
 			if !memo[tb] {
 				t.Errorf("candidate %d references block %q outside the memo", i, tb.key)
 			}
-			used[tb] = true
+			refs[tb]++
+			own[tb] = true
+		}
+		for _, cts := range [][]chaseTuple{tr.errTuples[i], tr.okTuples[i]} {
+			for _, ct := range cts {
+				if !memo[ct.blk] || !own[ct.blk] {
+					t.Errorf("candidate %d: chase tuple %v points at block %q, in the memo %v, referenced by the candidate %v",
+						i, ct.Tuple, ct.blk.key, memo[ct.blk], own[ct.blk])
+				}
+			}
 		}
 	}
-	inPatterns := make(map[*trackedBlock]int, len(memo))
+	listed := make(map[*trackedBlock]int, len(memo))
 	for id, blocks := range tr.patBlocks {
+		seen := make(map[*trackedBlock]bool, len(blocks))
 		for _, tb := range blocks {
 			if !memo[tb] {
 				t.Errorf("pattern %d lists block %q outside the memo", id, tb.key)
 			}
-			inPatterns[tb]++
+			if seen[tb] || !slices.Contains(tb.pats, int32(id)) {
+				t.Errorf("pattern %d lists block %q twice or without the block holding it", id, tb.key)
+			}
+			seen[tb] = true
+			listed[tb]++
 		}
 	}
 	//lint:commutative independent per-block checks
 	for tb := range memo {
-		if !used[tb] {
+		if refs[tb] == 0 {
 			t.Errorf("memo retains block %q no candidate references", tb.key)
 		}
-		if tb.pats == nil || inPatterns[tb] != len(tb.pats) {
-			t.Errorf("block %q: %d pattern ids, listed under %d", tb.key, len(tb.pats), inPatterns[tb])
+		if tb.refs != refs[tb] {
+			t.Errorf("block %q: %d references counted, %d in the block lists", tb.key, tb.refs, refs[tb])
+		}
+		if tb.pats == nil || listed[tb] != len(tb.pats) {
+			t.Errorf("block %q: %d pattern ids, listed under %d", tb.key, len(tb.pats), listed[tb])
 		}
 		if tb.dirty || tb.changed != rowKept {
 			t.Errorf("block %q left marked (dirty %v, changed %d)", tb.key, tb.dirty, tb.changed)
@@ -427,6 +443,184 @@ func TestTrackerCandidateChurn(t *testing.T) {
 	}
 }
 
+// blockShape describes a tracker's blocks by canonical key alone: the
+// memo's keys with their reference counts, and each candidate's block
+// keys and error and embedded chase tuples, each with its block's key.
+type blockShape struct {
+	refs              map[string]int
+	blocks, errs, oks [][]string
+}
+
+func shapeOf(tr *Tracker) blockShape {
+	sh := blockShape{refs: make(map[string]int, len(tr.memo))}
+	//lint:commutative fills a map keyed like the memo
+	for k, tb := range tr.memo {
+		sh.refs[k] = tb.refs
+	}
+	tuples := func(cts []chaseTuple) []string {
+		out := make([]string, len(cts))
+		for k, ct := range cts {
+			out[k] = ct.Tuple.Key() + " in " + ct.blk.key
+		}
+		return out
+	}
+	for i, blocks := range tr.candBlocks {
+		keys := make([]string, len(blocks))
+		for k, tb := range blocks {
+			keys[k] = tb.key
+		}
+		sh.blocks = append(sh.blocks, keys)
+		sh.errs = append(sh.errs, tuples(tr.errTuples[i]))
+		sh.oks = append(sh.oks, tuples(tr.okTuples[i]))
+	}
+	return sh
+}
+
+// The streaming build's worker count must not show in the tracker.
+// Built on 1 and on 4 workers, the two trackers hold the same blocks by
+// key: the memo, each candidate's block list, the reference counts and
+// each chase tuple's block. The same append, removal, source delta,
+// candidate addition and retirement then keep them alike, with the
+// analyses of a cold AnalyzeN of the current state after every step.
+func TestTrackerBuildWorkersDoNotShow(t *testing.T) {
+	m, err := ibench.Generate(scenarioConfigs()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, sc := range []*ibench.Scenario{shardedScenario(t), m} {
+		rng := rand.New(rand.NewSource(int64(si) + 503))
+		I := sc.I.Clone()
+		initial, batches := splitTuples(sc.J, 1, rng)
+		split := len(sc.Candidates) * 3 / 4
+		cands := slices.Clone(sc.Candidates[:split])
+		opts := DefaultOptions()
+		type tracked struct {
+			tr       *Tracker
+			jidx     *JIndex
+			analyses []Analysis
+		}
+		var ts []*tracked
+		for _, workers := range []int{1, 4} {
+			jidx := IndexJ(initial)
+			tr, analyses := BuildTracker(I, jidx, cands, opts, workers)
+			ts = append(ts, &tracked{tr, jidx, analyses})
+		}
+		check := func(label string) {
+			t.Helper()
+			for k, x := range ts {
+				if want := AnalyzeN(I, x.jidx, cands, opts, 1); !reflect.DeepEqual(x.analyses, want) {
+					t.Errorf("scenario %d, %s: tracker %d diverges from AnalyzeN", si, label, k)
+				}
+				assertTrackerBlocks(t, x.tr)
+			}
+			if !reflect.DeepEqual(shapeOf(ts[0].tr), shapeOf(ts[1].tr)) {
+				t.Errorf("scenario %d, %s: blocks differ between 1 and 4 build workers", si, label)
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+		}
+		check("build")
+
+		for _, x := range ts {
+			x.tr.Append(batches[0], x.analyses)
+		}
+		check("append")
+
+		var removed []data.Tuple
+		var ids []int32
+		for _, j := range rng.Perm(ts[0].jidx.Len())[:8] {
+			if ts[0].jidx.Live(j) {
+				removed = append(removed, ts[0].jidx.Tuples[j])
+				ids = append(ids, int32(j))
+			}
+		}
+		for _, x := range ts {
+			x.tr.Remove(removed, ids, x.analyses)
+		}
+		check("remove")
+
+		src := I.All()
+		changed := map[string]bool{}
+		for k := 0; k < 3; k++ {
+			tp := src[rng.Intn(len(src))]
+			changed[tp.Rel] = true
+			I.Remove(tp)
+		}
+		for _, x := range ts {
+			x.tr.ApplySourceDelta(I, changed, cands, x.analyses)
+		}
+		check("source delta")
+
+		added := sc.Candidates[split:]
+		for _, x := range ts {
+			x.analyses = append(x.analyses, x.tr.AddCandidates(I, added)...)
+		}
+		cands = append(cands, added...)
+		check("add candidates")
+
+		keep := make([]bool, len(cands))
+		for i := range keep {
+			keep[i] = rng.Intn(4) != 0
+		}
+		var keptCands tgd.Mapping
+		for i, k := range keep {
+			if k {
+				keptCands = append(keptCands, cands[i])
+			}
+		}
+		for _, x := range ts {
+			x.tr.RemoveCandidates(keep)
+			var kept []Analysis
+			for i, k := range keep {
+				if k {
+					an := x.analyses[i]
+					an.TGDIndex = len(kept)
+					kept = append(kept, an)
+				}
+			}
+			x.analyses = kept
+		}
+		cands = keptCands
+		check("retire candidates")
+	}
+}
+
+// The build's merge must keep one block per key whichever worker
+// analysed which candidate. Here two workers with private memos take
+// the M scenario's candidates in turn — a split the pool does not
+// guarantee — so that blocks shared across candidates are found twice;
+// merged, the tracker must hold the blocks of a 1-worker build.
+func TestTrackerMergeKeepsOneBlockPerKey(t *testing.T) {
+	sc, err := ibench.Generate(scenarioConfigs()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	want, _ := BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, opts, 1)
+	jidx := IndexJ(sc.J)
+	got, _ := BuildTracker(sc.I, jidx, nil, opts, 1)
+	got.extend(len(sc.Candidates))
+	workers := []*analyzeWorker{newAnalyzeWorker(jidx), newAnalyzeWorker(jidx)}
+	for _, w := range workers {
+		w.memo = make(map[string]*trackedBlock)
+	}
+	for i, d := range sc.Candidates {
+		workers[i%2].analyzeOne(i, d, sc.I, opts, &got.trackSink)
+	}
+	if n := len(workers[0].memo) + len(workers[1].memo); n <= len(want.memo) {
+		t.Fatalf("the workers found %d blocks, no more than the %d distinct ones: nothing to merge", n, len(want.memo))
+	}
+	got.merge()
+	for _, blocks := range got.candBlocks {
+		got.retain(blocks)
+	}
+	assertTrackerBlocks(t, got)
+	if !reflect.DeepEqual(shapeOf(got), shapeOf(want)) {
+		t.Error("merged blocks differ from a 1-worker build's")
+	}
+}
+
 // Random small scenarios, random split sizes, both corroboration
 // settings — the shapes the ibench generator does not produce. Every
 // fourth trial caps the enumeration at 1–6 matches, so appends both
@@ -519,14 +713,21 @@ func TestJIndexAppendMatchesRebuild(t *testing.T) {
 }
 
 // BenchmarkBuildTrackerSharded is BenchmarkAnalyzeNSharded's analysis
-// through the streaming build: the same ≈11k-tuple target on 2 workers,
-// with every distinct block retained through the block memo.
+// through the streaming build: the same ≈11k-tuple target, with every
+// distinct block retained in the tracker's memo. One worker builds
+// straight into the memo; two dedup privately and merge.
 func BenchmarkBuildTrackerSharded(b *testing.B) {
 	sc := shardedScenario(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, DefaultOptions(), 2)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"1worker", 1}, {"2workers", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, DefaultOptions(), bc.workers)
+			}
+		})
 	}
 }
 

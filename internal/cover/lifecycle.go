@@ -19,7 +19,11 @@ package cover
 //     unchanged blocks are never re-enumerated.
 //   - AddCandidates analyses the new candidates against the current
 //     target (through the memo likewise); RemoveCandidates compacts
-//     the retained per-candidate state and sweeps orphaned blocks.
+//     the retained per-candidate state.
+//
+// Candidate block lists enter and leave through Tracker.retain and
+// Tracker.release, so no mutation visits the blocks of candidates it
+// does not change.
 //
 // All of them run serially on the tracker's worker, on the calling
 // goroutine, and keep the Tracker's core invariant: the analyses slice
@@ -88,10 +92,13 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 		return out
 	}
 	t.w.fit(n)
-	sink := newTrackSink(len(candidates), t.memo)
 	touched := make(map[int32]bool)
+	replaced := make([][]*trackedBlock, 0, len(affected))
 	for _, i := range affected {
-		na := t.w.analyzeOne(i, candidates[i], I, t.opts, sink)
+		replaced = append(replaced, t.candBlocks[i])
+		t.candBlocks[i], t.errTuples[i], t.okTuples[i] = nil, nil, nil
+		na := t.w.analyzeOne(i, candidates[i], I, t.opts, &t.trackSink)
+		t.retain(t.candBlocks[i])
 		diffPairs(analyses[i].Pairs, na.Pairs, int32(n), touched)
 		if !slices.Equal(analyses[i].Pairs, na.Pairs) {
 			out.PairsChanged = append(out.PairsChanged, int32(i))
@@ -100,13 +107,14 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 			out.ErrorsChanged = append(out.ErrorsChanged, int32(i))
 		}
 		analyses[i] = na
-		t.candBlocks[i] = sink.blocks[i]
-		t.errTuples[i] = sink.errs[i]
-		t.okTuples[i] = sink.oks[i]
+	}
+	// The replaced lists are released only once every new list holds
+	// its references: a block both hold stays in the memo throughout,
+	// and later candidates' chases still find the blocks a delta drops.
+	for _, blocks := range replaced {
+		t.release(blocks)
 	}
 	out.ChangedTuples = changedIDs(touched, nil)
-	t.sweepBlocks()
-	t.internBlocks()
 	return out
 }
 
@@ -116,26 +124,24 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 func (t *Tracker) AddCandidates(I *data.Instance, added tgd.Mapping) []Analysis {
 	base := len(t.candBlocks)
 	t.w.fit(t.jidx.Len())
-	sink := newTrackSink(base+len(added), t.memo)
+	t.extend(len(added))
 	newAn := make([]Analysis, len(added))
 	for k, d := range added {
-		newAn[k] = t.w.analyzeOne(base+k, d, I, t.opts, sink)
-		t.candBlocks = append(t.candBlocks, sink.blocks[base+k])
-		t.errTuples = append(t.errTuples, sink.errs[base+k])
-		t.okTuples = append(t.okTuples, sink.oks[base+k])
+		newAn[k] = t.w.analyzeOne(base+k, d, I, t.opts, &t.trackSink)
+		t.retain(t.candBlocks[base+k])
 	}
-	t.internBlocks()
 	return newAn
 }
 
 // RemoveCandidates compacts the retained per-candidate state down to
 // the candidates with keep[i] true (the caller compacts its own
-// candidate and analysis slices in the same order) and sweeps blocks
-// no surviving candidate references.
+// candidate and analysis slices in the same order), releasing the
+// retired candidates' blocks.
 func (t *Tracker) RemoveCandidates(keep []bool) {
 	w := 0
 	for i, k := range keep {
 		if !k {
+			t.release(t.candBlocks[i])
 			continue
 		}
 		t.candBlocks[w] = t.candBlocks[i]
@@ -146,30 +152,4 @@ func (t *Tracker) RemoveCandidates(keep []bool) {
 	t.candBlocks = t.candBlocks[:w]
 	t.errTuples = t.errTuples[:w]
 	t.okTuples = t.okTuples[:w]
-	t.sweepBlocks()
-}
-
-// sweepBlocks drops blocks no candidate references anymore, from the
-// block memo and from the pattern lists dirtyBlocks reads.
-func (t *Tracker) sweepBlocks() {
-	used := make(map[*trackedBlock]bool, t.jidx.Len()) // about one block per target tuple
-	for _, blocks := range t.candBlocks {
-		for _, tb := range blocks {
-			used[tb] = true
-		}
-	}
-	for i := range t.memo.shards {
-		sh := &t.memo.shards[i]
-		sh.mu.Lock()
-		//lint:commutative per-key conditional delete; each key is decided independently
-		for k, tb := range sh.m {
-			if !used[tb] {
-				delete(sh.m, k)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	for id, blocks := range t.patBlocks {
-		t.patBlocks[id] = slices.DeleteFunc(blocks, func(tb *trackedBlock) bool { return !used[tb] })
-	}
 }

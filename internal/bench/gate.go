@@ -26,8 +26,8 @@ var speedupSolvers = map[string]bool{"greedy": true, "collective": true}
 // violation, or nil. The gates are predicates over rows:
 //
 //   - differential: a stepped (stream, churn) row's evidence equalled
-//     a cold Prepare after every step, and its check replay reproduced
-//     every warm objective bit for bit;
+//     a cold Prepare after every step, and every timed replay
+//     reproduced the check replay's warm objectives bit for bit;
 //   - warm ≤ cold: a stepped row's final warm objective is no worse
 //     than the cold solve of its final state (+1e-9);
 //   - speedup: a stream row of greedy or collective at the largest
@@ -69,7 +69,7 @@ func Check(rows []Row, minSpeedup float64) error {
 				fail(r, "incremental evidence diverged from cold Prepare")
 			}
 			if !r.WarmReproducible {
-				fail(r, "check replay did not reproduce the timed warm objectives")
+				fail(r, "a timed replay did not reproduce the check replay's warm objectives")
 			}
 			if r.WarmObjective > r.Objective+1e-9 {
 				fail(r, "warm objective %g worse than cold objective %g", r.WarmObjective, r.Objective)

@@ -3,6 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // Each row gate fires on exactly the rows its predicate selects.
@@ -57,5 +58,42 @@ func TestCheckGates(t *testing.T) {
 		if err := Check(rows, floor); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// A stepped row's speedup compares like with like: on each side, each
+// step's best time over the trials, averaged over the steps — the
+// mutation plus warm solve against the cold Prepare plus solve timed
+// after it. One slow moment in one trial (here a 9 ms phase) moves
+// neither side; a step slow in every trial moves the warm side, and
+// the floor catches it.
+func TestSetTimesBestPerStep(t *testing.T) {
+	ms := func(v ...float64) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x * float64(time.Millisecond))
+		}
+		return out
+	}
+	mutate := [][]time.Duration{ms(1, 1, 9), ms(9, 1, 1), ms(1, 2, 1)}
+	warm := [][]time.Duration{ms(0.5, 0.5, 0.5), ms(0.5, 0.5, 0.5), ms(0.5, 9, 0.5)}
+	prepare := [][]time.Duration{ms(9, 4, 4), ms(4, 9, 5), ms(4, 4, 9)}
+	solve := [][]time.Duration{ms(1, 1, 1), ms(2, 1, 9), ms(1, 9, 1)}
+	row := Row{Trace: traceStream, Solver: "greedy", Scale: "M", Steps: 3, EvidenceIdentical: true, WarmReproducible: true}
+	row.setTimes(mutate, warm, prepare, solve)
+	if row.MutateMillis != 1 || row.WarmSolveMillis != 0.5 || row.PrepareMillis != 4 || row.SolveMillis != 1 || row.Speedup != 5/1.5 {
+		t.Fatalf("times mutate %g warm %g prepare %g solve %g speedup %g; want 1, 0.5, 4, 1, %g",
+			row.MutateMillis, row.WarmSolveMillis, row.PrepareMillis, row.SolveMillis, row.Speedup, 5/1.5)
+	}
+	if err := Check([]Row{row}, 2); err != nil {
+		t.Errorf("one slow moment per trial failed the floor: %v", err)
+	}
+	mutate = [][]time.Duration{ms(1, 1, 9), ms(1, 1, 9), ms(1, 1, 9)}
+	row.setTimes(mutate, warm, prepare, solve)
+	if row.MutateMillis != 11.0/3 {
+		t.Fatalf("mutate %g, want %g: a step slow in every trial counts", row.MutateMillis, 11.0/3)
+	}
+	if err := Check([]Row{row}, 2); err == nil || !strings.Contains(err.Error(), "floor 2x") {
+		t.Errorf("a step slow in every trial passed the floor: %v", err)
 	}
 }

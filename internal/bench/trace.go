@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -87,9 +88,9 @@ type Row struct {
 	Allocs        uint64  `json:"allocs,omitempty"`
 	AllocBytes    uint64  `json:"allocBytes,omitempty"`
 
-	// Warm replay of a stepped trace: per-step averages, the total
-	// warm iterations, the final warm objective, and the differential
-	// results of the untimed check replay.
+	// Warm replays of a stepped trace: each step's best over the timed
+	// replays, averaged over the steps, the total warm iterations, the
+	// final warm objective, and the differential results.
 	MutateMillis      float64 `json:"mutateMillis,omitempty"`
 	WarmSolveMillis   float64 `json:"warmSolveMillis,omitempty"`
 	Speedup           float64 `json:"speedup,omitempty"`
@@ -296,12 +297,10 @@ func (tr *trace) row(solver string, parallelism int) Row {
 }
 
 // replay measures one solver on the trace in-process. A zero-step
-// trace is a cold Prepare + solve. A stepped trace is replayed three
-// times: the timed replay (each step's mutation and warm re-solve
-// timed, nothing else in between), the cold reference on the final
-// state, and an untimed check replay that compares every step's
-// evidence with a cold Prepare and its warm objective with the timed
-// replay's, bit for bit.
+// trace is a cold Prepare + solve. A stepped trace is replayed once
+// untimed, checking every step's evidence against a cold Prepare, and
+// then timingTrials times, timing each step's mutation and warm
+// re-solve next to a cold Prepare + solve of the final state.
 func (tr *trace) replay(ctx context.Context, solver core.Solver, par int) (Row, error) {
 	row := tr.row(solver.Name(), par)
 	if solver.Name() == "exhaustive" && len(tr.candidates) > quality.ExhaustiveCellCap {
@@ -335,51 +334,75 @@ func (tr *trace) replay(ctx context.Context, solver core.Solver, par int) (Row, 
 		return row, nil
 	}
 
-	p, prev, err := tr.open(ctx, solver, opts, par)
+	// Check replay, untimed: every step's evidence against a cold
+	// Prepare. Its final state is the cold reference's, whose solve
+	// records the row's cold outcome.
+	row.EvidenceIdentical, row.WarmReproducible = true, true
+	final, prev, err := tr.open(ctx, solver, opts, par)
 	if err != nil {
 		return row, err
 	}
-	mutate, warm, sels, err := tr.run(ctx, solver, opts, p, prev, nil)
+	_, _, sels, err := tr.run(ctx, solver, opts, final, prev, func(int, *core.Selection) {
+		c := coldOf(final)
+		c.PrepareN(par)
+		row.EvidenceIdentical = row.EvidenceIdentical && EvidenceIdentical(final, c)
+	})
 	if err != nil {
 		return row, err
 	}
-	n := float64(len(tr.steps))
-	row.MutateMillis, row.WarmSolveMillis = millis(mutate)/n, millis(warm)/n
+	ref := tr.coldOfFinal(final)
+	ref.PrepareN(par)
+	if err := row.coldSolve(ctx, solver, opts, ref, 0, false); err != nil {
+		return row, err
+	}
 	for _, sel := range sels {
 		row.WarmIterations += sel.Iterations
 	}
 	row.WarmObjective = sels[len(sels)-1].Objective.Total()
-	row.Candidates, row.JTuples = p.NumCandidates(), p.NumLiveTuples()
+	row.Candidates, row.JTuples = final.NumCandidates(), final.NumLiveTuples()
 
-	// Cold reference: what each step would cost without the
-	// incremental engine. Prepare runs once per Problem, so best-of-3
-	// uses fresh problems.
-	cold, prepare := coldPrepare(3, par, func() *core.Problem {
-		if tr.final != nil {
-			return core.NewProblem(tr.sc.I, tr.final.Clone(), p.Candidates)
+	// Timed trials: fresh replays whose warm objectives must reproduce
+	// the check replay's, each step followed, outside its timers, by a
+	// cold Prepare + solve of the final state on a fresh problem. Every
+	// phase is timed from a fresh GC, and each side keeps each step's
+	// best over the trials, averaged over the steps, so a slow moment
+	// of a shared host moves both sides or neither.
+	var mutates, warms, prepares, solves [][]time.Duration
+	for trial := 0; trial < timingTrials; trial++ {
+		p, prev, err := tr.open(ctx, solver, opts, par)
+		if err != nil {
+			return row, err
 		}
-		return coldOf(p)
-	})
-	if err := row.coldSolve(ctx, solver, opts, cold, prepare, true); err != nil {
-		return row, err
+		var prepare, solve []time.Duration
+		var coldErr error
+		mutate, warm, s, err := tr.run(ctx, solver, opts, p, prev, func(int, *core.Selection) {
+			c := tr.coldOfFinal(final)
+			prepare = append(prepare, timed(func() { c.PrepareN(par) }))
+			var err error
+			solve = append(solve, timed(func() { _, err = solver.Solve(ctx, c, opts...) }))
+			coldErr = cmp.Or(coldErr, err)
+		})
+		if err = cmp.Or(err, coldErr); err != nil {
+			return row, err
+		}
+		for i, sel := range s {
+			row.WarmReproducible = row.WarmReproducible && sel.Objective.Total() == sels[i].Objective.Total()
+		}
+		mutates, warms = append(mutates, mutate), append(warms, warm)
+		prepares, solves = append(prepares, prepare), append(solves, solve)
 	}
-	if perStep := row.MutateMillis + row.WarmSolveMillis; perStep > 0 {
-		row.Speedup = (row.PrepareMillis + row.SolveMillis) / perStep
-	}
+	row.setTimes(mutates, warms, prepares, solves)
+	return row, nil
+}
 
-	// Check replay, untimed.
-	row.EvidenceIdentical, row.WarmReproducible = true, true
-	p, prev, err = tr.open(ctx, solver, opts, par)
-	if err != nil {
-		return row, err
+// coldOfFinal returns an unprepared problem of the final state of p, a
+// replay of the trace: a stream trace's generated target in generated
+// order, or else p's live tuples.
+func (tr *trace) coldOfFinal(p *core.Problem) *core.Problem {
+	if tr.final != nil {
+		return core.NewProblem(tr.sc.I, tr.final.Clone(), p.Candidates)
 	}
-	_, _, _, err = tr.run(ctx, solver, opts, p, prev, func(i int, sel *core.Selection) {
-		c := coldOf(p)
-		c.PrepareN(par)
-		row.EvidenceIdentical = row.EvidenceIdentical && EvidenceIdentical(p, c)
-		row.WarmReproducible = row.WarmReproducible && sel.Objective.Total() == sels[i].Objective.Total()
-	})
-	return row, err
+	return coldOf(p)
 }
 
 // open builds the trace's initial state as a streaming-prepared
@@ -392,22 +415,21 @@ func (tr *trace) open(ctx context.Context, solver core.Solver, opts []core.Solve
 }
 
 // run replays the steps on p, each mutation followed by a re-solve
-// warm-started from the previous selection, and returns the summed
-// mutation and solve times and every step's selection. after, when
-// non-nil, runs outside the timed sections after each step.
-func (tr *trace) run(ctx context.Context, solver core.Solver, opts []core.SolveOption, p *core.Problem, prev *core.Selection, after func(int, *core.Selection)) (mutate, warm time.Duration, sels []*core.Selection, err error) {
+// warm-started from the previous selection, and returns each step's
+// mutation and solve times, each timed from a fresh GC, and every
+// step's selection. after, when non-nil, runs outside the timed
+// sections after each step.
+func (tr *trace) run(ctx context.Context, solver core.Solver, opts []core.SolveOption, p *core.Problem, prev *core.Selection, after func(int, *core.Selection)) (mutate, warm []time.Duration, sels []*core.Selection, err error) {
 	for i, st := range tr.steps {
-		start := time.Now()
-		if err := apply(p, st); err != nil {
-			return 0, 0, nil, err
-		}
-		mutate += time.Since(start)
-		start = time.Now()
-		sel, err := solver.Solve(ctx, p, append(opts, core.WithWarmStart(prev))...)
+		mutate = append(mutate, timed(func() { err = apply(p, st) }))
 		if err != nil {
-			return 0, 0, nil, err
+			return nil, nil, nil, err
 		}
-		warm += time.Since(start)
+		var sel *core.Selection
+		warm = append(warm, timed(func() { sel, err = solver.Solve(ctx, p, append(opts, core.WithWarmStart(prev))...) }))
+		if err != nil {
+			return nil, nil, nil, err
+		}
 		sels = append(sels, sel)
 		prev = sel
 		if after != nil {
@@ -415,6 +437,45 @@ func (tr *trace) run(ctx context.Context, solver core.Solver, opts []core.SolveO
 		}
 	}
 	return mutate, warm, sels, nil
+}
+
+// timingTrials is the number of timed replays of a stepped trace.
+const timingTrials = 3
+
+// timed runs f from a fresh GC, so that every timed phase starts from
+// the same collector state, and returns its wall time.
+func timed(f func()) time.Duration {
+	runtime.GC()
+	start := time.Now()
+	f()
+	return time.Since(start)
+}
+
+// setTimes records a stepped row's times from its timed trials
+// (mutate[k][i] is trial k's mutation of step i, prepare[k][i] the
+// cold Prepare timed after it, and so on): each phase's best per step
+// over the trials, averaged over the steps, and the ratio of the cold
+// Prepare plus solve to the mutation plus warm solve.
+func (row *Row) setTimes(mutate, warm, prepare, solve [][]time.Duration) {
+	row.MutateMillis, row.WarmSolveMillis = meanOfBest(mutate), meanOfBest(warm)
+	row.PrepareMillis, row.SolveMillis = meanOfBest(prepare), meanOfBest(solve)
+	if perStep := row.MutateMillis + row.WarmSolveMillis; perStep > 0 {
+		row.Speedup = (row.PrepareMillis + row.SolveMillis) / perStep
+	}
+}
+
+// meanOfBest returns, in milliseconds, the mean over steps of each
+// step's fastest time across the trials.
+func meanOfBest(trials [][]time.Duration) float64 {
+	var sum time.Duration
+	for i := range trials[0] {
+		best := trials[0][i]
+		for _, times := range trials[1:] {
+			best = min(best, times[i])
+		}
+		sum += best
+	}
+	return millis(sum) / float64(len(trials[0]))
 }
 
 // apply runs one step's mutations: append, then remove, then add

@@ -339,6 +339,52 @@ func TestRemoveTargetSolversAgree(t *testing.T) {
 	}
 }
 
+// The first mutation of an unprepared problem analyses each candidate
+// once: it prepares straight into a tracker, inside the one Prepare
+// (no cold analysis has run when the tracker is built), and its
+// evidence is a cold Prepare's. NewProblem and an unprepared Fork both
+// take that path.
+func TestFirstMutationOfUnpreparedProblemAnalysesOnce(t *testing.T) {
+	orig := buildTracker
+	defer func() { buildTracker = orig }()
+	sc, err := ibench.Generate(ibench.DefaultConfig(2, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p *Problem
+	builds := 0
+	buildTracker = func(I *data.Instance, jidx *cover.JIndex, c tgd.Mapping, opts cover.Options, workers int) (*cover.Tracker, []cover.Analysis) {
+		builds++
+		if p.analyses != nil {
+			t.Error("tracker built after a cold analysis of the same problem")
+		}
+		return orig(I, jidx, c, opts, workers)
+	}
+	base := NewProblem(sc.I, sc.J.Clone(), sc.Candidates)
+	for _, c := range []struct {
+		name string
+		mk   func() *Problem
+	}{
+		{"NewProblem", func() *Problem { return NewProblem(sc.I, sc.J.Clone(), sc.Candidates) }},
+		{"Fork", base.Fork},
+	} {
+		builds = 0
+		p = c.mk()
+		u := sc.J.All()[0]
+		extra := data.Tuple{Rel: u.Rel, Args: slices.Clone(u.Args)}
+		extra.Args[0] = data.Const("fresh")
+		if _, err := p.AppendTarget([]data.Tuple{extra}); err != nil {
+			t.Fatal(err)
+		}
+		if builds != 1 {
+			t.Errorf("%s: %d tracker builds, want 1", c.name, builds)
+		}
+		cold := NewProblem(sc.I, p.J.Clone(), sc.Candidates)
+		cold.Prepare()
+		assertEvidenceMatchesCold(t, c.name, p, cold)
+	}
+}
+
 // A mutation of a problem prepared without a tracker builds one, and
 // keeps to the worker bound the problem was prepared with: after
 // PrepareN(1) the build runs on one worker, not on GOMAXPROCS.

@@ -299,11 +299,12 @@ func (p *Problem) CheckFresh() error {
 var errView = errors.New("core: a sub-problem view is read-only; Fork it to mutate")
 
 // beginMutation readies the problem for a lifecycle mutation: it
-// prepares it, refuses a sub-problem view (see Subproblem) and stale
-// evidence, and builds the retained streaming state when it is
-// missing. Callers hold mu.
+// prepares an unprepared problem straight into a tracker, refuses a
+// sub-problem view (see Subproblem) and stale evidence, and builds the
+// retained streaming state of a problem prepared without one. Callers
+// hold mu.
 func (p *Problem) beginMutation() error {
-	p.Prepare()
+	p.prepareWith(0, true)
 	if p.J == nil {
 		return errView
 	}
@@ -316,8 +317,8 @@ func (p *Problem) beginMutation() error {
 	return nil
 }
 
-// buildTracker is cover.BuildTracker; tests swap it to observe the
-// worker bound a tracker is built with.
+// buildTracker is cover.BuildTracker; tests swap it to observe when,
+// and on how many workers, a tracker is built.
 var buildTracker = cover.BuildTracker
 
 // cloneTarget returns a private copy of the target for a fork; a

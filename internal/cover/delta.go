@@ -51,7 +51,8 @@ type trackedBlock struct {
 	key string
 	// tuples is a representative block, kept by trackers only
 	// (coverage is invariant under the null renaming that canonical
-	// keys quotient out).
+	// keys quotient out). It never changes, so retain and release list
+	// and unlist the block under the same slots of the tracker's index.
 	tuples []data.Tuple
 	// pairs is the block's current contribution: max coverage degree
 	// per J tuple over its partial homomorphisms, sparse and sorted.
@@ -64,12 +65,6 @@ type trackedBlock struct {
 	// one target change is applied, a block dirtyBlocks collected.
 	changed rowChange
 	dirty   bool
-	// pats caches the ids of the block's distinct tuple patterns (see
-	// Tracker.patIDs). Retained block tuples never change, so the cache
-	// is built once per block and reused by every append and removal —
-	// rebuilding pattern strings per append dominated the
-	// dirty-detection cost.
-	pats []int32
 	// refs counts the block's occurrences across the tracker's candidate
 	// block lists (see Tracker.retain and Tracker.release).
 	refs int
@@ -90,8 +85,8 @@ const (
 
 // chaseTuple is one distinct chase tuple of a candidate, with the
 // retained block of the chase block it was first seen in. The block
-// holds the tuple's pattern, so the tuple can only map onto a changed
-// target tuple when the block is dirty against the change.
+// holds the tuple, so the tuple can only map onto a changed target
+// tuple when the block is dirty against the change.
 type chaseTuple struct {
 	data.Tuple
 	blk *trackedBlock
@@ -114,29 +109,22 @@ type Tracker struct {
 	// trackSink holds each candidate's blocks and chase tuples; the
 	// tracker's worker records into it directly.
 	trackSink
-	// patIDs interns the null-insensitive patterns of retained block
-	// tuples, patReps holds one representative tuple per id, patsByRel
-	// indexes the ids by relation and first constant, and patBlocks
-	// lists, by id, the retained blocks holding the pattern. Dirtiness
-	// against a delta is pattern-determined, so dirtyBlocks probes the
-	// index with each changed tuple and collects the blocks of the
-	// dirty ids, never visiting a clean block.
-	patIDs    map[string]int32
-	patReps   []data.Tuple
-	patsByRel map[string]*relPatterns
-	patBlocks [][]*trackedBlock
-	patBuf    []byte
+	// byRel indexes the memo's blocks by relation and slot: a block is
+	// listed once under each distinct slot of its tuples (see slotOf)
+	// from its first reference to its last, and a slot's entry goes with
+	// its last block. dirtyBlocks reads it, never visiting a clean block.
+	byRel map[string]map[slot][]*trackedBlock
 	// w is the worker every mutation runs on, kept across mutations and
 	// grown with the target (analyzeWorker.fit).
 	w *analyzeWorker
 }
 
-// relPatterns indexes one relation's pattern ids: wild holds the
-// patterns without constants, and first[p][c] those whose first
-// constant is the constant with text c, at position p.
-type relPatterns struct {
-	wild  []int32
-	first []map[string][]int32
+// slot is where the index lists the blocks holding a tuple: under the
+// position and text of the tuple's first constant, or under pos -1
+// when the tuple has no constant.
+type slot struct {
+	pos  int
+	text string
 }
 
 // TrackerDelta reports what one Append changed, so downstream
@@ -194,12 +182,11 @@ func (s *trackSink) extend(n int) {
 // private map and merge then keeps one block per key.
 func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) (*Tracker, []Analysis) {
 	t := &Tracker{
-		jidx:      jidx,
-		opts:      opts,
-		memo:      make(map[string]*trackedBlock, jidx.Len()), // about one block per target tuple
-		patIDs:    make(map[string]int32),
-		patsByRel: make(map[string]*relPatterns),
-		w:         newAnalyzeWorker(jidx),
+		jidx:  jidx,
+		opts:  opts,
+		memo:  make(map[string]*trackedBlock, jidx.Len()), // about one block per target tuple
+		byRel: make(map[string]map[slot][]*trackedBlock),
+		w:     newAnalyzeWorker(jidx),
 	}
 	t.w.memo = t.memo
 	t.extend(len(candidates))
@@ -258,7 +245,7 @@ func (t *Tracker) Append(delta []data.Tuple, analyses []Analysis) *TrackerDelta 
 
 	// 1–3. Re-enumerate the blocks with a tuple that can map onto an
 	// appended tuple and re-merge the candidates owning a changed one.
-	dirty := t.dirtyBlocks(groupByRel(delta))
+	dirty := t.dirtyBlocks(delta)
 	defer unmark(dirty)
 	out.ChangedTuples = t.rescan(dirty, analyses, int32(oldLen), true, out)
 
@@ -371,48 +358,39 @@ func (t *Tracker) rescan(dirty []*trackedBlock, analyses []Analysis, limit int32
 }
 
 // dirtyBlocks returns the blocks with a tuple whose constant positions
-// match one of the changed tuples (grouped by relation), in no
-// particular order: each is rescanned into its own state. It leaves
-// them marked dirty; the caller unmarks them when its change is
-// applied.
-func (t *Tracker) dirtyBlocks(changedByRel map[string][]data.Tuple) []*trackedBlock {
-	dirtyPat := make([]bool, len(t.patReps))
-	//lint:commutative only sets flags; each changed tuple marks its patterns independently
-	for rel, changed := range changedByRel {
-		rp := t.patsByRel[rel]
-		if rp == nil {
-			continue
-		}
-		for _, ct := range changed {
-			for _, id := range rp.wild {
-				if len(t.patReps[id].Args) == len(ct.Args) {
-					dirtyPat[id] = true
-				}
-			}
-			for p, a := range ct.Args {
-				if p >= len(rp.first) {
-					break
-				}
-				if a.IsNull() {
-					continue // no pattern constant maps onto a null
-				}
-				for _, id := range rp.first[p][a.Name()] {
-					if !dirtyPat[id] && data.MatchConstPositions(t.patReps[id], ct) {
-						dirtyPat[id] = true
-					}
-				}
-			}
-		}
+// match one of the changed tuples, in no particular order: each is
+// rescanned into its own state. Such a tuple is listed under the
+// changed tuple's own constant at the position of its first constant,
+// or, constant-free, under its relation's slot without one, which is
+// walked once per relation. It leaves the blocks marked dirty; the
+// caller unmarks them when its change is applied.
+func (t *Tracker) dirtyBlocks(changed []data.Tuple) []*trackedBlock {
+	changedByRel := make(map[string][]data.Tuple)
+	for _, ct := range changed {
+		changedByRel[ct.Rel] = append(changedByRel[ct.Rel], ct)
 	}
 	var dirty []*trackedBlock
-	for id, d := range dirtyPat {
-		if !d {
-			continue
+	mark := func(tb *trackedBlock, ct data.Tuple) {
+		if !tb.dirty && slices.ContainsFunc(tb.tuples, func(bt data.Tuple) bool { return data.MatchConstPositions(bt, ct) }) {
+			tb.dirty = true
+			dirty = append(dirty, tb)
 		}
-		for _, tb := range t.patBlocks[id] {
-			if !tb.dirty {
-				tb.dirty = true
-				dirty = append(dirty, tb)
+	}
+	//lint:commutative each changed tuple marks its blocks independently, and nothing reads the order of dirty
+	for rel, changed := range changedByRel {
+		slots := t.byRel[rel]
+		for _, tb := range slots[slot{pos: -1}] {
+			for k := 0; k < len(changed) && !tb.dirty; k++ {
+				mark(tb, changed[k])
+			}
+		}
+		for _, ct := range changed {
+			for p, a := range ct.Args {
+				if !a.IsNull() { // no block constant maps onto a null
+					for _, tb := range slots[slot{p, a.Name()}] {
+						mark(tb, ct)
+					}
+				}
 			}
 		}
 	}
@@ -428,85 +406,60 @@ func unmark(dirty []*trackedBlock) {
 
 // retain counts the references of a candidate block list being
 // installed. Every block enters the tracker here: its first reference
-// interns its patterns into the lists dirtyBlocks reads.
+// lists it in byRel.
 func (t *Tracker) retain(blocks []*trackedBlock) {
 	for _, tb := range blocks {
 		if tb.refs++; tb.refs == 1 {
-			tb.pats = t.internPatterns(tb.tuples)
-			for _, id := range tb.pats {
-				t.patBlocks[id] = append(t.patBlocks[id], tb)
-			}
+			t.index(tb, true)
 		}
 	}
 }
 
 // release drops the references of a candidate block list being
 // replaced or retired. Every block leaves the tracker here: its last
-// reference deletes it from the memo and from its patterns' lists,
-// which are sets, so the last entry fills its slot.
+// reference deletes it from the memo and unlists it from byRel.
 func (t *Tracker) release(blocks []*trackedBlock) {
 	for _, tb := range blocks {
-		if tb.refs--; tb.refs > 0 {
-			continue
-		}
-		delete(t.memo, tb.key)
-		for _, id := range tb.pats {
-			list := t.patBlocks[id]
-			last := len(list) - 1
-			k := slices.Index(list, tb)
-			list[k], list[last] = list[last], nil
-			t.patBlocks[id] = list[:last]
+		if tb.refs--; tb.refs == 0 {
+			delete(t.memo, tb.key)
+			t.index(tb, false)
 		}
 	}
 }
 
-// internPatterns returns the ids of the distinct null-insensitive
-// patterns of a block's tuples, interning and indexing new ones.
-func (t *Tracker) internPatterns(tuples []data.Tuple) []int32 {
-	ids := make([]int32, 0, len(tuples))
-	for _, bt := range tuples {
-		t.patBuf = bt.AppendPattern(t.patBuf[:0])
-		id, ok := t.patIDs[string(t.patBuf)]
-		if !ok {
-			id = int32(len(t.patReps))
-			t.patIDs[string(t.patBuf)] = id
-			t.patReps = append(t.patReps, bt)
-			t.patBlocks = append(t.patBlocks, nil)
-			t.indexPattern(id, bt)
+// index lists tb under each slot of its tuples (list) or unlists it
+// (!list). A slot's list is a set: a block is listed once however
+// many of its tuples share the slot, an unlisted block's place is
+// filled by the last entry, and an emptied list is deleted.
+func (t *Tracker) index(tb *trackedBlock, list bool) {
+	for _, bt := range tb.tuples {
+		slots := t.byRel[bt.Rel]
+		if slots == nil {
+			slots = make(map[slot][]*trackedBlock)
+			t.byRel[bt.Rel] = slots
 		}
-		if !slices.Contains(ids, id) {
-			ids = append(ids, id)
+		s := slotOf(bt)
+		l := slots[s]
+		switch k := slices.Index(l, tb); {
+		case list && k < 0:
+			slots[s] = append(l, tb)
+		case !list && k >= 0:
+			last := len(l) - 1
+			l[k], l[last] = l[last], nil
+			if slots[s] = l[:last]; last == 0 {
+				delete(slots, s)
+			}
 		}
 	}
-	return ids
 }
 
-// indexPattern adds pattern id, represented by bt, to patsByRel.
-func (t *Tracker) indexPattern(id int32, bt data.Tuple) {
-	rp := t.patsByRel[bt.Rel]
-	if rp == nil {
-		rp = &relPatterns{}
-		t.patsByRel[bt.Rel] = rp
-	}
+// slotOf returns the slot the index lists bt's block under.
+func slotOf(bt data.Tuple) slot {
 	p := slices.IndexFunc(bt.Args, func(a data.Value) bool { return !a.IsNull() })
 	if p < 0 {
-		rp.wild = append(rp.wild, id)
-		return
+		return slot{pos: -1}
 	}
-	for len(rp.first) <= p {
-		rp.first = append(rp.first, make(map[string][]int32))
-	}
-	c := bt.Args[p].Name()
-	rp.first[p][c] = append(rp.first[p][c], id)
-}
-
-// groupByRel groups the tuples of a delta by relation.
-func groupByRel(tuples []data.Tuple) map[string][]data.Tuple {
-	byRel := make(map[string][]data.Tuple)
-	for _, t := range tuples {
-		byRel[t.Rel] = append(byRel[t.Rel], t)
-	}
-	return byRel
+	return slot{p, bt.Args[p].Name()}
 }
 
 // changedIDs lists the ids in touched that are not in skip (sorted

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -145,11 +146,12 @@ func TestTrackerAppendMatchesColdOnScenarios(t *testing.T) {
 // assertTrackerBlocks checks the tracker's one record of its blocks:
 // the memo holds exactly the blocks some candidate references, each
 // under its canonical key, with a reference count equal to its
-// occurrences across the candidates' block lists, and listed once
-// under each of its own pattern ids; every pattern list holds only memo
-// blocks; every error and embedded chase tuple points at a memo block
-// its own candidate references; and no mutation left a dirty or
-// changed mark set.
+// occurrences across the candidates' block lists; every error and
+// embedded chase tuple points at a memo block its own candidate
+// references; no mutation left a dirty or changed mark set; and the
+// index holds memo blocks only, each once per list, has no empty
+// entry, and lists each memo block under exactly the distinct slots of
+// its tuples.
 func assertTrackerBlocks(t *testing.T, tr *Tracker) {
 	t.Helper()
 	memo := make(map[*trackedBlock]bool, len(tr.memo))
@@ -179,18 +181,28 @@ func assertTrackerBlocks(t *testing.T, tr *Tracker) {
 			}
 		}
 	}
-	listed := make(map[*trackedBlock]int, len(memo))
-	for id, blocks := range tr.patBlocks {
+	listed := make(map[*trackedBlock][]string, len(memo))
+	list := func(slot string, blocks []*trackedBlock) {
 		seen := make(map[*trackedBlock]bool, len(blocks))
 		for _, tb := range blocks {
 			if !memo[tb] {
-				t.Errorf("pattern %d lists block %q outside the memo", id, tb.key)
+				t.Errorf("slot %s lists block %q outside the memo", slot, tb.key)
 			}
-			if seen[tb] || !slices.Contains(tb.pats, int32(id)) {
-				t.Errorf("pattern %d lists block %q twice or without the block holding it", id, tb.key)
+			if seen[tb] {
+				t.Errorf("slot %s lists block %q twice", slot, tb.key)
 			}
 			seen[tb] = true
-			listed[tb]++
+			listed[tb] = append(listed[tb], slot)
+		}
+	}
+	//lint:commutative only collects each block's slots, sorted before use
+	for rel, slots := range tr.byRel {
+		//lint:commutative as above
+		for s, blocks := range slots {
+			if len(blocks) == 0 {
+				t.Errorf("slot %s is empty", slotName(rel, s.pos, s.text))
+			}
+			list(slotName(rel, s.pos, s.text), blocks)
 		}
 	}
 	//lint:commutative independent per-block checks
@@ -201,13 +213,50 @@ func assertTrackerBlocks(t *testing.T, tr *Tracker) {
 		if tb.refs != refs[tb] {
 			t.Errorf("block %q: %d references counted, %d in the block lists", tb.key, tb.refs, refs[tb])
 		}
-		if tb.pats == nil || listed[tb] != len(tb.pats) {
-			t.Errorf("block %q: %d pattern ids, listed under %d", tb.key, len(tb.pats), listed[tb])
+		var want []string
+		for _, bt := range tb.tuples {
+			p := slices.IndexFunc(bt.Args, func(a data.Value) bool { return !a.IsNull() })
+			c := ""
+			if p >= 0 {
+				c = bt.Args[p].Name()
+			}
+			if s := slotName(bt.Rel, p, c); !slices.Contains(want, s) {
+				want = append(want, s)
+			}
+		}
+		slices.Sort(want)
+		got := listed[tb]
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("block %q listed under slots %v, want %v", tb.key, got, want)
 		}
 		if tb.dirty || tb.changed != rowKept {
 			t.Errorf("block %q left marked (dirty %v, changed %d)", tb.key, tb.dirty, tb.changed)
 		}
 	}
+}
+
+// slotName renders an index slot: a relation's constant-free slot
+// (p < 0), or its slot for constant c at position p.
+func slotName(rel string, p int, c string) string {
+	if p < 0 {
+		return rel + "/wild"
+	}
+	return fmt.Sprintf("%s/%d=%q", rel, p, c)
+}
+
+// indexSize counts the tracker index's slot entries and its listings
+// (each block once per slot listing it).
+func indexSize(tr *Tracker) (entries, listings int) {
+	//lint:commutative sums
+	for _, slots := range tr.byRel {
+		entries += len(slots)
+		//lint:commutative sums
+		for _, blocks := range slots {
+			listings += len(blocks)
+		}
+	}
+	return entries, listings
 }
 
 // snapshotCoverage copies every candidate's sparse row.
@@ -440,6 +489,58 @@ func TestTrackerCandidateChurn(t *testing.T) {
 			tracker.Append(batches[step], analyses)
 			check("append", step)
 		}
+	}
+}
+
+// Source deltas that each swap a source tuple for one with a fresh
+// constant, all then undone, must leave the tracker as it was built:
+// the memo and the index back at their build sizes — a block's last
+// reference frees its memo entry and its listings, and a constant's
+// entry with its last block — and the analyses of a cold AnalyzeN.
+func TestTrackerSourceSwapsFreeTheirBlocks(t *testing.T) {
+	sc, err := ibench.Generate(scenarioConfigs()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	I := sc.I.Clone()
+	jidx := IndexJ(sc.J)
+	opts := DefaultOptions()
+	tr, analyses := BuildTracker(I, jidx, sc.Candidates, opts, 1)
+	blocks := len(tr.memo)
+	entries, listings := indexSize(tr)
+	swapIn := func(out, in data.Tuple) {
+		I.Remove(out)
+		I.Add(in)
+		tr.ApplySourceDelta(I, map[string]bool{out.Rel: true}, sc.Candidates, analyses)
+	}
+	rng := rand.New(rand.NewSource(601))
+	var swapped [][2]data.Tuple
+	grown := false
+	for k := 0; k < 200; k++ {
+		src := I.All()
+		old := src[rng.Intn(len(src))]
+		fresh := data.Tuple{Rel: old.Rel, Args: slices.Clone(old.Args)}
+		fresh.Args[rng.Intn(len(fresh.Args))] = data.Const(fmt.Sprint("fresh", k))
+		swapIn(old, fresh)
+		swapped = append(swapped, [2]data.Tuple{old, fresh})
+		if e, _ := indexSize(tr); e > entries {
+			grown = true
+		}
+	}
+	if !grown {
+		t.Fatal("no swap listed a block under a fresh constant: nothing to free")
+	}
+	assertTrackerBlocks(t, tr)
+	for k := len(swapped) - 1; k >= 0; k-- {
+		swapIn(swapped[k][1], swapped[k][0])
+	}
+	assertTrackerBlocks(t, tr)
+	if e, l := indexSize(tr); len(tr.memo) != blocks || e != entries || l != listings {
+		t.Errorf("undone: %d blocks, %d index entries, %d listings; built with %d, %d, %d",
+			len(tr.memo), e, l, blocks, entries, listings)
+	}
+	if want := AnalyzeN(I, jidx, sc.Candidates, opts, 1); !reflect.DeepEqual(analyses, want) {
+		t.Error("undone: analyses diverge from AnalyzeN")
 	}
 }
 

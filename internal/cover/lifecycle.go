@@ -57,7 +57,7 @@ func (t *Tracker) Remove(removed []data.Tuple, ids []int32, analyses []Analysis)
 	// re-enumeration is the one a cold analysis of the shrunken target
 	// would run). Removed ids are excluded from ChangedTuples —
 	// RemovedTuples already reports them.
-	dirty := t.dirtyBlocks(groupByRel(removed))
+	dirty := t.dirtyBlocks(removed)
 	defer unmark(dirty)
 	out.ChangedTuples = t.rescan(dirty, analyses, int32(n), false, out)
 

@@ -209,26 +209,6 @@ func (t Tuple) AppendKey(buf []byte) []byte {
 	return append(buf, ')')
 }
 
-// AppendPattern appends the tuple's null-insensitive canonical form to
-// buf: constants verbatim (delimiters escaped), every null replaced by
-// '*'. Used by tuple-level metrics; patterns can be looked up by
-// string(t.AppendPattern(buf)) without allocating.
-func (t Tuple) AppendPattern(buf []byte) []byte {
-	buf = appendEscaped(buf, t.Rel, relSpecial)
-	buf = append(buf, '(')
-	for i, a := range t.Args {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		if a.IsNull() {
-			buf = append(buf, '*')
-		} else {
-			buf = appendEscaped(buf, a.Name(), patternSpecial)
-		}
-	}
-	return append(buf, ')')
-}
-
 // CanonPattern returns a canonical form that identifies tuples up to
 // a renaming of their labelled nulls: constants verbatim (delimiters
 // escaped), nulls numbered by first occurrence (so t(a,N1,N1) →

@@ -53,7 +53,7 @@ func main() {
 		w3       = flag.Float64("w3", 1, "weight of mapping size")
 		timeout  = flag.Duration("timeout", 0, "hard deadline for the solve (0 = none)")
 		budget   = flag.Duration("budget", 0, "soft compute budget; on expiry the best selection so far is returned (0 = none)")
-		par      = flag.Int("par", 0, "parallelism of the prepare phase (0 = GOMAXPROCS)")
+		par      = flag.Int("par", 0, "parallelism of the prepare phase (0 = GOMAXPROCS); a -stream prepare is serial")
 		seed     = flag.Int64("seed", 0, "seed for randomised tie-breaking (0 = deterministic)")
 		progress = flag.Bool("progress", false, "report solver progress on stderr")
 		quiet    = flag.Bool("q", false, "print only the selected tgds")

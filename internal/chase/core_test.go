@@ -74,7 +74,7 @@ func TestCoreIsUniversal(t *testing.T) {
 	}
 	res := Chase(I, m, nil)
 	core := res.Core()
-	s := data.NewSearcher(data.NewIndex(core))
+	s := data.NewSearcher(data.IndexTuples(core.All()))
 	for bi, b := range res.Blocks {
 		if !s.BlockEmbeds(b.Tuples) {
 			t.Errorf("block %d no longer embeds into the core", bi)

@@ -24,8 +24,9 @@ const (
 // of mapserve's POST /sessions — through decode, Prepare, and the
 // collective and greedy solves. Any input that decodes must prepare
 // the evidence cover.AnalyzeReference computes (Pairs, Errors, KTuples
-// and Firings, bit for bit) and solve without a panic or an error, to
-// a selection over every candidate with a finite objective. The seed
+// and Firings, bit for bit) both cold and through the streaming
+// tracker's build, and solve without a panic or an error, to a
+// selection over every candidate with a finite objective. The seed
 // corpus lives in testdata/fuzz/FuzzScenarioSolve; run with
 //
 //	go test -run '^$' -fuzz FuzzScenarioSolve -fuzztime 30s ./internal/core/
@@ -60,9 +61,16 @@ func FuzzScenarioSolve(f *testing.F) {
 		}
 		p := NewProblem(sc.I, sc.J, sc.Candidates)
 		want := cover.AnalyzeReference(sc.I, p.JIndex(), sc.Candidates, p.CoverOptions)
-		for i, got := range p.Analyses() {
-			if !reflect.DeepEqual(got, want[i]) {
-				t.Fatalf("candidate %d (%s): analysis\n got  %+v\n want %+v", i, sc.Candidates[i], got, want[i])
+		streamed := NewProblem(sc.I, sc.J, sc.Candidates)
+		streamed.PrepareStreaming(1)
+		for _, c := range []struct {
+			name string
+			p    *Problem
+		}{{"cold", p}, {"streaming", streamed}} {
+			for i, got := range c.p.Analyses() {
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("%s candidate %d (%s): analysis\n got  %+v\n want %+v", c.name, i, sc.Candidates[i], got, want[i])
+				}
 			}
 		}
 		for _, s := range []Solver{CollectiveSolver{}, GreedySolver{}} {

@@ -353,12 +353,12 @@ func TestFirstMutationOfUnpreparedProblemAnalysesOnce(t *testing.T) {
 	}
 	var p *Problem
 	builds := 0
-	buildTracker = func(I *data.Instance, jidx *cover.JIndex, c tgd.Mapping, opts cover.Options, workers int) (*cover.Tracker, []cover.Analysis) {
+	buildTracker = func(I *data.Instance, jidx *cover.JIndex, c tgd.Mapping, opts cover.Options) (*cover.Tracker, []cover.Analysis) {
 		builds++
 		if p.analyses != nil {
 			t.Error("tracker built after a cold analysis of the same problem")
 		}
-		return orig(I, jidx, c, opts, workers)
+		return orig(I, jidx, c, opts)
 	}
 	base := NewProblem(sc.I, sc.J.Clone(), sc.Candidates)
 	for _, c := range []struct {
@@ -382,38 +382,5 @@ func TestFirstMutationOfUnpreparedProblemAnalysesOnce(t *testing.T) {
 		cold := NewProblem(sc.I, p.J.Clone(), sc.Candidates)
 		cold.Prepare()
 		assertEvidenceMatchesCold(t, c.name, p, cold)
-	}
-}
-
-// A mutation of a problem prepared without a tracker builds one, and
-// keeps to the worker bound the problem was prepared with: after
-// PrepareN(1) the build runs on one worker, not on GOMAXPROCS.
-func TestFirstMutationKeepsPrepareWorkerBound(t *testing.T) {
-	orig := buildTracker
-	defer func() { buildTracker = orig }()
-	var got []int
-	buildTracker = func(I *data.Instance, jidx *cover.JIndex, c tgd.Mapping, opts cover.Options, workers int) (*cover.Tracker, []cover.Analysis) {
-		got = append(got, workers)
-		return orig(I, jidx, c, opts, workers)
-	}
-	sc, err := ibench.Generate(ibench.DefaultConfig(2, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3} {
-		got = nil
-		p := NewProblem(sc.I, sc.J.Clone(), sc.Candidates)
-		p.PrepareN(workers)
-		for k := 0; k < 2; k++ {
-			u := sc.J.All()[0]
-			extra := data.Tuple{Rel: u.Rel, Args: slices.Clone(u.Args)}
-			extra.Args[0] = data.Const(fmt.Sprint("fresh", k))
-			if _, err := p.AppendTarget([]data.Tuple{extra}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if want := []int{workers}; !slices.Equal(got, want) {
-			t.Errorf("PrepareN(%d): trackers built with workers %v, want %v", workers, got, want)
-		}
 	}
 }

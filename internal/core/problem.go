@@ -104,10 +104,6 @@ type Problem struct {
 	analyses    []cover.Analysis
 	incidence   *cover.Incidence
 
-	// workers is the worker bound the problem was prepared with; a
-	// mutation that has to build the missing tracker keeps to it.
-	workers int
-
 	// mu serialises the lifecycle mutations and forks; tracker is the
 	// retained streaming state (built by PrepareStreaming, or lazily by
 	// the first mutation). iVer/jVer are the instance versions the
@@ -158,16 +154,16 @@ func (p *Problem) PrepareN(workers int) { p.prepareWith(workers, false) }
 // PrepareStreaming is Prepare for problems whose target will grow: it
 // additionally retains the streaming state AppendTarget consumes
 // (chase blocks and error sets), so the first append does not have to
-// rebuild it. The analyses are value-identical to Prepare's. Workers
-// semantics match PrepareN.
+// rebuild it. The analyses are value-identical to Prepare's. The
+// bound is taken as PrepareN's but not used: the streaming build, like
+// every tracker mutation, runs serially on the calling goroutine.
 func (p *Problem) PrepareStreaming(workers int) { p.prepareWith(workers, true) }
 
 func (p *Problem) prepareWith(workers int, streaming bool) {
 	p.prepareOnce.Do(func() {
-		p.workers = workers
 		p.jidx = cover.IndexJ(p.J)
 		if streaming {
-			p.tracker, p.analyses = buildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, workers)
+			p.tracker, p.analyses = buildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions)
 		} else {
 			p.analyses = cover.AnalyzeN(p.I, p.jidx, p.Candidates, p.CoverOptions, workers)
 		}
@@ -312,13 +308,13 @@ func (p *Problem) beginMutation() error {
 		return err
 	}
 	if p.tracker == nil {
-		p.tracker, p.analyses = buildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions, p.workers)
+		p.tracker, p.analyses = buildTracker(p.I, p.jidx, p.Candidates, p.CoverOptions)
 	}
 	return nil
 }
 
-// buildTracker is cover.BuildTracker; tests swap it to observe when,
-// and on how many workers, a tracker is built.
+// buildTracker is cover.BuildTracker; tests swap it to observe when a
+// tracker is built.
 var buildTracker = cover.BuildTracker
 
 // cloneTarget returns a private copy of the target for a fork; a

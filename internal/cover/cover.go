@@ -39,8 +39,8 @@
 // its memo holds each distinct chase block once, by canonical key, so
 // that each is retained, and re-enumerated on a delta, once. A block
 // counts the candidate block lists holding it, so a mutation touches
-// only the blocks of the candidates it changes; every mutation runs
-// serially on the calling goroutine.
+// only the blocks of the candidates it changes; its build and every
+// mutation run serially on the calling goroutine.
 // AnalyzeReference in reference.go preserves the original scan-based
 // map pipeline with label-comparing corroboration; the differential
 // tests pin the two against each other bit for bit.
@@ -216,17 +216,21 @@ func AnalyzeN(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Optio
 // runWorkers executes fn(w, i) for every i in [0, n) on a pool of
 // `workers` fresh analyzeWorkers over jidx (≤ 0 means GOMAXPROCS,
 // capped at n); the calling goroutine is one of them, so a single
-// worker runs inline. Workers claim items from a shared counter. The
-// cold fan-outs — AnalyzeN and BuildTracker — go through here; a
-// tracker's mutations run serially on its own worker instead. A panic
-// in fn stops the other workers claiming items and is re-raised on the
-// calling goroutine once every worker has stopped, instead of killing
-// the process from a pool goroutine.
+// worker runs inline. Workers claim items from a shared counter and
+// share only the read-only index. AnalyzeN, the cold fan-out, is its
+// one caller; a tracker's build and mutations run serially on the
+// tracker's own worker instead. A panic in fn stops the other workers
+// claiming items and is re-raised on the calling goroutine once every
+// worker has stopped, instead of killing the process from a pool
+// goroutine.
 func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) {
 	if n == 0 {
 		return
 	}
-	if workers = poolSize(n, workers); workers <= 1 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers <= 1 {
 		w := newAnalyzeWorker(jidx)
 		for i := 0; i < n; i++ {
 			fn(w, i)
@@ -266,14 +270,6 @@ func runWorkers(jidx *JIndex, n, workers int, fn func(w *analyzeWorker, i int)) 
 	}
 }
 
-// poolSize is the number of workers runWorkers runs n items on.
-func poolSize(n, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return min(workers, n)
-}
-
 // analyzeWorker bundles one worker's searcher and dense accumulation
 // scratch: the candidate row acc and the block row blk of the tracked
 // paths.
@@ -289,9 +285,6 @@ type analyzeWorker struct {
 	fresh    []bool
 	seen     map[string]struct{}
 	tupleKey []byte
-	// memo dedups the blocks analyzeOne retains by canonical key: a
-	// streaming build worker's own map, or the tracker's memo.
-	memo map[string]*trackedBlock
 
 	// opts and row parametrise emit, the worker's one match callback,
 	// for the enumeration in progress: emit folds each match into row.
@@ -319,13 +312,14 @@ func (w *analyzeWorker) fit(nj int) {
 	w.blk.fit(nj)
 }
 
-// analyzeOne computes one candidate's Analysis. With a nil sink every
-// block's matches are folded straight into the candidate row: no block
-// is keyed, looked up or kept. A non-nil sink additionally records the
-// candidate's blocks — deduplicated through the worker's memo — and
-// its error and embedded chase tuples, the streaming state of
-// BuildTracker (delta.go); the analysis itself is identical either way.
-func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts Options, sink *trackSink) Analysis {
+// analyzeOne computes one candidate's Analysis. With a nil tracker
+// (a cold fold) every block's matches are folded straight into the
+// candidate row: no block is keyed, looked up or kept. A non-nil
+// tracker tr additionally records the candidate's blocks —
+// deduplicated through tr's memo — and its error and embedded chase
+// tuples, the streaming state of BuildTracker (delta.go); the analysis
+// itself is identical either way.
+func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts Options, tr *Tracker) Analysis {
 	an := Analysis{TGDIndex: index, Size: d.Size()}
 	clear(w.seen)
 	w.markFresh(d)
@@ -336,13 +330,13 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts
 		// searched: the searcher's candidate sets are block's, so the
 		// creates check reads them instead of probing the index again.
 		searched := true
-		if sink == nil {
+		if tr == nil {
 			w.enumerate(block, &w.acc, opts)
 		} else {
 			// The tracker keeps the block's tuples.
 			block = data.CloneTuples(block)
-			tb, searched = w.blockContrib(block, opts)
-			sink.candBlocks[index] = append(sink.candBlocks[index], tb)
+			tb, searched = w.blockContrib(tr.memo, block, opts)
+			tr.candBlocks[index] = append(tr.candBlocks[index], tb)
 			w.acc.addPairs(tb.pairs)
 		}
 		for k, t := range block {
@@ -358,15 +352,15 @@ func (w *analyzeWorker) analyzeOne(index int, d *tgd.TGD, I *data.Instance, opts
 			}
 			if !embeds {
 				an.Errors++
-				if sink != nil {
-					sink.errTuples[index] = append(sink.errTuples[index], chaseTuple{t, tb})
+				if tr != nil {
+					tr.errTuples[index] = append(tr.errTuples[index], chaseTuple{t, tb})
 				}
-			} else if sink != nil {
+			} else if tr != nil {
 				// Embedded chase tuples are retained too: target removals
 				// can take their image away, turning them back into
 				// errors, and the per-candidate multiplicity cannot be
 				// reconstructed from the canonically-deduped blocks.
-				sink.okTuples[index] = append(sink.okTuples[index], chaseTuple{t, tb})
+				tr.okTuples[index] = append(tr.okTuples[index], chaseTuple{t, tb})
 			}
 		}
 	})
@@ -416,19 +410,19 @@ func (w *analyzeWorker) newChaseTuple(block []data.Tuple, k int) bool {
 // blockContrib returns the retained block of block — its per-block
 // evidence, the maximum coverage degree each J tuple receives from any
 // partial homomorphism of it, with block as the representative the
-// streaming Tracker re-enumerates — shared through the worker's memo
+// streaming Tracker re-enumerates — shared through the tracker's memo
 // by canonical form: equal blocks up to null renaming contribute
 // identically, whichever candidate fired them. It reports whether it
 // searched block, rather than finding it in the memo. The caller gives
 // block away.
-func (w *analyzeWorker) blockContrib(block []data.Tuple, opts Options) (*trackedBlock, bool) {
+func (w *analyzeWorker) blockContrib(memo map[string]*trackedBlock, block []data.Tuple, opts Options) (*trackedBlock, bool) {
 	key := w.keyBuf.Key(block)
-	if tb := w.memo[string(key)]; tb != nil {
+	if tb := memo[string(key)]; tb != nil {
 		return tb, false
 	}
 	tb := &trackedBlock{key: string(key), tuples: block}
 	tb.pairs, tb.homs = w.enumerateBlockPairs(block, opts)
-	w.memo[tb.key] = tb
+	memo[tb.key] = tb
 	return tb, true
 }
 

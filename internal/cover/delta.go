@@ -96,8 +96,8 @@ type chaseTuple struct {
 // set: everything needed to apply target appends to a []Analysis
 // without re-running the chase or rescanning clean evidence. Build it
 // with BuildTracker. It is not safe for concurrent use (core.Problem
-// serialises its mutations): every mutation runs serially on the
-// tracker's own worker, on the calling goroutine.
+// serialises its mutations): its build and every mutation run serially
+// on the tracker's own worker, on the calling goroutine.
 type Tracker struct {
 	jidx *JIndex
 	opts Options
@@ -106,16 +106,22 @@ type Tracker struct {
 	// chasing mutations (source deltas, candidate additions) reuse every
 	// retained block.
 	memo map[string]*trackedBlock
-	// trackSink holds each candidate's blocks and chase tuples; the
-	// tracker's worker records into it directly.
-	trackSink
+	// candBlocks lists each candidate's blocks, in block order.
+	candBlocks [][]*trackedBlock
+	// errTuples lists each candidate's chase tuples currently lacking
+	// a homomorphic image in J (its creates errors).
+	errTuples [][]chaseTuple
+	// okTuples lists each candidate's chase tuples that currently DO
+	// embed into J — the complement of errTuples. Removals consult it:
+	// a tuple whose image vanishes migrates back to errTuples.
+	okTuples [][]chaseTuple
 	// byRel indexes the memo's blocks by relation and slot: a block is
 	// listed once under each distinct slot of its tuples (see slotOf)
 	// from its first reference to its last, and a slot's entry goes with
 	// its last block. dirtyBlocks reads it, never visiting a clean block.
 	byRel map[string]map[slot][]*trackedBlock
-	// w is the worker every mutation runs on, kept across mutations and
-	// grown with the target (analyzeWorker.fit).
+	// w is the worker the build and every mutation run on, kept across
+	// mutations and grown with the target (analyzeWorker.fit).
 	w *analyzeWorker
 }
 
@@ -150,37 +156,22 @@ type TrackerDelta struct {
 	RemovedTuples []int32
 }
 
-// trackSink is the per-candidate streaming state analyzeOne records
-// when asked to. Each candidate's entries are written by the one worker
-// analysing it, and its blocks come from that worker's memo.
-type trackSink struct {
-	// candBlocks lists each candidate's blocks, in block order.
-	candBlocks [][]*trackedBlock
-	// errTuples lists each candidate's chase tuples currently lacking
-	// a homomorphic image in J (its creates errors).
-	errTuples [][]chaseTuple
-	// okTuples lists each candidate's chase tuples that currently DO
-	// embed into J — the complement of errTuples. Removals consult it:
-	// a tuple whose image vanishes migrates back to errTuples.
-	okTuples [][]chaseTuple
-}
-
 // extend gives n more candidates empty lists.
-func (s *trackSink) extend(n int) {
-	s.candBlocks = append(s.candBlocks, make([][]*trackedBlock, n)...)
-	s.errTuples = append(s.errTuples, make([][]chaseTuple, n)...)
-	s.okTuples = append(s.okTuples, make([][]chaseTuple, n)...)
+func (t *Tracker) extend(n int) {
+	t.candBlocks = append(t.candBlocks, make([][]*trackedBlock, n)...)
+	t.errTuples = append(t.errTuples, make([][]chaseTuple, n)...)
+	t.okTuples = append(t.okTuples, make([][]chaseTuple, n)...)
 }
 
-// BuildTracker runs the full evidence analysis (analyzeOne, on at most
-// workers goroutines, as AnalyzeN) while retaining the streaming state,
-// returning both. Use it instead of AnalyzeN when the target will
-// grow; the analyses are value-identical to AnalyzeN's, though each
-// candidate row is merged from the memo-shared block rows instead of
-// folded match by match. A single worker is the tracker's own and
-// dedups straight into its memo; on a pool, each worker dedups into a
-// private map and merge then keeps one block per key.
-func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options, workers int) (*Tracker, []Analysis) {
+// BuildTracker runs the full evidence analysis (analyzeOne, as
+// AnalyzeN) while retaining the streaming state, returning both. Use
+// it instead of AnalyzeN when the target will grow; the analyses are
+// value-identical to AnalyzeN's, though each candidate row is merged
+// from the memo-shared block rows instead of folded match by match.
+// Like every tracker mutation, the build runs serially on the
+// tracker's own worker, on the calling goroutine, deduplicating
+// straight into its memo.
+func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts Options) (*Tracker, []Analysis) {
 	t := &Tracker{
 		jidx:  jidx,
 		opts:  opts,
@@ -188,47 +179,13 @@ func BuildTracker(I *data.Instance, jidx *JIndex, candidates tgd.Mapping, opts O
 		byRel: make(map[string]map[slot][]*trackedBlock),
 		w:     newAnalyzeWorker(jidx),
 	}
-	t.w.memo = t.memo
 	t.extend(len(candidates))
 	analyses := make([]Analysis, len(candidates))
-	if workers = poolSize(len(candidates), workers); workers <= 1 {
-		for i, d := range candidates {
-			analyses[i] = t.w.analyzeOne(i, d, I, opts, &t.trackSink)
-		}
-	} else {
-		runWorkers(jidx, len(candidates), workers, func(w *analyzeWorker, i int) {
-			if w.memo == nil {
-				w.memo = make(map[string]*trackedBlock, jidx.Len()/workers)
-			}
-			analyses[i] = w.analyzeOne(i, candidates[i], I, opts, &t.trackSink)
-		})
-		t.merge()
-	}
-	for _, blocks := range t.candBlocks {
-		t.retain(blocks)
+	for i, d := range candidates {
+		analyses[i] = t.w.analyzeOne(i, d, I, opts, t)
+		t.retain(t.candBlocks[i])
 	}
 	return t, analyses
-}
-
-// merge keeps one block per canonical key across the build workers'
-// private memos. In candidate order, the first block of each key
-// enters the tracker's memo, and every later copy — in a block list or
-// a chase tuple's blk — is pointed at it.
-func (t *Tracker) merge() {
-	for i, blocks := range t.candBlocks {
-		for k, tb := range blocks {
-			if kept, ok := t.memo[tb.key]; ok {
-				blocks[k] = kept
-			} else {
-				t.memo[tb.key] = tb
-			}
-		}
-		for _, cts := range [2][]chaseTuple{t.errTuples[i], t.okTuples[i]} {
-			for k := range cts {
-				cts[k].blk = t.memo[cts[k].blk.key]
-			}
-		}
-	}
 }
 
 // Append applies a target delta: it extends the tracker's JIndex with

@@ -39,11 +39,10 @@ func TestTrackerAnalysesMatchAnalyzeN(t *testing.T) {
 	for si, sc := range scenarios {
 		jidx := IndexJ(sc.J)
 		for _, o := range opts {
+			_, got := BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, o)
 			for _, workers := range []int{1, 2} {
-				want := AnalyzeN(sc.I, jidx, sc.Candidates, o, workers)
-				_, got := BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, o, workers)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("scenario %d, opts %+v, workers %d: tracked analyses diverge from AnalyzeN", si, o, workers)
+				if want := AnalyzeN(sc.I, jidx, sc.Candidates, o, workers); !reflect.DeepEqual(got, want) {
+					t.Errorf("scenario %d, opts %+v: tracked analyses diverge from AnalyzeN on %d workers", si, o, workers)
 				}
 			}
 		}
@@ -129,7 +128,7 @@ func TestTrackerAppendMatchesColdOnScenarios(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(ci) + 101))
 		initial, batches := splitTuples(sc.J, 4, rng)
 		jidx := IndexJ(initial)
-		tracker, analyses := BuildTracker(sc.I, jidx, sc.Candidates, DefaultOptions(), 4)
+		tracker, analyses := BuildTracker(sc.I, jidx, sc.Candidates, DefaultOptions())
 		for bi, batch := range batches {
 			before := snapshotCoverage(analyses)
 			delta := tracker.Append(batch, analyses)
@@ -345,7 +344,7 @@ func TestTrackerRemoveAndSourceDeltaReportChanges(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(ci) + 211))
 		I := sc.I.Clone()
 		jidx := IndexJ(sc.J.Clone())
-		tracker, analyses := BuildTracker(I, jidx, sc.Candidates, DefaultOptions(), 2)
+		tracker, analyses := BuildTracker(I, jidx, sc.Candidates, DefaultOptions())
 		assertTrackerBlocks(t, tracker)
 		check := func(label string, apply func() *TrackerDelta) {
 			t.Helper()
@@ -406,7 +405,7 @@ func TestTrackerAppendAfterSourceDelta(t *testing.T) {
 		I := sc.I.Clone()
 		initial, batches := splitTuples(sc.J, 2, rng)
 		jidx := IndexJ(initial)
-		tracker, analyses := BuildTracker(I, jidx, sc.Candidates, DefaultOptions(), 2)
+		tracker, analyses := BuildTracker(I, jidx, sc.Candidates, DefaultOptions())
 		assertTrackerBlocks(t, tracker)
 		src := I.All()
 		picked := []data.Tuple{src[rng.Intn(len(src))], src[rng.Intn(len(src))]}
@@ -447,7 +446,7 @@ func TestTrackerCandidateChurn(t *testing.T) {
 	half := len(sc.Candidates) / 2
 	cands := slices.Clone(sc.Candidates[:half])
 	pending := slices.Clone(sc.Candidates[half:])
-	tracker, analyses := BuildTracker(sc.I, jidx, cands, DefaultOptions(), 2)
+	tracker, analyses := BuildTracker(sc.I, jidx, cands, DefaultOptions())
 	check := func(label string, step int) {
 		t.Helper()
 		assertTrackerBlocks(t, tracker)
@@ -505,7 +504,7 @@ func TestTrackerSourceSwapsFreeTheirBlocks(t *testing.T) {
 	I := sc.I.Clone()
 	jidx := IndexJ(sc.J)
 	opts := DefaultOptions()
-	tr, analyses := BuildTracker(I, jidx, sc.Candidates, opts, 1)
+	tr, analyses := BuildTracker(I, jidx, sc.Candidates, opts)
 	blocks := len(tr.memo)
 	entries, listings := indexSize(tr)
 	swapIn := func(out, in data.Tuple) {
@@ -544,46 +543,12 @@ func TestTrackerSourceSwapsFreeTheirBlocks(t *testing.T) {
 	}
 }
 
-// blockShape describes a tracker's blocks by canonical key alone: the
-// memo's keys with their reference counts, and each candidate's block
-// keys and error and embedded chase tuples, each with its block's key.
-type blockShape struct {
-	refs              map[string]int
-	blocks, errs, oks [][]string
-}
-
-func shapeOf(tr *Tracker) blockShape {
-	sh := blockShape{refs: make(map[string]int, len(tr.memo))}
-	//lint:commutative fills a map keyed like the memo
-	for k, tb := range tr.memo {
-		sh.refs[k] = tb.refs
-	}
-	tuples := func(cts []chaseTuple) []string {
-		out := make([]string, len(cts))
-		for k, ct := range cts {
-			out[k] = ct.Tuple.Key() + " in " + ct.blk.key
-		}
-		return out
-	}
-	for i, blocks := range tr.candBlocks {
-		keys := make([]string, len(blocks))
-		for k, tb := range blocks {
-			keys[k] = tb.key
-		}
-		sh.blocks = append(sh.blocks, keys)
-		sh.errs = append(sh.errs, tuples(tr.errTuples[i]))
-		sh.oks = append(sh.oks, tuples(tr.okTuples[i]))
-	}
-	return sh
-}
-
-// The streaming build's worker count must not show in the tracker.
-// Built on 1 and on 4 workers, the two trackers hold the same blocks by
-// key: the memo, each candidate's block list, the reference counts and
-// each chase tuple's block. The same append, removal, source delta,
-// candidate addition and retirement then keep them alike, with the
-// analyses of a cold AnalyzeN of the current state after every step.
-func TestTrackerBuildWorkersDoNotShow(t *testing.T) {
+// A chain of mutations keeps the tracker's evidence and blocks sound.
+// The same tracker takes an append, a removal, a source delta, a
+// candidate addition and a retirement, and after the build and every
+// step its analyses must equal a cold AnalyzeN of the current state
+// and its blocks pass assertTrackerBlocks.
+func TestTrackerMutationChainMatchesAnalyzeN(t *testing.T) {
 	m, err := ibench.Generate(scenarioConfigs()[1])
 	if err != nil {
 		t.Fatal(err)
@@ -595,50 +560,32 @@ func TestTrackerBuildWorkersDoNotShow(t *testing.T) {
 		split := len(sc.Candidates) * 3 / 4
 		cands := slices.Clone(sc.Candidates[:split])
 		opts := DefaultOptions()
-		type tracked struct {
-			tr       *Tracker
-			jidx     *JIndex
-			analyses []Analysis
-		}
-		var ts []*tracked
-		for _, workers := range []int{1, 4} {
-			jidx := IndexJ(initial)
-			tr, analyses := BuildTracker(I, jidx, cands, opts, workers)
-			ts = append(ts, &tracked{tr, jidx, analyses})
-		}
+		jidx := IndexJ(initial)
+		tr, analyses := BuildTracker(I, jidx, cands, opts)
 		check := func(label string) {
 			t.Helper()
-			for k, x := range ts {
-				if want := AnalyzeN(I, x.jidx, cands, opts, 1); !reflect.DeepEqual(x.analyses, want) {
-					t.Errorf("scenario %d, %s: tracker %d diverges from AnalyzeN", si, label, k)
-				}
-				assertTrackerBlocks(t, x.tr)
+			if want := AnalyzeN(I, jidx, cands, opts, 1); !reflect.DeepEqual(analyses, want) {
+				t.Errorf("scenario %d, %s: tracker diverges from AnalyzeN", si, label)
 			}
-			if !reflect.DeepEqual(shapeOf(ts[0].tr), shapeOf(ts[1].tr)) {
-				t.Errorf("scenario %d, %s: blocks differ between 1 and 4 build workers", si, label)
-			}
+			assertTrackerBlocks(t, tr)
 			if t.Failed() {
 				t.FailNow()
 			}
 		}
 		check("build")
 
-		for _, x := range ts {
-			x.tr.Append(batches[0], x.analyses)
-		}
+		tr.Append(batches[0], analyses)
 		check("append")
 
 		var removed []data.Tuple
 		var ids []int32
-		for _, j := range rng.Perm(ts[0].jidx.Len())[:8] {
-			if ts[0].jidx.Live(j) {
-				removed = append(removed, ts[0].jidx.Tuples[j])
+		for _, j := range rng.Perm(jidx.Len())[:8] {
+			if jidx.Live(j) {
+				removed = append(removed, jidx.Tuples[j])
 				ids = append(ids, int32(j))
 			}
 		}
-		for _, x := range ts {
-			x.tr.Remove(removed, ids, x.analyses)
-		}
+		tr.Remove(removed, ids, analyses)
 		check("remove")
 
 		src := I.All()
@@ -648,15 +595,11 @@ func TestTrackerBuildWorkersDoNotShow(t *testing.T) {
 			changed[tp.Rel] = true
 			I.Remove(tp)
 		}
-		for _, x := range ts {
-			x.tr.ApplySourceDelta(I, changed, cands, x.analyses)
-		}
+		tr.ApplySourceDelta(I, changed, cands, analyses)
 		check("source delta")
 
 		added := sc.Candidates[split:]
-		for _, x := range ts {
-			x.analyses = append(x.analyses, x.tr.AddCandidates(I, added)...)
-		}
+		analyses = append(analyses, tr.AddCandidates(I, added)...)
 		cands = append(cands, added...)
 		check("add candidates")
 
@@ -665,60 +608,18 @@ func TestTrackerBuildWorkersDoNotShow(t *testing.T) {
 			keep[i] = rng.Intn(4) != 0
 		}
 		var keptCands tgd.Mapping
+		var kept []Analysis
 		for i, k := range keep {
 			if k {
 				keptCands = append(keptCands, cands[i])
+				an := analyses[i]
+				an.TGDIndex = len(kept)
+				kept = append(kept, an)
 			}
 		}
-		for _, x := range ts {
-			x.tr.RemoveCandidates(keep)
-			var kept []Analysis
-			for i, k := range keep {
-				if k {
-					an := x.analyses[i]
-					an.TGDIndex = len(kept)
-					kept = append(kept, an)
-				}
-			}
-			x.analyses = kept
-		}
-		cands = keptCands
+		tr.RemoveCandidates(keep)
+		cands, analyses = keptCands, kept
 		check("retire candidates")
-	}
-}
-
-// The build's merge must keep one block per key whichever worker
-// analysed which candidate. Here two workers with private memos take
-// the M scenario's candidates in turn — a split the pool does not
-// guarantee — so that blocks shared across candidates are found twice;
-// merged, the tracker must hold the blocks of a 1-worker build.
-func TestTrackerMergeKeepsOneBlockPerKey(t *testing.T) {
-	sc, err := ibench.Generate(scenarioConfigs()[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	want, _ := BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, opts, 1)
-	jidx := IndexJ(sc.J)
-	got, _ := BuildTracker(sc.I, jidx, nil, opts, 1)
-	got.extend(len(sc.Candidates))
-	workers := []*analyzeWorker{newAnalyzeWorker(jidx), newAnalyzeWorker(jidx)}
-	for _, w := range workers {
-		w.memo = make(map[string]*trackedBlock)
-	}
-	for i, d := range sc.Candidates {
-		workers[i%2].analyzeOne(i, d, sc.I, opts, &got.trackSink)
-	}
-	if n := len(workers[0].memo) + len(workers[1].memo); n <= len(want.memo) {
-		t.Fatalf("the workers found %d blocks, no more than the %d distinct ones: nothing to merge", n, len(want.memo))
-	}
-	got.merge()
-	for _, blocks := range got.candBlocks {
-		got.retain(blocks)
-	}
-	assertTrackerBlocks(t, got)
-	if !reflect.DeepEqual(shapeOf(got), shapeOf(want)) {
-		t.Error("merged blocks differ from a 1-worker build's")
 	}
 }
 
@@ -741,7 +642,7 @@ func TestTrackerAppendRandom(t *testing.T) {
 		nb := 1 + rng.Intn(4)
 		initial, batches := splitTuples(J, nb, rng)
 		jidx := IndexJ(initial)
-		tracker, analyses := BuildTracker(I, jidx, cands, opts, 1)
+		tracker, analyses := BuildTracker(I, jidx, cands, opts)
 		for _, batch := range batches {
 			tracker.Append(batch, analyses)
 		}
@@ -756,7 +657,7 @@ func TestTrackerAppendEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	jidx := IndexJ(sc.J)
-	tracker, analyses := BuildTracker(sc.I, jidx, sc.Candidates, DefaultOptions(), 2)
+	tracker, analyses := BuildTracker(sc.I, jidx, sc.Candidates, DefaultOptions())
 	before := snapshotCoverage(analyses)
 	delta := tracker.Append(nil, analyses)
 	if len(delta.ChangedTuples) != 0 || len(delta.PairsChanged) != 0 || len(delta.ErrorsChanged) != 0 {
@@ -789,17 +690,17 @@ func TestJIndexAppendMatchesRebuild(t *testing.T) {
 		if jidx.IndexOf(tp) != i {
 			t.Fatalf("IndexOf of appended tuple %d broken", i)
 		}
-		if !jidx.idx.Tuple(int32(i)).Equal(tp) {
+		if !jidx.idx.Tuples()[i].Equal(tp) {
 			t.Fatalf("index id %d does not resolve to its tuple", i)
 		}
 	}
 	// Candidate sets must match a rebuilt index probe for probe (as
 	// tuple sets — ids depend on insertion order).
-	rebuilt := data.NewIndex(instanceOfTuples(jidx.Tuples))
+	rebuilt := data.IndexTuples(instanceOfTuples(jidx.Tuples).All())
 	asKeys := func(ix *data.Index, ids []int32) []string {
 		keys := make([]string, len(ids))
 		for k, id := range ids {
-			keys[k] = ix.Tuple(id).Key()
+			keys[k] = ix.Tuples()[id].Key()
 		}
 		sort.Strings(keys)
 		return keys
@@ -815,20 +716,13 @@ func TestJIndexAppendMatchesRebuild(t *testing.T) {
 
 // BenchmarkBuildTrackerSharded is BenchmarkAnalyzeNSharded's analysis
 // through the streaming build: the same ≈11k-tuple target, with every
-// distinct block retained in the tracker's memo. One worker builds
-// straight into the memo; two dedup privately and merge.
+// distinct block retained in the tracker's memo.
 func BenchmarkBuildTrackerSharded(b *testing.B) {
 	sc := shardedScenario(b)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"1worker", 1}, {"2workers", 2}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, DefaultOptions(), bc.workers)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildTracker(sc.I, IndexJ(sc.J), sc.Candidates, DefaultOptions())
 	}
 }
 
@@ -850,7 +744,7 @@ func BenchmarkTrackerAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tr, analyses := BuildTracker(sc.I, IndexJ(stream.Initial), sc.Candidates, DefaultOptions(), 0)
+		tr, analyses := BuildTracker(sc.I, IndexJ(stream.Initial), sc.Candidates, DefaultOptions())
 		runtime.GC() // the build's garbage is not the appends' cost
 		b.StartTimer()
 		for _, batch := range stream.Batches {
@@ -876,7 +770,7 @@ func BenchmarkTrackerSourceDelta(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			sc := bc.sc
 			I := sc.I.Clone()
-			tr, analyses := BuildTracker(I, IndexJ(sc.J), sc.Candidates, DefaultOptions(), 0)
+			tr, analyses := BuildTracker(I, IndexJ(sc.J), sc.Candidates, DefaultOptions())
 			src := I.All()
 			rng := rand.New(rand.NewSource(43))
 			picked := []data.Tuple{src[rng.Intn(len(src))], src[rng.Intn(len(src))], src[rng.Intn(len(src))]}

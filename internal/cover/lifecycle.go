@@ -97,7 +97,7 @@ func (t *Tracker) ApplySourceDelta(I *data.Instance, changedRels map[string]bool
 	for _, i := range affected {
 		replaced = append(replaced, t.candBlocks[i])
 		t.candBlocks[i], t.errTuples[i], t.okTuples[i] = nil, nil, nil
-		na := t.w.analyzeOne(i, candidates[i], I, t.opts, &t.trackSink)
+		na := t.w.analyzeOne(i, candidates[i], I, t.opts, t)
 		t.retain(t.candBlocks[i])
 		diffPairs(analyses[i].Pairs, na.Pairs, int32(n), touched)
 		if !slices.Equal(analyses[i].Pairs, na.Pairs) {
@@ -127,7 +127,7 @@ func (t *Tracker) AddCandidates(I *data.Instance, added tgd.Mapping) []Analysis 
 	t.extend(len(added))
 	newAn := make([]Analysis, len(added))
 	for k, d := range added {
-		newAn[k] = t.w.analyzeOne(base+k, d, I, t.opts, &t.trackSink)
+		newAn[k] = t.w.analyzeOne(base+k, d, I, t.opts, t)
 		t.retain(t.candBlocks[base+k])
 	}
 	return newAn

@@ -45,22 +45,22 @@ func TestSourceNullRenamingLeavesAnalysisUnchanged(t *testing.T) {
 	}
 	want := AnalyzeN(nullSource("Q", true), IndexJ(J), cands, opts, 1)
 	for _, lbl := range []string{"N1", "N2", "N3", "Q"} {
+		I := nullSource(lbl, true)
 		for _, workers := range []int{1, 2} {
-			I := nullSource(lbl, true)
 			if got := AnalyzeN(I, IndexJ(J), cands, opts, workers); !reflect.DeepEqual(got, want) {
 				t.Errorf("AnalyzeN, null %s, %d workers:\ngot  %+v\nwant %+v", lbl, workers, got, want)
 			}
-			if _, got := BuildTracker(I, IndexJ(J), cands, opts, workers); !reflect.DeepEqual(got, want) {
-				t.Errorf("BuildTracker, null %s, %d workers:\ngot  %+v\nwant %+v", lbl, workers, got, want)
-			}
-			// The nulls arrive by a source delta on a tracked problem.
-			I = nullSource(lbl, false)
-			tr, got := BuildTracker(I, IndexJ(J), cands, opts, workers)
-			I.AddAll(nullSource(lbl, true).All())
-			tr.ApplySourceDelta(I, map[string]bool{"r": true}, cands, got)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("ApplySourceDelta, null %s, %d workers:\ngot  %+v\nwant %+v", lbl, workers, got, want)
-			}
+		}
+		if _, got := BuildTracker(I, IndexJ(J), cands, opts); !reflect.DeepEqual(got, want) {
+			t.Errorf("BuildTracker, null %s:\ngot  %+v\nwant %+v", lbl, got, want)
+		}
+		// The nulls arrive by a source delta on a tracked problem.
+		I = nullSource(lbl, false)
+		tr, got := BuildTracker(I, IndexJ(J), cands, opts)
+		I.AddAll(nullSource(lbl, true).All())
+		tr.ApplySourceDelta(I, map[string]bool{"r": true}, cands, got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ApplySourceDelta, null %s:\ngot  %+v\nwant %+v", lbl, got, want)
 		}
 	}
 }

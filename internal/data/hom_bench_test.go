@@ -48,7 +48,7 @@ func BenchmarkEnumeratePartialHomsReference(b *testing.B) {
 func BenchmarkEnumeratePartialHomsIndexed(b *testing.B) {
 	target := benchTarget(500)
 	blocks := benchBlocks(64)
-	s := NewSearcher(NewIndex(target))
+	s := NewSearcher(IndexTuples(target.All()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,7 +72,7 @@ func BenchmarkTupleEmbedsReference(b *testing.B) {
 func BenchmarkTupleEmbedsIndexed(b *testing.B) {
 	target := benchTarget(500)
 	blocks := benchBlocks(64)
-	ix := NewIndex(target)
+	ix := IndexTuples(target.All())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, block := range blocks {

@@ -45,11 +45,11 @@ func TestBlockEmbedsJoinConsistency(t *testing.T) {
 	J := NewInstance()
 	J.Add(NewTuple("task", "ML", "Alice", "111"))
 	J.Add(NewTuple("org", "222", "SAP")) // wrong join value
-	if NewSearcher(NewIndex(J)).BlockEmbeds(block) {
+	if NewSearcher(IndexTuples(J.All())).BlockEmbeds(block) {
 		t.Error("inconsistent join embedded")
 	}
 	J.Add(NewTuple("org", "111", "SAP"))
-	if !NewSearcher(NewIndex(J)).BlockEmbeds(block) {
+	if !NewSearcher(IndexTuples(J.All())).BlockEmbeds(block) {
 		t.Error("consistent join should embed")
 	}
 }
@@ -136,7 +136,7 @@ func TestEnumerateOrdersConstantRichFirst(t *testing.T) {
 		J.Add(NewTuple("m", "other"+string(rune('a'+i)), "z"))
 	}
 	J.Add(NewTuple("m", "101", "202"))
-	if !NewSearcher(NewIndex(J)).BlockEmbeds(block) {
+	if !NewSearcher(IndexTuples(J.All())).BlockEmbeds(block) {
 		t.Error("N-to-M block should embed")
 	}
 }

@@ -87,11 +87,6 @@ type relPostings struct {
 	size int
 }
 
-// NewIndex builds the posting-list index of an instance.
-//
-//lint:testonly cover and data tests index whole instances with it
-func NewIndex(in *Instance) *Index { return IndexTuples(in.All()) }
-
 // IndexTuples builds the posting-list index of a tuple list: a
 // tuple's id is its position in the list. The index takes ownership
 // of the slice (Tuples returns it) — the caller must not modify it.
@@ -282,11 +277,6 @@ func (ix *Index) NumLive() int { return len(ix.tuples) - ix.removed }
 // Tuples returns all indexed tuples; the slice position of a tuple is
 // its id (shared slice; do not mutate).
 func (ix *Index) Tuples() []Tuple { return ix.tuples }
-
-// Tuple resolves an id.
-//
-//lint:testonly cover and data tests resolve index ids with it
-func (ix *Index) Tuple(id int32) Tuple { return ix.tuples[id] }
 
 // Candidates returns the ids of tuples that t can map onto under a
 // homomorphism (agreeing on every constant position of t), in

@@ -100,7 +100,7 @@ func collectIndexed(block []Tuple, s *Searcher, limit int) []flatMatch {
 		fm := flatMatch{Mapped: append([]bool(nil), m.Mapped...)}
 		for i, ok := range m.Mapped {
 			if ok {
-				fm.Images = append(fm.Images, s.Index().Tuple(m.Image[i]).Key())
+				fm.Images = append(fm.Images, s.Index().Tuples()[m.Image[i]].Key())
 			} else {
 				fm.Images = append(fm.Images, "")
 			}
@@ -187,12 +187,12 @@ func TestIndexCandidates(t *testing.T) {
 	in.Add(NewTuple("r", "a", "c"))
 	in.Add(NewTuple("r", "d", "b"))
 	in.Add(NewTuple("s", "a", "b"))
-	ix := NewIndex(in)
+	ix := IndexTuples(in.All())
 
 	probe := func(t Tuple) []string {
 		var out []string
 		for _, id := range ix.Candidates(t) {
-			out = append(out, ix.Tuple(id).Key())
+			out = append(out, ix.Tuples()[id].Key())
 		}
 		return out
 	}
@@ -275,7 +275,7 @@ func TestSearcherSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	target := randomInstance(rng, 50, false)
 	block := randomBlock(rng)
-	s := NewSearcher(NewIndex(target))
+	s := NewSearcher(IndexTuples(target.All()))
 	run := func() {
 		s.EnumeratePartialHoms(block, 0, func(m *IndexedMatch) bool { return true })
 	}

@@ -62,8 +62,9 @@ type Config struct {
 	Workers int
 	// Parallelism is the WithParallelism bound for prepare and solve
 	// (0 = GOMAXPROCS); per-request parallelism may lower it. It bounds
-	// every pool a session runs: appends, removals and source deltas
-	// run serially on the request's goroutine.
+	// every pool a session runs: a fork's streaming prepare, appends,
+	// removals and source deltas run serially on the request's
+	// goroutine.
 	Parallelism int
 	// DefaultSolver is used when a solve request names none
 	// (default "greedy").
